@@ -29,7 +29,14 @@ import numpy as np
 
 from .errors import DecayError, DomainError
 from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild, validate_asymptotics
-from .quadrature import Tolerance, integrate, integrate_semi_infinite, integrate_sqrt_endpoint, inv_sqrt_diff
+from .quadrature import (
+    Tolerance,
+    find_root_bracketed,
+    integrate,
+    integrate_semi_infinite,
+    integrate_sqrt_endpoint,
+    inv_sqrt_diff,
+)
 from .volume import model_bound_inner, renormalized_volume
 
 __all__ = [
@@ -243,27 +250,36 @@ def kernel_margin(eps: float, mu: float, tol: Tolerance | None = None) -> float:
 def kernel_threshold(mu: float, tol: Tolerance | None = None) -> float:
     """Largest ratio eps/mu at which the kernel margin crosses zero.
 
-    Bisects the margin's sign over log10(eps/mu) in [-12, 0].  The crossing
-    ratio is scale-invariant in mu by the exact scaling law.
+    The margin scales exactly as (eps, mu) -> lambda^-1/2, so its sign
+    depends on eps/mu alone; the search therefore runs at mu = 1 and the
+    result is the same float for every valid mu.  Starting from ratio 1,
+    where the margin must be negative, it walks down one decade at a time
+    to the first positive margin, then refines that bracket on
+    log10(eps/mu) with the bracketed secant to width 1e-11.  Walking from
+    the top finds the largest crossing and never evaluates the margin at
+    a tiny ratio, where its integrand peaks too sharply to resolve.
+    Raises ValueError when the margin is not negative at ratio 1 or stays
+    nonpositive down to ratio 1e-12.
     """
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError("mu must be positive and finite, got %r" % (mu,))
     tol = tol or Tolerance()
-    lo, hi = -12.0, 0.0
-    f_lo = kernel_margin(10.0**lo * mu, mu, tol)
-    f_hi = kernel_margin(10.0**hi * mu, mu, tol)
-    if not (f_lo > 0.0 and f_hi < 0.0):
-        raise ValueError(
-            "kernel margin does not change sign on the search window "
-            "(margin %.3e at ratio 1e-12, %.3e at ratio 1)" % (f_lo, f_hi)
-        )
-    while hi - lo > 1e-11:
-        mid = 0.5 * (lo + hi)
-        if kernel_margin(10.0**mid * mu, mu, tol) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 10.0 ** (0.5 * (lo + hi))
+
+    def margin(x: float) -> float:
+        return kernel_margin(10.0**x, 1.0, tol)
+
+    f_top = margin(0.0)
+    if not f_top < 0.0:
+        raise ValueError("kernel margin %.3e at ratio 1 is not negative" % (f_top,))
+    hi = 0.0
+    while margin(hi - 1.0) <= 0.0:
+        hi -= 1.0
+        if hi <= -12.0:
+            raise ValueError(
+                "kernel margin is nonpositive at every decade from ratio 1 "
+                "down to 1e-12; no crossing to bracket"
+            )
+    return 10.0 ** find_root_bracketed(margin, hi - 1.0, hi, tol=1e-11)
 
 
 def _golden_min(fn, a: float, b: float, iterations: int = 90):

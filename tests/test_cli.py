@@ -165,6 +165,11 @@ class TestLemmaAux:
         assert header == ["mu", "rho_star"]
         assert 1e-3 < float(rows[0][1]) < 1.0
 
+    def test_threshold_mode_tight_tolerance(self, capsys):
+        assert run(["lemma-aux", "--threshold", "--mu", "1", "--rel-tol", "1e-12"]) == 0
+        header, rows = rows_of(capsys.readouterr().out)
+        assert 1e-3 < float(rows[0][1]) < 1.0
+
     def test_requires_arguments(self, capsys):
         assert run(["lemma-aux"]) == 2
         assert run(["lemma-aux", "--threshold"]) == 2
