@@ -8,7 +8,10 @@ parameters, written in plain infix notation::
 
 The parser produces an immutable tree that supports
 
-* float evaluation with late parameter binding,
+* float evaluation with late parameter binding.  The first evaluation of a
+  tree compiles it to a straight-line Python function whose operations run
+  in post-order, left before right, so values and the first error raised
+  are those of a recursive walk; the function is cached on the node,
 * exact rational evaluation (used by callers that need cancellation-free
   differences at large radius),
 * symbolic differentiation in ``s`` with constant folding of trivial
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -32,9 +36,6 @@ from .errors import DomainError, EvaluationError, ParseError
 __all__ = [
     "Expression",
     "parse",
-    "evaluate",
-    "differentiate",
-    "parameters",
     "parse_profile_text",
     "load_profile_file",
 ]
@@ -56,7 +57,7 @@ class Expression:
 
     def evaluate(self, s: float, params: Mapping[str, float] | None = None) -> float:
         """Evaluate at radius ``s`` with the given parameter bindings."""
-        return self._eval(float(s), params if params is not None else _NO_PARAMS)
+        return self._compiled(float(s), params if params is not None else _NO_PARAMS)
 
     def evaluate_exact(self, s, params: Mapping[str, Fraction] | None = None) -> Fraction:
         """Evaluate with exact rational arithmetic.
@@ -79,7 +80,18 @@ class Expression:
         """True if the tree contains an exp/log/sqrt node."""
         raise NotImplementedError
 
-    def _eval(self, s, params):
+    @cached_property
+    def _compiled(self):
+        return _compile(self)
+
+    def __getstate__(self):
+        # functions built by exec do not pickle; copies recompile on first use
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
+    def _emit(self, code: _Code) -> str:
+        """Append this node's statements to ``code``; return its operand."""
         raise NotImplementedError
 
     def _eval_exact(self, s, params):
@@ -107,8 +119,8 @@ class Num(Expression):
 
     _prec = 9
 
-    def _eval(self, s, params):
-        return self.value
+    def _emit(self, code):
+        return code.constant(self.value)
 
     def _eval_exact(self, s, params):
         return Fraction(self.value)
@@ -132,8 +144,8 @@ class Var(Expression):
 
     _prec = 9
 
-    def _eval(self, s, params):
-        return s
+    def _emit(self, code):
+        return "s"
 
     def _eval_exact(self, s, params):
         return s
@@ -157,11 +169,19 @@ class Param(Expression):
 
     _prec = 9
 
-    def _eval(self, s, params):
-        try:
-            return float(params[self.name])
-        except KeyError:
-            raise EvaluationError("unbound parameter '%s'" % self.name) from None
+    def _emit(self, code):
+        # one read per name, at its first position in post-order
+        name = code.params.get(self.name)
+        if name is None:
+            name = code.params[self.name] = code.temp()
+            code.lines += [
+                "try:",
+                "    %s = float(params[%r])" % (name, self.name),
+                "except KeyError:",
+                "    raise EvaluationError(%r) from None"
+                % ("unbound parameter '%s'" % self.name),
+            ]
+        return name
 
     def _eval_exact(self, s, params):
         try:
@@ -188,8 +208,8 @@ class Neg(Expression):
 
     _prec = 2
 
-    def _eval(self, s, params):
-        return -self.arg._eval(s, params)
+    def _emit(self, code):
+        return code.assign("-" + self.arg._emit(code))
 
     def _eval_exact(self, s, params):
         return -self.arg._eval_exact(s, params)
@@ -214,8 +234,9 @@ class Add(Expression):
 
     _prec = 1
 
-    def _eval(self, s, params):
-        return self.left._eval(s, params) + self.right._eval(s, params)
+    def _emit(self, code):
+        left = self.left._emit(code)
+        return code.assign("%s + %s" % (left, self.right._emit(code)))
 
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) + self.right._eval_exact(s, params)
@@ -240,8 +261,9 @@ class Sub(Expression):
 
     _prec = 1
 
-    def _eval(self, s, params):
-        return self.left._eval(s, params) - self.right._eval(s, params)
+    def _emit(self, code):
+        left = self.left._emit(code)
+        return code.assign("%s - %s" % (left, self.right._emit(code)))
 
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) - self.right._eval_exact(s, params)
@@ -266,8 +288,9 @@ class Mul(Expression):
 
     _prec = 3
 
-    def _eval(self, s, params):
-        return self.left._eval(s, params) * self.right._eval(s, params)
+    def _emit(self, code):
+        left = self.left._emit(code)
+        return code.assign("%s * %s" % (left, self.right._emit(code)))
 
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) * self.right._eval_exact(s, params)
@@ -294,12 +317,14 @@ class Div(Expression):
 
     _prec = 3
 
-    def _eval(self, s, params):
-        num = self.left._eval(s, params)
-        den = self.right._eval(s, params)
-        if den == 0.0:
-            raise DomainError("division by zero in '%s'" % self)
-        return num / den
+    def _emit(self, code):
+        num = self.left._emit(code)
+        den = self.right._emit(code)
+        code.lines += [
+            "if %s == 0.0:" % den,
+            "    raise DomainError(%r)" % ("division by zero in '%s'" % self),
+        ]
+        return code.assign("%s / %s" % (num, den))
 
     def _eval_exact(self, s, params):
         num = self.left._eval_exact(s, params)
@@ -345,14 +370,16 @@ class Pow(Expression):
 
     _prec = 5
 
-    def _eval(self, s, params):
-        b = self.base._eval(s, params)
+    def _emit(self, code):
+        b = self.base._emit(code)
         n = self.exponent
         if n >= 0:
-            return _ipow(b, n)
-        if b == 0.0:
-            raise DomainError("zero raised to negative power in '%s'" % self)
-        return 1.0 / _ipow(b, -n)
+            return code.ipow(b, n)
+        code.lines += [
+            "if %s == 0.0:" % b,
+            "    raise DomainError(%r)" % ("zero raised to negative power in '%s'" % self),
+        ]
+        return code.assign("1.0 / %s" % code.ipow(b, -n))
 
     def _eval_exact(self, s, params):
         b = self.base._eval_exact(s, params)
@@ -384,18 +411,18 @@ class Call(Expression):
 
     _prec = 9
 
-    def _eval(self, s, params):
-        x = self.arg._eval(s, params)
-        try:
-            if self.func == "exp":
-                return math.exp(x)
-            if self.func == "log":
-                return math.log(x)
-            return math.sqrt(x)
-        except (ValueError, OverflowError):
-            raise DomainError(
-                "%s of out-of-range value %r in '%s'" % (self.func, x, self)
-            ) from None
+    def _emit(self, code):
+        x = self.arg._emit(code)
+        fn = {"exp": "_exp", "log": "_log"}.get(self.func, "_sqrt")
+        name = code.temp()
+        code.lines += [
+            "try:",
+            "    %s = %s(%s)" % (name, fn, x),
+            "except (ValueError, OverflowError):",
+            "    raise DomainError(%r %% (%r, %s, %r)) from None"
+            % ("%s of out-of-range value %r in '%s'", self.func, x, str(self)),
+        ]
+        return name
 
     def _eval_exact(self, s, params):
         raise ExactUnsupported(self.func)
@@ -416,6 +443,69 @@ class Call(Expression):
 
     def _text(self):
         return "%s(%s)" % (self.func, self.arg)
+
+
+# ---------------------------------------------------------------------------
+# compilation to a straight-line function
+
+_GLOBALS = {
+    "_exp": math.exp,
+    "_log": math.log,
+    "_sqrt": math.sqrt,
+    "DomainError": DomainError,
+    "EvaluationError": EvaluationError,
+}
+
+
+class _Code:
+    """Source lines of one compiled tree; temporaries are t1, t2, ..."""
+
+    def __init__(self):
+        self.lines = []
+        self.params = {}  # parameter name -> temporary holding its value
+        self.constants = {}  # global name -> value with no exact literal
+        self.count = 0
+
+    def temp(self):
+        self.count += 1
+        return "t%d" % self.count
+
+    def assign(self, rhs):
+        name = self.temp()
+        self.lines.append("%s = %s" % (name, rhs))
+        return name
+
+    def constant(self, value):
+        if type(value) is float and math.isfinite(value):
+            return repr(value)  # repr round-trips, -0.0 included
+        name = "k%d" % len(self.constants)
+        self.constants[name] = value
+        return name
+
+    def ipow(self, base, exponent):
+        """_ipow's multiplication sequence, without its exact leading 1.0*."""
+        result = None
+        acc = base
+        k = exponent
+        while k:
+            if k & 1:
+                result = acc if result is None else self.assign("%s * %s" % (result, acc))
+            k >>= 1
+            if k:
+                acc = self.assign("%s * %s" % (acc, acc))
+        return "1.0" if result is None else result
+
+
+def _compile(expr):
+    """Build ``fn(s, params)`` that evaluates ``expr`` like a post-order walk."""
+    code = _Code()
+    result = expr._emit(code)
+    body = "".join("    %s\n" % line for line in code.lines)
+    source = "def compiled(s, params):\n%s    return %s\n" % (body, result)
+    namespace = dict(_GLOBALS, **code.constants)
+    exec(compile(source, "<expression>", "exec"), namespace)
+    # popped so that the function and its globals form no reference cycle
+    return namespace.pop("compiled")
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +565,8 @@ def _pow(base, n):
     if n == 1:
         return base
     if _is_const(base) and (n >= 0 or base.value != 0.0):
-        return Num(Pow(base, n)._eval(0.0, _NO_PARAMS))
+        b = base.value
+        return Num(_ipow(b, n) if n >= 0 else 1.0 / _ipow(b, -n))
     return Pow(base, n)
 
 
@@ -637,21 +728,6 @@ class _Parser:
 def parse(text: str) -> Expression:
     """Parse infix profile text into an expression tree."""
     return _Parser(text).parse()
-
-
-def evaluate(expr: Expression, s: float, params: Mapping[str, float] | None = None) -> float:
-    """Evaluate ``expr`` at radius ``s``; see Expression.evaluate."""
-    return expr.evaluate(s, params)
-
-
-def differentiate(expr: Expression) -> Expression:
-    """Symbolic d/ds of ``expr`` with trivial constant folding."""
-    return expr.derivative()
-
-
-def parameters(expr: Expression) -> frozenset:
-    """Free parameter names appearing in ``expr``."""
-    return expr.parameters()
 
 
 def parse_profile_text(text: str) -> dict:

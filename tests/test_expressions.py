@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import renvol.expressions
 from renvol.errors import DomainError, EvaluationError, ParseError
 from renvol.expressions import (
     ExactUnsupported,
@@ -13,8 +14,9 @@ from renvol.expressions import (
     parse,
     parse_profile_text,
 )
+from renvol.metric import ads_schwarzschild
 
-from helpers import fd_derivative
+from helpers import fd_derivative, walk_evaluate
 
 
 @pytest.mark.parametrize(
@@ -152,6 +154,70 @@ def test_print_parse_round_trip_is_exact():
             assert back.evaluate(s, params) == want
             checked += 1
     assert checked > 300
+
+
+def _outcome(fn, *args):
+    # repr tells -0.0 from 0.0 and prints inf and nan.  ZeroDivisionError
+    # comes from x^-n when x^n underflows to zero.
+    try:
+        return "value", repr(fn(*args))
+    except (DomainError, EvaluationError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCompiledEvaluation:
+    """The compiled float evaluation against the recursive walk in helpers."""
+
+    def test_random_trees_match_the_walk_bit_for_bit(self):
+        rng = random.Random(4099)
+        seen = set()
+        for _ in range(300):
+            text = _random_tree(rng, 4)
+            expr = parse(text)
+            points = (0.0, -0.0, 1e-300, 1e300, rng.uniform(-10.0, 10.0), rng.uniform(0.0, 3.0))
+            for s in points:
+                for params in ({"m": rng.uniform(-4.0, 4.0)}, {}):
+                    want = _outcome(walk_evaluate, expr, s, params)
+                    assert _outcome(expr.evaluate, s, params) == want, (text, s, params)
+                    seen.update(want)
+        # the sample reaches every error and the special values
+        assert {DomainError, EvaluationError, ZeroDivisionError} <= seen
+        assert {"inf", "nan", "-0.0"} <= seen
+
+    @pytest.mark.parametrize(
+        "text,s,params,error",
+        [
+            ("1/(s-s)", 2.0, None, DomainError),
+            ("s^-2", 0.0, None, DomainError),
+            ("log(-s)", 2.0, None, DomainError),
+            ("sqrt(s-5)", 2.0, None, DomainError),
+            ("exp(s^4)", 100.0, None, DomainError),
+            ("1 + s^2 - m/s", 2.0, None, EvaluationError),
+            # the first error in post-order wins, left before right
+            ("1/(s-s) + m", 2.0, None, DomainError),
+            ("m + 1/(s-s)", 2.0, None, EvaluationError),
+            ("m + 1/(s-s)", 2.0, {"m": 1.0}, DomainError),
+        ],
+    )
+    def test_errors_match_the_walk(self, text, s, params, error):
+        expr = parse(text)
+        got = _outcome(expr.evaluate, s, params)
+        assert got[0] is error
+        assert got == _outcome(walk_evaluate, expr, s, params)
+
+    def test_profile_compiles_once(self, monkeypatch):
+        compiled = []
+        compile_ = renvol.expressions._compile
+
+        def counting(expr):
+            compiled.append(expr)
+            return compile_(expr)
+
+        monkeypatch.setattr(renvol.expressions, "_compile", counting)
+        p = ads_schwarzschild(2.0)
+        for i in range(1000):
+            p.value(1.0 + i / 1000.0)
+        assert len(compiled) == 1 and compiled[0] is p.f
 
 
 def test_derivative_printout_round_trips():

@@ -1,7 +1,9 @@
 """Profiles: horizons, curvature, quasi-local mass, decay validation."""
 
+import copy
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -261,3 +263,21 @@ class TestProfileConstruction:
         for bad in (0.0, -2.0, math.inf):
             with pytest.raises(ValueError):
                 ads_schwarzschild(bad)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: rn_ads(4.0, 1.0),
+            lambda: custom_profile("1 + s^2 - m/s + c*exp(-s)", {"m": 2.0, "c": 0.5}),
+        ],
+    )
+    def test_evaluated_profile_pickles_and_copies(self, make):
+        p = make()
+        p.value(2.0)
+        p.slope(2.0)
+        assert p.horizon is not None
+        for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert clone == p and clone.horizon == p.horizon
+            for s in (0.5, p.horizon.radius, 3.0, 1e4):
+                assert repr(clone.value(s)) == repr(p.value(s))
+                assert repr(clone.slope(s)) == repr(p.slope(s))
