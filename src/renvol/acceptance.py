@@ -17,8 +17,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .comparison import (
     GapSpec,
     compare_volumes,
@@ -37,7 +35,7 @@ from .metric import (
     hyperbolic,
     rn_ads,
 )
-from .quadrature import Tolerance
+from .quadrature import Tolerance, geomspace
 from .volume import (
     area_lower_bound,
     flow_volume_lower_bound,
@@ -73,9 +71,7 @@ def criterion_1() -> CriterionResult:
         if abs(got - expected) > 1e-12:
             failures.append("root(m=%g) = %.17g, expected %g" % (m, got, expected))
     worst = 0.0
-    grid = np.geomspace(1e-3, 1e3, 50)
-    for m in grid:
-        m = float(m)
+    for m in geomspace(1e-3, 1e3, 50):
         s0 = ads_horizon_radius(m)
         residual = abs(ads_schwarzschild(m).value(s0))
         worst = max(worst, residual)
@@ -96,7 +92,7 @@ def criterion_2() -> CriterionResult:
     for m in (0.5, 1.0, 2.0, 5.0):
         p = ads_schwarzschild(m)
         s0 = ads_horizon_radius(m)
-        values = [p.hawking_mass(float(s)) for s in np.geomspace(s0, 1e3, 50)]
+        values = [p.hawking_mass(s) for s in geomspace(s0, 1e3, 50)]
         spread = (max(values) - min(values)) / abs(max(values))
         worst_spread = max(worst_spread, spread)
         if spread >= 1e-8:
@@ -130,16 +126,14 @@ def criterion_3() -> CriterionResult:
     for m in (0.5, 1.0, 2.0, 5.0, 30.0):
         constant_six.append((ads_schwarzschild(m), ads_horizon_radius(m), m))
     for p, s_lo, m in constant_six:
-        for s in np.geomspace(max(s_lo, 1e-2), 300.0, 20):
-            s = float(s)
+        for s in geomspace(max(s_lo, 1e-2), 300.0, 20):
             dev = abs(p.scalar_curvature(s) + 6.0)
             worst_const = max(worst_const, dev)
             if dev > 1e-9:
                 failures.append("R(%s, s=%.3g) deviates from -6 by %.3e" % (p.label, s, dev))
     for m, c in ((4.0, 1.0), (3.0, -1.0), (2.0, 0.5), (5.0, 2.0), (6.0, -2.0)):
         p = rn_ads(m, c)
-        for s in np.geomspace(0.5, 100.0, 15):
-            s = float(s)
+        for s in geomspace(0.5, 100.0, 15):
             got = p.scalar_curvature(s)
             expected = -6.0 + 2.0 * c / s**4
             dev = abs(got - expected) / max(1.0, abs(expected))
@@ -250,7 +244,7 @@ def criterion_7() -> CriterionResult:
         worst_stab = max(worst_stab, res.stability)
         if res.stability >= 1e-6:
             failures.append("truncation instability %.3e at m=%g" % (res.stability, m))
-    sweep = mass_volume_sweep([float(m) for m in np.geomspace(0.1, 10.0, 20)])
+    sweep = mass_volume_sweep(geomspace(0.1, 10.0, 20))
     if not sweep.monotone:
         bad = [row.m for row in sweep.rows if row.delta_prev is not None and row.delta_prev <= 0]
         failures.append("volume not strictly increasing at m in %s" % bad)
@@ -269,8 +263,8 @@ def criterion_8() -> CriterionResult:
         if abs(volume_gap(GapSpec(a_bar, 0.0))) > 1e-12:
             failures.append("gap at alpha=0 not zero for area %.3g" % a_bar)
         previous = 0.0
-        for alpha in np.arange(0.25, 3.01, 0.25):
-            value = volume_gap(GapSpec(a_bar, float(alpha)))
+        for alpha in [0.25 * k for k in range(1, 13)]:
+            value = volume_gap(GapSpec(a_bar, alpha))
             if value <= 0.0:
                 failures.append("gap not positive at (%.3g, %.2f)" % (a_bar, alpha))
             if value <= previous:

@@ -22,8 +22,6 @@ import shlex
 import sys
 import tempfile
 
-import numpy as np
-
 from .acceptance import run_all
 from .comparison import (
     GapSpec,
@@ -44,7 +42,7 @@ from .metric import (
     hyperbolic,
     rn_ads,
 )
-from .quadrature import Tolerance
+from .quadrature import Tolerance, geomspace, linspace
 from .volume import (
     DEFAULT_TRUNCATION_RADIUS,
     area_lower_bound,
@@ -79,8 +77,8 @@ def _parse_grid(text: str) -> list[float]:
     if log_scale:
         if not (start > 0.0 and stop > 0.0):
             raise ValueError("log grid endpoints must be positive, got %r" % (text,))
-        return [float(x) for x in np.geomspace(start, stop, count)]
-    return [float(x) for x in np.linspace(start, stop, count)]
+        return geomspace(start, stop, count)
+    return linspace(start, stop, count)
 
 
 def _parse_params(items: list[str]) -> dict[str, float]:

@@ -25,13 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DecayError, DomainError
-from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild, validate_asymptotics
+from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
 from .quadrature import (
     Tolerance,
     find_root_bracketed,
+    geomspace,
     integrate,
     integrate_semi_infinite,
     integrate_sqrt_endpoint,
@@ -268,18 +267,22 @@ def kernel_threshold(mu: float, tol: Tolerance | None = None) -> float:
     def margin(x: float) -> float:
         return kernel_margin(10.0**x, 1.0, tol)
 
-    f_top = margin(0.0)
-    if not f_top < 0.0:
-        raise ValueError("kernel margin %.3e at ratio 1 is not negative" % (f_top,))
+    f_hi = margin(0.0)
+    if not f_hi < 0.0:
+        raise ValueError("kernel margin %.3e at ratio 1 is not negative" % (f_hi,))
     hi = 0.0
-    while margin(hi - 1.0) <= 0.0:
+    while True:
+        f_lo = margin(hi - 1.0)
+        if not f_lo <= 0.0:
+            break
         hi -= 1.0
+        f_hi = f_lo
         if hi <= -12.0:
             raise ValueError(
                 "kernel margin is nonpositive at every decade from ratio 1 "
                 "down to 1e-12; no crossing to bracket"
             )
-    return 10.0 ** find_root_bracketed(margin, hi - 1.0, hi, tol=1e-11)
+    return 10.0 ** find_root_bracketed(margin, hi - 1.0, hi, tol=1e-11, fa=f_lo, fb=f_hi)
 
 
 def _golden_min(fn, a: float, b: float, iterations: int = 90):
@@ -301,16 +304,27 @@ def _golden_min(fn, a: float, b: float, iterations: int = 90):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _argmin(values: list[float]) -> int:
+    """Index of the first minimum; the first NaN wins, so it is never skipped."""
+    best = 0
+    for i, v in enumerate(values):
+        if v != v:
+            return i
+        if v < values[best]:
+            best = i
+    return best
+
+
 def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
-    grid = np.geomspace(s_lo, _CURVATURE_GRID_TOP, _CURVATURE_GRID_POINTS)
-    values = [p.scalar_curvature(float(s)) for s in grid]
-    i = int(np.argmin(values))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
+    grid = geomspace(s_lo, _CURVATURE_GRID_TOP, _CURVATURE_GRID_POINTS)
+    values = [p.scalar_curvature(s) for s in grid]
+    i = _argmin(values)
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
     s_min, r_refined = _golden_min(p.scalar_curvature, lo, hi)
     r_min = min(values[i], r_refined)
     if r_refined > values[i]:
-        s_min = float(grid[i])
+        s_min = grid[i]
     passed = r_min >= -6.0 - CURVATURE_SLACK
     if passed:
         detail = (
@@ -377,7 +391,7 @@ def compare_volumes(
         area_check = HypothesisCheck("area", False, "no horizon, so no boundary area")
 
     try:
-        decay = validate_asymptotics(p)
+        decay = p.asymptotics
     except (DomainError, DecayError) as exc:
         asym_check = HypothesisCheck("asymptotics", False, str(exc))
     else:

@@ -15,7 +15,8 @@ The parser produces an immutable tree that supports
 * exact rational evaluation (used by callers that need cancellation-free
   differences at large radius),
 * symbolic differentiation in ``s`` with constant folding of trivial
-  subtrees.
+  subtrees; the derivative tree is also cached on the node, so a shared
+  tree differentiates and compiles f' once.
 
 ``^`` is restricted to integer literal exponents so that derivatives stay
 inside the language.  The recognised functions are ``exp``, ``log`` and
@@ -69,8 +70,12 @@ class Expression:
         return self._eval_exact(Fraction(s), params if params is not None else _NO_PARAMS)
 
     def derivative(self) -> "Expression":
-        """Symbolic d/ds with constant folding of trivial subtrees."""
-        raise NotImplementedError
+        """Symbolic d/ds with constant folding of trivial subtrees.
+
+        Built on first use and cached on the node, like the compiled
+        function; every call returns the same tree.
+        """
+        return self._derivative
 
     def parameters(self) -> frozenset:
         """Names of free parameters (everything except ``s``)."""
@@ -83,6 +88,13 @@ class Expression:
     @cached_property
     def _compiled(self):
         return _compile(self)
+
+    @cached_property
+    def _derivative(self):
+        return self._derive()
+
+    def _derive(self) -> "Expression":
+        raise NotImplementedError
 
     def __getstate__(self):
         # functions built by exec do not pickle; copies recompile on first use
@@ -125,7 +137,7 @@ class Num(Expression):
     def _eval_exact(self, s, params):
         return Fraction(self.value)
 
-    def derivative(self):
+    def _derive(self):
         return Num(0.0)
 
     def parameters(self):
@@ -150,7 +162,7 @@ class Var(Expression):
     def _eval_exact(self, s, params):
         return s
 
-    def derivative(self):
+    def _derive(self):
         return Num(1.0)
 
     def parameters(self):
@@ -189,7 +201,7 @@ class Param(Expression):
         except KeyError:
             raise EvaluationError("unbound parameter '%s'" % self.name) from None
 
-    def derivative(self):
+    def _derive(self):
         return Num(0.0)
 
     def parameters(self):
@@ -214,7 +226,7 @@ class Neg(Expression):
     def _eval_exact(self, s, params):
         return -self.arg._eval_exact(s, params)
 
-    def derivative(self):
+    def _derive(self):
         return _neg(self.arg.derivative())
 
     def parameters(self):
@@ -241,7 +253,7 @@ class Add(Expression):
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) + self.right._eval_exact(s, params)
 
-    def derivative(self):
+    def _derive(self):
         return _add(self.left.derivative(), self.right.derivative())
 
     def parameters(self):
@@ -268,7 +280,7 @@ class Sub(Expression):
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) - self.right._eval_exact(s, params)
 
-    def derivative(self):
+    def _derive(self):
         return _sub(self.left.derivative(), self.right.derivative())
 
     def parameters(self):
@@ -295,7 +307,7 @@ class Mul(Expression):
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) * self.right._eval_exact(s, params)
 
-    def derivative(self):
+    def _derive(self):
         da = self.left.derivative()
         db = self.right.derivative()
         return _add(_mul(da, self.right), _mul(self.left, db))
@@ -333,7 +345,7 @@ class Div(Expression):
             raise DomainError("division by zero in '%s'" % self)
         return num / den
 
-    def derivative(self):
+    def _derive(self):
         da = self.left.derivative()
         db = self.right.derivative()
         num = _sub(_mul(da, self.right), _mul(self.left, db))
@@ -375,11 +387,13 @@ class Pow(Expression):
         n = self.exponent
         if n >= 0:
             return code.ipow(b, n)
+        # testing the power, not the base, also catches b^-n underflowing to 0
+        power = code.ipow(b, -n)
         code.lines += [
-            "if %s == 0.0:" % b,
+            "if %s == 0.0:" % power,
             "    raise DomainError(%r)" % ("zero raised to negative power in '%s'" % self),
         ]
-        return code.assign("1.0 / %s" % code.ipow(b, -n))
+        return code.assign("1.0 / %s" % power)
 
     def _eval_exact(self, s, params):
         b = self.base._eval_exact(s, params)
@@ -388,7 +402,7 @@ class Pow(Expression):
             raise DomainError("zero raised to negative power in '%s'" % self)
         return b ** n
 
-    def derivative(self):
+    def _derive(self):
         n = self.exponent
         inner = self.base.derivative()
         return _mul(_mul(Num(float(n)), _pow(self.base, n - 1)), inner)
@@ -427,7 +441,7 @@ class Call(Expression):
     def _eval_exact(self, s, params):
         raise ExactUnsupported(self.func)
 
-    def derivative(self):
+    def _derive(self):
         inner = self.arg.derivative()
         if self.func == "exp":
             return _mul(Call("exp", self.arg), inner)
@@ -564,9 +578,12 @@ def _pow(base, n):
         return Num(1.0)
     if n == 1:
         return base
-    if _is_const(base) and (n >= 0 or base.value != 0.0):
-        b = base.value
-        return Num(_ipow(b, n) if n >= 0 else 1.0 / _ipow(b, -n))
+    if _is_const(base):
+        if n >= 0:
+            return Num(_ipow(base.value, n))
+        power = _ipow(base.value, -n)
+        if power != 0.0:
+            return Num(1.0 / power)
     return Pow(base, n)
 
 

@@ -4,7 +4,10 @@ A metric in this class is described entirely by its radial profile f.
 The reference space is f(s) = 1 + s^2; a profile is asymptotically close
 to it when the defect q(s) = 1 + s^2 - f(s) decays fast enough, which
 ``validate_asymptotics`` checks by fitting the decay rate of the pointwise
-metric deviation |q|/f on a logarithmic radius grid.
+metric deviation |q|/f on a logarithmic radius grid.  A profile computes
+its facts once and keeps them: the horizon, the asymptotics report and
+f' are cached on the instance.  The family texts are parsed once, so
+every profile of a family shares one tree and its compiled f and f'.
 
 Closed-form geometry used throughout:
 
@@ -31,11 +34,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-import numpy as np
-
 from .errors import DecayError, DomainError
-from .expressions import ExactUnsupported, Expression, parse
-from .quadrature import find_root_bracketed
+from .expressions import Expression, parse
+from .quadrature import find_root_bracketed, fit_slope, geomspace
 
 __all__ = [
     "RadialProfile",
@@ -109,6 +110,7 @@ class RadialProfile:
 
     @cached_property
     def df(self) -> Expression:
+        """f' as a tree; shared by every profile built on the same f."""
         return self.f.derivative()
 
     @cached_property
@@ -178,7 +180,7 @@ class RadialProfile:
                 exact_hit = s
                 bracket = None
             elif prev_f is not None and (prev_f > 0.0) != (fs > 0.0):
-                bracket = (prev_s, s)
+                bracket = (prev_s, s, prev_f, fs)
                 exact_hit = None
             prev_s = s
             prev_f = fs
@@ -189,13 +191,24 @@ class RadialProfile:
                 "region exists" % self.label
             )
         if bracket is not None:
-            lo, hi = bracket
-            root = find_root_bracketed(fn, lo, hi, tol=1e-14 * max(1.0, hi))
+            lo, hi, f_lo, f_hi = bracket
+            root = find_root_bracketed(
+                fn, lo, hi, tol=1e-14 * max(1.0, hi), fa=f_lo, fb=f_hi
+            )
         elif exact_hit is not None:
             root = exact_hit
         else:
             return None
         return Horizon(root, _FOUR_PI * root * root)
+
+    @cached_property
+    def asymptotics(self) -> AsymptoticsReport:
+        """The decay-rate fit of ``validate_asymptotics``, run once per profile.
+
+        A fit that raises DomainError is not cached; it runs, and raises,
+        again on the next access.
+        """
+        return validate_asymptotics(self)
 
     def mean_curvature(self, s: float) -> float:
         """H(s) = 2*sqrt(f(s))/s for the coordinate sphere of radius s."""
@@ -229,16 +242,21 @@ class RadialProfile:
         return 32.0 * math.pi ** 1.5 * s * self.defect(s)
 
 
+_HYPERBOLIC = parse("1 + s^2")
+_ADS = parse("1 + s^2 - m/s")
+_RN_ADS = parse("1 + s^2 - m/s + c/s^2")
+
+
 def hyperbolic(delta: float = DEFAULT_DELTA) -> RadialProfile:
     """The reference profile f = 1 + s^2."""
-    return RadialProfile(parse("1 + s^2"), {}, delta, "hyperbolic")
+    return RadialProfile(_HYPERBOLIC, {}, delta, "hyperbolic")
 
 
 def ads_schwarzschild(m: float, delta: float = DEFAULT_DELTA) -> RadialProfile:
     """One-parameter model family f = 1 + s^2 - m/s, m > 0."""
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError("mass must be positive and finite, got %r" % (m,))
-    return RadialProfile(parse("1 + s^2 - m/s"), {"m": m}, delta, "ads m=%g" % m)
+    return RadialProfile(_ADS, {"m": m}, delta, "ads m=%g" % m)
 
 
 def rn_ads(m: float, c: float, delta: float = DEFAULT_DELTA) -> RadialProfile:
@@ -251,9 +269,7 @@ def rn_ads(m: float, c: float, delta: float = DEFAULT_DELTA) -> RadialProfile:
         raise ValueError("mass must be positive and finite, got %r" % (m,))
     if not math.isfinite(c):
         raise ValueError("charge term must be finite, got %r" % (c,))
-    return RadialProfile(
-        parse("1 + s^2 - m/s + c/s^2"), {"m": m, "c": c}, delta, "rn-ads m=%g c=%g" % (m, c)
-    )
+    return RadialProfile(_RN_ADS, {"m": m, "c": c}, delta, "rn-ads m=%g c=%g" % (m, c))
 
 
 def custom_profile(
@@ -302,18 +318,18 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     Passes when the fitted log-log slope is at most -(2 + 4*delta) up to a
     fit tolerance of 0.05.  A defect that vanishes identically passes with
     rate -inf.  For profiles evaluated in float (transcendental trees) the
-    samples drowned by rounding noise are excluded from the fit.
+    samples drowned by rounding noise are excluded from the fit.  The
+    slopes are centered least-squares fits (``fit_slope``).
+    ``RadialProfile.asymptotics`` caches this report on the profile.
 
     Raises DomainError when f is nonpositive anywhere on the grid.
     """
     required = -(2.0 + 4.0 * p.delta)
-    grid = np.geomspace(1e2, 1e6, 41)
     exact = p._rational
     log_s = []
     log_norm = []
     log_dslope = []
-    for s in grid:
-        s = float(s)
+    for s in geomspace(1e2, 1e6, 41):
         fs = p.value(s)
         if not (fs > 0.0):
             raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
@@ -332,11 +348,11 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
             log_dslope.append((math.log(s), math.log(abs(dq) / s)))
     if len(log_s) < 2:
         return AsymptoticsReport(True, -math.inf, required, len(log_s), None)
-    rate = float(np.polyfit(log_s, log_norm, 1)[0])
+    rate = fit_slope(log_s, log_norm)
     dslope = None
     if len(log_dslope) >= 2:
         xs = [pair[0] for pair in log_dslope]
         ys = [pair[1] for pair in log_dslope]
-        dslope = float(np.polyfit(xs, ys, 1)[0])
+        dslope = fit_slope(xs, ys)
     passed = rate <= required + 0.05
     return AsymptoticsReport(passed, rate, required, len(log_s), dslope)

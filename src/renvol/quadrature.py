@@ -17,6 +17,12 @@ Callers that need X**-0.5 - Y**-0.5 for nearby X, Y should go through
 ``inv_sqrt_diff`` instead of subtracting the two roots; the rewritten
 form (Y-X)/(sqrt(X)*sqrt(Y)*(sqrt(X)+sqrt(Y))) only needs Y-X, which is
 often available without cancellation.
+
+The sampling grids (``linspace``, ``geomspace``) and the least-squares
+``fit_slope`` stand in for numpy's linspace, geomspace and degree-1
+polyfit.  The grids follow numpy's formulas operation for operation, so
+they give numpy's floats wherever numpy's log10 and power agree with
+libm's.
 """
 
 from __future__ import annotations
@@ -260,6 +266,8 @@ def find_root_bracketed(
     lo: float,
     hi: float,
     tol: float = 1e-14,
+    fa: float | None = None,
+    fb: float | None = None,
 ) -> float:
     """Locate a root of ``fn`` inside the sign-changing bracket [lo, hi].
 
@@ -267,14 +275,18 @@ def find_root_bracketed(
     guaranteed to halve at least every other iteration; the returned
     point lies in a bracket of width <= tol.  An endpoint where fn is
     exactly zero is returned as-is.  Raises ValueError when fn has the
-    same strict sign at both endpoints.
+    same strict sign at both endpoints.  ``fa`` and ``fb``, when given,
+    are fn(lo) and fn(hi) already known to the caller; fn is then not
+    called there again.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("invalid bracket [%r, %r]" % (lo, hi))
     if not (tol > 0.0):
         raise ValueError("tol must be positive, got %r" % (tol,))
-    fa = fn(lo)
-    fb = fn(hi)
+    if fa is None:
+        fa = fn(lo)
+    if fb is None:
+        fb = fn(hi)
     if not (math.isfinite(fa) and math.isfinite(fb)):
         raise QuadratureError("non-finite function value at bracket endpoint")
     if fa == 0.0:
@@ -322,3 +334,40 @@ def inv_sqrt_diff(x: float, y: float, y_minus_x: float | None = None) -> float:
     sx = math.sqrt(x)
     sy = math.sqrt(y)
     return diff / (sx * sy * (sx + sy))
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` >= 2 evenly spaced floats from start to stop, both included.
+
+    numpy's formula: i*step + start with step = (stop - start)/(num - 1),
+    and the last point set to stop exactly.
+    """
+    step = (stop - start) / (num - 1)
+    points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
+def geomspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` >= 2 log-spaced floats from start to stop (both positive),
+    both included exactly.
+
+    numpy's algorithm: 10**y over the linspace of log10(start) to
+    log10(stop), with both endpoints pinned.
+    """
+    # the pinned endpoints are not computed: 10**log10(x) may overflow
+    exponents = linspace(math.log10(start), math.log10(stop), num)[1:-1]
+    return [start] + [10.0**y for y in exponents] + [stop]
+
+
+def fit_slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of the line through the points (xs[i], ys[i]).
+
+    Centered closed form sum((x - x_mean)*(y - y_mean)) / sum((x - x_mean)^2),
+    with each sum taken by math.fsum.  Needs two distinct abscissae.
+    """
+    n = len(xs)
+    x_mean = math.fsum(xs) / n
+    y_mean = math.fsum(ys) / n
+    dx = [x - x_mean for x in xs]
+    return math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)

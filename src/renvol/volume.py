@@ -32,7 +32,6 @@ from .metric import (
     RadialProfile,
     ads_horizon_radius,
     ads_schwarzschild,
-    validate_asymptotics,
 )
 from .quadrature import (
     Integral,
@@ -194,7 +193,7 @@ def renormalized_volume(
     """
     tol = tol or Tolerance()
     r = truncation_radius
-    report = validate_asymptotics(p)
+    report = p.asymptotics
     if not report.passed:
         raise DecayError(
             "defect of %r decays like s^%.3f, slower than the required s^%.3f; "

@@ -84,8 +84,6 @@ def walk_evaluate(expr, s, params=None):
             return num / den
         if isinstance(e, Pow):
             b = walk(e.base)
-            if e.exponent < 0 and b == 0.0:
-                raise DomainError("zero raised to negative power in '%s'" % e)
             # binary exponentiation, multiplied out in the same order
             result = 1.0
             acc = b
@@ -96,7 +94,12 @@ def walk_evaluate(expr, s, params=None):
                 k >>= 1
                 if k:
                     acc = acc * acc
-            return result if e.exponent >= 0 else 1.0 / result
+            if e.exponent >= 0:
+                return result
+            # a zero base, or a positive power that underflows to zero
+            if result == 0.0:
+                raise DomainError("zero raised to negative power in '%s'" % e)
+            return 1.0 / result
         if isinstance(e, Call):
             x = walk(e.arg)
             fn = {"exp": math.exp, "log": math.log}.get(e.func, math.sqrt)

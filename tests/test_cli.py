@@ -1,12 +1,22 @@
 """End-to-end CLI behavior: CSV output, exit codes, replay."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from renvol.cli import run
 
 FOUR_PI = 4.0 * math.pi
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+# CSVs written with --out; each replays its own command and byte-compares
+GOLDEN_DIR = os.path.join(TESTS_DIR, "golden")
+GOLDEN = sorted(
+    os.path.join(GOLDEN_DIR, name) for name in os.listdir(GOLDEN_DIR) if name.endswith(".csv")
+)
 
 
 def rows_of(output):
@@ -284,3 +294,23 @@ def test_verify_runs_every_criterion(capsys):
     out = capsys.readouterr().out
     lines = [ln for ln in out.splitlines() if ln.startswith("pass")]
     assert len(lines) == 10
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, renvol, renvol.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(TESTS_DIR), "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_golden_set_covers_the_subcommands():
+    names = [os.path.basename(path) for path in GOLDEN]
+    assert len(names) >= 8
+    for prefix in ("volume_", "compare_", "hawking_", "ialpha_", "sweep_"):
+        assert any(name.startswith(prefix) for name in names), prefix
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=os.path.basename)
+def test_golden_replay(path, capsys):
+    assert run(["replay", "--from-csv", path]) == 0
+    # compare also prints its report before the replay verdict
+    assert capsys.readouterr().out.endswith("replay matches %s\n" % path)

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 import renvol.comparison
+import renvol.metric
 from renvol.comparison import (
     GapSpec,
     area_log_ratio,
@@ -215,7 +216,9 @@ class TestKernelThreshold:
 
         monkeypatch.setattr(renvol.comparison, "kernel_margin", counted)
         kernel_threshold(10.0)
-        assert len(ratios) <= 20
+        # the margins at the two bracket ends are handed to the root finder
+        assert len(ratios) <= 14
+        assert len(set(ratios)) == len(ratios)
         assert min(ratios) >= 1e-2
 
     def test_no_crossing_raises(self, monkeypatch):
@@ -297,6 +300,32 @@ class TestCompareVolumes:
     def test_invalid_model_mass(self):
         with pytest.raises(ValueError):
             compare_volumes(ads_schwarzschild(2.0), -1.0)
+
+    def test_nan_curvature_fails_the_check(self):
+        # s^90 overflows beyond s = 2657, so R is NaN at the top of the grid;
+        # the first NaN is the sampled minimum and the check fails on it
+        p = custom_profile("1 + s^2 - m/s + (s^90 - s^90)", {"m": 2.0})
+        report = compare_volumes(p, 2.0)
+        check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
+        assert not check.passed
+        assert check.detail == "R(s = 2677.4) = nan falls below -6 (sampled witness)"
+        assert report.verdict == "hypothesis_failed"
+
+    def test_asymptotics_fit_runs_once_per_profile(self, monkeypatch):
+        fitted = []
+        original = renvol.metric.validate_asymptotics
+
+        def counted(p):
+            fitted.append(p.label)
+            return original(p)
+
+        monkeypatch.setattr(renvol.metric, "validate_asymptotics", counted)
+        p = rn_ads(4.0, 1.0)
+        assert compare_volumes(p, 2.0).verdict == "holds"
+        # the profile and the model, each fitted once
+        assert fitted == ["rn-ads m=4 c=1", "ads m=2"]
+        compare_volumes(p, 2.0)
+        assert fitted.count("rn-ads m=4 c=1") == 1
 
 
 class TestMassVolumeSweep:

@@ -10,11 +10,14 @@ import renvol.expressions
 from renvol.errors import DomainError, EvaluationError, ParseError
 from renvol.expressions import (
     ExactUnsupported,
+    Num,
+    Pow,
+    _pow,
     load_profile_file,
     parse,
     parse_profile_text,
 )
-from renvol.metric import ads_schwarzschild
+from renvol.metric import ads_schwarzschild, custom_profile
 
 from helpers import fd_derivative, walk_evaluate
 
@@ -80,6 +83,9 @@ def test_unbound_parameter_is_an_evaluation_error():
         ("log(s)", 0.0),
         ("1/s", 0.0),
         ("s^-2", 0.0),
+        # s^2 underflows to zero: a domain error, as for 1/s^2
+        ("s^-2", 1e-300),
+        ("1/s^2", 1e-300),
     ],
 )
 def test_domain_violations(text, s):
@@ -157,11 +163,10 @@ def test_print_parse_round_trip_is_exact():
 
 
 def _outcome(fn, *args):
-    # repr tells -0.0 from 0.0 and prints inf and nan.  ZeroDivisionError
-    # comes from x^-n when x^n underflows to zero.
+    # repr tells -0.0 from 0.0 and prints inf and nan
     try:
         return "value", repr(fn(*args))
-    except (DomainError, EvaluationError, ZeroDivisionError) as exc:
+    except (DomainError, EvaluationError) as exc:
         return type(exc), str(exc)
 
 
@@ -181,7 +186,7 @@ class TestCompiledEvaluation:
                     assert _outcome(expr.evaluate, s, params) == want, (text, s, params)
                     seen.update(want)
         # the sample reaches every error and the special values
-        assert {DomainError, EvaluationError, ZeroDivisionError} <= seen
+        assert {DomainError, EvaluationError} <= seen
         assert {"inf", "nan", "-0.0"} <= seen
 
     @pytest.mark.parametrize(
@@ -197,6 +202,8 @@ class TestCompiledEvaluation:
             ("1/(s-s) + m", 2.0, None, DomainError),
             ("m + 1/(s-s)", 2.0, None, EvaluationError),
             ("m + 1/(s-s)", 2.0, {"m": 1.0}, DomainError),
+            # s^2 underflows to zero
+            ("s^-2", 1e-300, None, DomainError),
         ],
     )
     def test_errors_match_the_walk(self, text, s, params, error):
@@ -205,7 +212,7 @@ class TestCompiledEvaluation:
         assert got[0] is error
         assert got == _outcome(walk_evaluate, expr, s, params)
 
-    def test_profile_compiles_once(self, monkeypatch):
+    def _count_compiles(self, monkeypatch):
         compiled = []
         compile_ = renvol.expressions._compile
 
@@ -214,10 +221,36 @@ class TestCompiledEvaluation:
             return compile_(expr)
 
         monkeypatch.setattr(renvol.expressions, "_compile", counting)
-        p = ads_schwarzschild(2.0)
+        return compiled
+
+    def test_profile_compiles_once(self, monkeypatch):
+        compiled = self._count_compiles(monkeypatch)
+        # a fresh tree, so no earlier test has compiled it
+        p = custom_profile("1 + s^2 - m/s", {"m": 2.0})
         for i in range(1000):
             p.value(1.0 + i / 1000.0)
         assert len(compiled) == 1 and compiled[0] is p.f
+
+    def test_family_compiles_once_per_process(self, monkeypatch):
+        compiled = self._count_compiles(monkeypatch)
+        for m in (2.0, 3.0):
+            p = ads_schwarzschild(m)
+            for i in range(100):
+                p.value(1.0 + i / 100.0)
+                p.slope(1.0 + i / 100.0)
+        first, second = ads_schwarzschild(2.0), ads_schwarzschild(3.0)
+        assert first.f is second.f and first.df is second.df
+        assert sum(e is first.f for e in compiled) <= 1
+        assert sum(e is first.df for e in compiled) <= 1
+        assert len(compiled) <= 2
+
+    def test_negative_power_fold_keeps_underflow_unfolded(self):
+        assert _pow(Num(2.0), -2) == Num(0.25)
+        # 1e-300^2 underflows to zero: no fold, and evaluation is a domain error
+        kept = _pow(Num(1e-300), -2)
+        assert kept == Pow(Num(1e-300), -2)
+        with pytest.raises(DomainError, match="zero raised to negative power"):
+            kept.evaluate(1.0)
 
 
 def test_derivative_printout_round_trips():

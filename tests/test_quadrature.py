@@ -1,8 +1,10 @@
 """Deterministic adaptive quadrature, substitutions, and root finding."""
 
 import math
+import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +14,13 @@ from renvol.quadrature import (
     Integral,
     Tolerance,
     find_root_bracketed,
+    fit_slope,
+    geomspace,
     integrate,
     integrate_semi_infinite,
     integrate_sqrt_endpoint,
     inv_sqrt_diff,
+    linspace,
 )
 
 from helpers import bisect60, simpson_composite
@@ -177,6 +182,27 @@ class TestFindRoot:
         root = find_root_bracketed(fn, 0.0, 1.0)
         assert root == pytest.approx(0.7, abs=1e-12)
 
+    def test_known_endpoint_values_are_not_recomputed(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return math.cos(x) - x
+
+        want = find_root_bracketed(fn, 0.0, 1.0)
+        assert calls[:2] == [0.0, 1.0]
+        n_plain = len(calls)
+        calls.clear()
+        got = find_root_bracketed(fn, 0.0, 1.0, fa=1.0, fb=math.cos(1.0) - 1.0)
+        assert got == want
+        assert len(calls) == n_plain - 2 and 0.0 not in calls and 1.0 not in calls
+
+    def test_known_endpoint_values_are_checked(self):
+        with pytest.raises(ValueError, match="no sign change"):
+            find_root_bracketed(lambda x: x - 0.5, 0.0, 1.0, fa=1.0)
+        with pytest.raises(QuadratureError):
+            find_root_bracketed(lambda x: x - 0.5, 0.0, 1.0, fb=math.nan)
+
 
 class TestInvSqrtDiff:
     def test_benign_values_match_direct(self):
@@ -230,3 +256,58 @@ class TestTolerance:
     def test_abs_positive(self):
         with pytest.raises(ValueError):
             Tolerance(abs=0.0)
+
+
+class TestGridsAndSlope:
+    """The numpy-free grids and fit against numpy itself."""
+
+    def _cases(self):
+        rng = random.Random(2024)
+        cases = [(1e2, 1e6, 41), (1e-3, 1e3, 50), (0.5, 8.0, 4), (1.25, 1e4, 2000)]
+        for _ in range(200):
+            a = 10.0 ** rng.uniform(-6.0, 4.0)
+            cases.append((a, a * 10.0 ** rng.uniform(-3.0, 8.0), rng.randint(2, 500)))
+        return cases
+
+    def test_linspace_equals_numpy(self):
+        for a, b, n in self._cases() + [(-3.0, 5.0, 17), (2.0, -7.5, 9), (0.0, 1.0, 1001)]:
+            assert linspace(a, b, n) == [float(x) for x in np.linspace(a, b, n)]
+
+    def test_geomspace_within_one_ulp_of_numpy(self):
+        # the grids the package samples on
+        for a, b, n in ((1e2, 1e6, 41), (1e-3, 1e3, 50), (0.5, 100.0, 15),
+                        (1e-2, 300.0, 20), (0.1, 10.0, 20), (1.25, 1e4, 2000)):
+            got = geomspace(a, b, n)
+            want = [float(x) for x in np.geomspace(a, b, n)]
+            assert got[0] == a and got[-1] == b
+            for x, y in zip(got, want):
+                assert abs(x - y) <= math.ulp(y)
+
+    def test_geomspace_close_to_numpy_on_random_endpoints(self):
+        # a vectorized numpy log10 may differ from libm's by an ulp at an
+        # endpoint, which 10**y amplifies by |y| ln 10; hence a relative bound
+        for a, b, n in self._cases():
+            got = geomspace(a, b, n)
+            want = [float(x) for x in np.geomspace(a, b, n)]
+            assert len(got) == n
+            assert got[0] == a and got[-1] == b
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_geomspace_pins_an_endpoint_whose_log_overflows(self):
+        top = 1.7976931348623157e308
+        grid = geomspace(1e307, top, 3)
+        assert grid[0] == 1e307 and grid[-1] == top and 1e307 < grid[1] < top
+
+    def test_slope_matches_polyfit(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(2, 60)
+            xs = sorted(rng.uniform(-5.0, 15.0) for _ in range(n))
+            slope = rng.uniform(-4.0, 4.0)
+            ys = [slope * x + rng.uniform(-1.0, 1.0) for x in xs]
+            want = float(np.polyfit(xs, ys, 1)[0])
+            assert fit_slope(xs, ys) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_slope_of_an_exact_line(self):
+        xs = [math.log(s) for s in geomspace(1e2, 1e6, 41)]
+        assert fit_slope(xs, [-3.0 * x + 0.5 for x in xs]) == pytest.approx(-3.0, rel=1e-14)
