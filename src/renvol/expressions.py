@@ -12,8 +12,11 @@ The parser produces an immutable tree that supports
   tree compiles it to a straight-line Python function whose operations run
   in post-order, left before right, so values and the first error raised
   are those of a recursive walk; the function is cached on the node,
-* exact rational evaluation (used by callers that need cancellation-free
-  differences at large radius),
+* the profile defect ``1 + s^2 - f`` as a normalized tree whose 1 and s^2
+  terms cancel symbolically (``defect()``), cached on the node and
+  compiled like any tree,
+* exact rational evaluation, kept as an independent oracle for tests;
+  the library evaluates in float only,
 * symbolic differentiation in ``s`` with constant folding of trivial
   subtrees; the derivative tree is also cached on the node, so a shared
   tree differentiates and compiles f' once.
@@ -32,7 +35,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DomainError, EvaluationError, ParseError
+from .errors import DecayError, DomainError, EvaluationError, ParseError
 
 __all__ = [
     "Expression",
@@ -77,6 +80,22 @@ class Expression:
         """
         return self._derivative
 
+    def defect(self) -> "Expression":
+        """The profile defect ``1 + s^2 - self`` as a cancellation-free tree.
+
+        The Laurent-polynomial parts in ``s``, with parameter coefficients,
+        are expanded and the ``1`` and ``s^2`` terms cancel symbolically;
+        exp/log/sqrt calls and divisors that are not a single term stay as
+        atoms.  A negative power of ``s`` is emitted as a division, so the
+        defect of ``1 + s^2 - m/s`` is ``m/s``.  Built on first use and
+        cached on the node, like ``derivative()``.
+
+        Raises DecayError when an atom-free ``s^2`` term survives next to
+        an atom, as in ``sqrt(1 + 2*s^2 + s^4) - m/s``: the defect would be
+        a float difference of nearly equal numbers.
+        """
+        return self._defect
+
     def parameters(self) -> frozenset:
         """Names of free parameters (everything except ``s``)."""
         raise NotImplementedError
@@ -94,6 +113,14 @@ class Expression:
         return self._derive()
 
     def _derive(self) -> "Expression":
+        raise NotImplementedError
+
+    @cached_property
+    def _defect(self):
+        return _defect_of(self)
+
+    def _normal(self, atoms) -> dict:
+        """This node's normal form; see ``_padd`` for the representation."""
         raise NotImplementedError
 
     def __getstate__(self):
@@ -137,6 +164,11 @@ class Num(Expression):
     def _eval_exact(self, s, params):
         return Fraction(self.value)
 
+    def _normal(self, atoms):
+        if not math.isfinite(self.value):
+            return _atom(self, 1, atoms)
+        return {(): Fraction(self.value)} if self.value else {}
+
     def _derive(self):
         return Num(0.0)
 
@@ -161,6 +193,9 @@ class Var(Expression):
 
     def _eval_exact(self, s, params):
         return s
+
+    def _normal(self, atoms):
+        return {((1, "s", 1),): _ONE}
 
     def _derive(self):
         return Num(1.0)
@@ -201,6 +236,9 @@ class Param(Expression):
         except KeyError:
             raise EvaluationError("unbound parameter '%s'" % self.name) from None
 
+    def _normal(self, atoms):
+        return {((0, self.name, 1),): _ONE}
+
     def _derive(self):
         return Num(0.0)
 
@@ -225,6 +263,9 @@ class Neg(Expression):
 
     def _eval_exact(self, s, params):
         return -self.arg._eval_exact(s, params)
+
+    def _normal(self, atoms):
+        return _padd({}, self.arg._normal(atoms), -1)
 
     def _derive(self):
         return _neg(self.arg.derivative())
@@ -253,6 +294,9 @@ class Add(Expression):
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) + self.right._eval_exact(s, params)
 
+    def _normal(self, atoms):
+        return _padd(self.left._normal(atoms), self.right._normal(atoms), 1)
+
     def _derive(self):
         return _add(self.left.derivative(), self.right.derivative())
 
@@ -280,6 +324,9 @@ class Sub(Expression):
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) - self.right._eval_exact(s, params)
 
+    def _normal(self, atoms):
+        return _padd(self.left._normal(atoms), self.right._normal(atoms), -1)
+
     def _derive(self):
         return _sub(self.left.derivative(), self.right.derivative())
 
@@ -306,6 +353,9 @@ class Mul(Expression):
 
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) * self.right._eval_exact(s, params)
+
+    def _normal(self, atoms):
+        return _pmul(self.left._normal(atoms), self.right._normal(atoms))
 
     def _derive(self):
         da = self.left.derivative()
@@ -344,6 +394,10 @@ class Div(Expression):
         if den == 0:
             raise DomainError("division by zero in '%s'" % self)
         return num / den
+
+    def _normal(self, atoms):
+        num = self.left._normal(atoms)
+        return _pmul(num, _ppow(self.right._normal(atoms), -1, atoms))
 
     def _derive(self):
         da = self.left.derivative()
@@ -402,6 +456,9 @@ class Pow(Expression):
             raise DomainError("zero raised to negative power in '%s'" % self)
         return b ** n
 
+    def _normal(self, atoms):
+        return _ppow(self.base._normal(atoms), self.exponent, atoms)
+
     def _derive(self):
         n = self.exponent
         inner = self.base.derivative()
@@ -440,6 +497,10 @@ class Call(Expression):
 
     def _eval_exact(self, s, params):
         raise ExactUnsupported(self.func)
+
+    def _normal(self, atoms):
+        arg = _emit_normal(self.arg._normal(atoms), atoms)
+        return _atom(Call(self.func, arg), 1, atoms)
 
     def _derive(self):
         inner = self.arg.derivative()
@@ -593,6 +654,128 @@ def _neg(a):
     if isinstance(a, Neg):
         return a.arg
     return Neg(a)
+
+
+# ---------------------------------------------------------------------------
+# normal form of the defect 1 + s^2 - f (used by defect())
+
+_ONE = Fraction(1)
+# beyond this many terms a power of a sum stays unexpanded, as an atom
+_MAX_TERMS = 256
+
+
+def _add_term(out, key, c):
+    c = out.get(key, 0) + c
+    if c:
+        out[key] = c
+    else:
+        del out[key]
+
+
+def _padd(a, b, sign):
+    """a + sign*b.
+
+    A normal form maps monomials to nonzero exact coefficients, in the
+    order the terms first appear.  A monomial is a sorted tuple of
+    ``(rank, name, exponent)`` with a nonzero integer exponent; rank 0 is
+    a parameter, 1 the radius ``s`` and 2 an atom, named by its printed
+    tree in the ``atoms`` dict of the normalization.
+    """
+    out = dict(a)
+    for key, c in b.items():
+        _add_term(out, key, sign * c)
+    return out
+
+
+def _pmul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            exps = {(rank, name): e for rank, name, e in ka}
+            for rank, name, e in kb:
+                exps[rank, name] = exps.get((rank, name), 0) + e
+            key = tuple(sorted((r, name, e) for (r, name), e in exps.items() if e))
+            _add_term(out, key, ca * cb)
+    return out
+
+
+def _atom(expr, exponent, atoms):
+    name = str(expr)
+    atoms[name] = expr
+    return {((2, name, exponent),): _ONE}
+
+
+def _ppow(base, n, atoms):
+    """base^n: a single term raises its exponents, a sum is multiplied out."""
+    if len(base) == 1:
+        ((key, c),) = base.items()
+        return {tuple((r, name, e * n) for r, name, e in key if e * n): c**n}
+    if n == 0:
+        return {(): _ONE}  # like _ipow, 0^0 is 1
+    if not base and n > 0:
+        return {}
+    if n > 0:
+        out = base
+        for _ in range(n - 1):
+            out = _pmul(out, base)
+            if len(out) > _MAX_TERMS:
+                break
+        else:
+            return out
+    # a divisor that is not a single nonzero term, or a power too long
+    # to expand, is kept whole
+    return _atom(_emit_normal(base, atoms), n, atoms)
+
+
+def _coefficient_factors(c):
+    """Numerator and denominator Num factors of |c|; 1 is left out."""
+    c = abs(c)
+    try:
+        if float(c) == c:
+            return ([Num(float(c))] if c != 1 else []), []
+        num = [Num(float(c.numerator))] if c.numerator != 1 else []
+        return num, [Num(float(c.denominator))]
+    except OverflowError:
+        return [Num(math.inf)], []
+
+
+def _product(factors):
+    out = factors[0]
+    for factor in factors[1:]:
+        out = Mul(out, factor)
+    return out
+
+
+def _emit_normal(poly, atoms):
+    """A tree summing the terms of ``poly`` in order; x^-k becomes /x^k."""
+    out = None
+    for key, c in poly.items():
+        num, den = _coefficient_factors(c)
+        for rank, name, e in key:
+            factor = atoms[name] if rank == 2 else Var() if rank == 1 else Param(name)
+            (num if e > 0 else den).append(_pow(factor, abs(e)))
+        term = _product(num) if num else Num(1.0)
+        if den:
+            term = Div(term, _product(den))
+        if out is None:
+            out = Neg(term) if c < 0 else term
+        else:
+            out = Sub(out, term) if c < 0 else Add(out, term)
+    return Num(0.0) if out is None else out
+
+
+def _defect_of(f):
+    atoms = {}
+    q = _padd({(): _ONE, ((1, "s", 2),): _ONE}, f._normal(atoms), -1)
+    on_atom = [any(rank == 2 for rank, _, _ in key) for key in q]
+    bare_s2 = any((1, "s", 2) in key and not atom for key, atom in zip(q, on_atom))
+    if bare_s2 and any(on_atom):
+        raise DecayError(
+            "the defect q = 1 + s^2 - f of '%s' keeps a bare s^2 term beside "
+            "exp/log/sqrt or divisor terms, so evaluating it would cancel "
+            "nearly equal numbers; write 1 + s^2 as separate terms of f" % f
+        )
+    return _emit_normal(q, atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ to it when the defect q(s) = 1 + s^2 - f(s) decays fast enough, which
 metric deviation |q|/f on a logarithmic radius grid.  A profile computes
 its facts once and keeps them: the horizon, the asymptotics report and
 f' are cached on the instance.  The family texts are parsed once, so
-every profile of a family shares one tree and its compiled f and f'.
+every profile of a family shares one tree and its compiled f, f', q
+and q'.
 
 Closed-form geometry used throughout:
 
@@ -19,18 +20,19 @@ The quasi-local (Hawking-type) mass is kept in its unnormalized form
 sqrt(area) * (16*pi - integral(H^2 - 4)); no (16*pi)^(-3/2) factor is
 applied anywhere in this package.
 
-The defect q is evaluated with exact rational arithmetic whenever the
-profile expression is free of exp/log/sqrt.  That matters: at s = 1e4
-the float subtraction (1 + s^2) - f(s) already loses half its digits to
-cancellation, and several consumers (mass constancy, tail corrections,
-decay fitting) need q far beyond that radius.
+The defect q is never computed as the float subtraction (1 + s^2) - f(s),
+which at s = 1e4 already loses half its digits and beyond s = 1e8 loses
+all of them, while mass constancy, tail integrals and the decay fit need
+q far out.  ``Expression.defect`` cancels the 1 and s^2 terms
+symbolically once per tree, and ``RadialProfile.q`` and ``dq`` evaluate
+that tree and its derivative compiled, for every profile alike.  Model
+profiles carry their closed-form horizon from ``ads_horizon_radius``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
@@ -114,12 +116,17 @@ class RadialProfile:
         return self.f.derivative()
 
     @cached_property
-    def _exact_params(self):
-        return {name: Fraction(value) for name, value in self.params.items()}
+    def q(self) -> Expression:
+        """The defect 1 + s^2 - f as a cancellation-free tree (see
+        ``Expression.defect``); shared by every profile built on the same f.
+        Raises DecayError when the defect cannot be written without
+        cancellation."""
+        return self.f.defect()
 
     @cached_property
-    def _rational(self) -> bool:
-        return not self.f.has_transcendental()
+    def dq(self) -> Expression:
+        """q' as a tree, the derivative of ``q``; shared like ``q``."""
+        return self.q.derivative()
 
     def value(self, s: float) -> float:
         """f(s)."""
@@ -130,20 +137,12 @@ class RadialProfile:
         return self.df.evaluate(s, self.params)
 
     def defect(self, s: float) -> float:
-        """q(s) = 1 + s^2 - f(s), free of cancellation where possible."""
-        if self._rational:
-            fs = Fraction(s)
-            exact = 1 + fs * fs - self.f.evaluate_exact(fs, self._exact_params)
-            return float(exact)
-        return 1.0 + s * s - self.value(s)
+        """q(s) = 1 + s^2 - f(s), evaluated from the tree ``q``."""
+        return self.q.evaluate(s, self.params)
 
     def defect_slope(self, s: float) -> float:
-        """q'(s) = 2*s - f'(s), exact-path when the profile is rational."""
-        if self._rational:
-            fs = Fraction(s)
-            exact = 2 * fs - self.df.evaluate_exact(fs, self._exact_params)
-            return float(exact)
-        return 2.0 * s - self.slope(s)
+        """q'(s) = 2*s - f'(s), evaluated from the tree ``dq``."""
+        return self.dq.evaluate(s, self.params)
 
     def mass_aspect(self, s: float) -> float:
         """s * q(s); constant in s exactly when the defect decays like m/s."""
@@ -157,7 +156,8 @@ class RadialProfile:
         change by safeguarded bracketed root finding.  Points where f is
         undefined are skipped.  A profile that is still negative at the
         outer scan edge cannot enclose a compact region and raises
-        DecayError.
+        DecayError.  ``ads_schwarzschild`` profiles skip the scan: they
+        come with the closed-form root of ``ads_horizon_radius``.
         """
         ratio = (_SCAN_HI / _SCAN_LO) ** (1.0 / (_SCAN_POINTS - 1))
         fn = self.value
@@ -256,7 +256,11 @@ def ads_schwarzschild(m: float, delta: float = DEFAULT_DELTA) -> RadialProfile:
     """One-parameter model family f = 1 + s^2 - m/s, m > 0."""
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError("mass must be positive and finite, got %r" % (m,))
-    return RadialProfile(_ADS, {"m": m}, delta, "ads m=%g" % m)
+    p = RadialProfile(_ADS, {"m": m}, delta, "ads m=%g" % m)
+    # the closed-form root, stored where the cached property keeps it
+    radius = ads_horizon_radius(m)
+    p.__dict__["horizon"] = Horizon(radius, _FOUR_PI * radius * radius)
+    return p
 
 
 def rn_ads(m: float, c: float, delta: float = DEFAULT_DELTA) -> RadialProfile:
@@ -316,16 +320,14 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     """Fit the decay rate of the metric deviation |q|/f on s in [1e2, 1e6].
 
     Passes when the fitted log-log slope is at most -(2 + 4*delta) up to a
-    fit tolerance of 0.05.  A defect that vanishes identically passes with
-    rate -inf.  For profiles evaluated in float (transcendental trees) the
-    samples drowned by rounding noise are excluded from the fit.  The
-    slopes are centered least-squares fits (``fit_slope``).
+    fit tolerance of 0.05.  Samples where the defect is exactly zero are
+    left out, and a defect that vanishes on the whole grid passes with
+    rate -inf.  The slopes are centered least-squares fits (``fit_slope``).
     ``RadialProfile.asymptotics`` caches this report on the profile.
 
     Raises DomainError when f is nonpositive anywhere on the grid.
     """
     required = -(2.0 + 4.0 * p.delta)
-    exact = p._rational
     log_s = []
     log_norm = []
     log_dslope = []
@@ -334,10 +336,6 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
         if not (fs > 0.0):
             raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
         q = p.defect(s)
-        if not exact:
-            # below this floor the float subtraction is pure rounding noise
-            if abs(q) <= 64.0 * 2.220446049250313e-16 * (1.0 + s * s):
-                continue
         if q == 0.0:
             continue
         norm = abs(q) / fs

@@ -58,7 +58,6 @@ __all__ = [
 DEFAULT_TRUNCATION_RADIUS = 1e3
 
 _FOUR_PI = 4.0 * math.pi
-_EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -119,23 +118,13 @@ def model_bound_inner(area: float, t: float, alpha: float = 0.0, eps: float = 0.
     )
 
 
-def _defect_for_quadrature(p: RadialProfile, s: float) -> float:
-    # float-evaluated defects drown in rounding noise once |q| falls under
-    # eps*(1+s^2); clamp those to zero so remainder integrals stay finite
-    q = p.defect(s)
-    if not p._rational and abs(q) <= 8.0 * _EPS * (1.0 + s * s):
-        return 0.0
-    return q
-
-
 def _difference_integrand(p: RadialProfile):
     def d(s: float) -> float:
         fs = p.value(s)
         if fs <= 0.0:
             raise DomainError("profile nonpositive at s=%r inside a volume integral" % (s,))
         ps = 1.0 + s * s
-        q = _defect_for_quadrature(p, s)
-        return _FOUR_PI * s * s * inv_sqrt_diff(fs, ps, y_minus_x=q)
+        return _FOUR_PI * s * s * inv_sqrt_diff(fs, ps, y_minus_x=p.defect(s))
 
     return d
 

@@ -112,3 +112,46 @@ def walk_evaluate(expr, s, params=None):
         raise TypeError("unknown node %r" % (e,))
 
     return walk(expr)
+
+
+def mp_renormalized_volume(q, s_h, dps=50):
+    """Renormalized volume at ``dps`` digits from the analytic defect ``q``.
+
+    ``q`` maps an mpmath number to q(s) = 1 + s^2 - f(s); ``s_h`` is the
+    horizon (an mpmath root) or None.  Integrates
+    4 pi s^2 q / (sqrt(f) sqrt(P) (sqrt(f) + sqrt(P))), P = 1 + s^2, which
+    is 4 pi s^2 (f^-1/2 - P^-1/2) without cancellation, from the horizon
+    (through s = s_h + u^2, which removes the endpoint singularity) to
+    infinity, and subtracts the reference volume inside the horizon in
+    closed form.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        def d(s):
+            p = 1 + s * s
+            sf = mp.sqrt(p - q(s))
+            sp = mp.sqrt(p)
+            return 4 * mp.pi * s * s * q(s) / (sf * sp * (sf + sp))
+
+        if s_h is None:
+            return mp.quad(d, [0, 1, 10, 100, mp.inf])
+        s_h = mp.mpf(s_h)
+        floor = s_h * mp.mpf(10) ** (5 - dps)
+        # 2 u d(s_h + u^2) tends to this as u -> 0, where f ~ f'(s_h) u^2
+        limit = 8 * mp.pi * s_h * s_h / mp.sqrt(mp.diff(lambda s: 1 + s * s - q(s), s_h))
+
+        def g(u):
+            return limit if u * u <= floor else 2 * u * d(s_h + u * u)
+
+        core = mp.quad(g, [0, 0.1, 1, 3, 10, 30, mp.inf])
+        inner = 2 * mp.pi * (s_h * mp.sqrt(1 + s_h * s_h) - mp.asinh(s_h))
+        return core - inner
+
+
+def mp_horizon(q, guess, dps=50):
+    """Root of f = 1 + s^2 - q near ``guess``, by mpmath's findroot."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return mp.findroot(lambda s: 1 + s * s - q(s), mp.mpf(guess))

@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 
 import renvol.expressions
-from renvol.errors import DomainError, EvaluationError, ParseError
+from renvol.errors import DecayError, DomainError, EvaluationError, ParseError
 from renvol.expressions import (
+    Add,
     ExactUnsupported,
+    Neg,
     Num,
     Pow,
+    Sub,
     _pow,
     load_profile_file,
     parse,
@@ -251,6 +254,97 @@ class TestCompiledEvaluation:
         assert kept == Pow(Num(1e-300), -2)
         with pytest.raises(DomainError, match="zero raised to negative power"):
             kept.evaluate(1.0)
+
+
+def _summands(expr):
+    # the top-level terms of an emitted defect: t1 +- t2 +- ... or -t1
+    if isinstance(expr, (Add, Sub)):
+        return _summands(expr.left) + [expr.right]
+    if isinstance(expr, Neg):
+        return [expr.arg]
+    return [expr]
+
+
+class TestDefect:
+    """``Expression.defect()``: the normalized tree of 1 + s^2 - f."""
+
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("1 + s^2 - m/s", "m/s"),
+            ("1 + s^2 - m/s + c/s^2", "m/s - c/s^2"),
+            ("1 + s^2 - m/s + c/s^2 + k/s^3", "m/s - c/s^2 - k/s^3"),
+            ("1 + s^2 - m/s + 0*exp(s-s)", "m/s"),
+            ("(s^3 + s - m)/s", "m/s"),
+            ("1 + s^2 - m/s*exp(-1/s)", "m*exp(-1.0/s)/s"),
+            ("1 + s^2 - m/s + c*exp(-s)", "m/s - c*exp(-s)"),
+            ("1 + s^2 + c*exp(-s)", "-c*exp(-s)"),
+            # a divisor that is not a single term stays whole
+            ("(1 + s)^2 - 2*s - m/(s + 1)", "m/(s + 1.0)"),
+            ("1 + s^2 - m/(3*s)", "m/(3.0*s)"),
+            ("1 + s^2", "0.0"),
+            # too long to expand: both powers stay whole and cancel
+            ("1 + s^2 - m/s + (1 + m/s)^400 - (1 + m/s)^400", "m/s"),
+        ],
+    )
+    def test_normal_form(self, text, want):
+        assert str(parse(text).defect()) == want
+
+    def test_model_defect_is_the_correctly_rounded_quotient(self):
+        q = parse("1 + s^2 - m/s").defect()
+        rng = random.Random(31)
+        for _ in range(200):
+            s, m = rng.uniform(0.1, 1e4), rng.uniform(0.1, 10.0)
+            assert q.evaluate(s, {"m": m}) == float(Fraction(m) / Fraction(s))
+
+    def test_cancellation_inside_an_atom_is_refused(self):
+        with pytest.raises(DecayError, match="bare s\\^2 term"):
+            parse("sqrt(1 + 2*s^2 + s^4) - m/s").defect()
+        # an s^2 term with nothing left to cancel against is an ordinary
+        # slow decay, which the decay fit reports
+        assert str(parse("2 + 2*s^2 - m/s").defect()) == "-1.0 - s^2 + m/s"
+
+    def test_cached_and_shared_by_the_family(self, monkeypatch):
+        f = parse("1 + s^2 - m/s + c/s^2")
+        assert f.defect() is f.defect()
+        assert f.defect().derivative() is f.defect().derivative()
+        compiled = TestCompiledEvaluation()._count_compiles(monkeypatch)
+        first, second = ads_schwarzschild(2.0), ads_schwarzschild(3.0)
+        for p in (first, second):
+            for i in range(50):
+                p.defect(1.0 + i)
+                p.defect_slope(1.0 + i)
+        assert first.q is second.q and first.dq is second.dq
+        assert sum(e is first.q for e in compiled) <= 1
+        assert sum(e is first.dq for e in compiled) <= 1
+
+    def test_random_rational_defects_match_exact_arithmetic(self):
+        # the compiled defect against 1 + s^2 - f in Fraction arithmetic,
+        # within 8 ulp of the sum of its terms' magnitudes
+        rng = random.Random(2718)
+        ulp = 2.0**-52
+        checked = refused = 0
+        for _ in range(300):
+            f = parse(_random_tree(rng, 3))
+            if f.has_transcendental():
+                continue
+            try:
+                q = f.defect()
+            except DecayError:
+                refused += 1  # an s^2 term beside a divisor
+                continue
+            for _ in range(4):
+                s, m = rng.uniform(0.1, 10.0), rng.uniform(0.5, 4.0)
+                exact_s, exact_params = Fraction(s), {"m": Fraction(m)}
+                try:
+                    want = 1 + exact_s**2 - f.evaluate_exact(exact_s, exact_params)
+                    got = q.evaluate(s, {"m": m})
+                except DomainError:
+                    continue
+                scale = sum(abs(t.evaluate_exact(exact_s, exact_params)) for t in _summands(q))
+                assert abs(Fraction(got) - want) <= 8 * ulp * scale, (str(f), str(q), s, m)
+                checked += 1
+        assert checked > 500 and refused < 30
 
 
 def test_derivative_printout_round_trips():

@@ -2,15 +2,18 @@
 
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from renvol.errors import DecayError, DomainError
 from renvol.metric import (
+    RadialProfile,
     ads_horizon_radius,
     ads_schwarzschild,
     custom_profile,
@@ -64,6 +67,36 @@ class TestHorizon:
         p = rn_ads(4.0, 1.0)
         assert p.horizon is p.horizon
 
+    def test_model_horizon_is_closed_form(self):
+        # against a 50-digit root of s^3 + s - m, far outside the scan
+        # window (1e-6, 1e3] of general profiles
+        for m in np.geomspace(1e-15, 1e15, 61):
+            m = float(m)
+            with mp.workdps(50):
+                guess = mp.mpf(min(m, m ** (1 / 3)))
+                root = mp.findroot(lambda s: s**3 + s - mp.mpf(m), guess)
+            horizon = ads_schwarzschild(m).horizon
+            assert float(abs(horizon.radius - root) / root) <= 1e-15, m
+            assert horizon.area == FOUR_PI * horizon.radius * horizon.radius
+            assert horizon.radius == ads_horizon_radius(m)
+
+    def test_model_horizon_outside_the_scan_window(self):
+        # the scan over (1e-6, 1e3] found no root at 1e-12 and raised at 1e10
+        assert ads_schwarzschild(1e-12).horizon.radius == pytest.approx(1e-12, rel=1e-15)
+        big = ads_schwarzschild(1e10).horizon.radius
+        assert big**3 + big == pytest.approx(1e10, rel=1e-15)
+
+    def test_model_horizon_runs_no_scan(self, monkeypatch):
+        calls = []
+        original = RadialProfile.value
+        monkeypatch.setattr(
+            RadialProfile, "value", lambda self, s: calls.append(s) or original(self, s)
+        )
+        assert ads_schwarzschild(3.0).horizon.radius == ads_horizon_radius(3.0)
+        assert calls == []
+        # the property itself stays on the class, where a wrapper can find it
+        assert isinstance(RadialProfile.__dict__["horizon"], functools.cached_property)
+
 
 class TestAdsHorizonRadius:
     def test_pinned_values(self):
@@ -85,10 +118,12 @@ class TestAdsHorizonRadius:
             ads_horizon_radius(m)
 
     def test_agrees_with_profile_horizon(self):
+        # model profiles take this root; the scan, run on the same text as
+        # a custom profile, finds it too
         for m in (0.5, 2.0, 5.0):
-            assert ads_schwarzschild(m).horizon.radius == pytest.approx(
-                ads_horizon_radius(m), rel=1e-13
-            )
+            scanned = custom_profile("1 + s^2 - m/s", {"m": m}).horizon.radius
+            assert scanned == pytest.approx(ads_horizon_radius(m), rel=1e-13)
+            assert ads_schwarzschild(m).horizon.radius == ads_horizon_radius(m)
 
 
 class TestCurvature:
@@ -160,8 +195,9 @@ class TestHawkingMass:
             assert p.hawking_mass(s) == pytest.approx(want, rel=1e-9)
 
     def test_exact_path_avoids_cancellation(self):
-        # at s = 1000 the defect m/s - c/s^2 has only ~5 significant digits
-        # left in float; the rational path keeps all of them
+        # at s = 1000 the float difference (1 + s^2) - f keeps only ~5
+        # significant digits of m/s - c/s^2; the normalized defect, which
+        # evaluates m/s - c/s^2 itself, rounds to the exact value here
         p = rn_ads(4.0, 1.0)
         exact_defect = Fraction(4, 1000) - Fraction(1, 1000000)
         assert p.defect(1000.0) == float(exact_defect)
@@ -216,12 +252,19 @@ class TestAsymptotics:
         assert report.passed
         assert report.measured_rate == -math.inf
 
-    def test_noise_floor_treated_as_zero(self):
-        # the exp term is below float resolution of 1 + s^2 on the whole
-        # sampling range, so the measured defect is pure roundoff
-        report = validate_asymptotics(custom_profile("1 + s^2 - 2*exp(-s)/s"))
+    def test_exponential_defect_is_resolved(self):
+        # q = 2*exp(-s)/s is far below the float resolution of 1 + s^2 on
+        # the whole grid, yet the normalized defect evaluates it to full
+        # relative precision until exp underflows near s = 745: the fit
+        # sees the steep decay, d log(q/f) / d log s = -(s + 3), not noise
+        p = custom_profile("1 + s^2 - 2*exp(-s)/s")
+        report = validate_asymptotics(p)
         assert report.passed
-        assert report.measured_rate == -math.inf
+        assert report.fit_points == 9
+        assert -320.0 < report.measured_rate < -250.0
+        s = 500.0
+        want = 2.0 * math.exp(-s) / s
+        assert p.defect(s) == pytest.approx(want, rel=4e-16)
 
     def test_negative_profile_on_grid(self):
         with pytest.raises(DomainError):
