@@ -4,11 +4,11 @@ A metric in this class is described entirely by its radial profile f.
 The reference space is f(s) = 1 + s^2; a profile is asymptotically close
 to it when the defect q(s) = 1 + s^2 - f(s) decays fast enough, which
 ``validate_asymptotics`` checks by fitting the decay rate of the pointwise
-metric deviation |q|/f on a logarithmic radius grid.  A profile computes
-its facts once and keeps them: the horizon, the asymptotics report and
-f' are cached on the instance.  The family texts are parsed once, so
-every profile of a family shares one tree and its compiled f, f', q
-and q'.
+metric deviation |q|/f on a logarithmic radius grid outside the horizon.
+A profile computes its facts once and keeps them: the horizon, the
+asymptotics report and f' are cached on the instance.  The family texts
+are parsed once, so every profile of a family shares one tree and its
+compiled f, f', q and q'.
 
 Closed-form geometry used throughout:
 
@@ -25,15 +25,22 @@ which at s = 1e4 already loses half its digits and beyond s = 1e8 loses
 all of them, while mass constancy, tail integrals and the decay fit need
 q far out.  ``Expression.defect`` cancels the 1 and s^2 terms
 symbolically once per tree, and ``RadialProfile.q`` and ``dq`` evaluate
-that tree and its derivative compiled, for every profile alike.  Model
-profiles carry their closed-form horizon from ``ads_horizon_radius``.
+that tree and its derivative compiled, for every profile alike.
+
+The horizon is the outermost root of f.  ``RadialProfile.horizon`` walks
+a fixed geometric grid on (1e-6, 1e3] inward from its outer edge and
+refines the first sign change it meets, so the points inside the
+horizon are never evaluated; a profile without a root walks the whole
+grid.  Model profiles carry their closed-form horizon from
+``ads_horizon_radius`` and walk nothing.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping
 
 from .errors import DecayError, DomainError
@@ -59,6 +66,19 @@ _SCAN_HI = 1e3
 _SCAN_POINTS = 10_000
 
 _FOUR_PI = 4.0 * math.pi
+
+
+@cache
+def _scan_grid() -> array:
+    """The horizon search grid: _SCAN_POINTS forward products s *= ratio
+    from _SCAN_LO, built on the first horizon search of the process."""
+    ratio = (_SCAN_HI / _SCAN_LO) ** (1.0 / (_SCAN_POINTS - 1))
+    grid = array("d")
+    s = _SCAN_LO
+    for _ in range(_SCAN_POINTS):
+        grid.append(s)
+        s *= ratio
+    return grid
 
 
 @dataclass(frozen=True)
@@ -150,56 +170,47 @@ class RadialProfile:
 
     @cached_property
     def horizon(self) -> Horizon | None:
-        """Outermost root of f on the scan range, or None if f stays positive.
+        """Outermost root of f on the search grid, or None if f stays positive.
 
-        Scans a geometric grid on (1e-6, 1e3] and refines the last sign
-        change by safeguarded bracketed root finding.  Points where f is
-        undefined are skipped.  A profile that is still negative at the
-        outer scan edge cannot enclose a compact region and raises
-        DecayError.  ``ads_schwarzschild`` profiles skip the scan: they
+        Walks the geometric grid of ``_scan_grid`` on (1e-6, 1e3] inward
+        from its outer edge and stops at the first root seen from there:
+        a point where f is exactly zero, or a change between f > 0 and
+        f <= 0 from one point to the next, which is refined by safeguarded
+        bracketed root finding.  Points where f is undefined are skipped
+        and break the adjacency of their neighbours.  A profile whose
+        outermost defined value is negative cannot enclose a compact
+        region and raises DecayError.  A profile with no root walks the
+        whole grid.  ``ads_schwarzschild`` profiles skip the walk: they
         come with the closed-form root of ``ads_horizon_radius``.
         """
-        ratio = (_SCAN_HI / _SCAN_LO) ** (1.0 / (_SCAN_POINTS - 1))
         fn = self.value
-        prev_s = None
-        prev_f = None
-        bracket = None
-        exact_hit = None
-        s = _SCAN_LO
-        last_f = None
-        for i in range(_SCAN_POINTS):
+        outermost = True
+        upper_s = upper_f = None
+        # the grid is built upward, so the points and the refined root are
+        # those of a scan from the inside that keeps its last sign change
+        for s in reversed(_scan_grid()):
             try:
                 fs = fn(s)
             except DomainError:
-                prev_s = None
-                prev_f = None
-                s *= ratio
+                upper_f = None
                 continue
-            last_f = fs
+            if outermost:
+                if fs < 0.0:
+                    raise DecayError(
+                        "profile %r is negative at the outer scan edge; no "
+                        "enclosing region exists" % self.label
+                    )
+                outermost = False
+            elif upper_f is not None and (fs > 0.0) != (upper_f > 0.0):
+                root = find_root_bracketed(
+                    fn, s, upper_s, tol=1e-14 * max(1.0, upper_s), fa=fs, fb=upper_f
+                )
+                return Horizon(root, _FOUR_PI * root * root)
             if fs == 0.0:
-                exact_hit = s
-                bracket = None
-            elif prev_f is not None and (prev_f > 0.0) != (fs > 0.0):
-                bracket = (prev_s, s, prev_f, fs)
-                exact_hit = None
-            prev_s = s
-            prev_f = fs
-            s *= ratio
-        if last_f is not None and last_f < 0.0:
-            raise DecayError(
-                "profile %r is negative at the outer scan edge; no enclosing "
-                "region exists" % self.label
-            )
-        if bracket is not None:
-            lo, hi, f_lo, f_hi = bracket
-            root = find_root_bracketed(
-                fn, lo, hi, tol=1e-14 * max(1.0, hi), fa=f_lo, fb=f_hi
-            )
-        elif exact_hit is not None:
-            root = exact_hit
-        else:
-            return None
-        return Horizon(root, _FOUR_PI * root * root)
+                return Horizon(s, _FOUR_PI * s * s)
+            upper_s = s
+            upper_f = fs
+        return None
 
     @cached_property
     def asymptotics(self) -> AsymptoticsReport:
@@ -317,12 +328,15 @@ def ads_horizon_radius(m: float) -> float:
 
 
 def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
-    """Fit the decay rate of the metric deviation |q|/f on s in [1e2, 1e6].
+    """Fit the decay rate of the metric deviation |q|/f over four decades.
 
-    Passes when the fitted log-log slope is at most -(2 + 4*delta) up to a
-    fit tolerance of 0.05.  Samples where the defect is exactly zero are
-    left out, and a defect that vanishes on the whole grid passes with
-    rate -inf.  The slopes are centered least-squares fits (``fit_slope``).
+    The grid runs from s_0 = max(1e2, 10*s_h) to 1e4*s_0, where s_h is
+    the horizon radius, so a large horizon does not reach into the fit;
+    a profile without a horizon, or whose horizon search raises
+    DecayError, is fitted on [1e2, 1e6].  Passes when the fitted log-log
+    slope is at most -(2 + 4*delta) up to a fit tolerance of 0.05.
+    Samples where the defect is exactly zero are left out, and a defect
+    that vanishes on the whole grid passes with rate -inf.  The slopes are centered least-squares fits (``fit_slope``).
     ``RadialProfile.asymptotics`` caches this report on the profile.
 
     Raises DomainError when f is nonpositive anywhere on the grid.
@@ -331,7 +345,14 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     log_s = []
     log_norm = []
     log_dslope = []
-    for s in geomspace(1e2, 1e6, 41):
+    s_lo = 1e2
+    try:
+        horizon = p.horizon
+    except DecayError:
+        horizon = None
+    if horizon is not None:
+        s_lo = max(s_lo, 10.0 * horizon.radius)
+    for s in geomspace(s_lo, 1e4 * s_lo, 41):
         fs = p.value(s)
         if not (fs > 0.0):
             raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))

@@ -1,16 +1,18 @@
 """Shared independent oracles for the test suite.
 
 Everything here is deliberately dumb: plain bisection, composite
-Simpson, central differences, one closed-form antiderivative, and a
-recursive expression walk.  The
+Simpson, central differences, one closed-form antiderivative, a
+recursive expression walk and a forward horizon scan.  The
 point is that none of it shares code (or failure modes) with the
 library's adaptive machinery.
 """
 
 import math
 
-from renvol.errors import DomainError, EvaluationError
+from renvol.errors import DecayError, DomainError, EvaluationError
 from renvol.expressions import Add, Call, Div, Mul, Neg, Num, Param, Pow, Sub, Var
+from renvol.metric import _SCAN_HI, _SCAN_LO, _SCAN_POINTS, Horizon
+from renvol.quadrature import find_root_bracketed
 
 
 def bisect60(fn, lo, hi):
@@ -112,6 +114,56 @@ def walk_evaluate(expr, s, params=None):
         raise TypeError("unknown node %r" % (e,))
 
     return walk(expr)
+
+
+def forward_scan_horizon(p):
+    """The horizon search as a forward scan over the whole grid.
+
+    The reference for ``RadialProfile.horizon``: it evaluates f at every
+    point of the geometric grid on (1e-6, 1e3], from the inside out, keeps
+    the last sign change or exact zero, and refines it with the same call.
+    """
+    ratio = (_SCAN_HI / _SCAN_LO) ** (1.0 / (_SCAN_POINTS - 1))
+    fn = p.value
+    prev_s = None
+    prev_f = None
+    bracket = None
+    exact_hit = None
+    s = _SCAN_LO
+    last_f = None
+    for i in range(_SCAN_POINTS):
+        try:
+            fs = fn(s)
+        except DomainError:
+            prev_s = None
+            prev_f = None
+            s *= ratio
+            continue
+        last_f = fs
+        if fs == 0.0:
+            exact_hit = s
+            bracket = None
+        elif prev_f is not None and (prev_f > 0.0) != (fs > 0.0):
+            bracket = (prev_s, s, prev_f, fs)
+            exact_hit = None
+        prev_s = s
+        prev_f = fs
+        s *= ratio
+    if last_f is not None and last_f < 0.0:
+        raise DecayError(
+            "profile %r is negative at the outer scan edge; no enclosing "
+            "region exists" % p.label
+        )
+    if bracket is not None:
+        lo, hi, f_lo, f_hi = bracket
+        root = find_root_bracketed(
+            fn, lo, hi, tol=1e-14 * max(1.0, hi), fa=f_lo, fb=f_hi
+        )
+    elif exact_hit is not None:
+        root = exact_hit
+    else:
+        return None
+    return Horizon(root, 4.0 * math.pi * root * root)
 
 
 def mp_renormalized_volume(q, s_h, dps=50):

@@ -305,7 +305,9 @@ def test_import_does_not_load_numpy():
 def test_golden_set_covers_the_subcommands():
     names = [os.path.basename(path) for path in GOLDEN]
     assert len(names) >= 8
-    for prefix in ("volume_", "compare_", "hawking_", "ialpha_", "sweep_"):
+    for prefix in (
+        "volume_", "compare_", "hawking_", "ialpha_", "sweep_", "bounds_", "iso_check_", "lemma_aux_"
+    ):
         assert any(name.startswith(prefix) for name in names), prefix
 
 

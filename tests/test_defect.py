@@ -12,7 +12,7 @@ import renvol.metric
 import renvol.volume
 from renvol import acceptance
 from renvol.comparison import compare_volumes
-from renvol.errors import DecayError
+from renvol.errors import DecayError, DomainError
 from renvol.expressions import Expression
 from renvol.metric import ads_schwarzschild, custom_profile, rn_ads
 from renvol.volume import renormalized_volume
@@ -123,10 +123,19 @@ class TestModelSelfComparison:
     def test_tiny_mass_curvature(self):
         assert compare_volumes(ads_schwarzschild(1e-6), 1e-6).verdict == "equality"
 
+    @pytest.mark.parametrize("m", [1e7, 1e8])
+    def test_huge_mass_fits_outside_the_horizon(self, m):
+        # the decay fit starts at 10 s_h (2154 at m = 1e7), not at s = 100
+        assert compare_volumes(ads_schwarzschild(m), m).verdict == "equality"
+
     @pytest.mark.xfail(
         strict=True,
-        reason="the asymptotics grid starts at s = 100, inside the horizon "
-        "at s = 215.4, so the decay fit raises DomainError",
+        raises=(DomainError, ValueError),
+        reason="renormalized_volume truncates at s = 1e3 by default, at or "
+        "inside the horizon for m >= 1e9: DomainError 'nonpositive at "
+        "s=999.99... inside a volume integral' at m = 1e9, ValueError "
+        "'truncation radius 1000.0 must ... exceed the horizon' at m = 1e10",
     )
-    def test_huge_mass_asymptotics_window(self):
-        assert compare_volumes(ads_schwarzschild(1e7), 1e7).verdict == "equality"
+    @pytest.mark.parametrize("m", [1e9, 1e10])
+    def test_huge_mass_truncation_radius(self, m):
+        assert compare_volumes(ads_schwarzschild(m), m).verdict == "equality"

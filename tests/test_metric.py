@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,6 +15,7 @@ import pytest
 from renvol.errors import DecayError, DomainError
 from renvol.metric import (
     RadialProfile,
+    _scan_grid,
     ads_horizon_radius,
     ads_schwarzschild,
     custom_profile,
@@ -22,9 +24,19 @@ from renvol.metric import (
     validate_asymptotics,
 )
 
-from helpers import bisect60, fd_derivative
+from helpers import bisect60, fd_derivative, forward_scan_horizon
 
 FOUR_PI = 4.0 * math.pi
+
+
+def _record_values(monkeypatch):
+    """Wrap ``RadialProfile.value``; the returned list collects each s it is called at."""
+    seen = []
+    original = RadialProfile.value
+    monkeypatch.setattr(
+        RadialProfile, "value", lambda self, s: seen.append(s) or original(self, s)
+    )
+    return seen
 
 
 class TestHorizon:
@@ -87,15 +99,101 @@ class TestHorizon:
         assert big**3 + big == pytest.approx(1e10, rel=1e-15)
 
     def test_model_horizon_runs_no_scan(self, monkeypatch):
-        calls = []
-        original = RadialProfile.value
-        monkeypatch.setattr(
-            RadialProfile, "value", lambda self, s: calls.append(s) or original(self, s)
-        )
+        calls = _record_values(monkeypatch)
         assert ads_schwarzschild(3.0).horizon.radius == ads_horizon_radius(3.0)
         assert calls == []
         # the property itself stays on the class, where a wrapper can find it
         assert isinstance(RadialProfile.__dict__["horizon"], functools.cached_property)
+
+
+def _walk_cases():
+    """Profiles for the forward-scan oracle, drawn from a fixed seed."""
+    rng = random.Random(2013)
+    u = rng.uniform
+    on_grid = _scan_grid()[6000]  # f is exactly zero there
+    cases = []
+    for _ in range(40):
+        cases.append(("1 + s^2 - m/s + c/s^2", {"m": u(0.01, 50.0), "c": u(-3.0, 3.0)}))
+    for _ in range(40):
+        cases.append((
+            "1 + s^2 - m/s + c/s^2 + k/s^3",
+            {"m": u(0.01, 30.0), "c": u(-2.0, 2.0), "k": u(-2.0, 2.0)},
+        ))
+    for _ in range(10):
+        cases.append(("1 + s^2 - m*exp(-s)/s", {"m": u(0.1, 20.0)}))
+    for _ in range(10):
+        cases.append(("1 + s^2 - m/s + sqrt(s - c)", {"m": u(0.1, 20.0), "c": u(0.0, 5.0)}))
+    for _ in range(10):
+        cases.append(("1 + s^2 - m/s + log(s - c)", {"m": u(0.1, 20.0), "c": u(0.0, 5.0)}))
+    for _ in range(10):
+        # undefined on (a, b), defined on both sides of the gap
+        a = u(0.2, 1.5)
+        cases.append((
+            "1 + s^2 - m/s + c*sqrt((s - a)*(s - b))",
+            {"m": u(0.1, 10.0), "c": u(0.0, 1.0), "a": a, "b": a + u(0.1, 2.0)},
+        ))
+    for _ in range(5):
+        cases.append(("1 + s^2 + c*exp(-s)", {"c": u(0.0, 5.0)}))
+    cases += [
+        ("s - 1", {}),
+        ("s - a", {"a": on_grid}),
+        ("(s - a)^2", {"a": on_grid}),
+        ("sqrt(a - s)", {"a": on_grid}),
+        # zeros with no positive neighbour above: only the zero itself is an event
+        ("0*sqrt(a - s) - (s - a)^2", {"a": on_grid}),
+        ("(s - a)^2*(s - 3) + 0*sqrt((s - 2.5)*(s - 3.5))", {"a": on_grid}),
+        ("sqrt(5 - s) - 1", {}),
+        ("-sqrt(5 - s)", {}),
+        ("s - 2 + 0*sqrt((s - 1)*(s - 3))", {}),
+        # three roots within 2e-3 of each other; the outermost is a + 2d
+        ("(s - a)*(s - a - d)*(s - a - 2*d)*(s + 1)", {"a": 1.7, "d": 1e-3}),
+        ("1 + s^2 - 3/s + 1/s^3", {}),
+        ("1 + s^2", {}),
+        ("s^2 - 2000000", {}),
+        ("-sqrt(s - 1)", {}),
+    ]
+    return cases
+
+
+def _outcome(search):
+    try:
+        horizon = search()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None if horizon is None else (repr(horizon.radius), repr(horizon.area))
+
+
+class TestHorizonWalk:
+    """The inward walk against the forward scan it replaced."""
+
+    @pytest.mark.parametrize("text, params", _walk_cases())
+    def test_matches_the_forward_scan(self, text, params):
+        want = _outcome(lambda: forward_scan_horizon(custom_profile(text, params)))
+        assert _outcome(lambda: custom_profile(text, params).horizon) == want
+
+    def test_cases_reach_every_outcome(self):
+        # the comparison above is only as strong as its cases
+        a = _scan_grid()[6000]
+        assert forward_scan_horizon(custom_profile("s - a", {"a": a})).radius == a
+        close = custom_profile("(s - a)*(s - a - d)*(s - a - 2*d)*(s + 1)", {"a": 1.7, "d": 1e-3})
+        assert forward_scan_horizon(close).radius == pytest.approx(1.702, rel=1e-12)
+        assert forward_scan_horizon(custom_profile("1 + s^2")) is None
+        # the sign changes only across the gap (1, 3), which breaks adjacency
+        assert forward_scan_horizon(custom_profile("s - 2 + 0*sqrt((s - 1)*(s - 3))")) is None
+        for text in ("s^2 - 2000000", "-sqrt(5 - s)"):
+            with pytest.raises(DecayError):
+                forward_scan_horizon(custom_profile(text))
+
+    def test_call_budget_stops_at_the_outermost_root(self, monkeypatch):
+        # the forward scan took 10,007 calls; the walk stops near s = 1.32
+        calls = _record_values(monkeypatch)
+        rn_ads(4.0, 0.5).horizon
+        assert len(calls) <= 3_300
+
+    def test_call_budget_without_a_root(self, monkeypatch):
+        calls = _record_values(monkeypatch)
+        assert custom_profile("1 + s^2 + exp(-s)").horizon is None
+        assert len(calls) <= 10_000
 
 
 class TestAdsHorizonRadius:
@@ -265,6 +363,16 @@ class TestAsymptotics:
         s = 500.0
         want = 2.0 * math.exp(-s) / s
         assert p.defect(s) == pytest.approx(want, rel=4e-16)
+
+    @pytest.mark.parametrize("m, moved", [(4.0, False), (1e7, True)])
+    def test_fit_grid_spans_four_decades_outside_the_horizon(self, m, moved, monkeypatch):
+        p = rn_ads(m, 1.0)
+        s_lo = max(1e2, 10.0 * p.horizon.radius)
+        assert (s_lo > 1e2) == moved
+        seen = _record_values(monkeypatch)
+        validate_asymptotics(p)
+        assert len(seen) == 41
+        assert seen[0] == s_lo and seen[-1] == 1e4 * s_lo
 
     def test_negative_profile_on_grid(self):
         with pytest.raises(DomainError):
