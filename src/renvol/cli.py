@@ -405,8 +405,9 @@ def _build_parser() -> argparse.ArgumentParser:
     volume = sub.add_parser("volume", help="renormalized volume of a profile")
     _add_profile_flags(volume)
     _add_output_flags(volume)
-    volume.add_argument("--r-max", type=float, default=DEFAULT_TRUNCATION_RADIUS,
-                        help="truncation radius (default %g)" % DEFAULT_TRUNCATION_RADIUS)
+    volume.add_argument("--r-max", type=float, default=None,
+                        help="truncation radius (default max(%g, 10 s_h))"
+                        % DEFAULT_TRUNCATION_RADIUS)
     volume.set_defaults(handler=_cmd_volume)
 
     hawking = sub.add_parser("hawking", help="pointwise geometry: f, H, R, quasi-local mass")

@@ -2,8 +2,10 @@
 
 ``compare_volumes`` is the top of the pipeline: it checks the standing
 hypotheses (curvature bounded below by -6, an outermost horizon, an area
-at least the model's, admissible decay) on a sampled grid, then computes
-both renormalized volumes and classifies the margin.
+at least the model's, admissible decay), then computes both renormalized
+volumes and classifies the margin.  The curvature bound is certified by
+exact Sturm counts for rational profiles and sampled on a grid for
+profiles with exp/log/sqrt.
 
 The rest of the module is the machinery behind the strictness of that
 comparison when the areas differ: the gap function
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import algebra
 from .errors import DecayError, DomainError
 from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
 from .quadrature import (
@@ -316,6 +319,114 @@ def _argmin(values: list[float]) -> int:
 
 
 def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
+    """The hypothesis R >= -6 on [s_lo, inf).
+
+    R + 6 = 2 (s q)'/s^2, so it asks that the mass aspect s q be
+    nondecreasing.  For a rational profile the check is certified: with
+    f = P/Q, s q = M/Q for M = s (Q (1 + s^2) - P), and (s q)' has the
+    sign of N = M'Q - MQ'.  It passes when Q has no root on [s_lo, inf)
+    and N is identically 0, or has a positive leading coefficient and no
+    root of odd multiplicity above s_lo, both by exact Sturm counts.  A
+    pole fails and is named; otherwise a failure names an interval on
+    which (s q)' < 0 and R at the lowest of a few points tried there.
+    Profiles with exp/log/sqrt, and forms too large for
+    ``algebra.small``, are sampled on a 2000-point grid, refined around
+    the sampled minimum: no certificate.
+    """
+    if p.rational is None:
+        return _sampled_curvature(p, s_lo)
+    f_num, f_den = p.rational
+    lo = s_lo.as_integer_ratio()
+    poles = algebra.sturm(f_den)
+    if algebra.value(f_den, lo) == 0:
+        return _curvature_fails("f has a pole at s = %.12g (certified)" % s_lo)
+    if algebra.variations(poles, lo) > algebra.variations(poles, None):
+        ((a, b),) = algebra.isolate(poles, lo, algebra.root_bound(poles[0]), 1)
+        return _curvature_fails(
+            "f has a pole in (%.15g, %.15g], where R is unbounded, above s = "
+            "%.6g (certified)" % (_to_float(a), _to_float(b), s_lo)
+        )
+    mass = algebra.mul([0, 1], algebra.sub(algebra.mul(f_den, [1, 0, 1]), f_num))
+    n = algebra.sub(
+        algebra.mul(algebra.derivative(mass), f_den),
+        algebra.mul(mass, algebra.derivative(f_den)),
+    )
+    if not algebra.small(n):
+        return _sampled_curvature(p, s_lo)
+    if n:
+        seq = algebra.sturm(algebra.odd_part(n))
+        if n[-1] < 0 or algebra.variations(seq, lo) > algebra.variations(seq, None):
+            a, b = _negative_interval(seq, lo, n[-1] > 0)
+            point, gap = min(
+                (_curvature_gap(n, f_den, x) for x in _probe_points(a, b)),
+                key=lambda pair: pair[1],
+            )
+            return _curvature_fails(
+                "R(s = %.6g) = -6 - %.6g falls below -6 (certified: (s q)' < 0 "
+                "on (%.15g, %.15g))"
+                % (_to_float(point), -gap, _to_float(a), math.inf if b is None else _to_float(b))
+            )
+    return HypothesisCheck(
+        "scalar_curvature",
+        True,
+        "R >= -6 on [%.6g, inf), certified by an exact Sturm count of (s q)'" % s_lo,
+    )
+
+
+def _curvature_fails(detail: str) -> HypothesisCheck:
+    return HypothesisCheck("scalar_curvature", False, detail)
+
+
+def _to_float(x) -> float:
+    num, den = x
+    return num / den
+
+
+def _negative_interval(seq, lo, rising: bool):
+    """Dyadic (a, b) above lo on which the polynomial with sign changes at
+    the roots of ``seq[0]`` is negative; b is None for infinity.  Rising
+    means positive at infinity, so negative just below its last change."""
+    roots = algebra.isolate(seq, lo, algebra.root_bound(seq[0]), 2)
+    if not rising:
+        return (roots[0][1] if roots else lo), None
+    a, b = roots[0]
+    lower = roots[1][1] if len(roots) > 1 else lo
+    # isolating intervals may share an end; narrow the upper one off it
+    while a[0] * lower[1] <= lower[0] * a[1]:
+        m = algebra.midpoint(a, b)
+        if algebra.variations(seq, a) > algebra.variations(seq, m):
+            b = m
+        else:
+            a = m
+    return lower, a
+
+
+def _probe_points(a, b):
+    """Dyadic points inside (a, b), most of them near its ends; b None is
+    read as 2a."""
+    (na, da) = a
+    (nb, db) = (2 * na, da) if b is None else b
+    d = max(da, db)
+    na, nb = na * (d // da), nb * (d // db)
+    one = 1 << 40
+    for j in (1, 1 << 20, 1 << 30, 1 << 39, one - (1 << 30), one - (1 << 20), one - 1):
+        yield na * (one - j) + nb * j, d * one
+
+
+def _curvature_gap(n, f_den, x):
+    """(x, R(x) + 6) with R + 6 = 2 N/(s Q)^2 evaluated exactly at x and
+    rounded once."""
+    num, den = x
+    e = 2 + 2 * (len(f_den) - 1) - (len(n) - 1)
+    top = 2 * algebra.value(n, x) * den ** max(e, 0)
+    bottom = (num * algebra.value(f_den, x)) ** 2 * den ** max(-e, 0)
+    try:
+        return x, top / bottom
+    except OverflowError:
+        return x, math.copysign(math.inf, top)
+
+
+def _sampled_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     grid = geomspace(s_lo, _CURVATURE_GRID_TOP, _CURVATURE_GRID_POINTS)
     values = [p.scalar_curvature(s) for s in grid]
     i = _argmin(values)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Mapping
 
@@ -925,8 +925,14 @@ class _Parser:
         raise ParseError("unexpected %r" % (tok.text or "end of input"), tok.pos)
 
 
+@lru_cache(maxsize=256)
 def parse(text: str) -> Expression:
-    """Parse infix profile text into an expression tree."""
+    """Parse infix profile text into an expression tree.
+
+    Trees are immutable, so one text gives one shared tree, and with it
+    one compiled f, f', q and q': the last 256 texts are cached.  A
+    ParseError is raised again on every call.
+    """
     return _Parser(text).parse()
 
 

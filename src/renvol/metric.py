@@ -6,9 +6,10 @@ to it when the defect q(s) = 1 + s^2 - f(s) decays fast enough, which
 ``validate_asymptotics`` checks by fitting the decay rate of the pointwise
 metric deviation |q|/f on a logarithmic radius grid outside the horizon.
 A profile computes its facts once and keeps them: the horizon, the
-asymptotics report and f' are cached on the instance.  The family texts
-are parsed once, so every profile of a family shares one tree and its
-compiled f, f', q and q'.
+asymptotics report, f' and the exact rational form are cached on the
+instance.  ``parse`` caches its trees by text, so every profile of a
+family, built-in or custom, shares one tree and its compiled f, f', q
+and q'.
 
 Closed-form geometry used throughout:
 
@@ -27,12 +28,16 @@ q far out.  ``Expression.defect`` cancels the 1 and s^2 terms
 symbolically once per tree, and ``RadialProfile.q`` and ``dq`` evaluate
 that tree and its derivative compiled, for every profile alike.
 
-The horizon is the outermost root of f.  ``RadialProfile.horizon`` walks
-a fixed geometric grid on (1e-6, 1e3] inward from its outer edge and
-refines the first sign change it meets, so the points inside the
-horizon are never evaluated; a profile without a root walks the whole
-grid.  Model profiles carry their closed-form horizon from
-``ads_horizon_radius`` and walk nothing.
+The horizon is the outermost root of f on a fixed geometric grid on
+(1e-6, 1e3].  For a profile without exp/log/sqrt, f = P/Q exactly
+(``algebra.rational_form``), and ``RadialProfile.horizon`` finds the grid
+cell that holds the outermost root of P by binary search on exact Sturm
+counts, about 14 of them, then refines that cell.  Otherwise, and
+wherever the float f at that cell's ends is undefined or does not change
+sign, it walks the grid inward from its outer edge and refines the first
+sign change it meets.  Either way the refinement is the same call, so
+both give the same radius bit for bit.  Model profiles carry their
+closed-form horizon from ``ads_horizon_radius`` and search nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Mapping
 
+from . import algebra
 from .errors import DecayError, DomainError
 from .expressions import Expression, parse
 from .quadrature import find_root_bracketed, fit_slope, geomspace
@@ -79,6 +85,49 @@ def _scan_grid() -> array:
         grid.append(s)
         s *= ratio
     return grid
+
+
+# returned by _counted_horizon when the walk has to decide
+_WALK = object()
+
+
+def _counted_horizon(fn, numerator: list[int], grid: array):
+    """The horizon of f = numerator/Q from exact Sturm counts: a Horizon,
+    None for no root on the grid, or _WALK where the walk could find
+    something else (f at the outer edge or at the ends of the root's cell
+    undefined or not changing sign, or an exact zero on grid[0])."""
+    try:
+        if not fn(grid[-1]) > 0.0:
+            return _WALK
+    except DomainError:
+        return _WALK
+    seq = algebra.sturm(numerator)
+    top = algebra.variations(seq, grid[-1])
+    lo, hi = 0, len(grid) - 1
+    if algebra.variations(seq, grid[lo]) == top:
+        return None if algebra.value(seq[0], grid[lo]) else _WALK
+    # a root lies in (grid[lo], grid[-1]] and none in (grid[hi], grid[-1]]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if algebra.variations(seq, grid[mid]) > top:
+            lo = mid
+        else:
+            hi = mid
+    try:
+        f_lo, f_hi = fn(grid[lo]), fn(grid[hi])
+    except DomainError:
+        return _WALK
+    if f_hi == 0.0:
+        return Horizon(grid[hi], _FOUR_PI * grid[hi] * grid[hi])
+    if (f_lo > 0.0) != (f_hi > 0.0):
+        return _refine(fn, grid[lo], grid[hi], f_lo, f_hi)
+    return _WALK
+
+
+def _refine(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> Horizon:
+    """The horizon in the sign-changing cell [lo, hi] of the search grid."""
+    root = find_root_bracketed(fn, lo, hi, tol=1e-14 * max(1.0, hi), fa=f_lo, fb=f_hi)
+    return Horizon(root, _FOUR_PI * root * root)
 
 
 @dataclass(frozen=True)
@@ -169,26 +218,45 @@ class RadialProfile:
         return s * self.defect(s)
 
     @cached_property
+    def rational(self) -> tuple[list[int], list[int]] | None:
+        """f = P/Q as integer polynomials, or None for a tree with
+        exp/log/sqrt (see ``algebra.rational_form``); built once per profile."""
+        return algebra.rational_form(self.f, self.params)
+
+    @cached_property
     def horizon(self) -> Horizon | None:
         """Outermost root of f on the search grid, or None if f stays positive.
 
-        Walks the geometric grid of ``_scan_grid`` on (1e-6, 1e3] inward
-        from its outer edge and stops at the first root seen from there:
-        a point where f is exactly zero, or a change between f > 0 and
-        f <= 0 from one point to the next, which is refined by safeguarded
-        bracketed root finding.  Points where f is undefined are skipped
-        and break the adjacency of their neighbours.  A profile whose
-        outermost defined value is negative cannot enclose a compact
-        region and raises DecayError.  A profile with no root walks the
-        whole grid.  ``ads_schwarzschild`` profiles skip the walk: they
-        come with the closed-form root of ``ads_horizon_radius``.
+        The grid is ``_scan_grid``, geometric on (1e-6, 1e3].  When f = P/Q
+        is rational and positive at the outer edge, a binary search on
+        exact Sturm counts of P finds the cell (lo, hi] that holds P's
+        outermost root in that range; no root there means no horizon.  If
+        f at lo and hi is defined and changes between f > 0 and f <= 0,
+        that cell is refined by safeguarded bracketed root finding, and an
+        exact zero at hi is the horizon itself.  Otherwise (an undefined
+        end, a root of even multiplicity, or a tree with exp/log/sqrt) the
+        grid is walked inward from its outer edge to the first root seen
+        from there: a point where f is exactly zero, or a change between
+        f > 0 and f <= 0 from one point to the next, refined by the same
+        call, so both paths give the same radius bit for bit.  Points where
+        f is undefined are skipped and break the adjacency of their
+        neighbours.  A profile whose outermost defined value is negative
+        cannot enclose a compact region and raises DecayError.  A pole of
+        Q is no root for the count, while the walk would take its sign
+        change for one.  ``ads_schwarzschild`` profiles search nothing:
+        they come with the closed-form root of ``ads_horizon_radius``.
         """
         fn = self.value
+        grid = _scan_grid()
+        if self.rational is not None:
+            found = _counted_horizon(fn, self.rational[0], grid)
+            if found is not _WALK:
+                return found
         outermost = True
         upper_s = upper_f = None
         # the grid is built upward, so the points and the refined root are
         # those of a scan from the inside that keeps its last sign change
-        for s in reversed(_scan_grid()):
+        for s in reversed(grid):
             try:
                 fs = fn(s)
             except DomainError:
@@ -202,10 +270,7 @@ class RadialProfile:
                     )
                 outermost = False
             elif upper_f is not None and (fs > 0.0) != (upper_f > 0.0):
-                root = find_root_bracketed(
-                    fn, s, upper_s, tol=1e-14 * max(1.0, upper_s), fa=fs, fb=upper_f
-                )
-                return Horizon(root, _FOUR_PI * root * root)
+                return _refine(fn, s, upper_s, fs, upper_f)
             if fs == 0.0:
                 return Horizon(s, _FOUR_PI * s * s)
             upper_s = s

@@ -166,7 +166,7 @@ def volume_between(
 def renormalized_volume(
     p: RadialProfile,
     tol: Tolerance | None = None,
-    truncation_radius: float = DEFAULT_TRUNCATION_RADIUS,
+    truncation_radius: float | None = None,
 ) -> RenormalizedVolume:
     """Renormalized volume of the profile relative to the reference space.
 
@@ -176,12 +176,13 @@ def renormalized_volume(
                                     +  integral_r^{infinity} d(s) ds
 
     with the remainder evaluated exactly (substitution s = 1/u) rather
-    than modeled.  Requires the decay validation to pass; raises
-    DecayError otherwise, and also when the reported stability
-    |V(r) - V(10r)| exceeds ten times the quadrature tolerance.
+    than modeled.  The truncation radius r defaults to
+    max(DEFAULT_TRUNCATION_RADIUS, 10*s_h), so it stays outside a large
+    horizon.  Requires the decay validation to pass; raises DecayError
+    otherwise, and also when the reported stability |V(r) - V(10r)|
+    exceeds ten times the quadrature tolerance.
     """
     tol = tol or Tolerance()
-    r = truncation_radius
     report = p.asymptotics
     if not report.passed:
         raise DecayError(
@@ -190,6 +191,9 @@ def renormalized_volume(
         )
     hz = p.horizon
     s_h = hz.radius if hz is not None else 0.0
+    r = truncation_radius
+    if r is None:
+        r = max(DEFAULT_TRUNCATION_RADIUS, 10.0 * s_h)
     if not (r > max(s_h, 0.0) and math.isfinite(r)):
         raise ValueError("truncation radius %r must be finite and exceed the horizon" % (r,))
 

@@ -8,6 +8,7 @@ library's adaptive machinery.
 """
 
 import math
+from fractions import Fraction
 
 from renvol.errors import DecayError, DomainError, EvaluationError
 from renvol.expressions import Add, Call, Div, Mul, Neg, Num, Param, Pow, Sub, Var
@@ -112,6 +113,40 @@ def walk_evaluate(expr, s, params=None):
                     "%s of out-of-range value %r in '%s'" % (e.func, x, e)
                 ) from None
         raise TypeError("unknown node %r" % (e,))
+
+    return walk(expr)
+
+
+def exact_walk(expr, s, params=None):
+    """Evaluate a tree without exp/log/sqrt in ``Fraction`` arithmetic.
+
+    The reference for ``algebra.rational_form``: literals, ``s`` and the
+    parameters enter as the exact rationals of their floats.  Raises
+    ZeroDivisionError where a divisor is exactly zero.
+    """
+    params = {} if params is None else params
+
+    def walk(e):
+        if isinstance(e, Num):
+            return Fraction(e.value)
+        if isinstance(e, Var):
+            return Fraction(s)
+        if isinstance(e, Param):
+            return Fraction(params[e.name])
+        if isinstance(e, Neg):
+            return -walk(e.arg)
+        if isinstance(e, Pow):
+            return walk(e.base) ** e.exponent
+        if isinstance(e, Call):
+            raise TypeError("no exact value for %s" % e.func)
+        left, right = walk(e.left), walk(e.right)
+        if isinstance(e, Add):
+            return left + right
+        if isinstance(e, Sub):
+            return left - right
+        if isinstance(e, Mul):
+            return left * right
+        return left / right
 
     return walk(expr)
 

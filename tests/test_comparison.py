@@ -302,13 +302,61 @@ class TestCompareVolumes:
             compare_volumes(ads_schwarzschild(2.0), -1.0)
 
     def test_nan_curvature_fails_the_check(self):
-        # s^90 overflows beyond s = 2657, so R is NaN at the top of the grid;
-        # the first NaN is the sampled minimum and the check fails on it
-        p = custom_profile("1 + s^2 - m/s + (s^90 - s^90)", {"m": 2.0})
+        # the exp factor keeps the tree on the sampled path; s^90 overflows
+        # beyond s = 2657, so R is NaN at the top of the grid, and the first
+        # NaN is the sampled minimum and the check fails on it
+        p = custom_profile("1 + s^2 - m/s + (s^90 - s^90)*exp(-s)", {"m": 2.0})
         report = compare_volumes(p, 2.0)
         check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
         assert not check.passed
         assert check.detail == "R(s = 2677.4) = nan falls below -6 (sampled witness)"
+        assert report.verdict == "hypothesis_failed"
+
+    def test_rational_overflow_is_certified_exactly(self):
+        # s^90 - s^90 is the zero polynomial, so f = 1 + s^2 - m/s exactly
+        # and R = -6; the float overflow beyond s = 2657 is never sampled
+        p = custom_profile("1 + s^2 - m/s + (s^90 - s^90)", {"m": 2.0})
+        report = compare_volumes(p, 2.0)
+        checks = {h.name: h for h in report.hypotheses}
+        assert checks["scalar_curvature"].passed
+        assert checks["scalar_curvature"].detail == (
+            "R >= -6 on [1, inf), certified by an exact Sturm count of (s q)'"
+        )
+        # f is NaN on the decay-fit grid beyond s = 2657
+        assert not checks["asymptotics"].passed
+        assert report.verdict == "hypothesis_failed"
+
+    def test_narrow_curvature_dip_fails_the_check(self):
+        # s q = m - A w^2/((s - 5.003)^2 + w^2) decreases up to s = 5.003,
+        # so R < -6 on (s_h, 5.003) and R = -6 - 1/(s^2 w) at s = 5.003 - w;
+        # the 2000-point grid saw R = -6 and the verdict was "equality"
+        p = custom_profile(
+            "1 + s^2 - m/s + A*w^2/(s*((s-5.003)^2 + w^2))",
+            {"m": 2.0, "A": 1.0, "w": 1e-11},
+        )
+        report = compare_volumes(p, 2.0)
+        check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
+        assert not check.passed
+        assert report.verdict == "hypothesis_failed"
+        head, interval = check.detail.split("(certified: (s q)' < 0 on (")
+        lower, upper = (float(x) for x in interval.rstrip("))").split(", "))
+        assert lower == pytest.approx(p.horizon.radius, rel=1e-14)
+        assert 5.003 - 1e-11 < upper < 5.003
+        witness = float(head.split("(s = ")[1].split(")")[0])
+        drop = float(head.split("= -6 - ")[1].split(" falls")[0])
+        assert witness == pytest.approx(5.003, rel=1e-6) and drop > 1e9
+
+    def test_pole_above_the_horizon_fails_the_check(self):
+        # f = 1 + s^2 - m/s + c/(s - 5) has its outermost root just below
+        # the pole at s = 5, which the walk took for a root
+        p = custom_profile("1 + s^2 - m/s + c/(s - 5)", {"m": 2.0, "c": 1.0})
+        assert 4.9 < p.horizon.radius < 5.0
+        report = compare_volumes(p, 2.0)
+        check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
+        assert not check.passed
+        assert check.detail.startswith("f has a pole in (")
+        lower, upper = (float(x) for x in check.detail[17:].split("]")[0].split(", "))
+        assert lower < 5.0 <= upper and upper - lower < 1e-11
         assert report.verdict == "hypothesis_failed"
 
     def test_asymptotics_fit_runs_once_per_profile(self, monkeypatch):

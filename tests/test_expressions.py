@@ -72,6 +72,20 @@ def test_parse_errors_carry_offsets(text, offset):
     assert "syntax error at offset %d" % offset in str(err.value)
 
 
+def test_parse_is_cached_by_text():
+    text = "1 + s^2 - m/s + k/s^3"
+    first = custom_profile(text, {"m": 2.0, "k": 0.1})
+    second = custom_profile(text, {"m": 3.0, "k": -0.2})
+    assert first.f is second.f
+    first.defect(2.0)
+    second.defect(2.0)
+    assert first.q is second.q
+    # errors are not cached: each call parses and raises again
+    for _ in range(3):
+        with pytest.raises(ParseError, match="offset 4"):
+            parse("1 + * s")
+
+
 def test_unbound_parameter_is_an_evaluation_error():
     expr = parse("1 + s^2 - m/s")
     with pytest.raises(EvaluationError, match="unbound parameter 'm'"):
@@ -229,6 +243,7 @@ class TestCompiledEvaluation:
     def test_profile_compiles_once(self, monkeypatch):
         compiled = self._count_compiles(monkeypatch)
         # a fresh tree, so no earlier test has compiled it
+        parse.cache_clear()
         p = custom_profile("1 + s^2 - m/s", {"m": 2.0})
         for i in range(1000):
             p.value(1.0 + i / 1000.0)

@@ -184,11 +184,32 @@ class TestHorizonWalk:
             with pytest.raises(DecayError):
                 forward_scan_horizon(custom_profile(text))
 
+    @pytest.mark.parametrize(
+        "text, params",
+        [
+            # the only root on the innermost grid point
+            ("s - a", {"a": _scan_grid()[0]}),
+            # roots on two neighbouring grid points
+            ("(s - a)*(s - b)", {"a": _scan_grid()[4000], "b": _scan_grid()[4001]}),
+            # a double root above the outermost simple one, on and off the grid
+            ("(s - a)^2*(s - 1)", {"a": _scan_grid()[8000]}),
+            ("(s - 1.3)^2*(s - 1)", {}),
+            ("(s - 1.3)^2*(s - 1)/(s^2 + 1)", {}),
+        ],
+    )
+    def test_counted_cell_matches_the_forward_scan(self, text, params):
+        # rational profiles whose root cell the Sturm counts cannot settle
+        # alone: each outcome is that of the scan
+        want = _outcome(lambda: forward_scan_horizon(custom_profile(text, params)))
+        assert custom_profile(text, params).rational is not None
+        assert _outcome(lambda: custom_profile(text, params).horizon) == want
+
     def test_call_budget_stops_at_the_outermost_root(self, monkeypatch):
-        # the forward scan took 10,007 calls; the walk stops near s = 1.32
+        # the forward scan took 10,007 calls and the walk 3,207; the Sturm
+        # counts find the cell near s = 1.32 without evaluating f
         calls = _record_values(monkeypatch)
         rn_ads(4.0, 0.5).horizon
-        assert len(calls) <= 3_300
+        assert len(calls) <= 60
 
     def test_call_budget_without_a_root(self, monkeypatch):
         calls = _record_values(monkeypatch)
