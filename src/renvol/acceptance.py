@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .comparison import (
     GapSpec,
@@ -36,6 +35,7 @@ from .metric import (
     rn_ads,
 )
 from .quadrature import Tolerance, geomspace
+from .records import Record
 from .volume import (
     area_lower_bound,
     flow_volume_lower_bound,
@@ -49,12 +49,18 @@ __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 _FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     index: int
     name: str
     passed: bool
     detail: str
+
+    def __init__(self, index: int, name: str, passed: bool, detail: str):
+        d = self.__dict__
+        d["index"] = index
+        d["name"] = name
+        d["passed"] = passed
+        d["detail"] = detail
 
 
 def _result(index: int, name: str, failures: list[str], summary: str) -> CriterionResult:

@@ -20,9 +20,7 @@ import math
 import os
 import shlex
 import sys
-import tempfile
 
-from .acceptance import run_all
 from .comparison import (
     GapSpec,
     compare_volumes,
@@ -324,6 +322,8 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
+    from .acceptance import run_all  # only this subcommand pays for the import
+
     results = run_all()
     for res in results:
         print("%s criterion %2d %s: %s"
@@ -341,6 +341,8 @@ def _cmd_replay(args: argparse.Namespace, argv: list[str]) -> int:
             % (args.from_csv, _ARGV_PREFIX.strip())
         )
     embedded = shlex.split(first_line[len(_ARGV_PREFIX):])
+    import tempfile  # only this subcommand pays for the import
+
     fd, tmp_path = tempfile.mkstemp(prefix="renvol-replay-", suffix=".csv")
     os.close(fd)
     try:

@@ -24,7 +24,6 @@ would lose all significant digits beyond t - alpha of about 25.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import algebra
@@ -39,6 +38,7 @@ from .quadrature import (
     integrate_sqrt_endpoint,
     inv_sqrt_diff,
 )
+from .records import Record
 from .volume import model_bound_inner, renormalized_volume
 
 __all__ = [
@@ -67,41 +67,53 @@ _CURVATURE_GRID_POINTS = 2000
 _CURVATURE_GRID_TOP = 1e4
 
 
-@dataclass(frozen=True)
-class GapSpec:
+class GapSpec(Record):
     """Arguments of the gap function: model area, log-area ratio, regularizer."""
 
     model_area: float
     alpha: float
-    epsilon: float = 0.0
+    epsilon: float
 
-    def __post_init__(self):
-        if not (self.model_area > 0.0 and math.isfinite(self.model_area)):
-            raise ValueError("model area must be positive and finite, got %r" % (self.model_area,))
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be nonnegative and finite, got %r" % (self.alpha,))
-        if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be nonnegative and finite, got %r" % (self.epsilon,))
+    def __init__(self, model_area: float, alpha: float, epsilon: float = 0.0):
+        if not (model_area > 0.0 and math.isfinite(model_area)):
+            raise ValueError("model area must be positive and finite, got %r" % (model_area,))
+        if not (alpha >= 0.0 and math.isfinite(alpha)):
+            raise ValueError("alpha must be nonnegative and finite, got %r" % (alpha,))
+        if not (epsilon >= 0.0 and math.isfinite(epsilon)):
+            raise ValueError("epsilon must be nonnegative and finite, got %r" % (epsilon,))
+        d = self.__dict__
+        d["model_area"] = model_area
+        d["alpha"] = alpha
+        d["epsilon"] = epsilon
 
 
-@dataclass(frozen=True)
-class SlopeBound:
+class SlopeBound(Record):
     """d/dalpha of the regularized gap, with its claimed lower bound."""
 
     value: float
     lower_bound: float
     satisfied: bool
 
+    def __init__(self, value: float, lower_bound: float, satisfied: bool):
+        d = self.__dict__
+        d["value"] = value
+        d["lower_bound"] = lower_bound
+        d["satisfied"] = satisfied
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+
+class HypothesisCheck(Record):
     name: str
     passed: bool
     detail: str
 
+    def __init__(self, name: str, passed: bool, detail: str):
+        d = self.__dict__
+        d["name"] = name
+        d["passed"] = passed
+        d["detail"] = detail
 
-@dataclass(frozen=True)
-class ComparisonReport:
+
+class ComparisonReport(Record):
     """Hypothesis checklist plus the volume comparison itself.
 
     ``volume``, ``model_volume``, ``margin`` are None when a hypothesis
@@ -121,22 +133,56 @@ class ComparisonReport:
     margin: float | None
     verdict: str
 
+    def __init__(
+        self,
+        profile_label: str,
+        model_mass: float,
+        hypotheses: tuple[HypothesisCheck, ...],
+        area: float | None,
+        model_area: float,
+        alpha: float | None,
+        volume: float | None,
+        model_volume: float | None,
+        margin: float | None,
+        verdict: str,
+    ):
+        d = self.__dict__
+        d["profile_label"] = profile_label
+        d["model_mass"] = model_mass
+        d["hypotheses"] = hypotheses
+        d["area"] = area
+        d["model_area"] = model_area
+        d["alpha"] = alpha
+        d["volume"] = volume
+        d["model_volume"] = model_volume
+        d["margin"] = margin
+        d["verdict"] = verdict
+
     @property
     def hypotheses_ok(self) -> bool:
         return all(h.passed for h in self.hypotheses)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     m: float
     volume: float
     delta_prev: float | None
 
+    def __init__(self, m: float, volume: float, delta_prev: float | None):
+        d = self.__dict__
+        d["m"] = m
+        d["volume"] = volume
+        d["delta_prev"] = delta_prev
 
-@dataclass(frozen=True)
-class SweepResult:
+
+class SweepResult(Record):
     rows: tuple[SweepRow, ...]
     monotone: bool
+
+    def __init__(self, rows: tuple[SweepRow, ...], monotone: bool):
+        d = self.__dict__
+        d["rows"] = rows
+        d["monotone"] = monotone
 
 
 def area_log_ratio(area: float, model_area: float) -> float:

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DecayError, DomainError, EvaluationError, ParseError
+from .records import Record
 
 __all__ = [
     "Expression",
@@ -53,10 +53,11 @@ class ExactUnsupported(Exception):
     """Internal: tree contains a node without an exact rational value."""
 
 
-class Expression:
+class Expression(Record):
     """Base class for expression nodes.
 
-    Instances are frozen dataclasses; all methods are pure.
+    Instances are immutable records (``renvol.records``); all methods are
+    pure.
     """
 
     def evaluate(self, s: float, params: Mapping[str, float] | None = None) -> float:
@@ -152,11 +153,13 @@ class Expression:
         return self._text()
 
 
-@dataclass(frozen=True)
 class Num(Expression):
     value: float
 
     _prec = 9
+
+    def __init__(self, value: float):
+        self.__dict__["value"] = value
 
     def _emit(self, code):
         return code.constant(self.value)
@@ -182,7 +185,6 @@ class Num(Expression):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
 class Var(Expression):
     """The radius variable ``s``."""
 
@@ -210,11 +212,13 @@ class Var(Expression):
         return "s"
 
 
-@dataclass(frozen=True)
 class Param(Expression):
     name: str
 
     _prec = 9
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
     def _emit(self, code):
         # one read per name, at its first position in post-order
@@ -252,11 +256,13 @@ class Param(Expression):
         return self.name
 
 
-@dataclass(frozen=True)
 class Neg(Expression):
     arg: Expression
 
     _prec = 2
+
+    def __init__(self, arg: Expression):
+        self.__dict__["arg"] = arg
 
     def _emit(self, code):
         return code.assign("-" + self.arg._emit(code))
@@ -280,11 +286,25 @@ class Neg(Expression):
         return "-" + self.arg._fmt(self._prec + 1)
 
 
-@dataclass(frozen=True)
-class Add(Expression):
+class _Binary(Expression):
+    """Shared fields of the four arithmetic operators."""
+
     left: Expression
     right: Expression
 
+    def __init__(self, left: Expression, right: Expression):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+
+    def parameters(self):
+        return self.left.parameters() | self.right.parameters()
+
+    def has_transcendental(self):
+        return self.left.has_transcendental() or self.right.has_transcendental()
+
+
+class Add(_Binary):
     _prec = 1
 
     def _emit(self, code):
@@ -300,21 +320,11 @@ class Add(Expression):
     def _derive(self):
         return _add(self.left.derivative(), self.right.derivative())
 
-    def parameters(self):
-        return self.left.parameters() | self.right.parameters()
-
-    def has_transcendental(self):
-        return self.left.has_transcendental() or self.right.has_transcendental()
-
     def _text(self):
         return self.left._fmt(self._prec) + " + " + self.right._fmt(self._prec + 1)
 
 
-@dataclass(frozen=True)
-class Sub(Expression):
-    left: Expression
-    right: Expression
-
+class Sub(_Binary):
     _prec = 1
 
     def _emit(self, code):
@@ -330,21 +340,11 @@ class Sub(Expression):
     def _derive(self):
         return _sub(self.left.derivative(), self.right.derivative())
 
-    def parameters(self):
-        return self.left.parameters() | self.right.parameters()
-
-    def has_transcendental(self):
-        return self.left.has_transcendental() or self.right.has_transcendental()
-
     def _text(self):
         return self.left._fmt(self._prec) + " - " + self.right._fmt(self._prec + 1)
 
 
-@dataclass(frozen=True)
-class Mul(Expression):
-    left: Expression
-    right: Expression
-
+class Mul(_Binary):
     _prec = 3
 
     def _emit(self, code):
@@ -362,21 +362,11 @@ class Mul(Expression):
         db = self.right.derivative()
         return _add(_mul(da, self.right), _mul(self.left, db))
 
-    def parameters(self):
-        return self.left.parameters() | self.right.parameters()
-
-    def has_transcendental(self):
-        return self.left.has_transcendental() or self.right.has_transcendental()
-
     def _text(self):
         return self.left._fmt(self._prec) + "*" + self.right._fmt(self._prec + 1)
 
 
-@dataclass(frozen=True)
-class Div(Expression):
-    left: Expression
-    right: Expression
-
+class Div(_Binary):
     _prec = 3
 
     def _emit(self, code):
@@ -405,12 +395,6 @@ class Div(Expression):
         num = _sub(_mul(da, self.right), _mul(self.left, db))
         return _div(num, _pow(self.right, 2))
 
-    def parameters(self):
-        return self.left.parameters() | self.right.parameters()
-
-    def has_transcendental(self):
-        return self.left.has_transcendental() or self.right.has_transcendental()
-
     def _text(self):
         return self.left._fmt(self._prec) + "/" + self.right._fmt(self._prec + 1)
 
@@ -429,12 +413,16 @@ def _ipow(base, exponent):
     return result
 
 
-@dataclass(frozen=True)
 class Pow(Expression):
     base: Expression
     exponent: int
 
     _prec = 5
+
+    def __init__(self, base: Expression, exponent: int):
+        d = self.__dict__
+        d["base"] = base
+        d["exponent"] = exponent
 
     def _emit(self, code):
         b = self.base._emit(code)
@@ -475,12 +463,16 @@ class Pow(Expression):
         return self.base._fmt(self._prec + 1) + "^" + str(self.exponent)
 
 
-@dataclass(frozen=True)
 class Call(Expression):
     func: str
     arg: Expression
 
     _prec = 9
+
+    def __init__(self, func: str, arg: Expression):
+        d = self.__dict__
+        d["func"] = func
+        d["arg"] = arg
 
     def _emit(self, code):
         x = self.arg._emit(code)
@@ -792,11 +784,16 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # number | ident | op | end
     text: str
     pos: int
+
+    def __init__(self, kind: str, text: str, pos: int):
+        d = self.__dict__
+        d["kind"] = kind
+        d["text"] = text
+        d["pos"] = pos
 
 
 def _tokenize(text):

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Mapping
 
@@ -52,6 +51,7 @@ from . import algebra
 from .errors import DecayError, DomainError
 from .expressions import Expression, parse
 from .quadrature import find_root_bracketed, fit_slope, geomspace
+from .records import Record
 
 __all__ = [
     "RadialProfile",
@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 DEFAULT_DELTA = 0.2
+
+# the default of RadialProfile.params; every profile stores its own copy
+_NO_PARAMS: Mapping[str, float] = {}
 
 _SCAN_LO = 1e-6
 _SCAN_HI = 1e3
@@ -130,16 +133,19 @@ def _refine(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> Horizon:
     return Horizon(root, _FOUR_PI * root * root)
 
 
-@dataclass(frozen=True)
-class Horizon:
+class Horizon(Record):
     """Outermost zero of the profile and the area of that sphere."""
 
     radius: float
     area: float
 
+    def __init__(self, radius: float, area: float):
+        d = self.__dict__
+        d["radius"] = radius
+        d["area"] = area
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
+
+class AsymptoticsReport(Record):
     """Outcome of the decay-rate fit performed by validate_asymptotics.
 
     ``measured_rate`` is the fitted log-log slope of |q|/f (negative
@@ -154,9 +160,23 @@ class AsymptoticsReport:
     fit_points: int
     derivative_slope: float | None
 
+    def __init__(
+        self,
+        passed: bool,
+        measured_rate: float,
+        required_rate: float,
+        fit_points: int,
+        derivative_slope: float | None,
+    ):
+        d = self.__dict__
+        d["passed"] = passed
+        d["measured_rate"] = measured_rate
+        d["required_rate"] = required_rate
+        d["fit_points"] = fit_points
+        d["derivative_slope"] = derivative_slope
 
-@dataclass(frozen=True)
-class RadialProfile:
+
+class RadialProfile(Record):
     """A radial profile f together with parameter bindings.
 
     ``delta`` in (0, 1/4) is the decay exponent the profile claims: the
@@ -167,17 +187,28 @@ class RadialProfile:
     """
 
     f: Expression
-    params: Mapping[str, float] = field(default_factory=dict)
-    delta: float = DEFAULT_DELTA
-    label: str = "custom"
+    params: Mapping[str, float]
+    delta: float
+    label: str
 
-    def __post_init__(self):
-        if not (0.0 < self.delta < 0.25):
-            raise ValueError("delta must lie in (0, 1/4), got %r" % (self.delta,))
-        object.__setattr__(self, "params", dict(self.params))
-        missing = self.f.parameters() - set(self.params)
+    def __init__(
+        self,
+        f: Expression,
+        params: Mapping[str, float] = _NO_PARAMS,
+        delta: float = DEFAULT_DELTA,
+        label: str = "custom",
+    ):
+        if not (0.0 < delta < 0.25):
+            raise ValueError("delta must lie in (0, 1/4), got %r" % (delta,))
+        params = dict(params)
+        missing = f.parameters() - set(params)
         if missing:
             raise ValueError("unbound profile parameters: %s" % ", ".join(sorted(missing)))
+        d = self.__dict__
+        d["f"] = f
+        d["params"] = params
+        d["delta"] = delta
+        d["label"] = label
 
     @cached_property
     def df(self) -> Expression:

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import QuadratureError
+from .records import Record
 
 __all__ = [
     "Tolerance",
@@ -76,33 +76,40 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(Record):
     """Relative and absolute error targets for an integral.
 
     The accepted error is max(abs, rel * |value|).
     """
 
-    rel: float = 1e-10
-    abs: float = 1e-14
+    rel: float
+    abs: float
 
-    def __post_init__(self):
-        if not (self.rel >= 1e-14):
-            raise ValueError("rel tolerance must be >= 1e-14, got %r" % (self.rel,))
-        if not (self.abs > 0.0):
-            raise ValueError("abs tolerance must be positive, got %r" % (self.abs,))
+    def __init__(self, rel: float = 1e-10, abs: float = 1e-14):
+        if not (rel >= 1e-14):
+            raise ValueError("rel tolerance must be >= 1e-14, got %r" % (rel,))
+        if not (abs > 0.0):
+            raise ValueError("abs tolerance must be positive, got %r" % (abs,))
+        d = self.__dict__
+        d["rel"] = rel
+        d["abs"] = abs
 
     def target(self, value: float) -> float:
         return max(self.abs, self.rel * abs(value))
 
 
-@dataclass(frozen=True)
-class Integral:
+class Integral(Record):
     """Quadrature result: value, error estimate and evaluation count."""
 
     value: float
     err_estimate: float
     evaluations: int
+
+    def __init__(self, value: float, err_estimate: float, evaluations: int):
+        d = self.__dict__
+        d["value"] = value
+        d["err_estimate"] = err_estimate
+        d["evaluations"] = evaluations
 
 
 def _panel(fn, a, b):

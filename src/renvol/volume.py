@@ -24,7 +24,6 @@ its integrand on every evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DecayError, DomainError
 from .metric import (
@@ -40,6 +39,7 @@ from .quadrature import (
     integrate_sqrt_endpoint,
     inv_sqrt_diff,
 )
+from .records import Record
 
 __all__ = [
     "FlowTime",
@@ -60,12 +60,16 @@ DEFAULT_TRUNCATION_RADIUS = 1e3
 _FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class FlowTime:
+class FlowTime(Record):
     """A point on the flow clock: parameter t and the sphere radius there."""
 
     t: float
     radius: float
+
+    def __init__(self, t: float, radius: float):
+        d = self.__dict__
+        d["t"] = t
+        d["radius"] = radius
 
     @property
     def area(self) -> float:
@@ -79,8 +83,7 @@ def flow_time(horizon: Horizon, t: float) -> FlowTime:
     return FlowTime(t, horizon.radius * math.exp(0.5 * t))
 
 
-@dataclass(frozen=True)
-class RenormalizedVolume:
+class RenormalizedVolume(Record):
     """Renormalized volume with its truncation diagnostics.
 
     ``stability`` is |V(r) - V(10r)|, the observed dependence on the
@@ -94,13 +97,34 @@ class RenormalizedVolume:
     stability: float
     evaluations: int
 
+    def __init__(
+        self,
+        value: float,
+        truncation_radius: float,
+        tail_correction: float,
+        stability: float,
+        evaluations: int,
+    ):
+        d = self.__dict__
+        d["value"] = value
+        d["truncation_radius"] = truncation_radius
+        d["tail_correction"] = tail_correction
+        d["stability"] = stability
+        d["evaluations"] = evaluations
 
-@dataclass(frozen=True)
-class IsoIdentity:
+
+class IsoIdentity(Record):
     lhs: float
     rhs: float
     rel_err: float
     evaluations: int
+
+    def __init__(self, lhs: float, rhs: float, rel_err: float, evaluations: int):
+        d = self.__dict__
+        d["lhs"] = lhs
+        d["rhs"] = rhs
+        d["rel_err"] = rel_err
+        d["evaluations"] = evaluations
 
 
 def model_bound_inner(area: float, t: float, alpha: float = 0.0, eps: float = 0.0) -> float:

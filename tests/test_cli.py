@@ -82,6 +82,18 @@ class TestVolume:
     def test_missing_mass(self, capsys):
         assert run(["volume"]) == 2
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="exits 3 with 'profile nonpositive at s=1.0 inside a volume "
+        "integral': below rel = 1e-13 the sqrt-endpoint panels sample the "
+        "horizon itself",
+    )
+    def test_tightest_admitted_tolerance(self, capsys):
+        assert run(["volume", "--family", "ads", "--m", "2", "--rel-tol", "1e-14"]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        # the 50-digit renormalized volume is 10.579797094324155972...
+        assert float(rows[0][3]) == pytest.approx(10.579797094324156, rel=1e-13)
+
 
 class TestHawking:
     def test_grid_rows_with_undefined_cells(self, capsys):
@@ -296,10 +308,19 @@ def test_verify_runs_every_criterion(capsys):
     assert len(lines) == 10
 
 
-def test_import_does_not_load_numpy():
-    code = "import sys, renvol, renvol.cli; sys.exit('numpy' in sys.modules)"
+def test_import_loads_only_what_every_subcommand_needs():
+    # tempfile and typing are left out: site loads them before renvol
+    unwanted = ["numpy", "dataclasses", "inspect", "renvol.acceptance"]
+    code = (
+        "import sys, renvol, renvol.cli; "
+        "print(' '.join(m for m in %r if m in sys.modules))" % (unwanted,)
+    )
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(TESTS_DIR), "src"))
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_golden_set_covers_the_subcommands():
