@@ -55,13 +55,6 @@ class CriterionResult(Record):
     passed: bool
     detail: str
 
-    def __init__(self, index: int, name: str, passed: bool, detail: str):
-        d = self.__dict__
-        d["index"] = index
-        d["name"] = name
-        d["passed"] = passed
-        d["detail"] = detail
-
 
 def _result(index: int, name: str, failures: list[str], summary: str) -> CriterionResult:
     if failures:

@@ -94,23 +94,11 @@ class SlopeBound(Record):
     lower_bound: float
     satisfied: bool
 
-    def __init__(self, value: float, lower_bound: float, satisfied: bool):
-        d = self.__dict__
-        d["value"] = value
-        d["lower_bound"] = lower_bound
-        d["satisfied"] = satisfied
-
 
 class HypothesisCheck(Record):
     name: str
     passed: bool
     detail: str
-
-    def __init__(self, name: str, passed: bool, detail: str):
-        d = self.__dict__
-        d["name"] = name
-        d["passed"] = passed
-        d["detail"] = detail
 
 
 class ComparisonReport(Record):
@@ -133,31 +121,6 @@ class ComparisonReport(Record):
     margin: float | None
     verdict: str
 
-    def __init__(
-        self,
-        profile_label: str,
-        model_mass: float,
-        hypotheses: tuple[HypothesisCheck, ...],
-        area: float | None,
-        model_area: float,
-        alpha: float | None,
-        volume: float | None,
-        model_volume: float | None,
-        margin: float | None,
-        verdict: str,
-    ):
-        d = self.__dict__
-        d["profile_label"] = profile_label
-        d["model_mass"] = model_mass
-        d["hypotheses"] = hypotheses
-        d["area"] = area
-        d["model_area"] = model_area
-        d["alpha"] = alpha
-        d["volume"] = volume
-        d["model_volume"] = model_volume
-        d["margin"] = margin
-        d["verdict"] = verdict
-
     @property
     def hypotheses_ok(self) -> bool:
         return all(h.passed for h in self.hypotheses)
@@ -168,21 +131,10 @@ class SweepRow(Record):
     volume: float
     delta_prev: float | None
 
-    def __init__(self, m: float, volume: float, delta_prev: float | None):
-        d = self.__dict__
-        d["m"] = m
-        d["volume"] = volume
-        d["delta_prev"] = delta_prev
-
 
 class SweepResult(Record):
     rows: tuple[SweepRow, ...]
     monotone: bool
-
-    def __init__(self, rows: tuple[SweepRow, ...], monotone: bool):
-        d = self.__dict__
-        d["rows"] = rows
-        d["monotone"] = monotone
 
 
 def area_log_ratio(area: float, model_area: float) -> float:

@@ -99,11 +99,13 @@ class Expression(Record):
 
     def parameters(self) -> frozenset:
         """Names of free parameters (everything except ``s``)."""
-        raise NotImplementedError
-
-    def has_transcendental(self) -> bool:
-        """True if the tree contains an exp/log/sqrt node."""
-        raise NotImplementedError
+        names = frozenset()
+        d = self.__dict__
+        for name in self._fields:
+            value = d[name]
+            if isinstance(value, Expression):
+                names |= value.parameters()
+        return names
 
     @cached_property
     def _compiled(self):
@@ -158,9 +160,6 @@ class Num(Expression):
 
     _prec = 9
 
-    def __init__(self, value: float):
-        self.__dict__["value"] = value
-
     def _emit(self, code):
         return code.constant(self.value)
 
@@ -174,12 +173,6 @@ class Num(Expression):
 
     def _derive(self):
         return Num(0.0)
-
-    def parameters(self):
-        return frozenset()
-
-    def has_transcendental(self):
-        return False
 
     def _text(self):
         return repr(self.value)
@@ -202,12 +195,6 @@ class Var(Expression):
     def _derive(self):
         return Num(1.0)
 
-    def parameters(self):
-        return frozenset()
-
-    def has_transcendental(self):
-        return False
-
     def _text(self):
         return "s"
 
@@ -216,9 +203,6 @@ class Param(Expression):
     name: str
 
     _prec = 9
-
-    def __init__(self, name: str):
-        self.__dict__["name"] = name
 
     def _emit(self, code):
         # one read per name, at its first position in post-order
@@ -249,9 +233,6 @@ class Param(Expression):
     def parameters(self):
         return frozenset((self.name,))
 
-    def has_transcendental(self):
-        return False
-
     def _text(self):
         return self.name
 
@@ -260,9 +241,6 @@ class Neg(Expression):
     arg: Expression
 
     _prec = 2
-
-    def __init__(self, arg: Expression):
-        self.__dict__["arg"] = arg
 
     def _emit(self, code):
         return code.assign("-" + self.arg._emit(code))
@@ -276,12 +254,6 @@ class Neg(Expression):
     def _derive(self):
         return _neg(self.arg.derivative())
 
-    def parameters(self):
-        return self.arg.parameters()
-
-    def has_transcendental(self):
-        return self.arg.has_transcendental()
-
     def _text(self):
         return "-" + self.arg._fmt(self._prec + 1)
 
@@ -291,17 +263,6 @@ class _Binary(Expression):
 
     left: Expression
     right: Expression
-
-    def __init__(self, left: Expression, right: Expression):
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
-
-    def parameters(self):
-        return self.left.parameters() | self.right.parameters()
-
-    def has_transcendental(self):
-        return self.left.has_transcendental() or self.right.has_transcendental()
 
 
 class Add(_Binary):
@@ -419,11 +380,6 @@ class Pow(Expression):
 
     _prec = 5
 
-    def __init__(self, base: Expression, exponent: int):
-        d = self.__dict__
-        d["base"] = base
-        d["exponent"] = exponent
-
     def _emit(self, code):
         b = self.base._emit(code)
         n = self.exponent
@@ -452,12 +408,6 @@ class Pow(Expression):
         inner = self.base.derivative()
         return _mul(_mul(Num(float(n)), _pow(self.base, n - 1)), inner)
 
-    def parameters(self):
-        return self.base.parameters()
-
-    def has_transcendental(self):
-        return self.base.has_transcendental()
-
     def _text(self):
         # base is parenthesized unless atomic, so (s^2)^3 round-trips
         return self.base._fmt(self._prec + 1) + "^" + str(self.exponent)
@@ -468,11 +418,6 @@ class Call(Expression):
     arg: Expression
 
     _prec = 9
-
-    def __init__(self, func: str, arg: Expression):
-        d = self.__dict__
-        d["func"] = func
-        d["arg"] = arg
 
     def _emit(self, code):
         x = self.arg._emit(code)
@@ -501,12 +446,6 @@ class Call(Expression):
         if self.func == "log":
             return _div(inner, self.arg)
         return _div(inner, _mul(Num(2.0), Call("sqrt", self.arg)))
-
-    def parameters(self):
-        return self.arg.parameters()
-
-    def has_transcendental(self):
-        return True
 
     def _text(self):
         return "%s(%s)" % (self.func, self.arg)
@@ -788,12 +727,6 @@ class _Token(Record):
     kind: str  # number | ident | op | end
     text: str
     pos: int
-
-    def __init__(self, kind: str, text: str, pos: int):
-        d = self.__dict__
-        d["kind"] = kind
-        d["text"] = text
-        d["pos"] = pos
 
 
 def _tokenize(text):

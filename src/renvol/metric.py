@@ -139,11 +139,6 @@ class Horizon(Record):
     radius: float
     area: float
 
-    def __init__(self, radius: float, area: float):
-        d = self.__dict__
-        d["radius"] = radius
-        d["area"] = area
-
 
 class AsymptoticsReport(Record):
     """Outcome of the decay-rate fit performed by validate_asymptotics.
@@ -160,21 +155,6 @@ class AsymptoticsReport(Record):
     fit_points: int
     derivative_slope: float | None
 
-    def __init__(
-        self,
-        passed: bool,
-        measured_rate: float,
-        required_rate: float,
-        fit_points: int,
-        derivative_slope: float | None,
-    ):
-        d = self.__dict__
-        d["passed"] = passed
-        d["measured_rate"] = measured_rate
-        d["required_rate"] = required_rate
-        d["fit_points"] = fit_points
-        d["derivative_slope"] = derivative_slope
-
 
 class RadialProfile(Record):
     """A radial profile f together with parameter bindings.
@@ -182,8 +162,8 @@ class RadialProfile(Record):
     ``delta`` in (0, 1/4) is the decay exponent the profile claims: the
     metric deviation from the reference space should fall off like
     s^-(2 + 4*delta).  The claim is checked by validate_asymptotics, not
-    here.  Instances are immutable; do not mutate ``params`` after
-    construction.
+    here.  Every parameter value must be finite.  Instances are immutable;
+    do not mutate ``params`` after construction.
     """
 
     f: Expression
@@ -201,6 +181,9 @@ class RadialProfile(Record):
         if not (0.0 < delta < 0.25):
             raise ValueError("delta must lie in (0, 1/4), got %r" % (delta,))
         params = dict(params)
+        for name, value in params.items():
+            if not math.isfinite(value):
+                raise ValueError("profile parameter %r must be finite, got %r" % (name, value))
         missing = f.parameters() - set(params)
         if missing:
             raise ValueError("unbound profile parameters: %s" % ", ".join(sorted(missing)))
@@ -243,10 +226,6 @@ class RadialProfile(Record):
     def defect_slope(self, s: float) -> float:
         """q'(s) = 2*s - f'(s), evaluated from the tree ``dq``."""
         return self.dq.evaluate(s, self.params)
-
-    def mass_aspect(self, s: float) -> float:
-        """s * q(s); constant in s exactly when the defect decays like m/s."""
-        return s * self.defect(s)
 
     @cached_property
     def rational(self) -> tuple[list[int], list[int]] | None:

@@ -105,12 +105,6 @@ class Integral(Record):
     err_estimate: float
     evaluations: int
 
-    def __init__(self, value: float, err_estimate: float, evaluations: int):
-        d = self.__dict__
-        d["value"] = value
-        d["err_estimate"] = err_estimate
-        d["evaluations"] = evaluations
-
 
 def _panel(fn, a, b):
     """Apply the Kronrod/Gauss pair on [a, b]; return (value, err)."""

@@ -1,10 +1,13 @@
 """Immutable records: the behaviour of a frozen dataclass, without code
 generation at import.
 
-A record class lists its fields as annotations, in order, and stores them
-in its own ``__init__`` with ``self.__dict__[name] = value``; any checks
-of the arguments run there too.  ``Record`` supplies the rest:
+A record class lists its fields as annotations, in order.  ``Record``
+derives the rest from that list:
 
+* ``__init__`` taking the fields by position or keyword, all required,
+  and storing them with ``self.__dict__[name] = value``.  A class whose
+  fields have defaults or whose arguments need checks defines its own
+  ``__init__`` and stores its fields the same way;
 * ``repr`` in the form ``Cls(a=1.0, b=2)``;
 * ``==`` and ``hash`` by the tuple of fields, between instances of the
   same class only;
@@ -38,6 +41,35 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
         cls.__match_args__ = cls._fields
+
+    def __init__(self, *args, **kwargs):
+        # the error texts follow those Python gives for an explicit signature
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                "%s.__init__() takes %d positional arguments but %d were given"
+                % (type(self).__qualname__, len(fields) + 1, len(args) + 1)
+            )
+        d = self.__dict__
+        for name, value in zip(fields, args):
+            d[name] = value
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(
+                    "%s.__init__() got an unexpected keyword argument %r"
+                    % (type(self).__qualname__, name)
+                )
+            if name in d:
+                raise TypeError(
+                    "%s.__init__() got multiple values for argument %r"
+                    % (type(self).__qualname__, name)
+                )
+            d[name] = value
+        if len(d) < len(fields):
+            raise TypeError(
+                "%s.__init__() missing required arguments: %s"
+                % (type(self).__qualname__, ", ".join(repr(n) for n in fields if n not in d))
+            )
 
     def __setattr__(self, name, value):
         _frozen("cannot assign to field %r" % (name,))

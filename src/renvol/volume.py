@@ -66,11 +66,6 @@ class FlowTime(Record):
     t: float
     radius: float
 
-    def __init__(self, t: float, radius: float):
-        d = self.__dict__
-        d["t"] = t
-        d["radius"] = radius
-
     @property
     def area(self) -> float:
         return _FOUR_PI * self.radius * self.radius
@@ -97,34 +92,12 @@ class RenormalizedVolume(Record):
     stability: float
     evaluations: int
 
-    def __init__(
-        self,
-        value: float,
-        truncation_radius: float,
-        tail_correction: float,
-        stability: float,
-        evaluations: int,
-    ):
-        d = self.__dict__
-        d["value"] = value
-        d["truncation_radius"] = truncation_radius
-        d["tail_correction"] = tail_correction
-        d["stability"] = stability
-        d["evaluations"] = evaluations
-
 
 class IsoIdentity(Record):
     lhs: float
     rhs: float
     rel_err: float
     evaluations: int
-
-    def __init__(self, lhs: float, rhs: float, rel_err: float, evaluations: int):
-        d = self.__dict__
-        d["lhs"] = lhs
-        d["rhs"] = rhs
-        d["rel_err"] = rel_err
-        d["evaluations"] = evaluations
 
 
 def model_bound_inner(area: float, t: float, alpha: float = 0.0, eps: float = 0.0) -> float:

@@ -79,6 +79,13 @@ class TestVolume:
         assert run(["volume", "--family", "custom", "--profile", "1 + s^2 - s"]) == 3
         assert "decays like" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_parameter_is_usage_error(self, value, capsys):
+        code = run(["volume", "--family", "custom", "--profile", "1 + s^2 - m/s",
+                    "--param", "m=" + value])
+        assert code == 2
+        assert "profile parameter 'm' must be finite, got %s" % value in capsys.readouterr().err
+
     def test_missing_mass(self, capsys):
         assert run(["volume"]) == 2
 

@@ -8,6 +8,8 @@ import re
 
 import pytest
 
+import renvol
+
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -34,3 +36,18 @@ def test_quick_tour_prints_its_comments():
         assert comment == got or comment.startswith(got + " "), (got, comment)
     # the mass is constant in s: 32 pi^1.5 m at m = 2
     assert float(printed[2]) == pytest.approx(32.0 * math.pi**1.5 * 2.0, rel=1e-15)
+
+
+def test_other_entry_points_run_as_written():
+    text = open(README, encoding="utf-8").read()
+    section = text.split("Other entry points worth knowing:", 1)[1].split("\n\n")[1]
+    calls = re.findall(r"`(\w+\(.*?\))`", section)
+    assert len(calls) == 9, calls
+    p = renvol.ads_schwarzschild(2.0)
+    names = dict(
+        vars(renvol),
+        p=p, s0=p.horizon.radius, s1=3.0, tau=1.0, area=p.horizon.area, m=2.0, s_top=3.0,
+        a_bar=p.horizon.area, alpha=0.25, eps=0.1, mu=1.0, masses=[1.0, 2.0],
+    )
+    for call in calls:
+        assert eval(call, names) is not None, call

@@ -129,6 +129,22 @@ class TestRecordSemantics:
             assert type(clone) is cls and clone == obj
 
 
+@pytest.mark.parametrize("cls,fields,args", RECORDS, ids=IDS)
+def test_bad_calls_raise_type_error(cls, fields, args):
+    # the counts include self, as Python's own messages do
+    with pytest.raises(TypeError, match="positional arguments? but %d were given" % (len(args) + 2)):
+        cls(*args, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'unknown'"):
+        cls(*args, unknown=None)
+    if not fields:
+        return
+    with pytest.raises(TypeError, match="multiple values for argument '%s'" % fields[0]):
+        cls(*args, **{fields[0]: args[0]})
+    if cls is not quadrature.Tolerance:  # every Tolerance field has a default
+        with pytest.raises(TypeError, match="missing .*'%s'" % fields[0]):
+            cls(**dict(zip(fields[1:], args[1:])))
+
+
 def test_one_field_differs():
     assert Num(1.0) != Num(2.0)
     assert Add(Num(1.0), Var()) != Sub(Num(1.0), Var())
@@ -163,6 +179,14 @@ def test_profile_copies_its_params():
         (lambda: comparison.GapSpec(1.0, 0.0, math.nan), "epsilon must be nonnegative and finite, got nan"),
         (lambda: metric.RadialProfile(_ADS, {"m": 1.0}, 0.25), "delta must lie in (0, 1/4), got 0.25"),
         (lambda: metric.RadialProfile(_ADS), "unbound profile parameters: m"),
+        (
+            lambda: metric.RadialProfile(_ADS, {"m": math.nan}),
+            "profile parameter 'm' must be finite, got nan",
+        ),
+        (
+            lambda: metric.RadialProfile(_ADS, {"m": -math.inf}),
+            "profile parameter 'm' must be finite, got -inf",
+        ),
         (
             lambda: metric.RadialProfile(expressions.parse("1 + s^2 - m/s + c/s^2")),
             "unbound profile parameters: c, m",
