@@ -15,6 +15,10 @@ The parser produces an immutable tree that supports
 * the profile defect ``1 + s^2 - f`` as a normalized tree whose 1 and s^2
   terms cancel symbolically (``defect()``), cached on the node and
   compiled like any tree,
+* float interval enclosures (``enclose()``): bounds on every value the
+  compiled function returns for s in an interval, or None where some
+  point may raise or give a non-finite value.  The horizon walk uses
+  them to pass over blocks of its grid where f is provably positive,
 * exact rational evaluation, kept as an independent oracle for tests;
   the library evaluates in float only,
 * symbolic differentiation in ``s`` with constant folding of trivial
@@ -53,6 +57,10 @@ class ExactUnsupported(Exception):
     """Internal: tree contains a node without an exact rational value."""
 
 
+class _Unbounded(Exception):
+    """Internal: a subtree has no finite enclosure; see Expression.enclose."""
+
+
 class Expression(Record):
     """Base class for expression nodes.
 
@@ -72,6 +80,37 @@ class Expression(Record):
         float path.
         """
         return self._eval_exact(Fraction(s), params if params is not None else _NO_PARAMS)
+
+    def enclose(
+        self, lo: float, hi: float, params: Mapping[str, float] | None = None
+    ) -> tuple[float, float] | None:
+        """Bounds ``(L, H)`` on every value ``evaluate`` returns at an ``s``
+        in ``[lo, hi]``, or None when they cannot be given.
+
+        The bounds hold for the float results, not only for the exact
+        ones: the enclosure follows the compiled operations in their order,
+        powers included, with round-to-nearest.  That rounding is monotone,
+        so for ``+ - * /`` the ends computed from the operands' ends bound
+        every result from operands inside.  exp and log are not correctly
+        rounded, so not monotone either, but they stay within 1 ulp of the
+        exact value (glibc's within about 0.52 ulp).  An inside result is
+        then at most 2 ulps beyond the result at the nearer end, and each
+        end is widened by ``_ULPS`` = 4 steps of ``math.nextafter``, which
+        cover 2 ulps even where the steps cross into a binade of half the
+        spacing.  sqrt is correctly rounded, hence monotone, and widened
+        alike.
+
+        None where some point may raise DomainError (a divisor or negative
+        power whose bounds hold 0, a log argument reaching 0 or below, a
+        sqrt argument reaching below 0, exp overflowing) and wherever an
+        end is infinite or NaN.  With every end finite, every intermediate
+        value at every point is finite, so none of them is NaN either.
+        """
+        try:
+            lo, hi = _finite(float(lo), float(hi))
+            return self._enclose(lo, hi, params if params is not None else _NO_PARAMS)
+        except _Unbounded:
+            return None
 
     def derivative(self) -> "Expression":
         """Symbolic d/ds with constant folding of trivial subtrees.
@@ -139,6 +178,10 @@ class Expression(Record):
     def _eval_exact(self, s, params):
         raise NotImplementedError
 
+    def _enclose(self, lo, hi, params) -> tuple[float, float]:
+        """Finite bounds over [lo, hi]; raises _Unbounded (see ``enclose``)."""
+        raise NotImplementedError
+
     # precedence used for printing; higher binds tighter
     _prec = 9
 
@@ -166,6 +209,9 @@ class Num(Expression):
     def _eval_exact(self, s, params):
         return Fraction(self.value)
 
+    def _enclose(self, lo, hi, params):
+        return _finite(self.value, self.value)
+
     def _normal(self, atoms):
         if not math.isfinite(self.value):
             return _atom(self, 1, atoms)
@@ -188,6 +234,9 @@ class Var(Expression):
 
     def _eval_exact(self, s, params):
         return s
+
+    def _enclose(self, lo, hi, params):
+        return lo, hi
 
     def _normal(self, atoms):
         return {((1, "s", 1),): _ONE}
@@ -224,6 +273,13 @@ class Param(Expression):
         except KeyError:
             raise EvaluationError("unbound parameter '%s'" % self.name) from None
 
+    def _enclose(self, lo, hi, params):
+        try:
+            value = float(params[self.name])
+        except KeyError:
+            raise EvaluationError("unbound parameter '%s'" % self.name) from None
+        return _finite(value, value)
+
     def _normal(self, atoms):
         return {((0, self.name, 1),): _ONE}
 
@@ -247,6 +303,10 @@ class Neg(Expression):
 
     def _eval_exact(self, s, params):
         return -self.arg._eval_exact(s, params)
+
+    def _enclose(self, lo, hi, params):
+        a_lo, a_hi = self.arg._enclose(lo, hi, params)
+        return -a_hi, -a_lo
 
     def _normal(self, atoms):
         return _padd({}, self.arg._normal(atoms), -1)
@@ -275,6 +335,11 @@ class Add(_Binary):
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) + self.right._eval_exact(s, params)
 
+    def _enclose(self, lo, hi, params):
+        a_lo, a_hi = self.left._enclose(lo, hi, params)
+        b_lo, b_hi = self.right._enclose(lo, hi, params)
+        return _finite(a_lo + b_lo, a_hi + b_hi)
+
     def _normal(self, atoms):
         return _padd(self.left._normal(atoms), self.right._normal(atoms), 1)
 
@@ -295,6 +360,11 @@ class Sub(_Binary):
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) - self.right._eval_exact(s, params)
 
+    def _enclose(self, lo, hi, params):
+        a_lo, a_hi = self.left._enclose(lo, hi, params)
+        b_lo, b_hi = self.right._enclose(lo, hi, params)
+        return _finite(a_lo - b_hi, a_hi - b_lo)
+
     def _normal(self, atoms):
         return _padd(self.left._normal(atoms), self.right._normal(atoms), -1)
 
@@ -314,6 +384,9 @@ class Mul(_Binary):
 
     def _eval_exact(self, s, params):
         return self.left._eval_exact(s, params) * self.right._eval_exact(s, params)
+
+    def _enclose(self, lo, hi, params):
+        return _imul(self.left._enclose(lo, hi, params), self.right._enclose(lo, hi, params))
 
     def _normal(self, atoms):
         return _pmul(self.left._normal(atoms), self.right._normal(atoms))
@@ -346,6 +419,9 @@ class Div(_Binary):
             raise DomainError("division by zero in '%s'" % self)
         return num / den
 
+    def _enclose(self, lo, hi, params):
+        return _idiv(self.left._enclose(lo, hi, params), self.right._enclose(lo, hi, params))
+
     def _normal(self, atoms):
         num = self.left._normal(atoms)
         return _pmul(num, _ppow(self.right._normal(atoms), -1, atoms))
@@ -374,6 +450,51 @@ def _ipow(base, exponent):
     return result
 
 
+# ---------------------------------------------------------------------------
+# float interval arithmetic (used by enclose())
+
+_INF = math.inf
+# nextafter steps that widen an exp, log or sqrt result; see enclose()
+_ULPS = 4
+
+
+def _finite(lo, hi):
+    # a NaN end fails both comparisons
+    if -_INF < lo and hi < _INF:
+        return lo, hi
+    raise _Unbounded
+
+
+def _imul(a, b):
+    # the product is bilinear, so its extremes lie at the corners
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _finite(min(p), max(p))
+
+
+def _isquare(a):
+    # x*x grows with |x|, so one interval squares tighter than two
+    lo, hi = a
+    if lo >= 0.0:
+        return _finite(lo * lo, hi * hi)
+    if hi <= 0.0:
+        return _finite(hi * hi, lo * lo)
+    return _finite(0.0, max(lo * lo, hi * hi))
+
+
+def _idiv(a, b):
+    if b[0] <= 0.0 <= b[1]:
+        raise _Unbounded
+    q = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    return _finite(min(q), max(q))
+
+
+def _widen(lo, hi):
+    for _ in range(_ULPS):
+        lo = math.nextafter(lo, -_INF)
+        hi = math.nextafter(hi, _INF)
+    return _finite(lo, hi)
+
+
 class Pow(Expression):
     base: Expression
     exponent: int
@@ -399,6 +520,21 @@ class Pow(Expression):
         if n < 0 and b == 0:
             raise DomainError("zero raised to negative power in '%s'" % self)
         return b ** n
+
+    def _enclose(self, lo, hi, params):
+        # the multiplication sequence of _Code.ipow, a square enclosed as one
+        power = None
+        acc = self.base._enclose(lo, hi, params)
+        k = abs(self.exponent)
+        while k:
+            if k & 1:
+                power = acc if power is None else _imul(power, acc)
+            k >>= 1
+            if k:
+                acc = _isquare(acc)
+        if power is None:
+            return 1.0, 1.0
+        return power if self.exponent > 0 else _idiv((1.0, 1.0), power)
 
     def _normal(self, atoms):
         return _ppow(self.base._normal(atoms), self.exponent, atoms)
@@ -434,6 +570,21 @@ class Call(Expression):
 
     def _eval_exact(self, s, params):
         raise ExactUnsupported(self.func)
+
+    def _enclose(self, lo, hi, params):
+        a_lo, a_hi = self.arg._enclose(lo, hi, params)
+        if self.func == "exp":
+            try:
+                return _widen(math.exp(a_lo), math.exp(a_hi))
+            except OverflowError:
+                raise _Unbounded from None
+        if self.func == "log":
+            if not a_lo > 0.0:
+                raise _Unbounded
+            return _widen(math.log(a_lo), math.log(a_hi))
+        if a_lo < 0.0:
+            raise _Unbounded
+        return _widen(math.sqrt(a_lo), math.sqrt(a_hi))
 
     def _normal(self, atoms):
         arg = _emit_normal(self.arg._normal(atoms), atoms)

@@ -35,9 +35,13 @@ cell that holds the outermost root of P by binary search on exact Sturm
 counts, about 14 of them, then refines that cell.  Otherwise, and
 wherever the float f at that cell's ends is undefined or does not change
 sign, it walks the grid inward from its outer edge and refines the first
-sign change it meets.  Either way the refinement is the same call, so
-both give the same radius bit for bit.  Model profiles carry their
-closed-form horizon from ``ads_horizon_radius`` and search nothing.
+sign change it meets.  The walk skips blocks of grid points on which
+``Expression.enclose`` bounds the float values of f below by a positive
+number: no point there can be a zero or a sign change, so the walk needs
+f only at each block's lowest point and finds what a point-by-point walk
+finds.  Either way the refinement is the same call, so both give the
+same radius bit for bit.  Model profiles carry their closed-form
+horizon from ``ads_horizon_radius`` and search nothing.
 """
 
 from __future__ import annotations
@@ -89,6 +93,12 @@ def _scan_grid() -> array:
         s *= ratio
     return grid
 
+
+# the horizon walk certifies blocks of this many grid points at first,
+# doubling on success and halving on failure; below _MIN_BLOCK it steps
+# point by point, and each point step brings the size back up by one
+_BLOCK = 16
+_MIN_BLOCK = 4
 
 # returned by _counted_horizon when the walk has to decide
 _WALK = object()
@@ -163,7 +173,8 @@ class RadialProfile(Record):
     metric deviation from the reference space should fall off like
     s^-(2 + 4*delta).  The claim is checked by validate_asymptotics, not
     here.  Every parameter value must be finite.  Instances are immutable;
-    do not mutate ``params`` after construction.
+    do not mutate ``params`` after construction.  They hash by the items
+    of ``params``, so equal profiles key one entry of a dict or set.
     """
 
     f: Expression
@@ -192,6 +203,9 @@ class RadialProfile(Record):
         d["params"] = params
         d["delta"] = delta
         d["label"] = label
+
+    def __hash__(self):
+        return hash((self.f, frozenset(self.params.items()), self.delta, self.label))
 
     @cached_property
     def df(self) -> Expression:
@@ -250,11 +264,19 @@ class RadialProfile(Record):
         f > 0 and f <= 0 from one point to the next, refined by the same
         call, so both paths give the same radius bit for bit.  Points where
         f is undefined are skipped and break the adjacency of their
-        neighbours.  A profile whose outermost defined value is negative
-        cannot enclose a compact region and raises DecayError.  A pole of
-        Q is no root for the count, while the walk would take its sign
-        change for one.  ``ads_schwarzschild`` profiles search nothing:
-        they come with the closed-form root of ``ads_horizon_radius``.
+        neighbours.  Below the outermost defined point, while the last
+        value seen is positive or undefined, the walk first tries to pass
+        over a block of points at once: where ``Expression.enclose`` bounds
+        f on the block below by a positive number, every float f there is
+        defined and positive, so the block holds no root and no sign
+        change, and f is evaluated only at its lowest point, the neighbour
+        of the next one.  Blocks start at 16 points, double on success and
+        halve on failure; below 4 the walk goes point by point.  A profile
+        whose outermost defined value is negative cannot enclose a compact
+        region and raises DecayError.  A pole of Q is no root for the
+        count, while the walk would take its sign change for one.
+        ``ads_schwarzschild`` profiles search nothing: they come with the
+        closed-form root of ``ads_horizon_radius``.
         """
         fn = self.value
         grid = _scan_grid()
@@ -262,11 +284,30 @@ class RadialProfile(Record):
             found = _counted_horizon(fn, self.rational[0], grid)
             if found is not _WALK:
                 return found
+        enclose, params = self.f.enclose, self.params
         outermost = True
         upper_s = upper_f = None
+        size = _BLOCK
+        i = len(grid) - 1
         # the grid is built upward, so the points and the refined root are
         # those of a scan from the inside that keeps its last sign change
-        for s in reversed(grid):
+        while i >= 0:
+            if size >= _MIN_BLOCK and not outermost and (upper_f is None or upper_f > 0.0):
+                j = max(i - size + 1, 0)
+                bounds = enclose(grid[j], grid[i], params)
+                if bounds is not None and bounds[0] > 0.0:
+                    # f > 0 on all of grid[j..i]: no zero and no sign change
+                    upper_s = grid[j]
+                    upper_f = fn(upper_s)
+                    i = j - 1
+                    size *= 2
+                else:
+                    size //= 2
+                continue
+            s = grid[i]
+            i -= 1
+            if size < _MIN_BLOCK:
+                size += 1
             try:
                 fs = fn(s)
             except DomainError:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renvol.expressions
 from renvol.errors import DecayError, DomainError, EvaluationError, ParseError
@@ -20,7 +22,7 @@ from renvol.expressions import (
     parse,
     parse_profile_text,
 )
-from renvol.metric import ads_schwarzschild, custom_profile
+from renvol.metric import _scan_grid, ads_schwarzschild, custom_profile
 
 from helpers import fd_derivative, walk_evaluate
 
@@ -387,6 +389,88 @@ class TestExactEvaluation:
     def test_transcendental_is_refused(self):
         with pytest.raises(ExactUnsupported):
             parse("exp(s)").evaluate_exact(Fraction(1))
+
+
+def _check_enclosure(expr, points, params):
+    """Enclose ``expr`` over the span of ``points`` and hold every value
+    at them to the bounds; returns the bounds, or None."""
+    bounds = expr.enclose(points[0], points[-1], params)
+    for s in points:
+        try:
+            value = expr.evaluate(s, params)
+        except DomainError:
+            assert bounds is None, (str(expr), s)
+            continue
+        # a NaN value fails the comparison too
+        assert bounds is None or bounds[0] <= value <= bounds[1], (str(expr), s, value, bounds)
+    return bounds
+
+
+class TestEnclosure:
+    """``Expression.enclose`` against the compiled evaluation it bounds."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        top=st.integers(0, len(_scan_grid()) - 1),
+        width=st.integers(1, 64),
+        m=st.floats(-4.0, 4.0),
+    )
+    def test_random_trees_on_grid_blocks(self, seed, top, width, m):
+        grid = _scan_grid()
+        expr = parse(_random_tree(random.Random(seed), 3))
+        _check_enclosure(expr, grid[max(top - width + 1, 0) : top + 1], {"m": m})
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lo=st.floats(-10.0, 10.0),
+        width=st.floats(0.0, 5.0),
+        m=st.floats(-4.0, 4.0),
+    )
+    def test_random_trees_on_intervals(self, seed, lo, width, m):
+        # negative radii and intervals around zero reach the domain errors
+        expr = parse(_random_tree(random.Random(seed), 3))
+        _check_enclosure(expr, [lo + width * k / 16 for k in range(17)], {"m": m})
+
+    @pytest.mark.parametrize(
+        "text,lo,hi,bounded",
+        [
+            ("1 + s^2 - m*exp(-s)/s", 0.5, 1e3, True),
+            ("1/(s - 2)", 1.0, 3.0, False),  # the divisor's bounds hold 0
+            ("1/(s - 2)", 2.5, 3.0, True),
+            ("log(s - 2)", 2.0, 3.0, False),  # log(0) at the lower end
+            ("log(s - 2)", 2.5, 3.0, True),
+            ("sqrt(s - 1)", 0.5, 2.0, False),
+            ("sqrt(s - 1)", 1.0, 2.0, True),  # sqrt(0) is defined
+            ("exp(s^2)", 1.0, 30.0, False),  # exp(900) overflows
+            ("exp(s^2)", 1.0, 20.0, True),
+            ("0*s^120", 300.0, 1e3, False),  # s^120 overflows and 0*inf is NaN
+            ("0*s^120", 1.0, 300.0, True),
+            ("s^-2", -1.0, 1.0, False),
+            ("s^-2", 1e-300, 1e-299, False),  # s^2 underflows to zero
+            ("s^-2", 0.5, 2.0, True),
+            ("(s - 1)^-3", 0.5, 2.0, False),
+            ("(s - 1)^-3", 2.0, 5.0, True),
+            ("s^0", -1.0, 1.0, True),
+            ("sqrt(s - 1)^0", 0.5, 2.0, False),  # the base is still evaluated
+        ],
+    )
+    def test_explicit_cases(self, text, lo, hi, bounded):
+        expr = parse(text)
+        points = [lo + (hi - lo) * k / 64 for k in range(64)] + [hi]
+        bounds = _check_enclosure(expr, points, {"m": 2.0})
+        assert (bounds is not None) == bounded
+
+    def test_calls_are_widened(self):
+        for text, fn in (("exp(s)", math.exp), ("log(s)", math.log), ("sqrt(s)", math.sqrt)):
+            lo, hi = parse(text).enclose(2.0, 2.0)
+            assert lo < fn(2.0) < hi
+        assert parse("s").enclose(1.0, 2.0) == (1.0, 2.0)
+
+    def test_unbound_parameter_is_an_evaluation_error(self):
+        with pytest.raises(EvaluationError, match="unbound parameter 'm'"):
+            parse("1 + s^2 - m/s").enclose(1.0, 2.0)
 
 
 class TestProfileText:

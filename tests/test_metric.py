@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from renvol.errors import DecayError, DomainError
+from renvol.errors import DecayError, DomainError, QuadratureError
 from renvol.metric import (
     RadialProfile,
     _scan_grid,
@@ -134,6 +134,28 @@ def _walk_cases():
         ))
     for _ in range(5):
         cases.append(("1 + s^2 + c*exp(-s)", {"c": u(0.0, 5.0)}))
+    # the other volume-float families over their benchmark ranges
+    for _ in range(10):
+        cases.append(("1 + s^2 - m*exp(-s^2)/s", {"m": u(2.0, 8.0)}))
+    for _ in range(10):
+        cases.append(("1 + s^2 - m/s^3*exp(-1/s)", {"m": u(2.0, 5.0)}))
+    pole = "1 + s^2 - m/s + 0*exp(-s) + c/(s - a)"
+    cases += [
+        # a pole above the root: its sign change is refined like a root's
+        (pole, {"m": 2.0, "c": 0.1, "a": 2.5}),
+        (pole, {"m": 2.0, "c": -0.1, "a": 2.5}),
+        # a pole on a grid point, where f is undefined
+        (pole, {"m": 2.0, "c": 0.1, "a": _scan_grid()[7000]}),
+        # below the gap (2, 3), f < 0 down to the pole at a and f > 0 under it
+        *[("(s - 2.5)/(s - a) + 0*sqrt((s - 2)*(s - 3))", {"a": a}) for a in (1.5, 1.6, 1.7)],
+        # two roots 1e-9 apart inside one grid cell: no sign change on the grid
+        ("(s - a)*(s - a - d)*(s + 1) + 0*exp(-s)", {"a": 1.7, "d": 1e-9}),
+        # rational, but above the algebra.small cap, so walked
+        ("1 + s^2 - m/s + c*(s - 1.1)^9/(s^2 + 1)^6", {"m": 2.0, "c": 1e-3}),
+        ("1 + s^2 - m/s + c*(s - 1.1)^9/(s^2 + 1)^6", {"m": 0.5, "c": -2.0}),
+        # f is NaN at the top of the grid, where s^120 overflows
+        ("1 + s^2 + 0*s^120", {}),
+    ]
     cases += [
         ("s - 1", {}),
         ("s - a", {"a": on_grid}),
@@ -212,9 +234,26 @@ class TestHorizonWalk:
         assert len(calls) <= 60
 
     def test_call_budget_without_a_root(self, monkeypatch):
+        # enclosures certify blocks of 16, 32, ... points with one call at
+        # the bottom of each: 11 calls for the 10,000 points
         calls = _record_values(monkeypatch)
         assert custom_profile("1 + s^2 + exp(-s)").horizon is None
-        assert len(calls) <= 10_000
+        assert len(calls) <= 20
+
+    def test_call_budget_with_a_transcendental_root(self, monkeypatch):
+        # about 3,300 grid points lie above the root near s = 0.97
+        calls = _record_values(monkeypatch)
+        assert custom_profile("1 + s^2 - m*exp(-s)/s", {"m": 5.0}).horizon is not None
+        assert len(calls) <= 80
+
+    @pytest.mark.xfail(
+        raises=QuadratureError,
+        reason="f is NaN at the top of the grid (0*inf), and the walk takes "
+        "that for a sign change to refine",
+    )
+    def test_nan_at_the_grid_top_names_the_point(self):
+        with pytest.raises(DomainError, match=r"s=\d"):
+            custom_profile("1 + s^2 + 0*s^120").horizon
 
 
 class TestAdsHorizonRadius:
