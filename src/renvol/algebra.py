@@ -262,8 +262,11 @@ def rational_form(expr, params):
     gcd(P, Q) is cancelled, the integer contents are coprime and Q has a
     positive leading coefficient.  None is returned for a tree with
     exp/log/sqrt, a non-finite literal or parameter, a division by the
-    zero polynomial, or a form that is not ``small``.
+    zero polynomial, or a form that is not ``small``.  A tree with
+    exp/log/sqrt is refused at once, from a flag cached on the tree.
     """
+    if expr._has_call:
+        return None
     try:
         return _rational(expr, params)
     except _NotRational:
@@ -331,4 +334,4 @@ def _rational(e, params):
         g = _gcd(q1, q2)
         r1, r2 = _exquo(q1, g), _exquo(q2, g)
         return _reduce(_add(mul(p1, r2), mul(p2, r1)), mul(q1, r2))
-    raise _NotRational  # exp, log or sqrt
+    raise _NotRational  # exp, log or sqrt, which rational_form refuses first

@@ -161,6 +161,15 @@ class Expression(Record):
     def _defect(self):
         return _defect_of(self)
 
+    @cached_property
+    def _has_call(self) -> bool:
+        """True when the tree holds an exp, log or sqrt node; cached like
+        ``_defect``."""
+        d = self.__dict__
+        return any(
+            isinstance(d[name], Expression) and d[name]._has_call for name in self._fields
+        )
+
     def _normal(self, atoms) -> dict:
         """This node's normal form; see ``_padd`` for the representation."""
         raise NotImplementedError
@@ -554,6 +563,7 @@ class Call(Expression):
     arg: Expression
 
     _prec = 9
+    _has_call = True
 
     def _emit(self, code):
         x = self.arg._emit(code)

@@ -33,15 +33,16 @@ The horizon is the outermost root of f on a fixed geometric grid on
 (``algebra.rational_form``), and ``RadialProfile.horizon`` finds the grid
 cell that holds the outermost root of P by binary search on exact Sturm
 counts, about 14 of them, then refines that cell.  Otherwise, and
-wherever the float f at that cell's ends is undefined or does not change
-sign, it walks the grid inward from its outer edge and refines the first
-sign change it meets.  The walk skips blocks of grid points on which
-``Expression.enclose`` bounds the float values of f below by a positive
-number: no point there can be a zero or a sign change, so the walk needs
-f only at each block's lowest point and finds what a point-by-point walk
-finds.  Either way the refinement is the same call, so both give the
-same radius bit for bit.  Model profiles carry their closed-form
-horizon from ``ads_horizon_radius`` and search nothing.
+wherever the float f at that cell's ends is undefined, NaN or does not
+change sign, it walks the grid inward from its outer edge and refines the
+first sign change it meets.  The walk skips blocks of grid points on
+which ``Expression.enclose`` bounds the float values of f away from zero,
+with the sign of the last value seen: no point there can be a zero or a
+sign change, so the walk needs f only at each block's lowest point and
+finds what a point-by-point walk finds.  A NaN f on the walk raises
+DomainError naming the point.  Either way the refinement is the same
+call, so both give the same radius bit for bit.  Model profiles carry
+their closed-form horizon from ``ads_horizon_radius`` and search nothing.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _counted_horizon(fn, numerator: list[int], grid: array):
     """The horizon of f = numerator/Q from exact Sturm counts: a Horizon,
     None for no root on the grid, or _WALK where the walk could find
     something else (f at the outer edge or at the ends of the root's cell
-    undefined or not changing sign, or an exact zero on grid[0])."""
+    undefined, NaN or not changing sign, or an exact zero on grid[0])."""
     try:
         if not fn(grid[-1]) > 0.0:
             return _WALK
@@ -132,7 +133,7 @@ def _counted_horizon(fn, numerator: list[int], grid: array):
         return _WALK
     if f_hi == 0.0:
         return Horizon(grid[hi], _FOUR_PI * grid[hi] * grid[hi])
-    if (f_lo > 0.0) != (f_hi > 0.0):
+    if (f_lo > 0.0) != (f_hi > 0.0) and not (math.isnan(f_lo) or math.isnan(f_hi)):
         return _refine(fn, grid[lo], grid[hi], f_lo, f_hi)
     return _WALK
 
@@ -257,24 +258,26 @@ class RadialProfile(Record):
         outermost root in that range; no root there means no horizon.  If
         f at lo and hi is defined and changes between f > 0 and f <= 0,
         that cell is refined by safeguarded bracketed root finding, and an
-        exact zero at hi is the horizon itself.  Otherwise (an undefined
-        end, a root of even multiplicity, or a tree with exp/log/sqrt) the
+        exact zero at hi is the horizon itself.  Otherwise (an undefined or
+        NaN end, a root of even multiplicity, or a tree with exp/log/sqrt) the
         grid is walked inward from its outer edge to the first root seen
         from there: a point where f is exactly zero, or a change between
         f > 0 and f <= 0 from one point to the next, refined by the same
         call, so both paths give the same radius bit for bit.  Points where
         f is undefined are skipped and break the adjacency of their
-        neighbours.  Below the outermost defined point, while the last
-        value seen is positive or undefined, the walk first tries to pass
+        neighbours; a point where f is NaN raises DomainError naming it.
+        Below the outermost defined point the walk first tries to pass
         over a block of points at once: where ``Expression.enclose`` bounds
-        f on the block below by a positive number, every float f there is
-        defined and positive, so the block holds no root and no sign
-        change, and f is evaluated only at its lowest point, the neighbour
-        of the next one.  Blocks start at 16 points, double on success and
-        halve on failure; below 4 the walk goes point by point.  A profile
-        whose outermost defined value is negative cannot enclose a compact
-        region and raises DecayError.  A pole of Q is no root for the
-        count, while the walk would take its sign change for one.
+        f on the block below by a positive number, or above by a negative
+        one, every float f there is defined and of one sign.  When the last
+        value seen is undefined or of that sign too, the block holds no
+        root and no sign change, and f is evaluated only at its lowest
+        point, the neighbour of the next one.  Blocks start at 16 points,
+        double on success and halve on failure; below 4 the walk goes point
+        by point.  A profile whose outermost defined value is negative
+        cannot enclose a compact region and raises DecayError.  A pole of Q
+        is no root for the count, while the walk would take its sign change
+        for one.
         ``ads_schwarzschild`` profiles search nothing: they come with the
         closed-form root of ``ads_horizon_radius``.
         """
@@ -292,11 +295,15 @@ class RadialProfile(Record):
         # the grid is built upward, so the points and the refined root are
         # those of a scan from the inside that keeps its last sign change
         while i >= 0:
-            if size >= _MIN_BLOCK and not outermost and (upper_f is None or upper_f > 0.0):
+            if size >= _MIN_BLOCK and not outermost:
                 j = max(i - size + 1, 0)
                 bounds = enclose(grid[j], grid[i], params)
-                if bounds is not None and bounds[0] > 0.0:
-                    # f > 0 on all of grid[j..i]: no zero and no sign change
+                if bounds is not None and (
+                    bounds[0] > 0.0 and (upper_f is None or upper_f > 0.0)
+                    or bounds[1] < 0.0 and (upper_f is None or upper_f < 0.0)
+                ):
+                    # f > 0 or f < 0 on all of grid[j..i], like the last
+                    # value seen: no zero and no sign change
                     upper_s = grid[j]
                     upper_f = fn(upper_s)
                     i = j - 1
@@ -313,6 +320,11 @@ class RadialProfile(Record):
             except DomainError:
                 upper_f = None
                 continue
+            if math.isnan(fs):
+                raise DomainError(
+                    "profile %r: f is NaN at s=%r on the horizon search grid"
+                    % (self.label, s)
+                )
             if outermost:
                 if fs < 0.0:
                     raise DecayError(
@@ -443,6 +455,24 @@ def ads_horizon_radius(m: float) -> float:
     return x
 
 
+def _defect_kernels(p: RadialProfile):
+    """The compiled q and q' of ``p``, for loops that call them directly:
+    ``q(s, p.params)`` is ``p.defect(s)`` at a float s, and ``dq`` is
+    ``p.defect_slope``, each one call instead of three.  Where the defect
+    tree cannot be built (``Expression.defect`` raises DecayError), both
+    raise that error when called, where the methods would have raised it.
+    """
+    try:
+        return p.q._compiled, p.dq._compiled
+    except DecayError as exc:
+        message = str(exc)
+
+        def fail(s, params):
+            raise DecayError(message)
+
+        return fail, fail
+
+
 def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     """Fit the decay rate of the metric deviation |q|/f over four decades.
 
@@ -468,19 +498,21 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
         horizon = None
     if horizon is not None:
         s_lo = max(s_lo, 10.0 * horizon.radius)
+    f, params = p.f._compiled, p.params
+    q, dq = _defect_kernels(p)
     for s in geomspace(s_lo, 1e4 * s_lo, 41):
-        fs = p.value(s)
+        fs = f(s, params)
         if not (fs > 0.0):
             raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
-        q = p.defect(s)
-        if q == 0.0:
+        qs = q(s, params)
+        if qs == 0.0:
             continue
-        norm = abs(q) / fs
+        norm = abs(qs) / fs
         log_s.append(math.log(s))
         log_norm.append(math.log(norm))
-        dq = p.defect_slope(s)
-        if dq != 0.0:
-            log_dslope.append((math.log(s), math.log(abs(dq) / s)))
+        dqs = dq(s, params)
+        if dqs != 0.0:
+            log_dslope.append((math.log(s), math.log(abs(dqs) / s)))
     if len(log_s) < 2:
         return AsymptoticsReport(True, -math.inf, required, len(log_s), None)
     rate = fit_slope(log_s, log_norm)

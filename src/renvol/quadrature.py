@@ -253,12 +253,18 @@ def integrate_semi_infinite(
         raise ValueError("decay_rate must be positive and finite, got %r" % (decay_rate,))
     lam = decay_rate
 
-    def transformed(u):
-        t = a - math.log(u) / lam
-        return fn(t) / (lam * u)
-
     if sqrt_endpoint_at_a:
-        return integrate_sqrt_endpoint(transformed, 0.0, 1.0, "upper", tol, max_evals)
+        # then u = 1 - v^2, the substitution of integrate_sqrt_endpoint at
+        # the upper end, in the same closure
+        def transformed(v):
+            u = 1.0 - v * v
+            t = a - math.log(u) / lam
+            return 2.0 * v * (fn(t) / (lam * u))
+    else:
+        def transformed(u):
+            t = a - math.log(u) / lam
+            return fn(t) / (lam * u)
+
     return integrate(transformed, 0.0, 1.0, tol, max_evals)
 
 

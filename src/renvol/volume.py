@@ -29,16 +29,11 @@ from .errors import DecayError, DomainError
 from .metric import (
     Horizon,
     RadialProfile,
+    _defect_kernels,
     ads_horizon_radius,
     ads_schwarzschild,
 )
-from .quadrature import (
-    Integral,
-    Tolerance,
-    integrate,
-    integrate_sqrt_endpoint,
-    inv_sqrt_diff,
-)
+from .quadrature import Integral, Tolerance, integrate, integrate_sqrt_endpoint
 from .records import Record
 
 __all__ = [
@@ -116,14 +111,73 @@ def model_bound_inner(area: float, t: float, alpha: float = 0.0, eps: float = 0.
 
 
 def _difference_integrand(p: RadialProfile):
+    """d(s) = 4*pi*s^2 * (f^-1/2 - (1+s^2)^-1/2) with the difference taken
+    by ``inv_sqrt_diff`` from q, inlined, and f and q called compiled."""
+    f, params = p.f._compiled, p.params
+    q, _ = _defect_kernels(p)
+
     def d(s: float) -> float:
-        fs = p.value(s)
+        fs = f(s, params)
         if fs <= 0.0:
             raise DomainError("profile nonpositive at s=%r inside a volume integral" % (s,))
         ps = 1.0 + s * s
-        return _FOUR_PI * s * s * inv_sqrt_diff(fs, ps, y_minus_x=p.defect(s))
+        qs = q(s, params)
+        if not fs > 0.0:  # a NaN f, refused as inv_sqrt_diff refuses it
+            raise ValueError("arguments must be positive, got %r, %r" % (fs, ps))
+        sf = math.sqrt(fs)
+        sp = math.sqrt(ps)
+        return _FOUR_PI * s * s * (qs / (sf * sp * (sf + sp)))
 
     return d
+
+
+def _shell_integrand(p: RadialProfile):
+    """4*pi*s^2 / sqrt(f(s)), the integrand of ``volume_between``."""
+    f, params = p.f._compiled, p.params
+
+    def integrand(s: float) -> float:
+        fs = f(s, params)
+        if fs <= 0.0:
+            raise DomainError("profile nonpositive at s=%r inside a volume integral" % (s,))
+        return _FOUR_PI * s * s / math.sqrt(fs)
+
+    return integrand
+
+
+def _flow_integrand(p: RadialProfile, hz: Horizon):
+    """The integrand of ``flow_volume_lower_bound`` in the flow parameter t,
+    with ``p.hawking_mass(s)`` inlined as 32*pi^(3/2)*s*q(s): s is at or
+    outside the horizon for every t >= 0, so its checks never fire."""
+    f, params = p.f._compiled, p.params
+    q, _ = _defect_kernels(p)
+    radius = hz.radius
+    area = hz.area
+    sqrt_area = math.sqrt(area)
+    a32 = area * sqrt_area
+    mass_factor = 32.0 * math.pi ** 1.5
+    sixteen_pi = 16.0 * math.pi
+
+    def integrand(t: float) -> float:
+        s = radius * math.exp(0.5 * t)
+        fs = f(s, params)
+        if fs <= 0.0 and t > 0.0:
+            raise DomainError(
+                "flow is not mean-convex: profile nonpositive at s=%r" % (s,)
+            )
+        grown = 4.0 * math.exp(t) * area
+        mass = mass_factor * s * q(s, params)  # p.hawking_mass(s)
+        direct = grown + sixteen_pi - math.exp(-0.5 * t) / sqrt_area * mass
+        collapsed = sixteen_pi * fs
+        # the direct form subtracts terms of size ~grown, so compare at
+        # that scale rather than at the (possibly tiny) collapsed value
+        if abs(direct - collapsed) > 1e-9 * max(1.0, grown):
+            raise ArithmeticError(
+                "flow integrand cross-check failed at t=%r: %r vs %r"
+                % (t, direct, collapsed)
+            )
+        return math.exp(1.5 * t) * a32 / math.sqrt(collapsed)
+
+    return integrand
 
 
 def volume_between(
@@ -149,12 +203,7 @@ def volume_between(
             )
         at_horizon = abs(s_lo - hz.radius) <= 1e-9 * max(1.0, hz.radius)
 
-    def integrand(s: float) -> float:
-        fs = p.value(s)
-        if fs <= 0.0:
-            raise DomainError("profile nonpositive at s=%r inside a volume integral" % (s,))
-        return _FOUR_PI * s * s / math.sqrt(fs)
-
+    integrand = _shell_integrand(p)
     if at_horizon:
         return integrate_sqrt_endpoint(integrand, s_lo, s_hi, "lower", tol)
     return integrate(integrand, s_lo, s_hi, tol)
@@ -262,30 +311,7 @@ def flow_volume_lower_bound(
         raise ValueError("profile %r has no horizon to start the flow from" % (p.label,))
     if tau == 0.0:
         return Integral(0.0, 0.0, 0)
-    area = hz.area
-    sqrt_area = math.sqrt(area)
-    a32 = area * sqrt_area
-
-    def integrand(t: float) -> float:
-        s = hz.radius * math.exp(0.5 * t)
-        fs = p.value(s)
-        if fs <= 0.0 and t > 0.0:
-            raise DomainError(
-                "flow is not mean-convex: profile nonpositive at s=%r" % (s,)
-            )
-        grown = 4.0 * math.exp(t) * area
-        direct = grown + 16.0 * math.pi - math.exp(-0.5 * t) / sqrt_area * p.hawking_mass(s)
-        collapsed = 16.0 * math.pi * fs
-        # the direct form subtracts terms of size ~grown, so compare at
-        # that scale rather than at the (possibly tiny) collapsed value
-        if abs(direct - collapsed) > 1e-9 * max(1.0, grown):
-            raise ArithmeticError(
-                "flow integrand cross-check failed at t=%r: %r vs %r"
-                % (t, direct, collapsed)
-            )
-        return math.exp(1.5 * t) * a32 / math.sqrt(collapsed)
-
-    return integrate_sqrt_endpoint(integrand, 0.0, tau, "lower", tol)
+    return integrate_sqrt_endpoint(_flow_integrand(p, hz), 0.0, tau, "lower", tol)
 
 
 def area_lower_bound(area: float, tau: float, tol: Tolerance | None = None) -> Integral:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately dumb: plain bisection, composite
 Simpson, central differences, one closed-form antiderivative, a
-recursive expression walk and a forward horizon scan.  The
+recursive expression walk, a forward horizon scan and the volume and
+decay-fit integrands as chains of the profile's public methods.  The
 point is that none of it shares code (or failure modes) with the
 library's adaptive machinery.
 """
@@ -12,8 +13,8 @@ from fractions import Fraction
 
 from renvol.errors import DecayError, DomainError, EvaluationError
 from renvol.expressions import Add, Call, Div, Mul, Neg, Num, Param, Pow, Sub, Var
-from renvol.metric import _SCAN_HI, _SCAN_LO, _SCAN_POINTS, Horizon
-from renvol.quadrature import find_root_bracketed
+from renvol.metric import _SCAN_HI, _SCAN_LO, _SCAN_POINTS, AsymptoticsReport, Horizon
+from renvol.quadrature import find_root_bracketed, fit_slope, geomspace, inv_sqrt_diff
 
 
 def bisect60(fn, lo, hi):
@@ -51,6 +52,21 @@ def fd_derivative(fn, x, h=None):
 def hyperbolic_ball_volume(s):
     """Closed form of the integral of 4*pi*t^2/sqrt(1+t^2) from 0 to s."""
     return 4.0 * math.pi * (0.5 * s * math.sqrt(1.0 + s * s) - 0.5 * math.asinh(s))
+
+
+def random_tree(rng, depth):
+    """Text of a random profile tree in ``s`` and the parameter ``m``."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["s", "m", "2", "3", "0.5"])
+    op = rng.choice(["+", "-", "*", "/", "^", "sqrt", "exp"])
+    if op == "sqrt":
+        # keep the argument positive so evaluation stays in-domain
+        return "sqrt(1 + (%s)^2)" % random_tree(rng, depth - 1)
+    if op == "exp":
+        return "exp(-(%s)^2)" % random_tree(rng, depth - 1)
+    if op == "^":
+        return "(%s)^%d" % (random_tree(rng, depth - 1), rng.choice([2, 3, -1, -2]))
+    return "(%s) %s (%s)" % (random_tree(rng, depth - 1), op, random_tree(rng, depth - 1))
 
 
 def walk_evaluate(expr, s, params=None):
@@ -157,6 +173,8 @@ def forward_scan_horizon(p):
     The reference for ``RadialProfile.horizon``: it evaluates f at every
     point of the geometric grid on (1e-6, 1e3], from the inside out, keeps
     the last sign change or exact zero, and refines it with the same call.
+    A point where f is NaN is an event too, which breaks adjacency; when it
+    is the last one, the scan raises DomainError naming it.
     """
     ratio = (_SCAN_HI / _SCAN_LO) ** (1.0 / (_SCAN_POINTS - 1))
     fn = p.value
@@ -164,6 +182,7 @@ def forward_scan_horizon(p):
     prev_f = None
     bracket = None
     exact_hit = None
+    nan_at = None
     s = _SCAN_LO
     last_f = None
     for i in range(_SCAN_POINTS):
@@ -175,12 +194,17 @@ def forward_scan_horizon(p):
             s *= ratio
             continue
         last_f = fs
+        if fs != fs:
+            nan_at = s
+            bracket = exact_hit = prev_s = prev_f = None
+            s *= ratio
+            continue
         if fs == 0.0:
             exact_hit = s
-            bracket = None
+            bracket = nan_at = None
         elif prev_f is not None and (prev_f > 0.0) != (fs > 0.0):
             bracket = (prev_s, s, prev_f, fs)
-            exact_hit = None
+            exact_hit = nan_at = None
         prev_s = s
         prev_f = fs
         s *= ratio
@@ -188,6 +212,10 @@ def forward_scan_horizon(p):
         raise DecayError(
             "profile %r is negative at the outer scan edge; no enclosing "
             "region exists" % p.label
+        )
+    if nan_at is not None:
+        raise DomainError(
+            "profile %r: f is NaN at s=%r on the horizon search grid" % (p.label, nan_at)
         )
     if bracket is not None:
         lo, hi, f_lo, f_hi = bracket
@@ -199,6 +227,87 @@ def forward_scan_horizon(p):
     else:
         return None
     return Horizon(root, 4.0 * math.pi * root * root)
+
+
+def chain_difference_integrand(p):
+    """4 pi s^2 (f^-1/2 - (1+s^2)^-1/2) through ``p.value``, ``p.defect``
+    and ``inv_sqrt_diff``: the reference for the volume integrand that
+    calls the compiled f and q itself."""
+    def d(s):
+        fs = p.value(s)
+        if fs <= 0.0:
+            raise DomainError("profile nonpositive at s=%r inside a volume integral" % (s,))
+        ps = 1.0 + s * s
+        return 4.0 * math.pi * s * s * inv_sqrt_diff(fs, ps, y_minus_x=p.defect(s))
+
+    return d
+
+
+def chain_shell_integrand(p):
+    """4 pi s^2 / sqrt(f) through ``p.value``."""
+    def integrand(s):
+        fs = p.value(s)
+        if fs <= 0.0:
+            raise DomainError("profile nonpositive at s=%r inside a volume integral" % (s,))
+        return 4.0 * math.pi * s * s / math.sqrt(fs)
+
+    return integrand
+
+
+def chain_flow_integrand(p, hz):
+    """The flow-bound integrand in t through ``p.value`` and ``p.hawking_mass``."""
+    area = hz.area
+    sqrt_area = math.sqrt(area)
+    a32 = area * sqrt_area
+
+    def integrand(t):
+        s = hz.radius * math.exp(0.5 * t)
+        fs = p.value(s)
+        if fs <= 0.0 and t > 0.0:
+            raise DomainError("flow is not mean-convex: profile nonpositive at s=%r" % (s,))
+        grown = 4.0 * math.exp(t) * area
+        direct = grown + 16.0 * math.pi - math.exp(-0.5 * t) / sqrt_area * p.hawking_mass(s)
+        collapsed = 16.0 * math.pi * fs
+        if abs(direct - collapsed) > 1e-9 * max(1.0, grown):
+            raise ArithmeticError(
+                "flow integrand cross-check failed at t=%r: %r vs %r" % (t, direct, collapsed)
+            )
+        return math.exp(1.5 * t) * a32 / math.sqrt(collapsed)
+
+    return integrand
+
+
+def chain_validate_asymptotics(p):
+    """``validate_asymptotics`` with its samples taken by ``p.value``,
+    ``p.defect`` and ``p.defect_slope``."""
+    required = -(2.0 + 4.0 * p.delta)
+    log_s, log_norm, log_dslope = [], [], []
+    s_lo = 1e2
+    try:
+        horizon = p.horizon
+    except DecayError:
+        horizon = None
+    if horizon is not None:
+        s_lo = max(s_lo, 10.0 * horizon.radius)
+    for s in geomspace(s_lo, 1e4 * s_lo, 41):
+        fs = p.value(s)
+        if not (fs > 0.0):
+            raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
+        q = p.defect(s)
+        if q == 0.0:
+            continue
+        log_s.append(math.log(s))
+        log_norm.append(math.log(abs(q) / fs))
+        dq = p.defect_slope(s)
+        if dq != 0.0:
+            log_dslope.append((math.log(s), math.log(abs(dq) / s)))
+    if len(log_s) < 2:
+        return AsymptoticsReport(True, -math.inf, required, len(log_s), None)
+    rate = fit_slope(log_s, log_norm)
+    dslope = None
+    if len(log_dslope) >= 2:
+        dslope = fit_slope([x for x, _ in log_dslope], [y for _, y in log_dslope])
+    return AsymptoticsReport(rate <= required + 0.05, rate, required, len(log_s), dslope)
 
 
 def mp_renormalized_volume(q, s_h, dps=50):

@@ -10,7 +10,7 @@ import pytest
 import sympy
 
 import test_expressions
-from helpers import exact_walk
+from helpers import exact_walk, random_tree
 from renvol import algebra
 from renvol.comparison import _check_curvature
 from renvol.expressions import parse
@@ -100,7 +100,7 @@ def _rational_trees():
                 texts += [case[0] for case in mark.args[1]]
     texts += test_expressions.DERIVATIVE_BATTERY
     rng = random.Random(2718)
-    texts += [test_expressions._random_tree(rng, 3) for _ in range(300)]
+    texts += [random_tree(rng, 3) for _ in range(300)]
     trees = [parse(text) for text in dict.fromkeys(texts)]
     return [t for t in trees if not any(n in str(t) for n in ("exp", "log", "sqrt"))]
 
@@ -144,6 +144,27 @@ def test_rational_form_refuses_what_has_no_exact_form():
     assert algebra.rational_form(parse("s^90 - s^90 + 1"), {}) == ([1], [1])
     # (1 + 2476979795053773 s/2^51)^60 has 3,000-bit coefficients
     assert algebra.rational_form(parse("(s - 1.1)^60"), {}) is None
+
+
+def test_rational_form_refuses_a_call_before_building_anything(monkeypatch):
+    # the flag is cached on each node; no P/Q of any subtree is built
+    built = []
+    original = algebra._rational
+    monkeypatch.setattr(
+        algebra, "_rational", lambda e, params: built.append(e) or original(e, params)
+    )
+    for text in ("1 + s^2 - m*exp(-s)/s", "1 + s^2 - m/s^3*exp(-1/s)", "(s - 1)^9 + log(s)"):
+        assert algebra.rational_form(parse(text), {"m": 2.0}) is None
+    assert built == []
+    assert algebra.rational_form(parse("1 + s^2 - m/s"), {"m": 2.0}) == ([-2, 1, 0, 1], [0, 1])
+    assert built
+
+
+def test_call_flag_matches_the_text():
+    rng = random.Random(31)
+    for _ in range(300):
+        tree = parse(random_tree(rng, 4))
+        assert tree._has_call == any(name in str(tree) for name in ("exp", "log", "sqrt"))
 
 
 def _curvature_verdict(m, c, k):

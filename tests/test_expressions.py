@@ -24,7 +24,7 @@ from renvol.expressions import (
 )
 from renvol.metric import _scan_grid, ads_schwarzschild, custom_profile
 
-from helpers import fd_derivative, walk_evaluate
+from helpers import fd_derivative, random_tree, walk_evaluate
 
 
 @pytest.mark.parametrize(
@@ -146,27 +146,13 @@ def test_derivative_of_constant_is_zero():
     assert d.evaluate(0.3) == 0.0
 
 
-def _random_tree(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        return rng.choice(["s", "m", "2", "3", "0.5"])
-    op = rng.choice(["+", "-", "*", "/", "^", "sqrt", "exp"])
-    if op == "sqrt":
-        # keep the argument positive so evaluation stays in-domain
-        return "sqrt(1 + (%s)^2)" % _random_tree(rng, depth - 1)
-    if op == "exp":
-        return "exp(-(%s)^2)" % _random_tree(rng, depth - 1)
-    if op == "^":
-        return "(%s)^%d" % (_random_tree(rng, depth - 1), rng.choice([2, 3, -1, -2]))
-    return "(%s) %s (%s)" % (_random_tree(rng, depth - 1), op, _random_tree(rng, depth - 1))
-
-
 def test_print_parse_round_trip_is_exact():
     # str() must reproduce the tree: reparsing and re-evaluating has to
     # give bitwise-identical results, divisions by zero excepted.
     rng = random.Random(1729)
     checked = 0
     for _ in range(100):
-        text = _random_tree(rng, 3)
+        text = random_tree(rng, 3)
         expr = parse(text)
         back = parse(str(expr))
         for _ in range(5):
@@ -196,7 +182,7 @@ class TestCompiledEvaluation:
         rng = random.Random(4099)
         seen = set()
         for _ in range(300):
-            text = _random_tree(rng, 4)
+            text = random_tree(rng, 4)
             expr = parse(text)
             points = (0.0, -0.0, 1e-300, 1e300, rng.uniform(-10.0, 10.0), rng.uniform(0.0, 3.0))
             for s in points:
@@ -342,7 +328,7 @@ class TestDefect:
         ulp = 2.0**-52
         checked = refused = 0
         for _ in range(300):
-            f = parse(_random_tree(rng, 3))
+            f = parse(random_tree(rng, 3))
             try:
                 f.evaluate_exact(Fraction(1, 3), {"m": Fraction(1)})
             except ExactUnsupported:
@@ -418,7 +404,7 @@ class TestEnclosure:
     )
     def test_random_trees_on_grid_blocks(self, seed, top, width, m):
         grid = _scan_grid()
-        expr = parse(_random_tree(random.Random(seed), 3))
+        expr = parse(random_tree(random.Random(seed), 3))
         _check_enclosure(expr, grid[max(top - width + 1, 0) : top + 1], {"m": m})
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -430,7 +416,7 @@ class TestEnclosure:
     )
     def test_random_trees_on_intervals(self, seed, lo, width, m):
         # negative radii and intervals around zero reach the domain errors
-        expr = parse(_random_tree(random.Random(seed), 3))
+        expr = parse(random_tree(random.Random(seed), 3))
         _check_enclosure(expr, [lo + width * k / 16 for k in range(17)], {"m": m})
 
     @pytest.mark.parametrize(

@@ -6,13 +6,14 @@ import functools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from renvol.errors import DecayError, DomainError, QuadratureError
+from renvol.errors import DecayError, DomainError
 from renvol.metric import (
     RadialProfile,
     _scan_grid,
@@ -106,6 +107,11 @@ class TestHorizon:
         assert isinstance(RadialProfile.__dict__["horizon"], functools.cached_property)
 
 
+# the outermost grid point where 1e300/s^2 overflows, so 0*(1e300/s^2) is NaN
+_LAST_NAN = 2080
+_ABOVE_LAST_NAN = 0.5 * (_scan_grid()[_LAST_NAN] + _scan_grid()[_LAST_NAN + 1])
+
+
 def _walk_cases():
     """Profiles for the forward-scan oracle, drawn from a fixed seed."""
     rng = random.Random(2013)
@@ -155,6 +161,14 @@ def _walk_cases():
         ("1 + s^2 - m/s + c*(s - 1.1)^9/(s^2 + 1)^6", {"m": 0.5, "c": -2.0}),
         # f is NaN at the top of the grid, where s^120 overflows
         ("1 + s^2 + 0*s^120", {}),
+        # f is NaN below s = 7.45e-5, where 1e300/s^2 overflows, with the
+        # root below the NaN points or in the cell just above them
+        ("s - 1e-5 + 0*(1e300/s^2)", {}),
+        ("s - c + 0*(1e300/s^2)", {"c": _ABOVE_LAST_NAN}),
+        # below the gap (1, 3), f < 0 down to a root at a, positive under it
+        *[("(s - a)*(s - 2) + 0*sqrt((s - 1)*(s - 3))", {"a": a}) for a in (0.5, 1e-3, on_grid)],
+        # and negative down to the grid's inner edge
+        ("(s - 2)*(s + 1) + 0*sqrt((s - 1)*(s - 3))", {}),
     ]
     cases += [
         ("s - 1", {}),
@@ -246,14 +260,35 @@ class TestHorizonWalk:
         assert custom_profile("1 + s^2 - m*exp(-s)/s", {"m": 5.0}).horizon is not None
         assert len(calls) <= 80
 
-    @pytest.mark.xfail(
-        raises=QuadratureError,
-        reason="f is NaN at the top of the grid (0*inf), and the walk takes "
-        "that for a sign change to refine",
-    )
+    def test_call_budget_below_an_undefined_gap(self, monkeypatch):
+        # f = s - 2 < 0 on the 6,666 grid points below the gap (1, 3), where
+        # blocks bounded above by a negative number are certified; the
+        # point walk took 7,209 calls, about 530 of them on the gap itself
+        calls = _record_values(monkeypatch)
+        assert custom_profile("s - 2 + 0*sqrt((s - 1)*(s - 3))").horizon is None
+        assert len(calls) <= 600
+
     def test_nan_at_the_grid_top_names_the_point(self):
-        with pytest.raises(DomainError, match=r"s=\d"):
+        with pytest.raises(DomainError, match=r"f is NaN at s=1000\.0"):
             custom_profile("1 + s^2 + 0*s^120").horizon
+
+    @pytest.mark.parametrize(
+        "text, params",
+        [
+            ("s - 1e-5 + 0*(1e300/s^2)", {}),
+            # the Sturm count finds the root in the cell above the NaN point
+            ("s - c + 0*(1e300/s^2)", {"c": _ABOVE_LAST_NAN}),
+        ],
+    )
+    def test_nan_below_the_positive_points_names_the_outermost_one(self, text, params):
+        grid = _scan_grid()
+        nan_part = custom_profile("0*(1e300/s^2)")
+        assert math.isnan(nan_part.value(grid[_LAST_NAN]))
+        assert nan_part.value(grid[_LAST_NAN + 1]) == 0.0
+        p = custom_profile(text, params)
+        assert p.rational is not None
+        with pytest.raises(DomainError, match=re.escape("f is NaN at s=%r" % grid[_LAST_NAN])):
+            p.horizon
 
 
 class TestAdsHorizonRadius:
@@ -429,7 +464,12 @@ class TestAsymptotics:
         p = rn_ads(m, 1.0)
         s_lo = max(1e2, 10.0 * p.horizon.radius)
         assert (s_lo > 1e2) == moved
-        seen = _record_values(monkeypatch)
+        # the fit calls the compiled f, not RadialProfile.value
+        seen = []
+        compiled = p.f._compiled
+        monkeypatch.setitem(
+            p.f.__dict__, "_compiled", lambda s, params: seen.append(s) or compiled(s, params)
+        )
         validate_asymptotics(p)
         assert len(seen) == 41
         assert seen[0] == s_lo and seen[-1] == 1e4 * s_lo

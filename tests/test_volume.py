@@ -1,13 +1,26 @@
 """Shell volumes, renormalized volume, and the flow/area lower bounds."""
 
 import math
+import random
 
 import pytest
 
-from renvol.errors import DecayError
-from renvol.metric import ads_schwarzschild, custom_profile, hyperbolic, rn_ads
-from renvol.quadrature import Integral, Tolerance
+from renvol.errors import DecayError, DomainError
+from renvol.expressions import Expression, parse
+from renvol.metric import (
+    RadialProfile,
+    _scan_grid,
+    ads_schwarzschild,
+    custom_profile,
+    hyperbolic,
+    rn_ads,
+    validate_asymptotics,
+)
+from renvol.quadrature import _XGK, Integral, Tolerance
 from renvol.volume import (
+    _difference_integrand,
+    _flow_integrand,
+    _shell_integrand,
     area_lower_bound,
     barrier_clearance,
     flow_time,
@@ -18,7 +31,14 @@ from renvol.volume import (
     volume_between,
 )
 
-from helpers import hyperbolic_ball_volume
+from helpers import (
+    chain_difference_integrand,
+    chain_flow_integrand,
+    chain_shell_integrand,
+    chain_validate_asymptotics,
+    hyperbolic_ball_volume,
+    random_tree,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -74,6 +94,12 @@ class TestRenormalizedVolume:
         assert res.truncation_radius == 1e3
         # compiling the profile must not change the quadrature's path
         assert res.evaluations == 405
+
+    def test_transcendental_evaluations_are_pinned(self):
+        # the float defect path: integrands that call the compiled f and q
+        # must take the quadrature along the same panels
+        res = renormalized_volume(custom_profile("1 + s^2 - m*exp(-s)/s", {"m": 5.0}))
+        assert res.evaluations == 315
 
     def test_tail_matches_leading_order(self):
         # the tail behaves like 2*pi*m/r to leading order
@@ -256,3 +282,123 @@ def test_tight_tolerance_changes_little():
     tight = renormalized_volume(ads_schwarzschild(2.0), Tolerance(rel=1e-12))
     assert loose.value == pytest.approx(tight.value, rel=1e-8)
     assert abs(tight.value - ADS2_RENORMALIZED) <= abs(loose.value - ADS2_RENORMALIZED) + 1e-12
+
+
+# the transcendental profiles of the float defect path, two parameters each
+FLOAT_PROFILES = [
+    (text, {name: x})
+    for text, name, xs in (
+        ("1 + s^2 - m*exp(-s)/s", "m", (2.0, 5.0)),
+        ("1 + s^2 - m*exp(-s^2)/s", "m", (2.0, 8.0)),
+        ("1 + s^2 - m/s^3*exp(-1/s)", "m", (2.0, 5.0)),
+        ("1 + s^2 + c*exp(-s)", "c", (0.1, 1.0)),
+    )
+    for x in xs
+]
+
+
+def _outcome(fn, *args):
+    # repr tells -0.0 from 0.0 and prints inf and nan
+    try:
+        return "value", repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _kronrod_nodes(a, b):
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    return [center - half * x for x in _XGK] + [center + half * x for x in _XGK[:-1]]
+
+
+def _fused_cases():
+    rng = random.Random(1983)
+    cases = [(text, params) for text, params in FLOAT_PROFILES]
+    cases += [(random_tree(rng, 3), {"m": rng.uniform(-4.0, 4.0)}) for _ in range(60)]
+    cases += [
+        # f is NaN at s = 1e3, where 0*s^120 is 0*inf, while q is 0
+        ("1 + s^2 + 0*s^120", {}),
+        # the defect tree cannot be built: DecayError at the first q
+        ("sqrt(1 + 2*s^2 + s^4) - m/s", {"m": 1.0}),
+        ("sqrt(1 + 2*s^2 + s^4) - 2*s^2", {}),
+    ]
+    return cases
+
+
+class TestFusedIntegrands:
+    """The integrands that call each profile's compiled f and q directly,
+    against the chains of public methods they replace (``helpers``): the
+    same value bit for bit, or the same error with the same message."""
+
+    @pytest.mark.parametrize("text, params", _fused_cases())
+    def test_match_the_method_chains(self, text, params):
+        p = RadialProfile(parse(text), params)
+        nodes = [s for a, b in ((1e-6, 1e-3), (0.01, 0.5), (0.5, 2.0), (2.0, 1e3), (1e3, 1e4))
+                 for s in _kronrod_nodes(a, b)]
+        # the remainder integral's s = 1/u, and far points that overflow
+        nodes += [1.0 / u for u in _kronrod_nodes(0.0, 1e-3)] + [1e100, 1e300]
+        points = list(_scan_grid()[::50]) + nodes
+        try:
+            hz = p.horizon
+        except Exception:
+            hz = None
+        if hz is not None:
+            # the core integral's s = s_h + u^2, next to the horizon
+            points += [hz.radius + u * u for u in _kronrod_nodes(0.0, 1.0)]
+        pairs = [
+            (_difference_integrand(p), chain_difference_integrand(p)),
+            (_shell_integrand(p), chain_shell_integrand(p)),
+        ]
+        for fused, chain in pairs:
+            for s in points:
+                assert _outcome(fused, s) == _outcome(chain, s), (text, s)
+        if hz is not None:
+            fused, chain = _flow_integrand(p, hz), chain_flow_integrand(p, hz)
+            times = [u * u for u in _kronrod_nodes(0.0, math.sqrt(3.0))]
+            times += [2.0 * math.log(s / hz.radius) for s in points if s >= hz.radius]
+            for t in [0.0] + times:
+                assert _outcome(fused, t) == _outcome(chain, t), (text, t)
+        want = _outcome(chain_validate_asymptotics, p)
+        assert _outcome(validate_asymptotics, p) == want, text
+
+    def test_cases_reach_every_outcome(self):
+        # the comparison above is only as strong as the outcomes it meets
+        seen = set()
+        for text, params in _fused_cases():
+            p = RadialProfile(parse(text), params)
+            d = chain_difference_integrand(p)
+            for s in list(_scan_grid()[::50]) + [1e100, 1e300]:
+                kind, detail = _outcome(d, s)
+                seen.add(kind)
+                if kind is ValueError:
+                    assert detail.startswith("arguments must be positive, got nan, ")
+        assert {"value", DomainError, DecayError, ValueError} <= seen
+
+    def test_hot_loops_skip_the_method_chain(self, monkeypatch):
+        # renormalized_volume, volume_between, flow_volume_lower_bound and
+        # validate_asymptotics call the compiled functions, not the methods
+        profiles = [custom_profile(text, params) for text, params in FLOAT_PROFILES]
+        profiles += [ads_schwarzschild(2.0), rn_ads(4.0, 1.0), hyperbolic()]
+        for p in profiles:
+            p.horizon  # the walk and the Sturm count call p.value, and stay so
+        calls = []
+        methods = ((RadialProfile, "value"), (RadialProfile, "defect"), (Expression, "evaluate"))
+        for cls, name in methods:
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        for p in profiles:
+            renormalized_volume(p)
+            validate_asymptotics(p)
+            hz = p.horizon
+            lo = hz.radius if hz is not None else 0.0
+            volume_between(p, lo, lo + 2.0)
+            if hz is not None:
+                flow_volume_lower_bound(p, 1.5)
+        assert calls == []
+        # the counters themselves work
+        profiles[0].value(2.0)
+        assert calls == ["value", "evaluate"]
