@@ -4,8 +4,8 @@
 hypotheses (curvature bounded below by -6, an outermost horizon, an area
 at least the model's, admissible decay), then computes both renormalized
 volumes and classifies the margin.  The curvature bound is certified by
-exact Sturm counts for rational profiles and sampled on a grid for
-profiles with exp/log/sqrt.
+exact Sturm counts for rational profiles, and sampled on a grid for
+profiles with exp/log/sqrt, from the mass slope ``RadialProfile.mass_slope``.
 
 The rest of the module is the machinery behind the strictness of that
 comparison when the areas differ: the gap function
@@ -329,7 +329,10 @@ def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     which (s q)' < 0 and R at the lowest of a few points tried there.
     Profiles with exp/log/sqrt, and forms too large for
     ``algebra.small``, are sampled on a 2000-point grid, refined around
-    the sampled minimum: no certificate.
+    the sampled minimum: no certificate.  The samples are R =
+    -6 + 2 (s q)'/s^2 from the normalized ``p.mass_slope``, which does not
+    cancel near a tiny horizon; where it raises DecayError, the check fails
+    with the error.
     """
     if p.rational is None:
         return _sampled_curvature(p, s_lo)
@@ -425,12 +428,20 @@ def _curvature_gap(n, f_den, x):
 
 
 def _sampled_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
+    try:
+        slope = p.mass_slope._compiled
+    except DecayError as exc:
+        return _curvature_fails(str(exc))
+
+    def curvature(s):
+        return -6.0 + 2.0 * slope(s, p.params) / (s * s)
+
     grid = geomspace(s_lo, _CURVATURE_GRID_TOP, _CURVATURE_GRID_POINTS)
-    values = [p.scalar_curvature(s) for s in grid]
+    values = [curvature(s) for s in grid]
     i = _argmin(values)
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    s_min, r_refined = _golden_min(p.scalar_curvature, lo, hi)
+    s_min, r_refined = _golden_min(curvature, lo, hi)
     r_min = min(values[i], r_refined)
     if r_refined > values[i]:
         s_min = grid[i]

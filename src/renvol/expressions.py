@@ -8,22 +8,25 @@ parameters, written in plain infix notation::
 
 The parser produces an immutable tree that supports
 
-* float evaluation with late parameter binding.  The first evaluation of a
-  tree compiles it to a straight-line Python function whose operations run
-  in post-order, left before right, so values and the first error raised
-  are those of a recursive walk; the function is cached on the node,
+* float evaluation with late parameter binding (``evaluate()``),
+* float interval enclosures (``enclose()``): bounds on every value
+  ``evaluate`` returns for s in an interval, or None where some point may
+  raise or give a non-finite value.  The horizon walk uses them to pass
+  over blocks of its grid where f is provably positive,
+* exact rational evaluation (``evaluate_exact()``), kept as an oracle for
+  tests and for the benchmark's tracer; the library evaluates in float
+  only,
 * the profile defect ``1 + s^2 - f`` as a normalized tree whose 1 and s^2
   terms cancel symbolically (``defect()``), cached on the node and
   compiled like any tree,
-* float interval enclosures (``enclose()``): bounds on every value the
-  compiled function returns for s in an interval, or None where some
-  point may raise or give a non-finite value.  The horizon walk uses
-  them to pass over blocks of its grid where f is provably positive,
-* exact rational evaluation, kept as an independent oracle for tests;
-  the library evaluates in float only,
 * symbolic differentiation in ``s`` with constant folding of trivial
   subtrees; the derivative tree is also cached on the node, so a shared
   tree differentiates and compiles f' once.
+
+The three evaluations come from one emitter: each node writes its
+operation once (``_emit``), and the first call of each evaluation compiles
+the tree to a straight-line function, cached on the node, whose operations
+run in post-order, left before right, as in a recursive walk.
 
 ``^`` is restricted to integer literal exponents so that derivatives stay
 inside the language.  The recognised functions are ``exp``, ``log`` and
@@ -51,6 +54,7 @@ __all__ = [
 _FUNCTIONS = ("exp", "log", "sqrt")
 
 _NO_PARAMS: Mapping[str, float] = {}
+_ONE = Fraction(1)
 
 
 class ExactUnsupported(Exception):
@@ -73,13 +77,13 @@ class Expression(Record):
         return self._compiled(float(s), params if params is not None else _NO_PARAMS)
 
     def evaluate_exact(self, s, params: Mapping[str, Fraction] | None = None) -> Fraction:
-        """Evaluate with exact rational arithmetic.
+        """The operations of ``evaluate`` in exact rational arithmetic.
 
-        Raises ExactUnsupported if the tree contains exp/log/sqrt.  Domain
-        violations (division by zero) raise DomainError exactly as in the
-        float path.
+        Raises ExactUnsupported at an exp/log/sqrt node, before its
+        argument runs.  Domain violations (division by zero) raise
+        DomainError exactly as in the float path.
         """
-        return self._eval_exact(Fraction(s), params if params is not None else _NO_PARAMS)
+        return self._exact(Fraction(s), params if params is not None else _NO_PARAMS)
 
     def enclose(
         self, lo: float, hi: float, params: Mapping[str, float] | None = None
@@ -88,8 +92,9 @@ class Expression(Record):
         in ``[lo, hi]``, or None when they cannot be given.
 
         The bounds hold for the float results, not only for the exact
-        ones: the enclosure follows the compiled operations in their order,
-        powers included, with round-to-nearest.  That rounding is monotone,
+        ones: the tree compiles, once, to interval code that follows the
+        float operations of ``evaluate`` in their order, powers included,
+        with round-to-nearest.  That rounding is monotone,
         so for ``+ - * /`` the ends computed from the operands' ends bound
         every result from operands inside.  exp and log are not correctly
         rounded, so not monotone either, but they stay within 1 ulp of the
@@ -108,7 +113,7 @@ class Expression(Record):
         """
         try:
             lo, hi = _finite(float(lo), float(hi))
-            return self._enclose(lo, hi, params if params is not None else _NO_PARAMS)
+            return self._enclosure(lo, hi, params if params is not None else _NO_PARAMS)
         except _Unbounded:
             return None
 
@@ -148,7 +153,15 @@ class Expression(Record):
 
     @cached_property
     def _compiled(self):
-        return _compile(self)
+        return _compile(self, "value")
+
+    @cached_property
+    def _enclosure(self):
+        return _compile(self, "interval")
+
+    @cached_property
+    def _exact(self):
+        return _compile(self, "exact")
 
     @cached_property
     def _derivative(self):
@@ -177,18 +190,12 @@ class Expression(Record):
     def __getstate__(self):
         # functions built by exec do not pickle; copies recompile on first use
         state = dict(self.__dict__)
-        state.pop("_compiled", None)
+        for name in ("_compiled", "_enclosure", "_exact"):
+            state.pop(name, None)
         return state
 
-    def _emit(self, code: _Code) -> str:
+    def _emit(self, code: _Code):
         """Append this node's statements to ``code``; return its operand."""
-        raise NotImplementedError
-
-    def _eval_exact(self, s, params):
-        raise NotImplementedError
-
-    def _enclose(self, lo, hi, params) -> tuple[float, float]:
-        """Finite bounds over [lo, hi]; raises _Unbounded (see ``enclose``)."""
         raise NotImplementedError
 
     # precedence used for printing; higher binds tighter
@@ -215,12 +222,6 @@ class Num(Expression):
     def _emit(self, code):
         return code.constant(self.value)
 
-    def _eval_exact(self, s, params):
-        return Fraction(self.value)
-
-    def _enclose(self, lo, hi, params):
-        return _finite(self.value, self.value)
-
     def _normal(self, atoms):
         if not math.isfinite(self.value):
             return _atom(self, 1, atoms)
@@ -239,13 +240,7 @@ class Var(Expression):
     _prec = 9
 
     def _emit(self, code):
-        return "s"
-
-    def _eval_exact(self, s, params):
-        return s
-
-    def _enclose(self, lo, hi, params):
-        return lo, hi
+        return code.s
 
     def _normal(self, atoms):
         return {((1, "s", 1),): _ONE}
@@ -263,31 +258,7 @@ class Param(Expression):
     _prec = 9
 
     def _emit(self, code):
-        # one read per name, at its first position in post-order
-        name = code.params.get(self.name)
-        if name is None:
-            name = code.params[self.name] = code.temp()
-            code.lines += [
-                "try:",
-                "    %s = float(params[%r])" % (name, self.name),
-                "except KeyError:",
-                "    raise EvaluationError(%r) from None"
-                % ("unbound parameter '%s'" % self.name),
-            ]
-        return name
-
-    def _eval_exact(self, s, params):
-        try:
-            return Fraction(params[self.name])
-        except KeyError:
-            raise EvaluationError("unbound parameter '%s'" % self.name) from None
-
-    def _enclose(self, lo, hi, params):
-        try:
-            value = float(params[self.name])
-        except KeyError:
-            raise EvaluationError("unbound parameter '%s'" % self.name) from None
-        return _finite(value, value)
+        return code.param(self.name)
 
     def _normal(self, atoms):
         return {((0, self.name, 1),): _ONE}
@@ -308,14 +279,7 @@ class Neg(Expression):
     _prec = 2
 
     def _emit(self, code):
-        return code.assign("-" + self.arg._emit(code))
-
-    def _eval_exact(self, s, params):
-        return -self.arg._eval_exact(s, params)
-
-    def _enclose(self, lo, hi, params):
-        a_lo, a_hi = self.arg._enclose(lo, hi, params)
-        return -a_hi, -a_lo
+        return code.neg(self.arg._emit(code))
 
     def _normal(self, atoms):
         return _padd({}, self.arg._normal(atoms), -1)
@@ -338,16 +302,7 @@ class Add(_Binary):
     _prec = 1
 
     def _emit(self, code):
-        left = self.left._emit(code)
-        return code.assign("%s + %s" % (left, self.right._emit(code)))
-
-    def _eval_exact(self, s, params):
-        return self.left._eval_exact(s, params) + self.right._eval_exact(s, params)
-
-    def _enclose(self, lo, hi, params):
-        a_lo, a_hi = self.left._enclose(lo, hi, params)
-        b_lo, b_hi = self.right._enclose(lo, hi, params)
-        return _finite(a_lo + b_lo, a_hi + b_hi)
+        return code.binary(self.left._emit(code), "+", self.right._emit(code))
 
     def _normal(self, atoms):
         return _padd(self.left._normal(atoms), self.right._normal(atoms), 1)
@@ -363,16 +318,7 @@ class Sub(_Binary):
     _prec = 1
 
     def _emit(self, code):
-        left = self.left._emit(code)
-        return code.assign("%s - %s" % (left, self.right._emit(code)))
-
-    def _eval_exact(self, s, params):
-        return self.left._eval_exact(s, params) - self.right._eval_exact(s, params)
-
-    def _enclose(self, lo, hi, params):
-        a_lo, a_hi = self.left._enclose(lo, hi, params)
-        b_lo, b_hi = self.right._enclose(lo, hi, params)
-        return _finite(a_lo - b_hi, a_hi - b_lo)
+        return code.binary(self.left._emit(code), "-", self.right._emit(code))
 
     def _normal(self, atoms):
         return _padd(self.left._normal(atoms), self.right._normal(atoms), -1)
@@ -388,14 +334,7 @@ class Mul(_Binary):
     _prec = 3
 
     def _emit(self, code):
-        left = self.left._emit(code)
-        return code.assign("%s * %s" % (left, self.right._emit(code)))
-
-    def _eval_exact(self, s, params):
-        return self.left._eval_exact(s, params) * self.right._eval_exact(s, params)
-
-    def _enclose(self, lo, hi, params):
-        return _imul(self.left._enclose(lo, hi, params), self.right._enclose(lo, hi, params))
+        return code.binary(self.left._emit(code), "*", self.right._emit(code))
 
     def _normal(self, atoms):
         return _pmul(self.left._normal(atoms), self.right._normal(atoms))
@@ -415,21 +354,7 @@ class Div(_Binary):
     def _emit(self, code):
         num = self.left._emit(code)
         den = self.right._emit(code)
-        code.lines += [
-            "if %s == 0.0:" % den,
-            "    raise DomainError(%r)" % ("division by zero in '%s'" % self),
-        ]
-        return code.assign("%s / %s" % (num, den))
-
-    def _eval_exact(self, s, params):
-        num = self.left._eval_exact(s, params)
-        den = self.right._eval_exact(s, params)
-        if den == 0:
-            raise DomainError("division by zero in '%s'" % self)
-        return num / den
-
-    def _enclose(self, lo, hi, params):
-        return _idiv(self.left._enclose(lo, hi, params), self.right._enclose(lo, hi, params))
+        return code.divide(num, den, "division by zero in '%s'" % self)
 
     def _normal(self, atoms):
         num = self.left._normal(atoms)
@@ -459,51 +384,6 @@ def _ipow(base, exponent):
     return result
 
 
-# ---------------------------------------------------------------------------
-# float interval arithmetic (used by enclose())
-
-_INF = math.inf
-# nextafter steps that widen an exp, log or sqrt result; see enclose()
-_ULPS = 4
-
-
-def _finite(lo, hi):
-    # a NaN end fails both comparisons
-    if -_INF < lo and hi < _INF:
-        return lo, hi
-    raise _Unbounded
-
-
-def _imul(a, b):
-    # the product is bilinear, so its extremes lie at the corners
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _finite(min(p), max(p))
-
-
-def _isquare(a):
-    # x*x grows with |x|, so one interval squares tighter than two
-    lo, hi = a
-    if lo >= 0.0:
-        return _finite(lo * lo, hi * hi)
-    if hi <= 0.0:
-        return _finite(hi * hi, lo * lo)
-    return _finite(0.0, max(lo * lo, hi * hi))
-
-
-def _idiv(a, b):
-    if b[0] <= 0.0 <= b[1]:
-        raise _Unbounded
-    q = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
-    return _finite(min(q), max(q))
-
-
-def _widen(lo, hi):
-    for _ in range(_ULPS):
-        lo = math.nextafter(lo, -_INF)
-        hi = math.nextafter(hi, _INF)
-    return _finite(lo, hi)
-
-
 class Pow(Expression):
     base: Expression
     exponent: int
@@ -511,39 +391,11 @@ class Pow(Expression):
     _prec = 5
 
     def _emit(self, code):
-        b = self.base._emit(code)
-        n = self.exponent
-        if n >= 0:
-            return code.ipow(b, n)
+        power = code.ipow(self.base._emit(code), abs(self.exponent))
+        if self.exponent >= 0:
+            return power
         # testing the power, not the base, also catches b^-n underflowing to 0
-        power = code.ipow(b, -n)
-        code.lines += [
-            "if %s == 0.0:" % power,
-            "    raise DomainError(%r)" % ("zero raised to negative power in '%s'" % self),
-        ]
-        return code.assign("1.0 / %s" % power)
-
-    def _eval_exact(self, s, params):
-        b = self.base._eval_exact(s, params)
-        n = self.exponent
-        if n < 0 and b == 0:
-            raise DomainError("zero raised to negative power in '%s'" % self)
-        return b ** n
-
-    def _enclose(self, lo, hi, params):
-        # the multiplication sequence of _Code.ipow, a square enclosed as one
-        power = None
-        acc = self.base._enclose(lo, hi, params)
-        k = abs(self.exponent)
-        while k:
-            if k & 1:
-                power = acc if power is None else _imul(power, acc)
-            k >>= 1
-            if k:
-                acc = _isquare(acc)
-        if power is None:
-            return 1.0, 1.0
-        return power if self.exponent > 0 else _idiv((1.0, 1.0), power)
+        return code.divide(code.one, power, "zero raised to negative power in '%s'" % self)
 
     def _normal(self, atoms):
         return _ppow(self.base._normal(atoms), self.exponent, atoms)
@@ -566,35 +418,8 @@ class Call(Expression):
     _has_call = True
 
     def _emit(self, code):
-        x = self.arg._emit(code)
-        fn = {"exp": "_exp", "log": "_log"}.get(self.func, "_sqrt")
-        name = code.temp()
-        code.lines += [
-            "try:",
-            "    %s = %s(%s)" % (name, fn, x),
-            "except (ValueError, OverflowError):",
-            "    raise DomainError(%r %% (%r, %s, %r)) from None"
-            % ("%s of out-of-range value %r in '%s'", self.func, x, str(self)),
-        ]
-        return name
-
-    def _eval_exact(self, s, params):
-        raise ExactUnsupported(self.func)
-
-    def _enclose(self, lo, hi, params):
-        a_lo, a_hi = self.arg._enclose(lo, hi, params)
-        if self.func == "exp":
-            try:
-                return _widen(math.exp(a_lo), math.exp(a_hi))
-            except OverflowError:
-                raise _Unbounded from None
-        if self.func == "log":
-            if not a_lo > 0.0:
-                raise _Unbounded
-            return _widen(math.log(a_lo), math.log(a_hi))
-        if a_lo < 0.0:
-            raise _Unbounded
-        return _widen(math.sqrt(a_lo), math.sqrt(a_hi))
+        # the argument is emitted by the call: exact code refuses before it
+        return code.call(self.func, self.arg, self)
 
     def _normal(self, atoms):
         arg = _emit_normal(self.arg._normal(atoms), atoms)
@@ -613,62 +438,209 @@ class Call(Expression):
 
 
 # ---------------------------------------------------------------------------
+# float interval arithmetic (the operations of interval code; see enclose())
+
+_INF = math.inf
+# nextafter steps that widen an exp, log or sqrt result; see enclose()
+_ULPS = 4
+
+
+def _finite(lo, hi):
+    # a NaN end fails both comparisons
+    if -_INF < lo and hi < _INF:
+        return lo, hi
+    raise _Unbounded
+
+
+def _imul(a_lo, a_hi, b_lo, b_hi):
+    # the product is bilinear, so its extremes lie at the corners
+    p = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return _finite(min(p), max(p))
+
+
+def _isquare(lo, hi):
+    # x*x grows with |x|, so one interval squares tighter than two
+    if lo >= 0.0:
+        return _finite(lo * lo, hi * hi)
+    if hi <= 0.0:
+        return _finite(hi * hi, lo * lo)
+    return _finite(0.0, max(lo * lo, hi * hi))
+
+
+def _idiv(a_lo, a_hi, b_lo, b_hi):
+    if b_lo <= 0.0 <= b_hi:
+        raise _Unbounded
+    q = (a_lo / b_lo, a_lo / b_hi, a_hi / b_lo, a_hi / b_hi)
+    return _finite(min(q), max(q))
+
+
+def _icall(fn, lo, hi):
+    # exp, log and sqrt are increasing; each raises where the float call
+    # would, at a log argument <= 0, a sqrt argument < 0 or an exp overflow
+    try:
+        lo, hi = fn(lo), fn(hi)
+    except (ValueError, OverflowError):
+        raise _Unbounded from None
+    for _ in range(_ULPS):
+        lo = math.nextafter(lo, -_INF)
+        hi = math.nextafter(hi, _INF)
+    return _finite(lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # compilation to a straight-line function
 
 _GLOBALS = {
     "_exp": math.exp,
     "_log": math.log,
     "_sqrt": math.sqrt,
+    "_icall": _icall,
+    "_finite": _finite,
+    "_imul": _imul,
+    "_isquare": _isquare,
+    "_idiv": _idiv,
+    "_Fraction": Fraction,
+    "_ONE": _ONE,
     "DomainError": DomainError,
     "EvaluationError": EvaluationError,
+    "ExactUnsupported": ExactUnsupported,
 }
 
 
 class _Code:
-    """Source lines of one compiled tree; temporaries are t1, t2, ..."""
+    """Source lines of one compiled tree; temporaries are t1, t2, ...
 
-    def __init__(self):
+    The mode is "value" (floats), "interval" (float bounds over ``[lo, hi]``,
+    each operand a pair; see ``enclose``) or "exact" (``Fraction``s).
+    """
+
+    def __init__(self, mode):
+        self.mode = mode
         self.lines = []
-        self.params = {}  # parameter name -> temporary holding its value
+        self.params = {}  # parameter name -> operand holding its value
         self.constants = {}  # global name -> value with no exact literal
         self.count = 0
+        self.s = ("lo", "hi") if mode == "interval" else "s"
+        self.one = {"value": "1.0", "interval": ("1.0", "1.0"), "exact": "_ONE"}[mode]
 
     def temp(self):
         self.count += 1
         return "t%d" % self.count
 
     def assign(self, rhs):
+        """A new operand holding ``rhs``; in interval code, a pair."""
+        if self.mode == "interval":
+            pair = self.temp(), self.temp()
+            self.lines.append("%s, %s = %s" % (pair + (rhs,)))
+            return pair
         name = self.temp()
         self.lines.append("%s = %s" % (name, rhs))
         return name
 
     def constant(self, value):
+        # exact and interval code convert at the literal's position, and a
+        # non-finite literal raises there, as a recursive walk would
         if type(value) is float and math.isfinite(value):
-            return repr(value)  # repr round-trips, -0.0 included
-        name = "k%d" % len(self.constants)
-        self.constants[name] = value
-        return name
+            literal = repr(value)  # repr round-trips, -0.0 included
+        else:
+            literal = "k%d" % len(self.constants)
+            self.constants[literal] = value
+        if self.mode == "value":
+            return literal
+        if self.mode == "exact":
+            return self.assign("_Fraction(%s)" % literal)
+        if literal in self.constants:
+            return self.assign("_finite(%s, %s)" % (literal, literal))
+        return literal, literal
+
+    def param(self, name):
+        # one read per name, at its first position in post-order
+        operand = self.params.get(name)
+        if operand is None:
+            value = self.temp()
+            self.lines += [
+                "try:",
+                "    %s = %s(params[%r])"
+                % (value, "_Fraction" if self.mode == "exact" else "float", name),
+                "except KeyError:",
+                "    raise EvaluationError(%r) from None" % ("unbound parameter '%s'" % name),
+            ]
+            if self.mode == "interval":
+                value = self.assign("_finite(%s, %s)" % (value, value))
+            operand = self.params[name] = value
+        return operand
+
+    def neg(self, x):
+        if self.mode == "interval":
+            return self.assign("-%s, -%s" % (x[1], x[0]))
+        return self.assign("-" + x)
+
+    def binary(self, left, op, right):
+        """``left op right`` for op in + - *."""
+        if self.mode != "interval":
+            return self.assign("%s %s %s" % (left, op, right))
+        if op == "+":
+            return self.assign("_finite(%s + %s, %s + %s)" % (left[0], right[0], left[1], right[1]))
+        if op == "-":
+            return self.assign("_finite(%s - %s, %s - %s)" % (left[0], right[1], left[1], right[0]))
+        return self.assign("_imul(%s, %s, %s, %s)" % (left + right))
+
+    def divide(self, num, den, message):
+        """``num / den``, raising DomainError(message) on a zero divisor;
+        interval code refuses a divisor whose bounds hold 0."""
+        if self.mode == "interval":
+            return self.assign("_idiv(%s, %s, %s, %s)" % (num + den))
+        self.lines += ["if %s == 0.0:" % den, "    raise DomainError(%r)" % message]
+        return self.assign("%s / %s" % (num, den))
 
     def ipow(self, base, exponent):
-        """_ipow's multiplication sequence, without its exact leading 1.0*."""
+        """_ipow's multiplication sequence, without its exact leading 1.0*;
+        interval code encloses each square as one."""
         result = None
         acc = base
         k = exponent
         while k:
             if k & 1:
-                result = acc if result is None else self.assign("%s * %s" % (result, acc))
+                result = acc if result is None else self.binary(result, "*", acc)
             k >>= 1
             if k:
-                acc = self.assign("%s * %s" % (acc, acc))
-        return "1.0" if result is None else result
+                if self.mode == "interval":
+                    acc = self.assign("_isquare(%s, %s)" % acc)
+                else:
+                    acc = self.binary(acc, "*", acc)
+        return self.one if result is None else result
+
+    def call(self, func, arg, node):
+        """``func(arg)``; exact code raises ExactUnsupported before the
+        argument runs."""
+        if self.mode == "exact":
+            self.lines.append("raise ExactUnsupported(%r)" % func)
+            return "None"
+        x = arg._emit(self)
+        if self.mode == "interval":
+            return self.assign("_icall(_%s, %s, %s)" % ((func,) + x))
+        name = self.temp()
+        self.lines += [
+            "try:",
+            "    %s = _%s(%s)" % (name, func, x),
+            "except (ValueError, OverflowError):",
+            "    raise DomainError(%r %% (%r, %s, %r)) from None"
+            % ("%s of out-of-range value %r in '%s'", func, x, str(node)),
+        ]
+        return name
 
 
-def _compile(expr):
-    """Build ``fn(s, params)`` that evaluates ``expr`` like a post-order walk."""
-    code = _Code()
+def _compile(expr, mode):
+    """Build the function of ``expr`` in ``mode`` (see ``_Code``):
+    ``fn(s, params)``, or ``fn(lo, hi, params)`` returning a pair in
+    interval mode.  It runs the operations like a post-order walk."""
+    code = _Code(mode)
     result = expr._emit(code)
+    args = "s"
+    if mode == "interval":
+        args, result = "lo, hi", "%s, %s" % result
     body = "".join("    %s\n" % line for line in code.lines)
-    source = "def compiled(s, params):\n%s    return %s\n" % (body, result)
+    source = "def compiled(%s, params):\n%s    return %s\n" % (args, body, result)
     namespace = dict(_GLOBALS, **code.constants)
     exec(compile(source, "<expression>", "exec"), namespace)
     # popped so that the function and its globals form no reference cycle
@@ -751,7 +723,6 @@ def _neg(a):
 # ---------------------------------------------------------------------------
 # normal form of the defect 1 + s^2 - f (used by defect())
 
-_ONE = Fraction(1)
 # beyond this many terms a power of a sum stays unexpanded, as an atom
 _MAX_TERMS = 256
 

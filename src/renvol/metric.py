@@ -13,7 +13,7 @@ and q'.
 
 Closed-form geometry used throughout:
 
-    scalar curvature   R(s) = 2*(1 - f - s*f')/s^2
+    scalar curvature   R(s) = 2*(1 - f - s*f')/s^2 = -6 + 2*(s*q)'/s^2
     mean curvature     H(s) = 2*sqrt(f)/s          (coordinate sphere)
     quasi-local mass   m_H(s) = 32*pi^(3/2)*s*q(s)
 
@@ -39,22 +39,24 @@ first sign change it meets.  The walk skips blocks of grid points on
 which ``Expression.enclose`` bounds the float values of f away from zero,
 with the sign of the last value seen: no point there can be a zero or a
 sign change, so the walk needs f only at each block's lowest point and
-finds what a point-by-point walk finds.  A NaN f on the walk raises
-DomainError naming the point.  Either way the refinement is the same
-call, so both give the same radius bit for bit.  Model profiles carry
-their closed-form horizon from ``ads_horizon_radius`` and search nothing.
+finds what a point-by-point walk finds.  The enclosure is compiled once,
+by the emitter of f, and follows f's float operations.  A NaN f on the
+walk raises DomainError naming the point.  Either way the refinement is
+the same call, so both give the same radius bit for bit.  Model profiles
+carry their closed-form horizon from ``ads_horizon_radius`` and search
+nothing.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Mapping
 
 from . import algebra
 from .errors import DecayError, DomainError
-from .expressions import Expression, parse
+from .expressions import Expression, Mul, Sub, Var, parse
 from .quadrature import find_root_bracketed, fit_slope, geomspace
 from .records import Record
 
@@ -225,6 +227,13 @@ class RadialProfile(Record):
     def dq(self) -> Expression:
         """q' as a tree, the derivative of ``q``; shared like ``q``."""
         return self.q.derivative()
+
+    @cached_property
+    def mass_slope(self) -> Expression:
+        """(s q)' as the derivative of the defect of ``1 + s^2 - s*q``: s q
+        normalized like ``q`` (a model's is m, of slope 0).  Shared like
+        ``q``; raises DecayError where the defect does."""
+        return _mass_slope(self.q)
 
     def value(self, s: float) -> float:
         """f(s)."""
@@ -453,6 +462,11 @@ def ads_horizon_radius(m: float) -> float:
             return nxt
         x = nxt
     return x
+
+
+@lru_cache(maxsize=256)  # as many as parse keeps
+def _mass_slope(q: Expression) -> Expression:
+    return Sub(_HYPERBOLIC, Mul(Var(), q)).defect().derivative()
 
 
 def _defect_kernels(p: RadialProfile):

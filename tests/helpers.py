@@ -1,11 +1,11 @@
 """Shared independent oracles for the test suite.
 
 Everything here is deliberately dumb: plain bisection, composite
-Simpson, central differences, one closed-form antiderivative, a
-recursive expression walk, a forward horizon scan and the volume and
-decay-fit integrands as chains of the profile's public methods.  The
-point is that none of it shares code (or failure modes) with the
-library's adaptive machinery.
+Simpson, central differences, one closed-form antiderivative, recursive
+expression walks in float, interval and Fraction arithmetic, a forward
+horizon scan and the volume and decay-fit integrands as chains of the
+profile's public methods.  The point is that none of it shares code (or
+failure modes) with the library's adaptive machinery.
 """
 
 import math
@@ -131,6 +131,113 @@ def walk_evaluate(expr, s, params=None):
         raise TypeError("unknown node %r" % (e,))
 
     return walk(expr)
+
+
+class _Unbounded(Exception):
+    pass
+
+
+def _finite(lo, hi):
+    if -math.inf < lo and hi < math.inf:
+        return lo, hi
+    raise _Unbounded
+
+
+def _corners(pairs):
+    return _finite(min(pairs), max(pairs))
+
+
+def _widened(lo, hi):
+    # 4 nextafter steps outward: 2 ulps of exp/log error, see Expression.enclose
+    for _ in range(4):
+        lo = math.nextafter(lo, -math.inf)
+        hi = math.nextafter(hi, math.inf)
+    return _finite(lo, hi)
+
+
+def walk_enclose(expr, lo, hi, params=None):
+    """Bounds on an expression tree over ``[lo, hi]`` by plain recursion,
+    or None.
+
+    The reference for the compiled ``Expression.enclose``: interval
+    operations in the order of the float operations, squares enclosed as
+    one, exp/log/sqrt widened by 4 ulp steps, and None wherever an end is
+    not finite or a point may raise DomainError.
+    """
+    params = {} if params is None else params
+
+    def mul(a, b):
+        return _corners((a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]))
+
+    def div(a, b):
+        if b[0] <= 0.0 <= b[1]:
+            raise _Unbounded
+        return _corners((a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1]))
+
+    def square(a):
+        a_lo, a_hi = a
+        if a_lo >= 0.0:
+            return _finite(a_lo * a_lo, a_hi * a_hi)
+        if a_hi <= 0.0:
+            return _finite(a_hi * a_hi, a_lo * a_lo)
+        return _finite(0.0, max(a_lo * a_lo, a_hi * a_hi))
+
+    def walk(e):
+        if isinstance(e, Num):
+            return _finite(e.value, e.value)
+        if isinstance(e, Var):
+            return s_lo, s_hi
+        if isinstance(e, Param):
+            try:
+                value = float(params[e.name])
+            except KeyError:
+                raise EvaluationError("unbound parameter '%s'" % e.name) from None
+            return _finite(value, value)
+        if isinstance(e, Neg):
+            a_lo, a_hi = walk(e.arg)
+            return -a_hi, -a_lo
+        if isinstance(e, Pow):
+            # binary exponentiation, multiplied out in the same order
+            power = None
+            acc = walk(e.base)
+            k = abs(e.exponent)
+            while k:
+                if k & 1:
+                    power = acc if power is None else mul(power, acc)
+                k >>= 1
+                if k:
+                    acc = square(acc)
+            if power is None:
+                return 1.0, 1.0
+            return power if e.exponent > 0 else div((1.0, 1.0), power)
+        if isinstance(e, Call):
+            a_lo, a_hi = walk(e.arg)
+            if e.func == "exp":
+                try:
+                    return _widened(math.exp(a_lo), math.exp(a_hi))
+                except OverflowError:
+                    raise _Unbounded from None
+            if e.func == "log":
+                if not a_lo > 0.0:
+                    raise _Unbounded
+                return _widened(math.log(a_lo), math.log(a_hi))
+            if a_lo < 0.0:
+                raise _Unbounded
+            return _widened(math.sqrt(a_lo), math.sqrt(a_hi))
+        a, b = walk(e.left), walk(e.right)
+        if isinstance(e, Add):
+            return _finite(a[0] + b[0], a[1] + b[1])
+        if isinstance(e, Sub):
+            return _finite(a[0] - b[1], a[1] - b[0])
+        if isinstance(e, Mul):
+            return mul(a, b)
+        return div(a, b)
+
+    try:
+        s_lo, s_hi = _finite(float(lo), float(hi))
+        return walk(expr)
+    except _Unbounded:
+        return None
 
 
 def exact_walk(expr, s, params=None):

@@ -302,14 +302,14 @@ class TestCompareVolumes:
             compare_volumes(ads_schwarzschild(2.0), -1.0)
 
     def test_nan_curvature_fails_the_check(self):
-        # the exp factor keeps the tree on the sampled path; s^90 overflows
-        # beyond s = 2657, so R is NaN at the top of the grid, and the first
-        # NaN is the sampled minimum and the check fails on it
-        p = custom_profile("1 + s^2 - m/s + (s^90 - s^90)*exp(-s)", {"m": 2.0})
+        # the sqrt keeps the tree on the sampled path; s^90 overflows beyond
+        # s = 2657, so R is NaN at the top of the grid, and the first NaN is
+        # the sampled minimum and the check fails on it
+        p = custom_profile("1 + s^2 - m/s + c*sqrt(s^90)/s^46", {"m": 2.0, "c": 1e-3})
         report = compare_volumes(p, 2.0)
         check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
         assert not check.passed
-        assert check.detail == "R(s = 2677.4) = nan falls below -6 (sampled witness)"
+        assert check.detail == "R(s = 2677.31) = nan falls below -6 (sampled witness)"
         assert report.verdict == "hypothesis_failed"
 
     def test_rational_overflow_is_certified_exactly(self):

@@ -135,15 +135,11 @@ class TestModelSelfComparison:
         # (s_h = 1e3 at m = 1e9)
         assert compare_volumes(ads_schwarzschild(m), m).verdict == "equality"
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the sampled curvature grid for exp/log/sqrt trees evaluates "
-        "R = 2(1 - f - s f')/s^2 in float, which cancels near a tiny horizon: "
-        "R(s = 1.00644e-05) = -6.00000523 at m = 1e-5 gives hypothesis_failed",
-    )
     @pytest.mark.parametrize("m", [1e-5, 1e-4])
     def test_tiny_mass_curvature_sampled(self, m):
-        # the rational twin 1 + s^2 - m/s is certified and gives equality
+        # R = 2(1 - f - s f')/s^2 gave -6.00000523 at s = 1.00644e-05 for
+        # m = 1e-5; the sampled R = -6 + 2 (s q)'/s^2 has (s q)' = 0 exactly,
+        # as the rational twin 1 + s^2 - m/s, which is certified
         p = custom_profile("1 + s^2 - m/s + 0*exp(-s)", {"m": m})
         assert compare_volumes(p, m).verdict == "equality"
 

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from renvol.expressions import (
 )
 from renvol.metric import _scan_grid, ads_schwarzschild, custom_profile
 
-from helpers import fd_derivative, random_tree, walk_evaluate
+from helpers import exact_walk, fd_derivative, random_tree, walk_enclose, walk_evaluate
 
 
 @pytest.mark.parametrize(
@@ -221,9 +222,9 @@ class TestCompiledEvaluation:
         compiled = []
         compile_ = renvol.expressions._compile
 
-        def counting(expr):
+        def counting(expr, mode):
             compiled.append(expr)
-            return compile_(expr)
+            return compile_(expr, mode)
 
         monkeypatch.setattr(renvol.expressions, "_compile", counting)
         return compiled
@@ -363,6 +364,19 @@ def test_derivative_printout_round_trips():
         assert again.evaluate(s, {"m": 3.0}) == d.evaluate(s, {"m": 3.0})
 
 
+def _exact_outcome(fn, *args):
+    # exact_walk's errors under the names evaluate_exact gives them
+    try:
+        value = fn(*args)
+    except (ExactUnsupported, TypeError):
+        return "unsupported", None
+    except (DomainError, ZeroDivisionError):
+        return "domain", None
+    except (EvaluationError, KeyError):
+        return "unbound", None
+    return type(value), value
+
+
 class TestExactEvaluation:
     def test_rational_profile_is_exact(self):
         expr = parse("1 + s^2 - m/s")
@@ -376,11 +390,43 @@ class TestExactEvaluation:
         with pytest.raises(ExactUnsupported):
             parse("exp(s)").evaluate_exact(Fraction(1))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        s=st.one_of(st.sampled_from([0.0, 1.0, 2.0, 0.5, -1.0]), st.floats(-10.0, 10.0)),
+        m=st.one_of(st.none(), st.sampled_from([0.0, 2.0]), st.floats(-4.0, 4.0)),
+    )
+    def test_random_trees_match_the_walk(self, seed, s, m):
+        # equal Fractions, or a failure of the same kind
+        expr = parse(random_tree(random.Random(seed), 3))
+        params = {} if m is None else {"m": m}
+        want = _exact_outcome(exact_walk, expr, s, params)
+        assert _exact_outcome(expr.evaluate_exact, s, params) == want, str(expr)
+
+    @pytest.mark.parametrize("text,want", [("s^0", 1), ("(s - 1)^0", 1), ("2^-1", Fraction(1, 2))])
+    def test_powers_stay_exact(self, text, want):
+        got = parse(text).evaluate_exact(1)
+        assert type(got) is Fraction and got == want
+
+    def test_first_refusal_in_post_order_wins(self):
+        with pytest.raises(DomainError, match="division by zero"):
+            parse("1/(s - 1) + exp(s)").evaluate_exact(1)
+        # the call refuses before its argument runs
+        with pytest.raises(ExactUnsupported):
+            parse("exp(1/(s - 1))").evaluate_exact(1)
+
+    def test_unbound_parameter_is_an_evaluation_error(self):
+        with pytest.raises(EvaluationError, match="unbound parameter 'm'"):
+            parse("1 + s^2 - m/s").evaluate_exact(1)
+
 
 def _check_enclosure(expr, points, params):
-    """Enclose ``expr`` over the span of ``points`` and hold every value
-    at them to the bounds; returns the bounds, or None."""
+    """Enclose ``expr`` over the span of ``points``, require the bounds of
+    the recursive walk in helpers bit for bit, and hold every value at the
+    points to them; returns the bounds, or None."""
     bounds = expr.enclose(points[0], points[-1], params)
+    # repr tells -0.0 from 0.0
+    assert repr(bounds) == repr(walk_enclose(expr, points[0], points[-1], params)), str(expr)
     for s in points:
         try:
             value = expr.evaluate(s, params)
@@ -454,9 +500,21 @@ class TestEnclosure:
             assert lo < fn(2.0) < hi
         assert parse("s").enclose(1.0, 2.0) == (1.0, 2.0)
 
+    def test_non_finite_literal_or_parameter_refuses(self):
+        # exp(-inf) evaluates to 0.0, but an infinite end gives no bounds
+        for text, params in (("exp(-1e400)", None), ("exp(-m)", {"m": math.inf})):
+            assert parse(text).enclose(1.0, 2.0, params) is None
+            assert walk_enclose(parse(text), 1.0, 2.0, params) is None
+
     def test_unbound_parameter_is_an_evaluation_error(self):
-        with pytest.raises(EvaluationError, match="unbound parameter 'm'"):
-            parse("1 + s^2 - m/s").enclose(1.0, 2.0)
+        expr = parse("1 + s^2 - m/s")
+        for enclose in (expr.enclose, partial(walk_enclose, expr)):
+            with pytest.raises(EvaluationError, match="unbound parameter 'm'"):
+                enclose(1.0, 2.0)
+        # the first refusal in post-order wins: None before the unbound m
+        assert parse("exp(s^4) + m").enclose(100.0, 200.0) is None
+        with pytest.raises(EvaluationError):
+            parse("m + exp(s^4)").enclose(100.0, 200.0)
 
 
 class TestProfileText:

@@ -217,11 +217,18 @@ def test_validation_messages(build, message):
 
 def test_cached_properties_live_in_the_instance_dict():
     tree = Add(Num(1.0), Mul(Var(), Var()))
-    assert "_compiled" not in vars(tree)
+    compiled = {"_compiled", "_enclosure", "_exact"}
+    assert not compiled & set(vars(tree))
     assert tree.evaluate(2.0) == 5.0
-    assert "_compiled" in vars(tree)
-    clone = pickle.loads(pickle.dumps(tree))
-    assert "_compiled" not in vars(clone) and clone.evaluate(2.0) == 5.0
+    assert tree.enclose(1.0, 2.0) == (2.0, 5.0)
+    assert tree.evaluate_exact(2) == 5
+    assert compiled <= set(vars(tree))
+    # the functions built by exec are dropped, and compiled again on use
+    for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
+        assert not compiled & set(vars(clone)) and clone == tree
+        assert clone.evaluate(2.0) == 5.0
+        assert clone.enclose(1.0, 2.0) == (2.0, 5.0)
+        assert clone.evaluate_exact(2) == 5
 
     p = metric.ads_schwarzschild(2.0)
     assert p.horizon == metric.Horizon(1.0, 4.0 * math.pi)
@@ -259,14 +266,20 @@ def hook(event, args):
 
 sys.addaudithook(hook)
 import renvol, renvol.cli
-print(len(generated))
-renvol.parse("1 + s").evaluate(1.0)
 print(" ".join(generated))
+tree = renvol.parse("1 + s")
+for name, args in (("evaluate", (1.0,)), ("enclose", (1.0, 2.0)), ("evaluate_exact", (1,))):
+    for _ in range(2):
+        del generated[:]
+        getattr(tree, name)(*args)
+        print(" ".join(generated))
 """
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(TESTS_DIR), "src"))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    # nothing at import; the expression compiler runs on the first evaluate
-    assert proc.stdout.splitlines() == ["0", "<expression> <expression>"]
+    # nothing at import; the first evaluate, enclose and evaluate_exact
+    # each compile and run one <expression>, and a second call neither
+    once = "<expression> <expression>"
+    assert proc.stdout.split("\n") == ["", once, "", once, "", once, "", ""]
