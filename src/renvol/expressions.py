@@ -841,6 +841,13 @@ def _defect_of(f):
     return _emit_normal(q, atoms)
 
 
+def mass_aspect(q: Expression) -> Expression:
+    """s*q for a defect tree q, in the normal form of ``defect()``; with
+    no 1 + s^2 to cancel, no term is refused."""
+    atoms = {}
+    return _emit_normal(_pmul({((1, "s", 1),): _ONE}, q._normal(atoms)), atoms)
+
+
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 

@@ -51,12 +51,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Mapping
 
 from . import algebra
 from .errors import DecayError, DomainError
-from .expressions import Expression, Mul, Sub, Var, parse
+from .expressions import Expression, mass_aspect, parse
 from .quadrature import find_root_bracketed, fit_slope, geomspace
 from .records import Record
 
@@ -230,10 +230,10 @@ class RadialProfile(Record):
 
     @cached_property
     def mass_slope(self) -> Expression:
-        """(s q)' as the derivative of the defect of ``1 + s^2 - s*q``: s q
-        normalized like ``q`` (a model's is m, of slope 0).  Shared like
-        ``q``; raises DecayError where the defect does."""
-        return _mass_slope(self.q)
+        """(s q)' as the derivative of ``mass_aspect(q)``, s q expanded
+        like ``q`` (a model's is m, of slope 0).  Raises DecayError where
+        ``q`` does."""
+        return mass_aspect(self.q).derivative()
 
     def value(self, s: float) -> float:
         """f(s)."""
@@ -462,11 +462,6 @@ def ads_horizon_radius(m: float) -> float:
             return nxt
         x = nxt
     return x
-
-
-@lru_cache(maxsize=256)  # as many as parse keeps
-def _mass_slope(q: Expression) -> Expression:
-    return Sub(_HYPERBOLIC, Mul(Var(), q)).defect().derivative()
 
 
 def _defect_kernels(p: RadialProfile):

@@ -312,6 +312,19 @@ class TestCompareVolumes:
         assert check.detail == "R(s = 2677.31) = nan falls below -6 (sampled witness)"
         assert report.verdict == "hypothesis_failed"
 
+    def test_linear_defect_term_beside_an_atom_is_sampled(self):
+        # q = s - m*exp(-s) normalizes, and s*q = s^2 - m*s*exp(-s) keeps
+        # an s^2 beside the atom; the mass aspect has no 1 + s^2 to cancel,
+        # so this is no DecayError and R = -6 + 4/s + ... is sampled
+        p = custom_profile("1 + s^2 - s + m*exp(-s)", {"m": 1e-3})
+        report = compare_volumes(p, 2.0)
+        check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
+        assert check.passed
+        assert check.detail == (
+            "min sampled R = -5.9996 at s = 10000 (2000-point grid plus local "
+            "refinement; sampled, not a global certificate)"
+        )
+
     def test_rational_overflow_is_certified_exactly(self):
         # s^90 - s^90 is the zero polynomial, so f = 1 + s^2 - m/s exactly
         # and R = -6; the float overflow beyond s = 2657 is never sampled
