@@ -15,10 +15,18 @@ comparison when the areas differ: the gap function
 
 (X, Y the shifted and unshifted model bound kernels), its regularized
 version, the lower bound for its derivative in alpha, and the kernel
-inequality that drives that bound.  The difference X - Y collapses to
-e^(-3t/2) times a constant in t, so the first integrand is evaluated
-through the stabilized-difference helper everywhere; naive subtraction
-would lose all significant digits beyond t - alpha of about 25.
+inequality that drives that bound.  The kernel, the slope and the first
+gap integral run in y = 1 - u, u = e^(-(t-alpha)/2) (alpha = 0 for the
+kernel and the slope), where their integrands are algebraic.  The
+kernels become eps + y (a (3 - y (3 - y)) + c (1 - y)^2), a sum with no
+subtraction that keeps its relative accuracy down to y = 0, where the
+integrands peak; in t, 1 - e^(-3t/2) resolved t only to about 4e-16
+there.  And Y - X = u^3 d for a constant d, so the u^3 cancels against
+e^t dt = 2 e^alpha dy/u^3: the first gap integrand is
+2 e^alpha d/(sqrt(X) sqrt(Y) (sqrt(X) + sqrt(Y))), with neither a
+difference of roots nor a huge e^t times a tiny e^(-3t/2).  The second
+gap integral stays in t, where its weight e^t peaks at the end
+t = alpha, and takes its kernel at y = 1 - e^(-t/2).
 """
 
 from __future__ import annotations
@@ -29,17 +37,9 @@ from typing import Sequence
 from . import algebra
 from .errors import DecayError, DomainError
 from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
-from .quadrature import (
-    Tolerance,
-    find_root_bracketed,
-    geomspace,
-    integrate,
-    integrate_semi_infinite,
-    integrate_sqrt_endpoint,
-    inv_sqrt_diff,
-)
+from .quadrature import Tolerance, geomspace, integrate, integrate_sqrt_endpoint
 from .records import Record
-from .volume import model_bound_inner, renormalized_volume
+from .volume import renormalized_volume
 
 __all__ = [
     "GapSpec",
@@ -149,27 +149,46 @@ def area_log_ratio(area: float, model_area: float) -> float:
     return math.log(area / model_area)
 
 
+def _kernel(y: float, eps: float, a: float, c: float) -> float:
+    """eps + a (1 - u^3) + c u^2 (1 - u) at u = 1 - y.
+
+    Written as eps + y (a (3 - y (3 - y)) + c (1 - y)^2), from
+    1 - u^3 = y (3 - 3y + y^2): a sum of nonnegative terms on [0, 1], so
+    it keeps its relative accuracy down to y = 0, where the integrands
+    below peak.
+    """
+    return eps + y * (a * (3.0 - y * (3.0 - y)) + c * (1.0 - y) ** 2)
+
+
 def _gap_value(a_bar: float, alpha: float, eps: float, tol: Tolerance) -> float:
     if alpha == 0.0:
         # both integrands vanish identically
         return 0.0
-    c_alpha = a_bar * math.expm1(1.5 * alpha) + _FOUR_PI * math.expm1(0.5 * alpha)
+    grow = math.exp(alpha)
+    c = _FOUR_PI * math.exp(-alpha)
+    # Y - X = u^3 d in the shifted variable, and e^t dt = 2 e^alpha dy/u^3
+    d = -(a_bar * math.expm1(-1.5 * alpha) + c * math.expm1(-0.5 * alpha))
+    scale = 2.0 * grow * d
 
-    def difference(t: float) -> float:
-        x = model_bound_inner(a_bar, t, alpha, eps)
-        y = model_bound_inner(a_bar, t, 0.0, eps)
-        return math.exp(t) * inv_sqrt_diff(x, y, y_minus_x=math.exp(-1.5 * t) * c_alpha)
-
-    first = integrate_semi_infinite(
-        difference, alpha, tol, decay_rate=0.5, sqrt_endpoint_at_a=(eps == 0.0)
-    )
+    def difference(y: float) -> float:
+        u = 1.0 - y
+        x = _kernel(y, eps, a_bar, c)
+        sx = math.sqrt(x)
+        sy = math.sqrt(x + u * u * u * d)
+        return scale / (sx * sy * (sx + sy))
 
     def unshifted(t: float) -> float:
-        return math.exp(t) / math.sqrt(model_bound_inner(a_bar, t, 0.0, eps))
+        # in t: a y-range would end at 1 - e^(-alpha/2), rounded to 1e-16,
+        # where the weight e^t = u^-2 is largest; at alpha = 50 that moved
+        # the integral by 1e-5
+        return math.exp(t) / math.sqrt(_kernel(-math.expm1(-0.5 * t), eps, a_bar, _FOUR_PI))
 
     if eps == 0.0:
+        # X and Y vanish like y at y = 0, Y like t at t = 0
+        first = integrate_sqrt_endpoint(difference, 0.0, 1.0, "lower", tol)
         second = integrate_sqrt_endpoint(unshifted, 0.0, alpha, "lower", tol)
     else:
+        first = integrate(difference, 0.0, 1.0, tol)
         second = integrate(unshifted, 0.0, alpha, tol)
     return first.value - second.value
 
@@ -199,6 +218,10 @@ def volume_gap_slope(spec: GapSpec, tol: Tolerance | None = None) -> SlopeBound:
     J integrates e^(-t/2) against the kernel to the power -3/2; the bound
     is (e^alpha/4) (A + (4 pi/3) e^-alpha)^-1/2.  ``satisfied`` honestly
     reports value >= bound, which fails for large eps by design.
+
+    In y = 1 - e^(-t/2), J = integral_0^1 2 K^(-3/2) dy with
+    K = eps + y (A (3 - 3y + y^2) + 4 pi e^-alpha (1 - y)^2), which
+    keeps its digits in the peak of width about eps/(3 A) at y = 0.
     """
     if not spec.epsilon > 0.0:
         raise ValueError("slope bound requires epsilon > 0; got %r" % (spec.epsilon,))
@@ -207,18 +230,12 @@ def volume_gap_slope(spec: GapSpec, tol: Tolerance | None = None) -> SlopeBound:
     alpha = spec.alpha
     eps = spec.epsilon
     shrink = math.exp(-alpha)
+    c = _FOUR_PI * shrink
 
-    def kernel(t: float) -> float:
-        return (
-            eps
-            + a_bar * (-math.expm1(-1.5 * t))
-            + _FOUR_PI * shrink * math.exp(-t) * (-math.expm1(-0.5 * t))
-        )
+    def integrand(y: float) -> float:
+        return 2.0 * _kernel(y, eps, a_bar, c) ** -1.5
 
-    def integrand(t: float) -> float:
-        return math.exp(-0.5 * t) * kernel(t) ** -1.5
-
-    j = integrate_semi_infinite(integrand, 0.0, tol, decay_rate=0.5)
+    j = integrate(integrand, 0.0, 1.0, tol)
     grow = math.exp(alpha)
     value = 0.25 * grow * (3.0 * a_bar + _FOUR_PI * shrink) * j.value - grow / math.sqrt(eps)
     lower = 0.25 * grow / math.sqrt(a_bar + (_FOUR_PI / 3.0) * shrink)
@@ -233,6 +250,12 @@ def kernel_margin(eps: float, mu: float, tol: Tolerance | None = None) -> float:
 
     Positive margin means the inequality holds; it does for small eps/mu
     and fails near eps = mu.  Scales exactly like (eps, mu) -> lambda^-1/2.
+
+    In y = 1 - e^(-t/2) the left side is
+    6 mu integral_0^1 (eps + mu y (3 - 3y + y^2))^(-3/2) dy, since
+    1 - u^3 = y (3 - 3y + y^2) needs no subtraction.  Its peak of width
+    about eps/(3 mu) at y = 0 is resolved down to ratios of 1e-12 and
+    below, where the map u = e^(-t/2) could not place a node.
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite, got %r" % (eps,))
@@ -240,10 +263,10 @@ def kernel_margin(eps: float, mu: float, tol: Tolerance | None = None) -> float:
         raise ValueError("mu must be positive and finite, got %r" % (mu,))
     tol = tol or Tolerance()
 
-    def integrand(t: float) -> float:
-        return math.exp(-0.5 * t) * (eps + mu * (-math.expm1(-1.5 * t))) ** -1.5
+    def integrand(y: float) -> float:
+        return 2.0 * _kernel(y, eps, mu, 0.0) ** -1.5
 
-    lhs = 3.0 * mu * integrate_semi_infinite(integrand, 0.0, tol, decay_rate=0.5).value
+    lhs = 3.0 * mu * integrate(integrand, 0.0, 1.0, tol).value
     return lhs - 4.0 / math.sqrt(eps) - 1.0 / math.sqrt(mu)
 
 
@@ -254,10 +277,14 @@ def kernel_threshold(mu: float, tol: Tolerance | None = None) -> float:
     depends on eps/mu alone; the search therefore runs at mu = 1 and the
     result is the same float for every valid mu.  Starting from ratio 1,
     where the margin must be negative, it walks down one decade at a time
-    to the first positive margin, then refines that bracket on
-    log10(eps/mu) with the bracketed secant to width 1e-11.  Walking from
-    the top finds the largest crossing and never evaluates the margin at
-    a tiny ratio, where its integrand peaks too sharply to resolve.
+    to the first positive margin, so it finds the largest crossing.  It
+    then refines that bracket on log10(eps/mu) to width 1e-11 by the
+    Illinois rule (Dowell and Jarratt, BIT 11, 1971) and returns the
+    midpoint: regula falsi steps, where an end kept for a second step in
+    a row has its margin halved.  Near the crossing the margin reaches
+    its rounding floor, about 2e-15; there ``find_root_bracketed``, whose
+    secant and bisection steps the horizon search is tuned to, keeps
+    stepping from one side and spends about 16 margin calls, against 9.
     Raises ValueError when the margin is not negative at ratio 1 or stays
     nonpositive down to ratio 1e-12.
     """
@@ -283,7 +310,28 @@ def kernel_threshold(mu: float, tol: Tolerance | None = None) -> float:
                 "kernel margin is nonpositive at every decade from ratio 1 "
                 "down to 1e-12; no crossing to bracket"
             )
-    return 10.0 ** find_root_bracketed(margin, hi - 1.0, hi, tol=1e-11, fa=f_lo, fb=f_hi)
+    # the Illinois rule on [lo, hi], where f_lo > 0 > f_hi
+    lo = hi - 1.0
+    side = 0
+    while hi - lo > 1e-11:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            # a rounded step onto an end; the width keeps the midpoint inside
+            x = 0.5 * (lo + hi)
+        fx = margin(x)
+        if fx == 0.0:
+            return 10.0**x
+        if fx > 0.0:
+            lo, f_lo = x, fx
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = x, fx
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+    return 10.0 ** (0.5 * (lo + hi))
 
 
 def _golden_min(fn, a: float, b: float, iterations: int = 90):

@@ -110,9 +110,14 @@ class Expression(Record):
         sqrt argument reaching below 0, exp overflowing) and wherever an
         end is infinite or NaN.  With every end finite, every intermediate
         value at every point is finite, so none of them is NaN either.
+        Raises ValueError unless lo <= hi, so also for a NaN end: reversed
+        ends would give bounds that bound nothing.
         """
+        lo, hi = float(lo), float(hi)
+        if not lo <= hi:
+            raise ValueError("enclose needs lo <= hi, got [%r, %r]" % (lo, hi))
         try:
-            lo, hi = _finite(float(lo), float(hi))
+            lo, hi = _finite(lo, hi)
             return self._enclosure(lo, hi, params if params is not None else _NO_PARAMS)
         except _Unbounded:
             return None
@@ -967,8 +972,12 @@ class _Parser:
     def parse_primary(self):
         tok = self.peek()
         if tok.kind == "number":
+            value = float(tok.text)
+            if value == _INF:
+                # it would print as inf, which reads back as a parameter
+                raise ParseError("literal %r overflows to inf" % tok.text, tok.pos)
             self.advance()
-            return Num(float(tok.text))
+            return Num(value)
         if tok.kind == "ident":
             self.advance()
             nxt = self.peek()

@@ -235,7 +235,6 @@ def integrate_semi_infinite(
     a: float,
     tol: Tolerance | None = None,
     decay_rate: float = 1.0,
-    sqrt_endpoint_at_a: bool = False,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> Integral:
     """Integrate ``fn`` over [a, infinity).
@@ -244,8 +243,6 @@ def integrate_semi_infinite(
     fn; the substitution u = exp(-lambda*(t-a)) maps the domain to (0, 1].
     An overestimated rate makes the transformed integrand unbounded near
     u = 0 and surfaces as budget exhaustion rather than a wrong answer.
-    With ``sqrt_endpoint_at_a`` the integrand may additionally behave like
-    (t-a)**-0.5 at the finite end.
     """
     if not math.isfinite(a):
         raise ValueError("lower bound must be finite, got %r" % (a,))
@@ -253,17 +250,9 @@ def integrate_semi_infinite(
         raise ValueError("decay_rate must be positive and finite, got %r" % (decay_rate,))
     lam = decay_rate
 
-    if sqrt_endpoint_at_a:
-        # then u = 1 - v^2, the substitution of integrate_sqrt_endpoint at
-        # the upper end, in the same closure
-        def transformed(v):
-            u = 1.0 - v * v
-            t = a - math.log(u) / lam
-            return 2.0 * v * (fn(t) / (lam * u))
-    else:
-        def transformed(u):
-            t = a - math.log(u) / lam
-            return fn(t) / (lam * u)
+    def transformed(u):
+        t = a - math.log(u) / lam
+        return fn(t) / (lam * u)
 
     return integrate(transformed, 0.0, 1.0, tol, max_evals)
 

@@ -32,6 +32,23 @@ GAP_40PI_2 = 0.408400112558596861025532668716
 MARGIN_SMALL = 1.750709662227199359118501
 MARGIN_ONE = -2.234975674570743745305683
 
+# 40-digit mpmath oracles in the variable t, from the float arguments the
+# calls receive (A = float 4 pi).  The gaps by tanh-sinh on [alpha, inf) of
+# e^t (Y - X)/(sqrt(X) sqrt(Y) (sqrt(X) + sqrt(Y))) minus the integral of
+# e^t Y^-1/2 over [0, alpha], with breakpoints at t = 1 and alpha - 30,
+# 10, 3, 1 in the second, where e^t peaks at t = alpha; the slopes from
+# J = int_0^inf e^(-t/2) K(t)^(-3/2) dt with breakpoints at
+# t = 1e-9, 1e-8, ..., 1, 10, 100
+GAP_4PI_SMALL = 0.01577104510882557494907683
+GAP_4PI_50 = 1025400648633626865021.488
+GAP_85_20_REGULARIZED = 29528752.34784105040728845
+SLOPE_4PI_1_EPS6 = 0.6657812141767427632515852
+SLOPE_4PI_EPS4 = {
+    0.5: 0.4416178190684091113748525,
+    1.0: 0.6558832541101462870969896,
+    2.0: 1.569520817608664864629053,
+}
+
 
 def substitution_margin(eps, mu, dps=30):
     """Kernel margin by the u^3-substitution, at ``dps`` digits.
@@ -93,10 +110,13 @@ class TestVolumeGap:
             (FOUR_PI, 1.0, GAP_4PI_1),
             (math.pi, 0.5, GAP_PI_HALF),
             (40.0 * math.pi, 2.0, GAP_40PI_2),
+            (FOUR_PI, 0.05, GAP_4PI_SMALL),
+            # e^t peaks at t = alpha = 50, where u = e^(-t/2) is 1.4e-11
+            (FOUR_PI, 50.0, GAP_4PI_50),
         ],
     )
     def test_against_oracle(self, area, alpha, want):
-        assert volume_gap(GapSpec(area, alpha)) == pytest.approx(want, rel=1e-9)
+        assert volume_gap(GapSpec(area, alpha)) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_increasing_in_alpha(self):
         values = [volume_gap(GapSpec(FOUR_PI, a)) for a in (0.25, 0.5, 1.0, 2.0)]
@@ -118,6 +138,10 @@ class TestVolumeGapRegularized:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-3
 
+    def test_large_alpha_against_oracle(self):
+        got = volume_gap_regularized(GapSpec(85.0, 20.0, 0.85))
+        assert got == pytest.approx(GAP_85_20_REGULARIZED, rel=1e-11, abs=0.0)
+
     def test_rejects_sharp_spec(self):
         with pytest.raises(ValueError):
             volume_gap_regularized(GapSpec(FOUR_PI, 1.0))
@@ -126,9 +150,14 @@ class TestVolumeGapRegularized:
 class TestVolumeGapSlope:
     def test_reference_point(self):
         res = volume_gap_slope(GapSpec(FOUR_PI, 1.0, 1e-6))
-        assert res.value == pytest.approx(0.6657811994004987, rel=1e-9)
+        assert res.value == pytest.approx(SLOPE_4PI_1_EPS6, rel=1e-11, abs=0.0)
         assert res.lower_bound == pytest.approx(0.180930555890054, rel=1e-9)
         assert res.satisfied
+
+    @pytest.mark.parametrize("alpha", sorted(SLOPE_4PI_EPS4))
+    def test_against_oracle(self, alpha):
+        res = volume_gap_slope(GapSpec(FOUR_PI, alpha, 1e-4 * FOUR_PI))
+        assert res.value == pytest.approx(SLOPE_4PI_EPS4[alpha], rel=1e-12, abs=0.0)
 
     def test_matches_finite_difference(self):
         eps = 1e-6
@@ -178,12 +207,6 @@ class TestKernelMargin:
         with pytest.raises(ValueError):
             kernel_margin(1e-4, -1.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the u = exp(-t/2) map resolves t only to about 4e-16 near u = 1, "
-        "while the integrand peak at ratio 1e-12 is about 7e-13 wide; the float "
-        "margin is 1.9122 against 1.80436",
-    )
     def test_small_ratio_against_substitution_oracle(self):
         lhs, want = substitution_margin(1e-12, 1.0)
         # the error rel=1e-10 permits on an LHS of about 4e6
@@ -216,8 +239,8 @@ class TestKernelThreshold:
 
         monkeypatch.setattr(renvol.comparison, "kernel_margin", counted)
         kernel_threshold(10.0)
-        # the margins at the two bracket ends are handed to the root finder
-        assert len(ratios) <= 14
+        # the margins at the two bracket ends are handed to the refinement
+        assert len(ratios) <= 10
         assert len(set(ratios)) == len(ratios)
         assert min(ratios) >= 1e-2
 

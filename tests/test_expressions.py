@@ -13,6 +13,7 @@ import renvol.expressions
 from renvol.errors import DecayError, DomainError, EvaluationError, ParseError
 from renvol.expressions import (
     Add,
+    Call,
     ExactUnsupported,
     Neg,
     Num,
@@ -66,6 +67,10 @@ def test_whitespace_is_insignificant():
         ("", 0),
         ("s^2.5", 2),
         ("s^(1/2)", 2),
+        # literals that overflow to inf, which would print as a parameter
+        ("1e400*exp(-s) + s", 0),
+        ("s + 1.8e308", 4),
+        ("s^2 - 1e999/s", 6),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
@@ -73,6 +78,11 @@ def test_parse_errors_carry_offsets(text, offset):
         parse(text)
     assert err.value.offset == offset
     assert "syntax error at offset %d" % offset in str(err.value)
+
+
+def test_largest_finite_literal_parses():
+    # one step beyond, 1.8e308, overflows to inf and is a parse error
+    assert str(parse("1.7976931348623157e308*s")) == "1.7976931348623157e+308*s"
 
 
 def test_parse_is_cached_by_text():
@@ -501,10 +511,26 @@ class TestEnclosure:
         assert parse("s").enclose(1.0, 2.0) == (1.0, 2.0)
 
     def test_non_finite_literal_or_parameter_refuses(self):
-        # exp(-inf) evaluates to 0.0, but an infinite end gives no bounds
-        for text, params in (("exp(-1e400)", None), ("exp(-m)", {"m": math.inf})):
-            assert parse(text).enclose(1.0, 2.0, params) is None
-            assert walk_enclose(parse(text), 1.0, 2.0, params) is None
+        # exp(-inf) evaluates to 0.0, but an infinite end gives no bounds;
+        # the parser refuses an infinite literal, so that tree is built
+        literal = Call("exp", Neg(Num(math.inf)))
+        for expr, params in ((literal, None), (parse("exp(-m)"), {"m": math.inf})):
+            assert expr.enclose(1.0, 2.0, params) is None
+            assert walk_enclose(expr, 1.0, 2.0, params) is None
+
+    @pytest.mark.parametrize(
+        "text,lo,hi",
+        [
+            ("1/s", 1.0, -1.0),  # reversed across the pole
+            ("s", 2.0, 1.0),
+            ("s", math.nan, 1.0),
+            ("s", 1.0, math.nan),
+            ("sqrt(s)", 3.0, -1.0),
+        ],
+    )
+    def test_reversed_or_nan_interval_is_rejected(self, text, lo, hi):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            parse(text).enclose(lo, hi)
 
     def test_unbound_parameter_is_an_evaluation_error(self):
         expr = parse("1 + s^2 - m/s")

@@ -142,48 +142,9 @@ class TestSemiInfinite:
         res = integrate_semi_infinite(lambda x: math.exp(-x), 1.0)
         assert res.value == pytest.approx(1.0 / math.e, rel=1e-12)
 
-    def test_sqrt_singularity_at_start(self):
-        # Gamma(1/2): integral of exp(-x)/sqrt(x) over (0, inf)
-        res = integrate_semi_infinite(
-            lambda x: math.exp(-x) / math.sqrt(x), 0.0, sqrt_endpoint_at_a=True
-        )
-        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-11)
-
     def test_bad_decay_rate(self):
         with pytest.raises(ValueError):
             integrate_semi_infinite(math.exp, 0.0, decay_rate=0.0)
-
-    @pytest.mark.parametrize(
-        "fn, a, rate, max_evals",
-        [
-            (lambda x: math.exp(-x) / math.sqrt(x), 0.0, 1.0, 10**6),
-            (lambda x: math.exp(-x) / math.sqrt(x), 0.0, 0.5, 10**6),
-            (lambda x: math.exp(2.0 - 0.7 * x) / math.sqrt(x - 2.0) + 1.0 / (1.0 + x * x),
-             2.0, 0.5, 10**6),
-            # budget exhaustion and a raising integrand fail alike
-            (lambda x: math.exp(-x) / math.sqrt(x), 0.0, 1.0, 40),
-            (lambda x: math.exp(-x) / math.sqrt(x) * math.log(5.0 - x), 0.0, 1.0, 10**6),
-        ],
-    )
-    def test_sqrt_endpoint_is_one_fused_substitution(self, fn, a, rate, max_evals):
-        # the former pair of stacked wrappers: u = exp(-rate*(t - a)), then
-        # u = 1 - v^2 by integrate_sqrt_endpoint; bit for bit the same result
-        def transformed(u):
-            t = a - math.log(u) / rate
-            return fn(t) / (rate * u)
-
-        def outcome(run):
-            try:
-                return run()
-            except Exception as exc:
-                return type(exc), str(exc)
-
-        tol = Tolerance()
-        want = outcome(
-            lambda: integrate_sqrt_endpoint(transformed, 0.0, 1.0, "upper", tol, max_evals)
-        )
-        got = outcome(lambda: integrate_semi_infinite(fn, a, tol, rate, True, max_evals))
-        assert got == want
 
 
 class TestFindRoot:
