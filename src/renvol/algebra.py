@@ -7,10 +7,18 @@ and returns f = P/Q as integer polynomials with gcd(P, Q) cancelled.  The
 rest of the module answers sign questions about such polynomials
 exactly:
 
-* square-free parts and the product of the odd-multiplicity factors
-  (Yun's algorithm), so counting roots counts sign changes;
-* Sturm sequences by primitive pseudo-remainders, whose multipliers are
-  kept positive so every remainder has the sign of the true one;
+* gcds by primitive pseudo-remainders, except that a gcd with a
+  monomial c s^k is the power of s the other operand holds, up to s^k,
+  read off without a remainder (every denominator of a
+  Laurent-polynomial profile is such a monomial);
+* the product of the odd-multiplicity factors (Yun's algorithm, after the
+  power of s is split off), so counting roots counts sign changes;
+* Sturm sequences of square-free parts by primitive pseudo-remainders,
+  whose multipliers are kept positive so every remainder has the sign of
+  the true one.  One remainder sequence per chain: the chain of p is
+  built first, and when it ends in a nonzero constant p is square-free
+  and the chain is the answer; only otherwise is p divided by gcd(p, p'),
+  the chain's last nonzero entry, and a second chain built;
 * sign variations at a point, which is a float, an exact dyadic pair
   ``(num, den)`` or ``None`` for +infinity.  A polynomial of degree n is
   evaluated there as den^n * p(num/den) by integer Horner steps, so the
@@ -126,7 +134,14 @@ def _prem(a, b):
 
 
 def _gcd(a, b):
-    """Primitive gcd with a positive leading coefficient; [] when both are 0."""
+    """Primitive gcd with a positive leading coefficient; [] when both are 0.
+
+    When one operand is a monomial c s^k, the gcd is s^j for the least j
+    of k and the order of s in the other; no remainder is taken."""
+    for x, y in ((a, b), (b, a)):
+        if x and not any(x[:-1]):
+            j = next((i for i, c in enumerate(y) if c), len(x) - 1)
+            return [0] * min(j, len(x) - 1) + [1]
     a, b = _primitive(a), _primitive(b)
     while b:
         a, b = b, _primitive(_prem(a, b))
@@ -147,18 +162,14 @@ def _exquo(a, b):
     return q
 
 
-def _squarefree(p):
-    """p over gcd(p, p'), with the sign of p's leading coefficient."""
-    if len(p) <= 2:
-        return p
-    return _exquo(_primitive(p), _gcd(p, derivative(p)))
-
-
 def odd_part(p):
     """Product of the square-free factors of p of odd multiplicity, with a
     positive leading coefficient; its roots are where p changes sign."""
-    p = _primitive(p)
-    out = [1]
+    # p = s^j r with r(0) != 0: the factor s, of multiplicity j, is split
+    # off, and Yun's algorithm runs on r
+    j = next((i for i, c in enumerate(p) if c), 0)
+    out = [0] * (j % 2) + [1]
+    p = _primitive(p[j:])
     if len(p) <= 1:
         return out
     dp = derivative(p)
@@ -175,14 +186,32 @@ def odd_part(p):
     return _primitive(out)
 
 
-def sturm(p):
-    """Sturm sequence of the square-free part of a nonzero p."""
-    seq = [_squarefree(p)]
-    if len(seq[0]) > 1:
-        seq.append(_primitive(derivative(seq[0])))
+def _chain(p):
+    """p, p' and the negated primitive pseudo-remainders down to a
+    constant or zero."""
+    seq = [p]
+    if len(p) > 1:
+        seq.append(_primitive(derivative(p)))
         while len(seq[-1]) > 1:
             seq.append(_primitive(_neg(_prem(seq[-2], seq[-1]))))
     return seq
+
+
+def sturm(p):
+    """Sturm sequence of the square-free part of a nonzero p.
+
+    The chain of p is built first.  It ends in a nonzero constant exactly
+    when gcd(p, p') = 1, and is then the answer.  Otherwise it ends in
+    zero, its last nonzero entry is gcd(p, p') up to sign, and the chain
+    is built again from p over that gcd.
+    """
+    if len(p) <= 2:
+        return _chain(p)
+    seq = _chain(_primitive(p))
+    if seq[-1]:
+        return seq
+    g = seq[-2] if seq[-2][-1] > 0 else _neg(seq[-2])
+    return _chain(_exquo(seq[0], g))
 
 
 def _point(x):

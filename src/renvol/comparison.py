@@ -6,6 +6,8 @@ at least the model's, admissible decay), then computes both renormalized
 volumes and classifies the margin.  The curvature bound is certified by
 exact Sturm counts for rational profiles, and sampled on a grid for
 profiles with exp/log/sqrt, from the mass slope ``RadialProfile.mass_slope``.
+Likewise the decay rate of a rational profile is exact, read from the
+degrees of f = P/Q, and fitted on a grid otherwise.
 
 The rest of the module is the machinery behind the strictness of that
 comparison when the areas differ: the gap function
@@ -160,11 +162,19 @@ def _kernel(y: float, eps: float, a: float, c: float) -> float:
     return eps + y * (a * (3.0 - y * (3.0 - y)) + c * (1.0 - y) ** 2)
 
 
+def _grow(alpha: float) -> float:
+    """e^alpha; ValueError naming alpha where it overflows."""
+    try:
+        return math.exp(alpha)
+    except OverflowError:
+        raise ValueError("alpha = %r is too large: e^alpha overflows" % (alpha,)) from None
+
+
 def _gap_value(a_bar: float, alpha: float, eps: float, tol: Tolerance) -> float:
     if alpha == 0.0:
         # both integrands vanish identically
         return 0.0
-    grow = math.exp(alpha)
+    grow = _grow(alpha)
     c = _FOUR_PI * math.exp(-alpha)
     # Y - X = u^3 d in the shifted variable, and e^t dt = 2 e^alpha dy/u^3
     d = -(a_bar * math.expm1(-1.5 * alpha) + c * math.expm1(-0.5 * alpha))
@@ -198,6 +208,7 @@ def volume_gap(spec: GapSpec, tol: Tolerance | None = None) -> float:
 
     Zero at alpha = 0, strictly positive and increasing for alpha > 0.
     The spec must carry epsilon = 0; use volume_gap_regularized otherwise.
+    Raises ValueError naming alpha where e^alpha overflows.
     """
     if spec.epsilon != 0.0:
         raise ValueError("volume_gap requires epsilon = 0; got %r" % (spec.epsilon,))
@@ -217,7 +228,8 @@ def volume_gap_slope(spec: GapSpec, tol: Tolerance | None = None) -> SlopeBound:
     value = (e^alpha/4) (3 A + 4 pi e^-alpha) J - e^alpha eps^-1/2, where
     J integrates e^(-t/2) against the kernel to the power -3/2; the bound
     is (e^alpha/4) (A + (4 pi/3) e^-alpha)^-1/2.  ``satisfied`` honestly
-    reports value >= bound, which fails for large eps by design.
+    reports value >= bound, which fails for large eps by design.  Raises
+    ValueError naming alpha where e^alpha, or the value, overflows.
 
     In y = 1 - e^(-t/2), J = integral_0^1 2 K^(-3/2) dy with
     K = eps + y (A (3 - 3y + y^2) + 4 pi e^-alpha (1 - y)^2), which
@@ -236,8 +248,12 @@ def volume_gap_slope(spec: GapSpec, tol: Tolerance | None = None) -> SlopeBound:
         return 2.0 * _kernel(y, eps, a_bar, c) ** -1.5
 
     j = integrate(integrand, 0.0, 1.0, tol)
-    grow = math.exp(alpha)
+    grow = _grow(alpha)
     value = 0.25 * grow * (3.0 * a_bar + _FOUR_PI * shrink) * j.value - grow / math.sqrt(eps)
+    if not math.isfinite(value):
+        raise ValueError(
+            "alpha = %r is too large: the slope %r overflows with e^alpha" % (alpha, value)
+        )
     lower = 0.25 * grow / math.sqrt(a_bar + (_FOUR_PI / 3.0) * shrink)
     return SlopeBound(value, lower, value >= lower)
 
@@ -511,8 +527,11 @@ def compare_volumes(
 
     Hypothesis failures land in the report (verdict "hypothesis_failed"),
     never in exceptions, so a batch sweep over profiles can record honest
-    negatives.  Numerical breakdowns (quadrature budget, instability)
-    still raise.
+    negatives.  The asymptotics check names the exact decay rate of a
+    rational profile and the fitted one otherwise; it also fails, with
+    the refusal, where the defect tree the volumes evaluate cannot be
+    built.  Numerical breakdowns (quadrature budget, instability) still
+    raise.
     """
     if not (model_mass > 0.0 and math.isfinite(model_mass)):
         raise ValueError("model mass must be positive and finite, got %r" % (model_mass,))
@@ -560,16 +579,22 @@ def compare_volumes(
 
     try:
         decay = p.asymptotics
+        if decay.passed:
+            p.q  # the volumes evaluate the defect tree, which may be refused
     except (DomainError, DecayError) as exc:
         asym_check = HypothesisCheck("asymptotics", False, str(exc))
     else:
-        rate = "none (defect identically zero)" if decay.measured_rate == -math.inf else (
-            "%.3f" % decay.measured_rate
-        )
+        exact = p.rational is not None
+        if decay.measured_rate == -math.inf:
+            rate = "none (defect identically zero)"
+        else:
+            rate = ("%d" if exact else "%.3f") % decay.measured_rate
         asym_check = HypothesisCheck(
             "asymptotics",
             decay.passed,
-            "fitted decay rate %s vs required %.3f (sampled trend)" % (rate, decay.required_rate),
+            ("exact decay rate %s vs required %.3f (from f = P/Q)" if exact
+             else "fitted decay rate %s vs required %.3f (sampled trend)")
+            % (rate, decay.required_rate),
         )
 
     hypotheses = (curvature_check, horizon_check, area_check, asym_check)

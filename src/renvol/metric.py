@@ -3,8 +3,10 @@
 A metric in this class is described entirely by its radial profile f.
 The reference space is f(s) = 1 + s^2; a profile is asymptotically close
 to it when the defect q(s) = 1 + s^2 - f(s) decays fast enough, which
-``validate_asymptotics`` checks by fitting the decay rate of the pointwise
-metric deviation |q|/f on a logarithmic radius grid outside the horizon.
+``validate_asymptotics`` checks on the decay rate of the pointwise metric
+deviation |q|/f.  For a rational f = P/Q that rate is exact, deg N - deg P
+for N = Q (1 + s^2) - P; for a tree with exp/log/sqrt it is fitted on a
+logarithmic radius grid outside the horizon.
 A profile computes its facts once and keeps them: the horizon, the
 asymptotics report, f' and the exact rational form are cached on the
 instance.  ``parse`` caches its trees by text, so every profile of a
@@ -26,7 +28,8 @@ which at s = 1e4 already loses half its digits and beyond s = 1e8 loses
 all of them, while mass constancy, tail integrals and the decay fit need
 q far out.  ``Expression.defect`` cancels the 1 and s^2 terms
 symbolically once per tree, and ``RadialProfile.q`` and ``dq`` evaluate
-that tree and its derivative compiled, for every profile alike.
+that tree and its derivative compiled, for every profile alike.  The
+exact decay rate of a rational profile needs neither.
 
 The horizon is the outermost root of f on a fixed geometric grid on
 (1e-6, 1e3].  For a profile without exp/log/sqrt, f = P/Q exactly
@@ -154,11 +157,15 @@ class Horizon(Record):
 
 
 class AsymptoticsReport(Record):
-    """Outcome of the decay-rate fit performed by validate_asymptotics.
+    """Outcome of the decay-rate check performed by validate_asymptotics.
 
-    ``measured_rate`` is the fitted log-log slope of |q|/f (negative
-    infinity when the defect vanishes identically on the grid), and
-    ``derivative_slope`` is the corresponding slope for the sampled
+    For a rational profile, ``measured_rate`` is the exact exponent
+    deg N - deg P of |q|/f = |N|/P (negative infinity when N = 0),
+    ``fit_points`` is 0 and ``derivative_slope`` is None: no defect is
+    sampled.  Otherwise ``measured_rate`` is the fitted log-log slope of
+    |q|/f (negative infinity when the defect vanishes identically on the
+    grid), ``fit_points`` the number of samples fitted, and
+    ``derivative_slope`` the corresponding slope for the sampled
     defect-derivative trend |q'|/s, reported for diagnosis only.
     """
 
@@ -351,10 +358,11 @@ class RadialProfile(Record):
 
     @cached_property
     def asymptotics(self) -> AsymptoticsReport:
-        """The decay-rate fit of ``validate_asymptotics``, run once per profile.
+        """The decay-rate check of ``validate_asymptotics``, run once per
+        profile.
 
-        A fit that raises DomainError is not cached; it runs, and raises,
-        again on the next access.
+        A check that raises DomainError is not cached; it runs, and
+        raises, again on the next access.
         """
         return validate_asymptotics(self)
 
@@ -483,23 +491,32 @@ def _defect_kernels(p: RadialProfile):
 
 
 def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
-    """Fit the decay rate of the metric deviation |q|/f over four decades.
+    """Check that the metric deviation |q|/f decays like s^-(2 + 4*delta).
 
-    The grid runs from s_0 = max(1e2, 10*s_h) to 1e4*s_0, where s_h is
-    the horizon radius, so a large horizon does not reach into the fit;
-    a profile without a horizon, or whose horizon search raises
-    DecayError, is fitted on [1e2, 1e6].  Passes when the fitted log-log
-    slope is at most -(2 + 4*delta) up to a fit tolerance of 0.05.
-    Samples where the defect is exactly zero are left out, and a defect
-    that vanishes on the whole grid passes with rate -inf.  The slopes are centered least-squares fits (``fit_slope``).
-    ``RadialProfile.asymptotics`` caches this report on the profile.
+    f must be positive on a 41-point geometric grid over four decades,
+    from s_0 = max(1e2, 10*s_h) to 1e4*s_0, where s_h is the horizon
+    radius, so a large horizon does not reach into it; a profile without
+    a horizon, or whose horizon search raises DecayError, uses [1e2, 1e6].
+    Raises DomainError naming the first grid point where f is not.
 
-    Raises DomainError when f is nonpositive anywhere on the grid.
+    For a rational profile, f = P/Q (``RadialProfile.rational``), the rate
+    is exact: q = N/Q with N = Q (1 + s^2) - P, so |q|/f = |N|/P decays
+    like s^(deg N - deg P), and like s^-inf when N = 0.  It passes when
+    the rate is at most -(2 + 4*delta), with no slack.  Neither q nor q'
+    is evaluated, so the report has no derivative slope (None) and no
+    fitted points (0), and a defect tree that ``Expression.defect``
+    refuses raises nothing here.
+
+    Otherwise (exp/log/sqrt, or a form above the size cap) the rate is the
+    centered least-squares log-log slope (``fit_slope``) of |q|/f over the
+    grid, and it passes when that slope is at most -(2 + 4*delta) up to a
+    fit tolerance of 0.05.  Samples where the defect is exactly zero are
+    left out, and a defect that vanishes on the whole grid passes with
+    rate -inf.  A refused defect tree raises DecayError at the first
+    sample.  ``RadialProfile.asymptotics`` caches this report on the
+    profile.
     """
     required = -(2.0 + 4.0 * p.delta)
-    log_s = []
-    log_norm = []
-    log_dslope = []
     s_lo = 1e2
     try:
         horizon = p.horizon
@@ -508,11 +525,18 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     if horizon is not None:
         s_lo = max(s_lo, 10.0 * horizon.radius)
     f, params = p.f._compiled, p.params
-    q, dq = _defect_kernels(p)
+    form = p.rational
+    if form is None:
+        q, dq = _defect_kernels(p)
+    log_s = []
+    log_norm = []
+    log_dslope = []
     for s in geomspace(s_lo, 1e4 * s_lo, 41):
         fs = f(s, params)
         if not (fs > 0.0):
             raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
+        if form is not None:
+            continue
         qs = q(s, params)
         if qs == 0.0:
             continue
@@ -522,6 +546,11 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
         dqs = dq(s, params)
         if dqs != 0.0:
             log_dslope.append((math.log(s), math.log(abs(dqs) / s)))
+    if form is not None:
+        num, den = form
+        n = algebra.sub(algebra.mul(den, [1, 0, 1]), num)
+        rate = float(len(n) - len(num)) if n else -math.inf
+        return AsymptoticsReport(rate <= required, rate, required, 0, None)
     if len(log_s) < 2:
         return AsymptoticsReport(True, -math.inf, required, len(log_s), None)
     rate = fit_slope(log_s, log_norm)

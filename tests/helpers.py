@@ -384,11 +384,8 @@ def chain_flow_integrand(p, hz):
     return integrand
 
 
-def chain_validate_asymptotics(p):
-    """``validate_asymptotics`` with its samples taken by ``p.value``,
-    ``p.defect`` and ``p.defect_slope``."""
-    required = -(2.0 + 4.0 * p.delta)
-    log_s, log_norm, log_dslope = [], [], []
+def _decay_grid(p):
+    """The 41 points of the decay check, four decades from max(1e2, 10 s_h)."""
     s_lo = 1e2
     try:
         horizon = p.horizon
@@ -396,7 +393,15 @@ def chain_validate_asymptotics(p):
         horizon = None
     if horizon is not None:
         s_lo = max(s_lo, 10.0 * horizon.radius)
-    for s in geomspace(s_lo, 1e4 * s_lo, 41):
+    return geomspace(s_lo, 1e4 * s_lo, 41)
+
+
+def chain_validate_asymptotics(p):
+    """``validate_asymptotics`` with its samples taken by ``p.value``,
+    ``p.defect`` and ``p.defect_slope``."""
+    required = -(2.0 + 4.0 * p.delta)
+    log_s, log_norm, log_dslope = [], [], []
+    for s in _decay_grid(p):
         fs = p.value(s)
         if not (fs > 0.0):
             raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
@@ -415,6 +420,92 @@ def chain_validate_asymptotics(p):
     if len(log_dslope) >= 2:
         dslope = fit_slope([x for x, _ in log_dslope], [y for _, y in log_dslope])
     return AsymptoticsReport(rate <= required + 0.05, rate, required, len(log_s), dslope)
+
+
+def sympy_tree(expr, params=None):
+    """A tree without exp/log/sqrt as a sympy expression in ``s``, with
+    literals and parameters entered as the exact rationals of their floats."""
+    import sympy
+
+    params = {} if params is None else params
+    s = sympy.Symbol("s")
+
+    def walk(e):
+        if isinstance(e, Num):
+            return sympy.Rational(*e.value.as_integer_ratio())
+        if isinstance(e, Var):
+            return s
+        if isinstance(e, Param):
+            return sympy.Rational(*float(params[e.name]).as_integer_ratio())
+        if isinstance(e, Neg):
+            return -walk(e.arg)
+        if isinstance(e, Pow):
+            return walk(e.base) ** e.exponent
+        if isinstance(e, Call):
+            raise TypeError("no sympy form for %s" % e.func)
+        left, right = walk(e.left), walk(e.right)
+        if isinstance(e, Add):
+            return left + right
+        if isinstance(e, Sub):
+            return left - right
+        if isinstance(e, Mul):
+            return left * right
+        return left / right
+
+    return walk(expr), s
+
+
+def sympy_decay_rate(expr, params=None):
+    """The exponent r with |q|/f ~ s^r at infinity, q = 1 + s^2 - f, from
+    the degrees of the numerators and denominators sympy finds for q and
+    f; -inf when q is identically zero."""
+    import sympy
+
+    f, s = sympy_tree(expr, params)
+    q = sympy.cancel(1 + s**2 - f)
+    if q == 0:
+        return -math.inf
+
+    def degree(x):
+        num, den = sympy.fraction(sympy.cancel(x))
+        return sympy.degree(num, s) - sympy.degree(den, s)
+
+    return float(degree(q) - degree(f))
+
+
+def exact_validate_asymptotics(p):
+    """The exact decay path of ``validate_asymptotics`` from independent
+    parts: f checked positive on the 41-point grid through ``p.value``, and
+    the rate from ``sympy_decay_rate``."""
+    required = -(2.0 + 4.0 * p.delta)
+    for s in _decay_grid(p):
+        if not (p.value(s) > 0.0):
+            raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
+    rate = sympy_decay_rate(p.f, p.params)
+    return AsymptoticsReport(rate <= required, rate, required, 0, None)
+
+
+def two_pass_sturm(p):
+    """Sturm sequence of the square-free part of a nonzero p, built as it
+    was before the one-pass ``algebra.sturm``: gcd(p, p') by a full
+    primitive remainder sequence, p divided by it, and the chain of the
+    quotient built in a second pass."""
+    from renvol import algebra
+
+    def gcd(a, b):
+        a, b = algebra._primitive(a), algebra._primitive(b)
+        while b:
+            a, b = b, algebra._primitive(algebra._prem(a, b))
+        return algebra._neg(a) if a and a[-1] < 0 else a
+
+    if len(p) > 2:
+        p = algebra._exquo(algebra._primitive(p), gcd(p, algebra.derivative(p)))
+    seq = [p]
+    if len(p) > 1:
+        seq.append(algebra._primitive(algebra.derivative(p)))
+        while len(seq[-1]) > 1:
+            seq.append(algebra._primitive(algebra._neg(algebra._prem(seq[-2], seq[-1]))))
+    return seq
 
 
 def mp_renormalized_volume(q, s_h, dps=50):

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_expressions
-from helpers import exact_walk, random_tree
+from helpers import exact_walk, random_tree, two_pass_sturm
 from renvol import algebra
 from renvol.comparison import _check_curvature
 from renvol.expressions import parse
@@ -74,6 +76,55 @@ def test_odd_part_matches_sympy_square_free_factors():
         if want.LC() < 0:
             want = -want
         assert algebra.odd_part(p) == list(reversed([int(c) for c in want.all_coeffs()]))
+
+
+# an integer polynomial as a product of small factors, each raised to a
+# multiplicity of 1 to 3, so that repeated factors and powers of s are common
+_factor = st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda c: c[-1] != 0)
+_product = st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=5)
+
+
+def _multiply(factors):
+    p = [1]
+    for factor, k in factors:
+        for _ in range(k):
+            p = algebra.mul(p, factor)
+    return p
+
+
+def test_one_pass_sturm_matches_the_two_pass_chain():
+    square_free = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_product, st.sampled_from([-2, 1, 3]))
+    def check(factors, scale):
+        p = algebra.mul(_multiply(factors), [scale])
+        seq = algebra.sturm(p)
+        assert seq == two_pass_sturm(p)
+        if len(p) > 2:
+            square_free.add(seq[0] == algebra._primitive(p))
+
+    check()
+    # both the one-pass answer and the fallback were met
+    assert square_free == {True, False}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 6),
+    st.sampled_from([-5, -1, 1, 4]),
+    st.lists(st.integers(-9, 9), max_size=8),
+    st.booleans(),
+)
+def test_monomial_gcd_matches_sympy(k, c, other, first):
+    monomial = [0] * k + [c]
+    other = algebra._trim(list(other))
+    want = sympy.gcd(_sympy_poly(monomial), _sympy_poly(other)) if other else _sympy_poly(monomial)
+    want = [int(x) for x in reversed(want.primitive()[1].all_coeffs())]
+    if want[-1] < 0:
+        want = [-x for x in want]
+    args = (monomial, other) if first else (other, monomial)
+    assert algebra._gcd(*args) == want
 
 
 def test_isolating_intervals_hold_one_root_each():

@@ -18,10 +18,22 @@ from renvol.comparison import (
     volume_gap_regularized,
     volume_gap_slope,
 )
+from renvol.errors import DecayError
 from renvol.metric import ads_schwarzschild, custom_profile, hyperbolic, rn_ads
 from renvol.quadrature import Tolerance
+from renvol.volume import renormalized_volume
+
+from helpers import sympy_decay_rate
 
 FOUR_PI = 4.0 * math.pi
+
+# rational defects c*s + m/s and c + m/s with a tiny c: |q|/f decays like
+# s^-1 and s^-2, but a 41-point log-log fit over [1e2, 1e6] reads -2.984
+# and -3.000
+FOOLED_FITS = [
+    ("1 + s^2 - c*s - m/s", {"c": 1e-12, "m": 2.0}),
+    ("1 + s^2 - c - m/s", {"c": 1e-8, "m": 2.0}),
+]
 
 # 50-digit mpmath oracles for the gap function, truncated to float
 GAP_4PI_1 = 0.461001648067862677045017645958
@@ -127,6 +139,12 @@ class TestVolumeGap:
         with pytest.raises(ValueError):
             volume_gap(GapSpec(FOUR_PI, 1.0, epsilon=1e-4))
 
+    @pytest.mark.parametrize("area", [1.0, FOUR_PI, 1e6])
+    def test_overflowing_alpha_names_alpha(self, area):
+        # e^alpha overflows a float beyond alpha = 709.78
+        with pytest.raises(ValueError, match="alpha = 710"):
+            volume_gap(GapSpec(area, 710.0))
+
 
 class TestVolumeGapRegularized:
     def test_converges_to_sharp_value(self):
@@ -177,6 +195,19 @@ class TestVolumeGapSlope:
     def test_rejects_sharp_spec(self):
         with pytest.raises(ValueError):
             volume_gap_slope(GapSpec(FOUR_PI, 1.0))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # e^alpha J and e^alpha eps^-1/2 both overflow: inf - inf
+            GapSpec(1e-6, 700.0, 1e-9),
+            GapSpec(1e6, 700.0, 1e3),
+            GapSpec(FOUR_PI, 710.0, 1e-4),
+        ],
+    )
+    def test_overflowing_alpha_names_alpha(self, spec):
+        with pytest.raises(ValueError, match="alpha = %r" % spec.alpha):
+            volume_gap_slope(spec)
 
 
 class TestKernelMargin:
@@ -394,6 +425,65 @@ class TestCompareVolumes:
         lower, upper = (float(x) for x in check.detail[17:].split("]")[0].split(", "))
         assert lower < 5.0 <= upper and upper - lower < 1e-11
         assert report.verdict == "hypothesis_failed"
+
+    @pytest.mark.parametrize("text, params", FOOLED_FITS)
+    def test_exact_rate_fails_a_slow_rational_defect(self, text, params):
+        # over [1e2, 1e6] the m/s term hides the tiny c term from the fit
+        p = custom_profile(text, params)
+        rate = sympy_decay_rate(p.f, p.params)
+        assert rate in (-1.0, -2.0)
+        report = compare_volumes(p, 1.0)
+        assert report.verdict == "hypothesis_failed"
+        checks = {h.name: h for h in report.hypotheses}
+        assert [name for name, h in checks.items() if not h.passed] == ["asymptotics"]
+        assert checks["asymptotics"].detail == (
+            "exact decay rate %d vs required -2.800 (from f = P/Q)" % rate
+        )
+        with pytest.raises(DecayError, match=r"decays like s\^%.3f," % rate):
+            renormalized_volume(p)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a tree with exp/log/sqrt keeps the 41-point fit, which reads "
+        "-2.984 and -3.000 here and passes",
+    )
+    @pytest.mark.parametrize("text, params", FOOLED_FITS)
+    def test_fitted_rate_misses_a_slow_transcendental_defect(self, text, params):
+        p = custom_profile(text + " + 0*exp(-s)", params)
+        assert compare_volumes(p, 1.0).verdict == "hypothesis_failed"
+
+    def test_refused_defect_fails_the_asymptotics_check(self):
+        # f = 1 + s^2 - m/s exactly, so the exact rate -3 passes, but the
+        # divisor keeps a bare s^2 in the defect tree that the volumes need
+        p = custom_profile("(s^4 + 2*s^2 + 1)/(s^2 + 1) - m/s", {"m": 2.0})
+        assert p.asymptotics.passed
+        report = compare_volumes(p, 1.0)
+        assert report.verdict == "hypothesis_failed"
+        checks = {h.name: h for h in report.hypotheses}
+        assert [name for name, h in checks.items() if not h.passed] == ["asymptotics"]
+        assert checks["asymptotics"].detail.startswith(
+            "the defect q = 1 + s^2 - f of '(s^4 + 2.0*s^2 + 1.0)/(s^2 + 1.0) - m/s' "
+            "keeps a bare s^2 term"
+        )
+
+    def test_prem_calls_per_golden_comparison(self, monkeypatch):
+        # a deterministic work pin: the pseudo-remainders of one comparison
+        # of the compare_custom_rational golden profile (40 with two-pass
+        # Sturm chains, no monomial gcd and no power of s split off)
+        calls = []
+        original = renvol.algebra._prem
+
+        def counted(a, b):
+            calls.append(len(a))
+            return original(a, b)
+
+        monkeypatch.setattr(renvol.algebra, "_prem", counted)
+        p = custom_profile(
+            "1 + s^2 - m/s + c/s^2 + k/s^3", {"m": 5.0, "c": 0.3, "k": 0.1}
+        )
+        assert compare_volumes(p, 2.0).verdict == "holds"
+        assert len(calls) == 6
 
     def test_asymptotics_fit_runs_once_per_profile(self, monkeypatch):
         fitted = []

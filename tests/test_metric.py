@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import renvol.metric
 from renvol.errors import DecayError, DomainError
 from renvol.metric import (
     RadialProfile,
@@ -25,7 +26,7 @@ from renvol.metric import (
     validate_asymptotics,
 )
 
-from helpers import bisect60, fd_derivative, forward_scan_horizon
+from helpers import bisect60, fd_derivative, forward_scan_horizon, sympy_decay_rate
 
 FOUR_PI = 4.0 * math.pi
 
@@ -426,19 +427,59 @@ class TestDefectIdentity:
 
 class TestAsymptotics:
     def test_model_family_passes(self):
+        # q/f = m/(s^3 + s - m): the rate is exactly -3
         report = validate_asymptotics(ads_schwarzschild(2.0))
         assert report.passed
-        assert -3.2 < report.measured_rate < -2.8
+        assert report.measured_rate == -3.0
         assert report.required_rate == pytest.approx(-2.8)
 
     def test_charged_family_passes(self):
         report = validate_asymptotics(rn_ads(4.0, 1.0))
-        assert report.passed and report.measured_rate < -2.9
+        assert report.passed and report.measured_rate == -3.0
 
     def test_slow_decay_fails(self):
         report = validate_asymptotics(custom_profile("1 + s^2 - s"))
         assert not report.passed
-        assert report.measured_rate > -1.5
+        assert report.measured_rate == -1.0
+
+    def test_rational_rate_evaluates_no_defect(self, monkeypatch):
+        p = custom_profile("1 + s^2 - m/s + c/s^2 + k/s^3", {"m": 5.0, "c": 0.3, "k": 0.1})
+
+        def refuse(*args):
+            raise AssertionError("the exact decay path evaluated the defect")
+
+        monkeypatch.setattr(renvol.metric, "_defect_kernels", refuse)
+        monkeypatch.setattr(RadialProfile, "defect", refuse)
+        monkeypatch.setattr(RadialProfile, "defect_slope", refuse)
+        report = validate_asymptotics(p)
+        assert (report.passed, report.measured_rate) == (True, -3.0)
+        assert report.fit_points == 0 and report.derivative_slope is None
+        # neither the q nor the q' tree was built
+        assert "q" not in p.__dict__ and "dq" not in p.__dict__
+
+    def test_exact_rate_has_no_slack(self):
+        # q -> c is the rate -2, which misses -(2 + 4*delta) by 4*delta;
+        # the fit's 0.05 of slack passed it for delta <= 0.0125
+        p = custom_profile("1 + s^2 - c - m/s", {"c": 0.5, "m": 2.0}, delta=0.01)
+        report = validate_asymptotics(p)
+        assert report.measured_rate == -2.0 and report.required_rate == pytest.approx(-2.04)
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "text, params, rate",
+        [
+            ("1 + s^2 - c*s - m/s", {"c": 1e-12, "m": 2.0}, -1.0),
+            ("1 + s^2 - c - m/s", {"c": 1e-8, "m": 2.0}, -2.0),
+            # N = Q (1 + s^2) - P cancels to 0
+            ("(1 + s^2)*(s - 1)/(s - 1)", {}, -math.inf),
+            # q = 1/(s^2 + 1)^2 over f ~ s^2
+            ("1 + s^2 - 1/(s^2 + 1)^2", {}, -6.0),
+        ],
+    )
+    def test_rational_rate_against_sympy(self, text, params, rate):
+        p = custom_profile(text, params)
+        assert sympy_decay_rate(p.f, p.params) == rate
+        assert validate_asymptotics(p).measured_rate == rate
 
     def test_zero_defect_short_circuits(self):
         report = validate_asymptotics(hyperbolic())

@@ -36,6 +36,7 @@ from helpers import (
     chain_flow_integrand,
     chain_shell_integrand,
     chain_validate_asymptotics,
+    exact_validate_asymptotics,
     hyperbolic_ball_volume,
     random_tree,
 )
@@ -320,6 +321,14 @@ def _fused_cases():
         # the defect tree cannot be built: DecayError at the first q
         ("sqrt(1 + 2*s^2 + s^4) - m/s", {"m": 1.0}),
         ("sqrt(1 + 2*s^2 + s^4) - 2*s^2", {}),
+        # a fitted rate of about -1 fails
+        ("1 + s^2 - s + m*exp(-s)", {"m": 1e-3}),
+        # rational: an exact rate that passes, one of -inf, and one that a
+        # fit took for -2.984
+        ("1 + s^2 - m/s + c/s^2 + k/s^3", {"m": 5.0, "c": 0.3, "k": 0.1}),
+        ("(1 + s^2)*(1 - m/s^3)", {"m": 2.0}),
+        ("1 + s^2", {}),
+        ("1 + s^2 - c*s - m/s", {"c": 1e-12, "m": 2.0}),
     ]
     return cases
 
@@ -357,14 +366,18 @@ class TestFusedIntegrands:
             times += [2.0 * math.log(s / hz.radius) for s in points if s >= hz.radius]
             for t in [0.0] + times:
                 assert _outcome(fused, t) == _outcome(chain, t), (text, t)
-        want = _outcome(chain_validate_asymptotics, p)
-        assert _outcome(validate_asymptotics, p) == want, text
+        # a rational f has its decay rate read exactly from P/Q
+        reference = chain_validate_asymptotics if p.rational is None else exact_validate_asymptotics
+        assert _outcome(validate_asymptotics, p) == _outcome(reference, p), text
 
     def test_cases_reach_every_outcome(self):
         # the comparison above is only as strong as the outcomes it meets
         seen = set()
+        decay = set()
         for text, params in _fused_cases():
             p = RadialProfile(parse(text), params)
+            kind, detail = _outcome(validate_asymptotics, p)
+            decay.add((p.rational is not None, kind, "passed=True" in detail))
             d = chain_difference_integrand(p)
             for s in list(_scan_grid()[::50]) + [1e100, 1e300]:
                 kind, detail = _outcome(d, s)
@@ -372,6 +385,10 @@ class TestFusedIntegrands:
                 if kind is ValueError:
                     assert detail.startswith("arguments must be positive, got nan, ")
         assert {"value", DomainError, DecayError, ValueError} <= seen
+        # both decay paths pass, fail and raise
+        for exact in (False, True):
+            assert {("value", True), ("value", False)} <= {x[1:] for x in decay if x[0] == exact}
+            assert (exact, DomainError, False) in decay
 
     def test_hot_loops_skip_the_method_chain(self, monkeypatch):
         # renormalized_volume, volume_between, flow_volume_lower_bound and
