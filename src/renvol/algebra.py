@@ -108,8 +108,9 @@ def derivative(a):
 
 def small(p):
     """True when (deg p + 1)^2 times p's largest coefficient bit length is
-    at most MAX_SIZE."""
-    return len(p) ** 2 * max(abs(c).bit_length() for c in p) <= MAX_SIZE if p else True
+    at most MAX_SIZE.  Bit length grows with |c|, so it is taken once, of
+    the largest |c|."""
+    return len(p) ** 2 * max(map(abs, p)).bit_length() <= MAX_SIZE if p else True
 
 
 def _primitive(a):

@@ -26,7 +26,9 @@ The parser produces an immutable tree that supports
 The three evaluations come from one emitter: each node writes its
 operation once (``_emit``), and the first call of each evaluation compiles
 the tree to a straight-line function, cached on the node, whose operations
-run in post-order, left before right, as in a recursive walk.
+run in post-order, left before right, as in a recursive walk; an operation
+met again on the same operands reuses its first result.  The panel
+kernels of ``volume`` are emitted by the same code.
 
 ``^`` is restricted to integer literal exponents so that derivatives stay
 inside the language.  The recognised functions are ``exp``, ``log`` and
@@ -116,8 +118,9 @@ class Expression(Record):
         lo, hi = float(lo), float(hi)
         if not lo <= hi:
             raise ValueError("enclose needs lo <= hi, got [%r, %r]" % (lo, hi))
+        if not (-_INF < lo and hi < _INF):
+            return None
         try:
-            lo, hi = _finite(lo, hi)
             return self._enclosure(lo, hi, params if params is not None else _NO_PARAMS)
         except _Unbounded:
             return None
@@ -169,6 +172,12 @@ class Expression(Record):
         return _compile(self, "exact")
 
     @cached_property
+    def _kernels(self):
+        """Functions compiled elsewhere from this tree, by kind (the panel
+        kernels of ``volume``); filled on first use of each kind."""
+        return {}
+
+    @cached_property
     def _derivative(self):
         return self._derive()
 
@@ -195,7 +204,7 @@ class Expression(Record):
     def __getstate__(self):
         # functions built by exec do not pickle; copies recompile on first use
         state = dict(self.__dict__)
-        for name in ("_compiled", "_enclosure", "_exact"):
+        for name in ("_compiled", "_enclosure", "_exact", "_kernels"):
             state.pop(name, None)
         return state
 
@@ -443,67 +452,19 @@ class Call(Expression):
 
 
 # ---------------------------------------------------------------------------
-# float interval arithmetic (the operations of interval code; see enclose())
+# compilation to a straight-line function
 
 _INF = math.inf
 # nextafter steps that widen an exp, log or sqrt result; see enclose()
 _ULPS = 4
 
-
-def _finite(lo, hi):
-    # a NaN end fails both comparisons
-    if -_INF < lo and hi < _INF:
-        return lo, hi
-    raise _Unbounded
-
-
-def _imul(a_lo, a_hi, b_lo, b_hi):
-    # the product is bilinear, so its extremes lie at the corners
-    p = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
-    return _finite(min(p), max(p))
-
-
-def _isquare(lo, hi):
-    # x*x grows with |x|, so one interval squares tighter than two
-    if lo >= 0.0:
-        return _finite(lo * lo, hi * hi)
-    if hi <= 0.0:
-        return _finite(hi * hi, lo * lo)
-    return _finite(0.0, max(lo * lo, hi * hi))
-
-
-def _idiv(a_lo, a_hi, b_lo, b_hi):
-    if b_lo <= 0.0 <= b_hi:
-        raise _Unbounded
-    q = (a_lo / b_lo, a_lo / b_hi, a_hi / b_lo, a_hi / b_hi)
-    return _finite(min(q), max(q))
-
-
-def _icall(fn, lo, hi):
-    # exp, log and sqrt are increasing; each raises where the float call
-    # would, at a log argument <= 0, a sqrt argument < 0 or an exp overflow
-    try:
-        lo, hi = fn(lo), fn(hi)
-    except (ValueError, OverflowError):
-        raise _Unbounded from None
-    for _ in range(_ULPS):
-        lo = math.nextafter(lo, -_INF)
-        hi = math.nextafter(hi, _INF)
-    return _finite(lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# compilation to a straight-line function
-
 _GLOBALS = {
     "_exp": math.exp,
     "_log": math.log,
     "_sqrt": math.sqrt,
-    "_icall": _icall,
-    "_finite": _finite,
-    "_imul": _imul,
-    "_isquare": _isquare,
-    "_idiv": _idiv,
+    "_nextafter": math.nextafter,
+    "_INF": _INF,
+    "_Unbounded": _Unbounded,
     "_Fraction": Fraction,
     "_ONE": _ONE,
     "DomainError": DomainError,
@@ -517,6 +478,18 @@ class _Code:
 
     The mode is "value" (floats), "interval" (float bounds over ``[lo, hi]``,
     each operand a pair; see ``enclose``) or "exact" (``Fraction``s).
+
+    Each operation is written once: ``memo`` maps an operation on given
+    operands to the operand that already holds its result, so a subtree
+    met again, within one tree or in a second tree emitted into the same
+    code, adds no lines.  The key is the operation's text with its operands,
+    so literals key by their repr and -0.0 stays apart from 0.0.  A reused
+    operation ran earlier with the same operands, so it raised there if it
+    raises at all.
+
+    Interval code writes its arithmetic inline.  Every pair it assigns is
+    checked by two comparisons, ``-_INF < L`` and ``H < _INF``, which a NaN
+    end fails too, and raises ``_Unbounded`` otherwise.
     """
 
     def __init__(self, mode):
@@ -524,6 +497,7 @@ class _Code:
         self.lines = []
         self.params = {}  # parameter name -> operand holding its value
         self.constants = {}  # global name -> value with no exact literal
+        self.memo = {}  # operation key -> operand holding its result
         self.count = 0
         self.s = ("lo", "hi") if mode == "interval" else "s"
         self.one = {"value": "1.0", "interval": ("1.0", "1.0"), "exact": "_ONE"}[mode]
@@ -533,14 +507,37 @@ class _Code:
         return "t%d" % self.count
 
     def assign(self, rhs):
-        """A new operand holding ``rhs``; in interval code, a pair."""
-        if self.mode == "interval":
-            pair = self.temp(), self.temp()
-            self.lines.append("%s, %s = %s" % (pair + (rhs,)))
-            return pair
-        name = self.temp()
-        self.lines.append("%s = %s" % (name, rhs))
+        """The operand holding ``rhs``, a new one unless ``rhs`` ran before."""
+        name = self.memo.get(rhs)
+        if name is None:
+            name = self.memo[rhs] = self.temp()
+            self.lines.append("%s = %s" % (name, rhs))
         return name
+
+    def checked(self, key, lines, pair):
+        """Interval code: ``pair``, the names that ``lines`` assign, refused
+        unless finite; kept in the memo under ``key``."""
+        self.lines += lines
+        self.lines += ["if not (-_INF < %s and %s < _INF):" % pair, "    raise _Unbounded"]
+        self.memo[key] = pair
+        return pair
+
+    def bounds(self, key, lines, lo, hi):
+        """Interval code: a new pair ``(lo, hi)`` computed after ``lines``."""
+        pair = self.temp(), self.temp()
+        return self.checked(key, lines + ["%s = %s" % (pair[0], lo), "%s = %s" % (pair[1], hi)], pair)
+
+    def corners(self, key, op, a, b):
+        """Interval code: ``a op b`` for op in * /, bounded by the least
+        and greatest of the four corner results (each is monotone in both
+        operands away from a zero divisor)."""
+        corners = [self.temp() for _ in range(4)]
+        lines = [
+            "%s = %s %s %s" % (c, x, op, y)
+            for c, (x, y) in zip(corners, [(a[0], b[0]), (a[0], b[1]), (a[1], b[0]), (a[1], b[1])])
+        ]
+        listed = ", ".join(corners)
+        return self.bounds(key, lines, "min(%s)" % listed, "max(%s)" % listed)
 
     def constant(self, value):
         # exact and interval code convert at the literal's position, and a
@@ -555,7 +552,7 @@ class _Code:
         if self.mode == "exact":
             return self.assign("_Fraction(%s)" % literal)
         if literal in self.constants:
-            return self.assign("_finite(%s, %s)" % (literal, literal))
+            return self.checked(literal, [], (literal, literal))
         return literal, literal
 
     def param(self, name):
@@ -571,32 +568,64 @@ class _Code:
                 "    raise EvaluationError(%r) from None" % ("unbound parameter '%s'" % name),
             ]
             if self.mode == "interval":
-                value = self.assign("_finite(%s, %s)" % (value, value))
+                value = self.checked(value, [], (value, value))
             operand = self.params[name] = value
         return operand
 
     def neg(self, x):
-        if self.mode == "interval":
-            return self.assign("-%s, -%s" % (x[1], x[0]))
-        return self.assign("-" + x)
+        if self.mode != "interval":
+            return self.assign("-" + x)
+        key = ("-",) + x
+        if key in self.memo:
+            return self.memo[key]
+        # negation keeps a finite pair finite
+        pair = self.memo[key] = self.temp(), self.temp()
+        self.lines.append("%s, %s = -%s, -%s" % (pair + (x[1], x[0])))
+        return pair
 
     def binary(self, left, op, right):
         """``left op right`` for op in + - *."""
         if self.mode != "interval":
             return self.assign("%s %s %s" % (left, op, right))
+        key = (op,) + left + right
+        if key in self.memo:
+            return self.memo[key]
         if op == "+":
-            return self.assign("_finite(%s + %s, %s + %s)" % (left[0], right[0], left[1], right[1]))
+            return self.bounds(key, [], "%s + %s" % (left[0], right[0]), "%s + %s" % (left[1], right[1]))
         if op == "-":
-            return self.assign("_finite(%s - %s, %s - %s)" % (left[0], right[1], left[1], right[0]))
-        return self.assign("_imul(%s, %s, %s, %s)" % (left + right))
+            return self.bounds(key, [], "%s - %s" % (left[0], right[1]), "%s - %s" % (left[1], right[0]))
+        return self.corners(key, "*", left, right)
 
     def divide(self, num, den, message):
         """``num / den``, raising DomainError(message) on a zero divisor;
         interval code refuses a divisor whose bounds hold 0."""
         if self.mode == "interval":
-            return self.assign("_idiv(%s, %s, %s, %s)" % (num + den))
-        self.lines += ["if %s == 0.0:" % den, "    raise DomainError(%r)" % message]
-        return self.assign("%s / %s" % (num, den))
+            key = ("/",) + num + den
+            if key in self.memo:
+                return self.memo[key]
+            self.lines += ["if %s <= 0.0 <= %s:" % den, "    raise _Unbounded"]
+            return self.corners(key, "/", num, den)
+        rhs = "%s / %s" % (num, den)
+        if rhs not in self.memo:
+            self.lines += ["if %s == 0.0:" % den, "    raise DomainError(%r)" % message]
+        return self.assign(rhs)
+
+    def square(self, x):
+        """Interval code: x*x grows with |x|, so one interval squares
+        tighter than two."""
+        key = ("^2",) + x
+        if key in self.memo:
+            return self.memo[key]
+        lo, hi = pair = self.temp(), self.temp()
+        lines = [
+            "if %s >= 0.0:" % x[0],
+            "    %s, %s = %s * %s, %s * %s" % (lo, hi, x[0], x[0], x[1], x[1]),
+            "elif %s <= 0.0:" % x[1],
+            "    %s, %s = %s * %s, %s * %s" % (lo, hi, x[1], x[1], x[0], x[0]),
+            "else:",
+            "    %s, %s = 0.0, max(%s * %s, %s * %s)" % (lo, hi, x[0], x[0], x[1], x[1]),
+        ]
+        return self.checked(key, lines, pair)
 
     def ipow(self, base, exponent):
         """_ipow's multiplication sequence, without its exact leading 1.0*;
@@ -609,10 +638,7 @@ class _Code:
                 result = acc if result is None else self.binary(result, "*", acc)
             k >>= 1
             if k:
-                if self.mode == "interval":
-                    acc = self.assign("_isquare(%s, %s)" % acc)
-                else:
-                    acc = self.binary(acc, "*", acc)
+                acc = self.square(acc) if self.mode == "interval" else self.binary(acc, "*", acc)
         return self.one if result is None else result
 
     def call(self, func, arg, node):
@@ -622,9 +648,26 @@ class _Code:
             self.lines.append("raise ExactUnsupported(%r)" % func)
             return "None"
         x = arg._emit(self)
+        key = (func,) + ((x,) if self.mode == "value" else x)
+        operand = self.memo.get(key)
+        if operand is not None:
+            return operand
         if self.mode == "interval":
-            return self.assign("_icall(_%s, %s, %s)" % ((func,) + x))
-        name = self.temp()
+            # exp, log and sqrt are increasing; each raises where the float
+            # call would, at a log argument <= 0, a sqrt argument < 0 or an
+            # exp overflow; each end is then widened by _ULPS steps
+            lo, hi = self.temp(), self.temp()
+            lines = [
+                "try:",
+                "    %s = _%s(%s)" % (lo, func, x[0]),
+                "    %s = _%s(%s)" % (hi, func, x[1]),
+                "except (ValueError, OverflowError):",
+                "    raise _Unbounded from None",
+            ]
+            widen = "_nextafter(" * _ULPS + "%s" + ", %s)" * _ULPS
+            return self.bounds(key, lines, widen % ((lo,) + ("-_INF",) * _ULPS),
+                               widen % ((hi,) + ("_INF",) * _ULPS))
+        name = self.memo[key] = self.temp()
         self.lines += [
             "try:",
             "    %s = _%s(%s)" % (name, func, x),
@@ -646,8 +689,15 @@ def _compile(expr, mode):
         args, result = "lo, hi", "%s, %s" % result
     body = "".join("    %s\n" % line for line in code.lines)
     source = "def compiled(%s, params):\n%s    return %s\n" % (args, body, result)
-    namespace = dict(_GLOBALS, **code.constants)
-    exec(compile(source, "<expression>", "exec"), namespace)
+    return _define(source, code.constants, "<expression>")
+
+
+def _define(source, constants, filename):
+    """The function ``compiled`` that ``source`` defines, run with
+    ``_GLOBALS`` and ``constants`` as its globals; ``filename`` labels its
+    code objects."""
+    namespace = dict(_GLOBALS, **constants)
+    exec(compile(source, filename, "exec"), namespace)
     # popped so that the function and its globals form no reference cycle
     return namespace.pop("compiled")
 

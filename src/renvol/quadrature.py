@@ -7,6 +7,13 @@ tolerance or the evaluation budget runs out.  The subdivision order is a
 pure function of the integrand values, so identical inputs produce
 bitwise-identical results.
 
+One adaptive loop, ``_integrate``, runs every integral.  It takes the
+rule as a panel function, ``panel(a, b) -> (value, err)``: ``integrate``
+passes ``_panel`` over its integrand, and the volume integrals pass
+kernels compiled from ``_panel_source``, which evaluate a whole panel of
+a profile's integrand in one call with ``_panel``'s nodes, checks and
+sums, so both give the same bits.
+
 Endpoint square-root singularities are handled by the substitution
 u^2 = |t - endpoint| and half-infinite domains by u = exp(-lambda*(t-a)),
 both of which map the problem onto a finite interval with a bounded
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 from typing import Callable
 
 from .errors import QuadratureError
@@ -106,35 +114,119 @@ class Integral(Record):
     evaluations: int
 
 
+_isfinite = math.isfinite
+
+
 def _panel(fn, a, b):
-    """Apply the Kronrod/Gauss pair on [a, b]; return (value, err)."""
+    """Apply the Kronrod/Gauss pair on [a, b]; return (value, err).
+
+    Straight-line code: the seven pairs of abscissae, lo before hi, each
+    pair checked before the next is evaluated, then the center.  Both sums
+    run from 0.0 in that order, the Gauss sum over the odd pairs.
+    """
+    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    sum_k = 0.0
-    sum_g = 0.0
-    for i in range(8):
-        x = _XGK[i]
-        if x == 0.0:
-            fv = fn(center)
-            if not math.isfinite(fv):
-                raise QuadratureError("non-finite integrand value at %r" % center)
-            sum_k += _WGK[i] * fv
-            sum_g += _WG[3] * fv
-            continue
-        lo = center - half * x
-        hi = center + half * x
-        flo = fn(lo)
-        fhi = fn(hi)
-        if not (math.isfinite(flo) and math.isfinite(fhi)):
-            bad = lo if not math.isfinite(flo) else hi
-            raise QuadratureError("non-finite integrand value at %r" % bad)
-        pair = flo + fhi
-        sum_k += _WGK[i] * pair
-        if i % 2 == 1:
-            sum_g += _WG[i // 2] * pair
-    value = half * sum_k
-    err = abs(half * (sum_k - sum_g))
-    return value, err
+    dx = half * x0
+    lo, hi = center - dx, center + dx
+    f0, h0 = fn(lo), fn(hi)
+    if not (_isfinite(f0) and _isfinite(h0)):
+        _refuse(lo, hi, f0)
+    dx = half * x1
+    lo, hi = center - dx, center + dx
+    f1, h1 = fn(lo), fn(hi)
+    if not (_isfinite(f1) and _isfinite(h1)):
+        _refuse(lo, hi, f1)
+    dx = half * x2
+    lo, hi = center - dx, center + dx
+    f2, h2 = fn(lo), fn(hi)
+    if not (_isfinite(f2) and _isfinite(h2)):
+        _refuse(lo, hi, f2)
+    dx = half * x3
+    lo, hi = center - dx, center + dx
+    f3, h3 = fn(lo), fn(hi)
+    if not (_isfinite(f3) and _isfinite(h3)):
+        _refuse(lo, hi, f3)
+    dx = half * x4
+    lo, hi = center - dx, center + dx
+    f4, h4 = fn(lo), fn(hi)
+    if not (_isfinite(f4) and _isfinite(h4)):
+        _refuse(lo, hi, f4)
+    dx = half * x5
+    lo, hi = center - dx, center + dx
+    f5, h5 = fn(lo), fn(hi)
+    if not (_isfinite(f5) and _isfinite(h5)):
+        _refuse(lo, hi, f5)
+    dx = half * x6
+    lo, hi = center - dx, center + dx
+    f6, h6 = fn(lo), fn(hi)
+    if not (_isfinite(f6) and _isfinite(h6)):
+        _refuse(lo, hi, f6)
+    fc = fn(center)
+    if not _isfinite(fc):
+        _refuse(center, center, fc)
+    p1, p3, p5 = f1 + h1, f3 + h3, f5 + h5
+    sum_k = (0.0 + k0 * (f0 + h0) + k1 * p1 + k2 * (f2 + h2) + k3 * p3
+             + k4 * (f4 + h4) + k5 * p5 + k6 * (f6 + h6) + k7 * fc)
+    sum_g = 0.0 + g0 * p1 + g1 * p3 + g2 * p5 + g3 * fc
+    return half * sum_k, abs(half * (sum_k - sum_g))
+
+
+def _refuse(lo, hi, flo):
+    # the lo point is named when both values are non-finite
+    bad = lo if not _isfinite(flo) else hi
+    raise QuadratureError("non-finite integrand value at %r" % bad)
+
+
+# the 15 abscissae of a panel as multiples of its half-width from the
+# center, in _panel's order: the seven pairs, lo first, then the center,
+# as -0.0 since center + half*-0.0 is center bit for bit, -0.0 included
+_NODES = tuple(x for i in range(7) for x in (-_XGK[i], _XGK[i])) + (-0.0,)
+
+
+def _panel_source(args, setup, body, value):
+    """Source of ``def compiled(args, a, b)``, a panel function for
+    ``_integrate``: ``_panel`` of the integrand that ``body`` computes.
+
+    ``setup`` lines run once per panel; ``body`` lines run at each node,
+    in one loop, with the node in ``u``, and ``value`` is then the
+    integrand's value there.  Nodes and checks follow ``_panel``:
+    a pair is checked after its hi node, the lo point named first, and the
+    sums run in ``_panel``'s order over the shared tables.  The source
+    names ``QuadratureError`` and ``_INF`` (math.inf), which the caller
+    binds in the globals it execs the source with.
+    """
+    pairs = ["(v%d + v%d)" % (2 * i, 2 * i + 1) for i in range(7)] + ["v14"]
+    sum_k = " + ".join("%r * %s" % (w, p) for w, p in zip(_WGK, pairs))
+    sum_g = " + ".join("%r * %s" % (w, p) for w, p in zip(_WG, pairs[1::2]))
+    lines = ["def compiled(%s, a, b):" % args]
+    lines += ["    " + line for line in setup]
+    lines += [
+        "    center = 0.5 * (a + b)",
+        "    half = 0.5 * (b - a)",
+        "    values = []",
+        "    bad = None",
+        "    for x in %r:" % (_NODES,),
+        "        u = center + half * x",
+    ]
+    lines += ["        " + line for line in body]
+    lines += [
+        "        v = %s" % value,
+        "        if bad is not None:",
+        "            raise QuadratureError('non-finite integrand value at %r' % bad)",
+        "        if not -_INF < v < _INF:",
+        "            if x >= 0.0:",
+        "                raise QuadratureError('non-finite integrand value at %r' % u)",
+        "            bad = u",
+        "        values.append(v)",
+        "    %s = values" % ", ".join("v%d" % i for i in range(15)),
+        "    sum_k = 0.0 + %s" % sum_k,
+        "    sum_g = 0.0 + %s" % sum_g,
+        "    return half * sum_k, abs(half * (sum_k - sum_g))",
+    ]
+    return "".join(line + "\n" for line in lines)
 
 
 def integrate(
@@ -151,16 +243,19 @@ def integrate(
     is exhausted before the tolerance is met or the integrand returns a
     non-finite value.
     """
+    return _integrate(partial(_panel, fn), a, b, tol, max_evals)
+
+
+def _integrate(panel, a, b, tol=None, max_evals=DEFAULT_MAX_EVALS) -> Integral:
+    """``integrate`` with the rule given as ``panel(a, b) -> (value, err)``:
+    ``_panel`` over an integrand, or a compiled kernel (``_panel_source``)."""
     if tol is None:
         tol = Tolerance()
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration bounds must be finite, got [%r, %r]" % (a, b))
-    if a > b:
-        raise ValueError("lower bound %r exceeds upper bound %r" % (a, b))
+    _check_bounds(a, b)
     if a == b:
         return Integral(0.0, 0.0, 0)
 
-    value, err = _panel(fn, a, b)
+    value, err = panel(a, b)
     evals = 15
     # heap entries: (-err, seq, a, b, value, err); seq makes ordering total
     seq = 0
@@ -181,8 +276,8 @@ def integrate(
                 "panel [%r, %r] too small to refine (err estimate %.3e)"
                 % (pa, pb, total_err)
             )
-        lval, lerr = _panel(fn, pa, mid)
-        rval, rerr = _panel(fn, mid, pb)
+        lval, lerr = panel(pa, mid)
+        rval, rerr = panel(mid, pb)
         evals += 30
         total_value += (lval + rval) - pval
         total_err += (lerr + rerr) - perr
@@ -196,6 +291,20 @@ def integrate(
     final_value = math.fsum(p[1] for p in panels)
     final_err = math.fsum(p[2] for p in panels)
     return Integral(final_value, final_err, evals)
+
+
+def _check_bounds(a, b):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration bounds must be finite, got [%r, %r]" % (a, b))
+    if a > b:
+        raise ValueError("lower bound %r exceeds upper bound %r" % (a, b))
+
+
+def _sqrt_range(a: float, b: float) -> float:
+    """The upper end sqrt(b - a) of the u-range of the substitution
+    u^2 = |t - endpoint| on [a, b], after the bound checks of ``integrate``."""
+    _check_bounds(a, b)
+    return math.sqrt(b - a)
 
 
 def integrate_sqrt_endpoint(
@@ -214,20 +323,16 @@ def integrate_sqrt_endpoint(
     """
     if singular_end not in ("lower", "upper"):
         raise ValueError("singular_end must be 'lower' or 'upper', got %r" % singular_end)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration bounds must be finite, got [%r, %r]" % (a, b))
-    if a > b:
-        raise ValueError("lower bound %r exceeds upper bound %r" % (a, b))
+    width = _sqrt_range(a, b)
     if a == b:
         return Integral(0.0, 0.0, 0)
-    width = b - a
     if singular_end == "lower":
         def transformed(u):
             return 2.0 * u * fn(a + u * u)
     else:
         def transformed(u):
             return 2.0 * u * fn(b - u * u)
-    return integrate(transformed, 0.0, math.sqrt(width), tol, max_evals)
+    return integrate(transformed, 0.0, width, tol, max_evals)
 
 
 def integrate_semi_infinite(

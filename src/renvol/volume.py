@@ -24,16 +24,25 @@ its integrand on every evaluation.
 from __future__ import annotations
 
 import math
+from functools import partial
 
-from .errors import DecayError, DomainError
+from .errors import DecayError, QuadratureError
+from .expressions import Expression, _Code, _define
 from .metric import (
     Horizon,
     RadialProfile,
-    _defect_kernels,
     ads_horizon_radius,
     ads_schwarzschild,
 )
-from .quadrature import Integral, Tolerance, integrate, integrate_sqrt_endpoint
+from .quadrature import (
+    Integral,
+    Tolerance,
+    _integrate,
+    _panel_source,
+    _sqrt_range,
+    integrate,
+    integrate_sqrt_endpoint,
+)
 from .records import Record
 
 __all__ = [
@@ -110,74 +119,117 @@ def model_bound_inner(area: float, t: float, alpha: float = 0.0, eps: float = 0.
     )
 
 
-def _difference_integrand(p: RadialProfile):
-    """d(s) = 4*pi*s^2 * (f^-1/2 - (1+s^2)^-1/2) with the difference taken
-    by ``inv_sqrt_diff`` from q, inlined, and f and q called compiled."""
-    f, params = p.f._compiled, p.params
-    q, _ = _defect_kernels(p)
+# The profile integrals run as compiled panel kernels: one function per
+# tree f, integrand and substitution computes a whole Kronrod panel (see
+# quadrature._panel_source).  It reads the parameters once per panel, maps
+# each node u to s, runs f and q inline, q's operations shared with f
+# written once, and then the integrand.  The operations, their order and
+# their errors are those of the integrand through f's and q's compiled
+# functions under quadrature._panel, bit for bit.
 
-    def d(s: float) -> float:
-        fs = f(s, params)
-        if fs <= 0.0:
-            raise DomainError("profile nonpositive at s=%r inside a volume integral" % (s,))
-        ps = 1.0 + s * s
-        qs = q(s, params)
-        if not fs > 0.0:  # a NaN f, refused as inv_sqrt_diff refuses it
-            raise ValueError("arguments must be positive, got %r, %r" % (fs, ps))
-        sf = math.sqrt(fs)
-        sp = math.sqrt(ps)
-        return _FOUR_PI * s * s * (qs / (sf * sp * (sf + sp)))
+# substitution -> (the node u to s, the value at u of the integrand w at s)
+_SUBSTITUTIONS = {
+    "s": (["s = u"], "w"),
+    # u^2 = s - origin, the inverse-sqrt endpoint of integrate_sqrt_endpoint
+    "sqrt": (["s = origin + u * u"], "2.0 * u * w"),
+    # s = 1/u, the remainder integral over (r, infinity)
+    "inverse": (["s = 1.0 / u"], "w / (u * u)"),
+    # u^2 = t, the flow parameter, and s the flow sphere's radius there
+    "flow": (["t = u * u", "s = radius * _exp(0.5 * t)"], "2.0 * u * w"),
+}
 
-    return d
-
-
-def _shell_integrand(p: RadialProfile):
-    """4*pi*s^2 / sqrt(f(s)), the integrand of ``volume_between``."""
-    f, params = p.f._compiled, p.params
-
-    def integrand(s: float) -> float:
-        fs = f(s, params)
-        if fs <= 0.0:
-            raise DomainError("profile nonpositive at s=%r inside a volume integral" % (s,))
-        return _FOUR_PI * s * s / math.sqrt(fs)
-
-    return integrand
+_NONPOSITIVE = "profile nonpositive at s=%r inside a volume integral"
 
 
-def _flow_integrand(p: RadialProfile, hz: Horizon):
-    """The integrand of ``flow_volume_lower_bound`` in the flow parameter t,
-    with ``p.hawking_mass(s)`` inlined as 32*pi^(3/2)*s*q(s): s is at or
-    outside the horizon for every t >= 0, so its checks never fire."""
-    f, params = p.f._compiled, p.params
-    q, _ = _defect_kernels(p)
-    radius = hz.radius
-    area = hz.area
-    sqrt_area = math.sqrt(area)
-    a32 = area * sqrt_area
-    mass_factor = 32.0 * math.pi ** 1.5
-    sixteen_pi = 16.0 * math.pi
+def _defect_operand(code: _Code, f: Expression) -> str:
+    """q emitted into ``code`` after f; where ``Expression.defect`` refuses,
+    the code raises its DecayError at this point instead."""
+    try:
+        q = f.defect()
+    except DecayError as exc:
+        code.lines.append("raise DecayError(%r)" % str(exc))
+        return "None"
+    return q._emit(code)
 
-    def integrand(t: float) -> float:
-        s = radius * math.exp(0.5 * t)
-        fs = f(s, params)
-        if fs <= 0.0 and t > 0.0:
-            raise DomainError(
-                "flow is not mean-convex: profile nonpositive at s=%r" % (s,)
-            )
-        grown = 4.0 * math.exp(t) * area
-        mass = mass_factor * s * q(s, params)  # p.hawking_mass(s)
-        direct = grown + sixteen_pi - math.exp(-0.5 * t) / sqrt_area * mass
-        collapsed = sixteen_pi * fs
-        # the direct form subtracts terms of size ~grown, so compare at
-        # that scale rather than at the (possibly tiny) collapsed value
-        if abs(direct - collapsed) > 1e-9 * max(1.0, grown):
-            raise ArithmeticError(
-                "flow integrand cross-check failed at t=%r: %r vs %r"
-                % (t, direct, collapsed)
-            )
-        return math.exp(1.5 * t) * a32 / math.sqrt(collapsed)
 
-    return integrand
+def _build_kernel(f: Expression, integrand: str, substitution: str):
+    code = _Code("value")
+    for name in sorted(f.parameters()):
+        code.param(name)  # hoisted: a profile binds every one of them
+    setup, code.lines = code.lines, list(_SUBSTITUTIONS[substitution][0])
+    fs = f._emit(code)
+    if integrand == "shell":
+        # 4*pi*s^2 / sqrt(f(s)), the integrand of volume_between
+        code.lines += [
+            "if %s <= 0.0:" % fs,
+            "    raise DomainError(%r %% (s,))" % _NONPOSITIVE,
+            "w = %r * s * s / _sqrt(%s)" % (_FOUR_PI, fs),
+        ]
+    elif integrand == "difference":
+        # d(s) = 4*pi*s^2 * (f^-1/2 - (1+s^2)^-1/2), the difference taken
+        # as inv_sqrt_diff(f, 1 + s^2, q) does, with its refusal of a NaN f
+        code.lines += ["if %s <= 0.0:" % fs, "    raise DomainError(%r %% (s,))" % _NONPOSITIVE]
+        ps = code.assign("1.0 + %s" % code.assign("s * s"))
+        qs = _defect_operand(code, f)
+        code.lines += [
+            "if not %s > 0.0:" % fs,
+            "    raise ValueError('arguments must be positive, got %%r, %%r' %% (%s, %s))" % (fs, ps),
+            "sf = _sqrt(%s)" % fs,
+            "sp = _sqrt(%s)" % ps,
+            "w = %r * s * s * (%s / (sf * sp * (sf + sp)))" % (_FOUR_PI, qs),
+        ]
+    else:
+        # the flow bound's integrand in t, with p.hawking_mass(s) inlined as
+        # 32*pi^(3/2)*s*q(s): s is at or outside the horizon for every
+        # t >= 0, so its checks never fire.  The direct form subtracts terms
+        # of size ~grown, so it is compared with the collapsed one at that
+        # scale rather than at the (possibly tiny) collapsed value.
+        setup += [
+            "radius = origin.radius",
+            "area = origin.area",
+            "sqrt_area = _sqrt(area)",
+            "a32 = area * sqrt_area",
+        ]
+        code.lines += [
+            "if %s <= 0.0 and t > 0.0:" % fs,
+            "    raise DomainError('flow is not mean-convex: profile nonpositive at s=%r' % (s,))",
+            "grown = 4.0 * _exp(t) * area",
+        ]
+        qs = _defect_operand(code, f)
+        code.lines += [
+            "mass = %r * s * %s" % (32.0 * math.pi ** 1.5, qs),
+            "direct = grown + %r - _exp(-0.5 * t) / sqrt_area * mass" % (16.0 * math.pi),
+            "collapsed = %r * %s" % (16.0 * math.pi, fs),
+            "if abs(direct - collapsed) > 1e-9 * max(1.0, grown):",
+            "    raise ArithmeticError('flow integrand cross-check failed at t=%r: %r vs %r'"
+            " % (t, direct, collapsed))",
+            "w = _exp(1.5 * t) * a32 / _sqrt(collapsed)",
+        ]
+    source = _panel_source("params, origin", setup, code.lines,
+                           _SUBSTITUTIONS[substitution][1])
+    constants = dict(code.constants, DecayError=DecayError, QuadratureError=QuadratureError)
+    return _define(source, constants, "<panel>")
+
+
+def _kernel(f: Expression, integrand: str, substitution: str):
+    """The panel kernel ``kernel(params, origin, a, b) -> (value, err)`` of
+    ``integrand`` ("difference", "shell" or "flow") of the profile tree f
+    under ``substitution`` (see ``_SUBSTITUTIONS``); ``origin`` is the
+    sqrt endpoint, or the flow's Horizon.  Compiled on first use and cached
+    on f, like f's own compiled function."""
+    kernels = f._kernels
+    kernel = kernels.get((integrand, substitution))
+    if kernel is None:
+        kernel = kernels[integrand, substitution] = _build_kernel(f, integrand, substitution)
+    return kernel
+
+
+def _profile_integral(p: RadialProfile, integrand: str, substitution: str,
+                      origin, a: float, b: float, tol: Tolerance) -> Integral:
+    """The integral over [a, b], in the variable of ``substitution``, of
+    p's ``integrand`` by its kernel (see ``_kernel``)."""
+    kernel = _kernel(p.f, integrand, substitution)
+    return _integrate(partial(kernel, p.params, origin), a, b, tol)
 
 
 def volume_between(
@@ -203,10 +255,9 @@ def volume_between(
             )
         at_horizon = abs(s_lo - hz.radius) <= 1e-9 * max(1.0, hz.radius)
 
-    integrand = _shell_integrand(p)
     if at_horizon:
-        return integrate_sqrt_endpoint(integrand, s_lo, s_hi, "lower", tol)
-    return integrate(integrand, s_lo, s_hi, tol)
+        return _profile_integral(p, "shell", "sqrt", s_lo, 0.0, _sqrt_range(s_lo, s_hi), tol)
+    return _profile_integral(p, "shell", "s", None, s_lo, s_hi, tol)
 
 
 def renormalized_volume(
@@ -243,13 +294,12 @@ def renormalized_volume(
     if not (r > max(s_h, 0.0) and math.isfinite(r)):
         raise ValueError("truncation radius %r must be finite and exceed the horizon" % (r,))
 
-    d = _difference_integrand(p)
     evals = 0
 
     if hz is not None:
-        core = integrate_sqrt_endpoint(d, s_h, r, "lower", tol)
+        core = _profile_integral(p, "difference", "sqrt", s_h, 0.0, _sqrt_range(s_h, r), tol)
     else:
-        core = integrate(d, s_h, r, tol)
+        core = _profile_integral(p, "difference", "s", None, s_h, r, tol)
     evals += core.evaluations
 
     inner = Integral(0.0, 0.0, 0)
@@ -259,19 +309,15 @@ def renormalized_volume(
         )
     evals += inner.evaluations
 
-    def remainder(u: float) -> float:
-        s = 1.0 / u
-        return d(s) / (u * u)
-
-    tail = integrate(remainder, 0.0, 1.0 / r, tol)
+    tail = _profile_integral(p, "difference", "inverse", None, 0.0, 1.0 / r, tol)
     evals += tail.evaluations
 
     value = core.value - inner.value + tail.value
 
     # recompute the split at 10r: the shell piece runs in s, the remainder
     # in u, so agreement cross-validates the substitution
-    shell = integrate(d, r, 10.0 * r, tol)
-    tail10 = integrate(remainder, 0.0, 1.0 / (10.0 * r), tol)
+    shell = _profile_integral(p, "difference", "s", None, r, 10.0 * r, tol)
+    tail10 = _profile_integral(p, "difference", "inverse", None, 0.0, 1.0 / (10.0 * r), tol)
     evals += shell.evaluations + tail10.evaluations
     value10 = value - tail.value + shell.value + tail10.value
 
@@ -311,7 +357,7 @@ def flow_volume_lower_bound(
         raise ValueError("profile %r has no horizon to start the flow from" % (p.label,))
     if tau == 0.0:
         return Integral(0.0, 0.0, 0)
-    return integrate_sqrt_endpoint(_flow_integrand(p, hz), 0.0, tau, "lower", tol)
+    return _profile_integral(p, "flow", "flow", hz, 0.0, _sqrt_range(0.0, tau), tol)
 
 
 def area_lower_bound(area: float, tau: float, tol: Tolerance | None = None) -> Integral:

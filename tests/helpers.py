@@ -3,18 +3,18 @@
 Everything here is deliberately dumb: plain bisection, composite
 Simpson, central differences, one closed-form antiderivative, recursive
 expression walks in float, interval and Fraction arithmetic, a forward
-horizon scan and the volume and decay-fit integrands as chains of the
-profile's public methods.  The point is that none of it shares code (or
+horizon scan, the Kronrod panel as a loop over its table, and the volume
+and decay-fit integrands as chains of the profile's public methods.  The point is that none of it shares code (or
 failure modes) with the library's adaptive machinery.
 """
 
 import math
 from fractions import Fraction
 
-from renvol.errors import DecayError, DomainError, EvaluationError
+from renvol.errors import DecayError, DomainError, EvaluationError, QuadratureError
 from renvol.expressions import Add, Call, Div, Mul, Neg, Num, Param, Pow, Sub, Var
 from renvol.metric import _SCAN_HI, _SCAN_LO, _SCAN_POINTS, AsymptoticsReport, Horizon
-from renvol.quadrature import find_root_bracketed, fit_slope, geomspace, inv_sqrt_diff
+from renvol.quadrature import _WG, _WGK, _XGK, find_root_bracketed, fit_slope, geomspace, inv_sqrt_diff
 
 
 def bisect60(fn, lo, hi):
@@ -334,6 +334,37 @@ def forward_scan_horizon(p):
     else:
         return None
     return Horizon(root, 4.0 * math.pi * root * root)
+
+
+def loop_panel(fn, a, b):
+    """The Kronrod/Gauss pair on [a, b] as a loop over the abscissa table:
+    the reference for the straight-line ``quadrature._panel`` and for the
+    compiled panel kernels."""
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    sum_k = 0.0
+    sum_g = 0.0
+    for i in range(8):
+        x = _XGK[i]
+        if x == 0.0:
+            fv = fn(center)
+            if not math.isfinite(fv):
+                raise QuadratureError("non-finite integrand value at %r" % center)
+            sum_k += _WGK[i] * fv
+            sum_g += _WG[3] * fv
+            continue
+        lo = center - half * x
+        hi = center + half * x
+        flo = fn(lo)
+        fhi = fn(hi)
+        if not (math.isfinite(flo) and math.isfinite(fhi)):
+            bad = lo if not math.isfinite(flo) else hi
+            raise QuadratureError("non-finite integrand value at %r" % bad)
+        pair = flo + fhi
+        sum_k += _WGK[i] * pair
+        if i % 2 == 1:
+            sum_g += _WG[i // 2] * pair
+    return half * sum_k, abs(half * (sum_k - sum_g))
 
 
 def chain_difference_integrand(p):

@@ -127,6 +127,39 @@ def test_monomial_gcd_matches_sympy(k, c, other, first):
     assert algebra._gcd(*args) == want
 
 
+def _bit_length_size(p):
+    # the size measure as first written: one bit_length per coefficient
+    return len(p) ** 2 * max(abs(c).bit_length() for c in p) <= algebra.MAX_SIZE if p else True
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-9, 9),
+            st.integers(-(2**2100), 2**2100),
+            st.integers(0, 120).map(lambda k: 2**k * 419 - 1),
+        ),
+        max_size=12,
+    ),
+    st.booleans(),
+)
+def test_size_takes_one_bit_length(p, negate):
+    # bit length grows with |c|, so the largest |c| has the largest length;
+    # the coefficient counts and magnitudes straddle MAX_SIZE
+    if negate:
+        p = [-c for c in p]
+    assert algebra.small(p) == _bit_length_size(p)
+
+
+def test_size_boundary():
+    # 10^2 coefficients times 500 bits is MAX_SIZE exactly
+    for top in (2**499, -(2**499), 2**500 - 1, 2**500, -(2**500)):
+        for p in ([0] * 9 + [top], [top] + [0] * 9, [1, -1] * 4 + [0, top]):
+            assert algebra.small(p) == _bit_length_size(p)
+    assert algebra.small([0] * 9 + [2**499]) and not algebra.small([0] * 9 + [2**500])
+
+
 def test_isolating_intervals_hold_one_root_each():
     # three roots 1e-3 apart and a double root above them
     p = algebra.mul(algebra.mul([-1700, 1000], [-1701, 1000]), [-1702, 1000])

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renvol.errors import QuadratureError
+from renvol.expressions import _define
 from renvol.quadrature import (
+    _XGK,
     Integral,
     Tolerance,
     find_root_bracketed,
@@ -20,10 +22,12 @@ from renvol.quadrature import (
     integrate_semi_infinite,
     integrate_sqrt_endpoint,
     inv_sqrt_diff,
+    _panel,
+    _panel_source,
     linspace,
 )
 
-from helpers import bisect60, simpson_composite
+from helpers import bisect60, loop_panel, simpson_composite
 
 
 class TestIntegrate:
@@ -111,6 +115,74 @@ class TestIntegrate:
         )
         res = integrate(poly, a, b)
         assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+
+
+def _panel_outcome(panel, fn, a, b):
+    # the value bit for bit, or the error; then the nodes in call order
+    calls = []
+
+    def traced(u):
+        calls.append(u)
+        return fn(u)
+
+    try:
+        got = "value", repr(panel(traced, a, b))
+    except Exception as exc:
+        got = type(exc), str(exc)
+    return got, calls
+
+
+class TestPanel:
+    """The straight-line ``_panel`` and a kernel compiled by
+    ``_panel_source`` against the loop over the abscissa table."""
+
+    # a compiled panel whose integrand at u is origin(u)
+    kernel = staticmethod(_define(
+        _panel_source("params, origin", [], ["w = origin(u)"], "w"),
+        {"QuadratureError": QuadratureError},
+        "<panel>",
+    ))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=15, max_size=15),
+        st.lists(
+            st.tuples(st.integers(0, 14), st.sampled_from([math.nan, math.inf, -math.inf, None])),
+            max_size=3,
+        ),
+        st.floats(-10.0, 10.0),
+        st.floats(1e-3, 10.0),
+    )
+    def test_nodes_sums_and_refusals_match_the_loop(self, values, specials, a, width):
+        b = a + width
+        center, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes = [center - half * x for x in _XGK] + [center + half * x for x in _XGK[:-1]]
+        table = dict(zip(nodes, values))
+        # a special value at a node: non-finite, or None for an error
+        for i, special in specials:
+            table[nodes[i]] = special
+
+        def fn(u):
+            value = table[u]
+            if value is None:
+                raise ZeroDivisionError("at %r" % u)
+            return value
+
+        want = _panel_outcome(loop_panel, fn, a, b)
+        assert _panel_outcome(_panel, fn, a, b) == want
+        assert _panel_outcome(lambda f, a, b: self.kernel(None, f, a, b), fn, a, b) == want
+
+    def test_refusal_names_lo_first(self):
+        for fn, bad in (
+            (lambda u: math.nan, "lo"),
+            (lambda u: math.inf if u > 0.5 else 1.0, "hi"),
+            (lambda u: math.nan if u == 0.5 else 1.0, "center"),
+        ):
+            want = {"lo": 0.5 - 0.5 * _XGK[0], "hi": 0.5 + 0.5 * _XGK[0], "center": 0.5}[bad]
+            for panel in (_panel, lambda f, a, b: self.kernel(None, f, a, b)):
+                with pytest.raises(QuadratureError) as info:
+                    panel(fn, 0.0, 1.0)
+                assert str(info.value) == "non-finite integrand value at %r" % want
 
 
 class TestSqrtEndpoint:

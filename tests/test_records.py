@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from renvol import acceptance, comparison, expressions, metric, quadrature, volume
-from renvol.expressions import Add, Call, Div, Expression, Mul, Neg, Num, Param, Pow, Sub, Var
+from renvol.expressions import _NO_PARAMS, Add, Call, Div, Expression, Mul, Neg, Num, Param, Pow, Sub, Var
 from renvol.records import Record
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -230,6 +230,14 @@ def test_cached_properties_live_in_the_instance_dict():
         assert clone.enclose(1.0, 2.0) == (2.0, 5.0)
         assert clone.evaluate_exact(2) == 5
 
+    # a panel kernel is cached on the tree, and dropped like the others
+    assert volume._kernel(tree, "shell", "s") is volume._kernel(tree, "shell", "s")
+    assert "_kernels" in vars(tree)
+    for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
+        assert "_kernels" not in vars(clone)
+        got = volume._kernel(clone, "shell", "s")(_NO_PARAMS, None, 1.0, 2.0)
+        assert got == volume._kernel(tree, "shell", "s")(_NO_PARAMS, None, 1.0, 2.0)
+
     p = metric.ads_schwarzschild(2.0)
     assert p.horizon == metric.Horizon(1.0, 4.0 * math.pi)
     rational = metric.custom_profile("1 + s^2 - m/s", {"m": 2.0})
@@ -273,6 +281,13 @@ for name, args in (("evaluate", (1.0,)), ("enclose", (1.0, 2.0)), ("evaluate_exa
         del generated[:]
         getattr(tree, name)(*args)
         print(" ".join(generated))
+p = renvol.custom_profile("1 + s^2 - m*exp(-s)/s", {"m": 2.0})
+p.horizon, p.asymptotics
+for call in (renvol.renormalized_volume, lambda p: renvol.flow_volume_lower_bound(p, 1.0)):
+    for _ in range(2):
+        del generated[:]
+        call(p)
+        print(" ".join(generated))
 """
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(TESTS_DIR), "src"))
     proc = subprocess.run(
@@ -280,6 +295,12 @@ for name, args in (("evaluate", (1.0,)), ("enclose", (1.0, 2.0)), ("evaluate_exa
     )
     assert proc.returncode == 0, proc.stderr
     # nothing at import; the first evaluate, enclose and evaluate_exact
-    # each compile and run one <expression>, and a second call neither
+    # each compile and run one <expression>, and a second call neither.
+    # The first renormalized_volume compiles and runs its three panel
+    # kernels (core, remainder, shell) under their own name, and no
+    # <expression>; the flow bound one more; a second call none
     once = "<expression> <expression>"
-    assert proc.stdout.split("\n") == ["", once, "", once, "", once, "", ""]
+    volume = " ".join(["<panel>"] * 6)
+    assert proc.stdout.split("\n") == [
+        "", once, "", once, "", once, "", volume, "", "<panel> <panel>", "", ""
+    ]
