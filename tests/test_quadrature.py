@@ -172,6 +172,12 @@ class TestPanel:
         assert _panel_outcome(_panel, fn, a, b) == want
         assert _panel_outcome(lambda f, a, b: self.kernel(None, f, a, b), fn, a, b) == want
 
+    def test_sums_start_from_positive_zero(self):
+        # 0.0 + -0.0 is 0.0: an integrand of -0.0 gives (0.0, 0.0)
+        for panel in (_panel, lambda f, a, b: self.kernel(None, f, a, b)):
+            assert repr(panel(lambda u: -0.0, 0.0, 1.0)) == "(0.0, 0.0)"
+        assert repr(loop_panel(lambda u: -0.0, 0.0, 1.0)) == "(0.0, 0.0)"
+
     def test_refusal_names_lo_first(self):
         for fn, bad in (
             (lambda u: math.nan, "lo"),

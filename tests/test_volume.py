@@ -123,12 +123,16 @@ class TestRenormalizedVolume:
             )
             assert got == counts, (p.f, p.params)
 
-    # the failure today is pytest.raises' "DID NOT RAISE"
-    @pytest.mark.xfail(raises=pytest.fail.Exception, strict=True)
+    @pytest.mark.xfail(
+        strict=True,
+        raises=pytest.fail.Exception,
+        reason="DID NOT RAISE: the remainder integrals from r and from 10r both "
+        "come out as 2.8145462511768623e91, the shell between them vanishes in "
+        "their rounding, and the stability reads 0",
+    )
     def test_divergent_tail_is_refused(self):
-        # |q|/f ~ s^-1: the volume diverges, but the remainder integrals from
-        # r and from 10r both come out as 2.8145462511768623e91, the shell
-        # between them vanishes in their rounding, and the stability reads 0
+        # |q|/f ~ s^-1, so the volume diverges; the fit of this
+        # transcendental tree passes it
         p = custom_profile("1 + s^2 - c*s - m/s + 0*exp(-s)", {"c": 1e-12, "m": 2.0})
         with pytest.raises(DecayError):
             renormalized_volume(p)
