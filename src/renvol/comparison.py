@@ -4,8 +4,8 @@
 hypotheses (curvature bounded below by -6, an outermost horizon, an area
 at least the model's, admissible decay), then computes both renormalized
 volumes and classifies the margin.  The curvature bound is certified by
-exact Sturm counts for rational profiles, and sampled on a grid for
-profiles with exp/log/sqrt, from the mass slope ``RadialProfile.mass_slope``.
+exact Sturm counts for rational profiles, and by float enclosures of the
+mass slope ``RadialProfile.mass_slope`` for profiles with exp/log/sqrt.
 Likewise the decay rate of a rational profile is exact, read from the
 degrees of f = P/Q, and fitted on a grid otherwise.
 
@@ -34,12 +34,14 @@ t = alpha, and takes its kernel at y = 1 - e^(-t/2).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 from . import algebra
 from .errors import DecayError, DomainError
+from .expressions import Expression
 from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
-from .quadrature import Tolerance, geomspace, integrate, integrate_sqrt_endpoint
+from .quadrature import Tolerance, integrate, integrate_sqrt_endpoint
 from .records import Record
 from .volume import renormalized_volume
 
@@ -65,8 +67,9 @@ _FOUR_PI = 4.0 * math.pi
 CURVATURE_SLACK = 1e-9
 EQUALITY_TOL = 1e-8
 
-_CURVATURE_GRID_POINTS = 2000
-_CURVATURE_GRID_TOP = 1e4
+# the interval work one curvature check by enclosures may spend, in tree
+# nodes enclosed; at 0.05-0.25 us per node, 0.05-0.25 s whatever the tree
+_CURVATURE_WORK = 1_000_000
 
 
 class GapSpec(Record):
@@ -350,36 +353,6 @@ def kernel_threshold(mu: float, tol: Tolerance | None = None) -> float:
     return 10.0 ** (0.5 * (lo + hi))
 
 
-def _golden_min(fn, a: float, b: float, iterations: int = 90):
-    inv_phi = 0.6180339887498949
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iterations):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = fn(x2)
-        if b - a <= 1e-12 * max(1.0, abs(a)):
-            break
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def _argmin(values: list[float]) -> int:
-    """Index of the first minimum; the first NaN wins, so it is never skipped."""
-    best = 0
-    for i, v in enumerate(values):
-        if v != v:
-            return i
-        if v < values[best]:
-            best = i
-    return best
-
-
 def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     """The hypothesis R >= -6 on [s_lo, inf).
 
@@ -391,15 +364,23 @@ def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     root of odd multiplicity above s_lo, both by exact Sturm counts.  A
     pole fails and is named; otherwise a failure names an interval on
     which (s q)' < 0 and R at the lowest of a few points tried there.
-    Profiles with exp/log/sqrt, and forms too large for
-    ``algebra.small``, are sampled on a 2000-point grid, refined around
-    the sampled minimum: no certificate.  The samples are R =
-    -6 + 2 (s q)'/s^2 from the normalized ``p.mass_slope``, which does not
-    cancel near a tiny horizon; where it raises DecayError, the check fails
-    with the error.
+
+    Profiles with exp/log/sqrt, and forms too large for ``algebra.small``,
+    bisect [s_lo, inf) in log s, lowest block first.  A block [a, b]
+    bounds (s q)' by ``Expression.enclose`` of ``p.mass_slope``,
+    intersected with the mean-value form (s q)'(c) + (s q)''([a, b])
+    ([a, b] - c) against the blow-up of cancelling terms (Moore, Interval
+    Analysis, 1966).  It passes when the lower bound clears
+    -CURVATURE_SLACK a^2/2 and fails the check, certified, when the upper
+    bound is below -CURVATURE_SLACK b^2/2.  The certified range ends at a
+    block that cannot be halved, has no enclosure, and where f or (s q)'
+    is inf or NaN at b without raising.  Any other such block, or the
+    lowest one left after _CURVATURE_WORK tree nodes enclosed, fails the
+    check undecided unless a certified failure is found first.  Nothing is
+    sampled.  Where ``p.mass_slope`` raises DecayError, the check fails.
     """
     if p.rational is None:
-        return _sampled_curvature(p, s_lo)
+        return _enclosed_curvature(p, s_lo)
     f_num, f_den = p.rational
     lo = s_lo.as_integer_ratio()
     poles = algebra.sturm(f_den)
@@ -417,7 +398,7 @@ def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
         algebra.mul(mass, algebra.derivative(f_den)),
     )
     if not algebra.small(n):
-        return _sampled_curvature(p, s_lo)
+        return _enclosed_curvature(p, s_lo)
     if n:
         seq = algebra.sturm(algebra.odd_part(n))
         if n[-1] < 0 or algebra.variations(seq, lo) > algebra.variations(seq, None):
@@ -491,33 +472,64 @@ def _curvature_gap(n, f_den, x):
         return x, math.copysign(math.inf, top)
 
 
-def _sampled_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
+def _enclosed_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     try:
-        slope = p.mass_slope._compiled
+        slope = p.mass_slope
     except DecayError as exc:
         return _curvature_fails(str(exc))
+    second, params = slope.derivative(), p.params
+    limit = _CURVATURE_WORK // (_nodes(slope) + _nodes(second))
+    spent, top, undecided = 0, math.inf, None
+    blocks = [(s_lo, sys.float_info.max)]  # depth first, lowest block first
+    while blocks and spent < limit:
+        a, b = blocks.pop()
+        c = math.exp(0.5 * (math.log(a) + math.log(b)))
+        passes, fails = -0.5 * CURVATURE_SLACK * a * a, -0.5 * CURVATURE_SLACK * b * b
+        bounds = slope.enclose(a, b, params)
+        spent += 1
+        if bounds is not None and bounds[0] < passes and bounds[1] >= fails:
+            # intersect with the mean-value form (s q)'(c) + (s q)''([a, b]) ([a, b] - c)
+            curve = second.enclose(a, b, params)
+            point = curve and slope.enclose(c, c, params)
+            spent += 1 if curve is None else 2
+            if point:
+                bounds = (max(bounds[0], point[0] + min(curve[0] * (b - c), curve[1] * (a - c))),
+                          min(bounds[1], point[1] + max(curve[1] * (b - c), curve[0] * (a - c))))
+        if bounds is not None and bounds[0] >= passes:
+            continue
+        if bounds is not None and bounds[1] < fails:
+            return _curvature_fails(
+                "R(s = %.6g) = %.12g falls below -6 (certified: R < -6 - %g on [%.15g, %.15g] "
+                "by enclosures of (s q)')" % (c, p.scalar_curvature(c), CURVATURE_SLACK, a, b)
+            )
+        if a < c < b:
+            blocks += [(c, b), (a, c)]
+        elif bounds is None and _overflows(p, b):
+            top, blocks = a, []  # the range ends here, below every block left
+        elif undecided is None:
+            undecided = a, b  # too narrow to split
+    if undecided or blocks:  # or the lowest block left when the budget ran out
+        return _curvature_fails("R >= -6 is undecided on [%r, %r] after %d enclosures of "
+                                "(s q)' (no certificate)" % ((undecided or blocks[-1]) + (spent,)))
+    end = "inf)" if top == math.inf else "%.6g] (f or (s q)' is not finite above it)" % top
+    return HypothesisCheck("scalar_curvature", True, "R >= -6 - %g on [%.6g, %s, certified by "
+                           "enclosures of (s q)'" % (CURVATURE_SLACK, s_lo, end))
 
-    def curvature(s):
-        return -6.0 + 2.0 * slope(s, p.params) / (s * s)
 
-    grid = geomspace(s_lo, _CURVATURE_GRID_TOP, _CURVATURE_GRID_POINTS)
-    values = [curvature(s) for s in grid]
-    i = _argmin(values)
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    s_min, r_refined = _golden_min(curvature, lo, hi)
-    r_min = min(values[i], r_refined)
-    if r_refined > values[i]:
-        s_min = grid[i]
-    passed = r_min >= -6.0 - CURVATURE_SLACK
-    if passed:
-        detail = (
-            "min sampled R = %.12g at s = %.6g (2000-point grid plus local "
-            "refinement; sampled, not a global certificate)" % (r_min, s_min)
-        )
-    else:
-        detail = "R(s = %.6g) = %.12g falls below -6 (sampled witness)" % (s_min, r_min)
-    return HypothesisCheck("scalar_curvature", passed, detail)
+def _overflows(p: RadialProfile, s: float) -> bool:
+    """True where f or (s q)' evaluates to inf or NaN at s without raising."""
+    for tree in (p.f, p.mass_slope):
+        try:
+            if not math.isfinite(tree.evaluate(s, p.params)):
+                return True
+        except DomainError:
+            pass
+    return False
+
+
+def _nodes(e: Expression) -> int:
+    """The number of nodes of the tree e."""
+    return 1 + sum(_nodes(x) for x in map(e.__dict__.get, e._fields) if isinstance(x, Expression))
 
 
 def compare_volumes(

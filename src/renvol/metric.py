@@ -160,20 +160,17 @@ class AsymptoticsReport(Record):
     """Outcome of the decay-rate check performed by validate_asymptotics.
 
     For a rational profile, ``measured_rate`` is the exact exponent
-    deg N - deg P of |q|/f = |N|/P (negative infinity when N = 0),
-    ``fit_points`` is 0 and ``derivative_slope`` is None: no defect is
-    sampled.  Otherwise ``measured_rate`` is the fitted log-log slope of
-    |q|/f (negative infinity when the defect vanishes identically on the
-    grid), ``fit_points`` the number of samples fitted, and
-    ``derivative_slope`` the corresponding slope for the sampled
-    defect-derivative trend |q'|/s, reported for diagnosis only.
+    deg N - deg P of |q|/f = |N|/P (negative infinity when N = 0), and
+    ``fit_points`` is 0: no defect is sampled.  Otherwise
+    ``measured_rate`` is the fitted log-log slope of |q|/f (negative
+    infinity when the defect vanishes identically on the grid), and
+    ``fit_points`` the number of samples fitted.
     """
 
     passed: bool
     measured_rate: float
     required_rate: float
     fit_points: int
-    derivative_slope: float | None
 
 
 class RadialProfile(Record):
@@ -376,10 +373,13 @@ class RadialProfile(Record):
         return 2.0 * math.sqrt(fs) / s
 
     def scalar_curvature(self, s: float) -> float:
-        """R(s) = 2*(1 - f - s*f')/s^2."""
+        """R(s) = -6 + 2*(s q)'(s)/s^2 from ``mass_slope``, the tree the
+        curvature check reads: -6 exactly where s q is constant, which
+        2*(1 - f - s*f')/s^2 missed near a tiny horizon.  Raises DecayError
+        where the defect tree is refused, as ``hawking_mass`` does."""
         if not s > 0.0:
             raise ValueError("radius must be positive, got %r" % (s,))
-        return 2.0 * (1.0 - self.value(s) - s * self.slope(s)) / (s * s)
+        return -6.0 + 2.0 * self.mass_slope.evaluate(s, self.params) / (s * s)
 
     def hawking_mass(self, s: float) -> float:
         """Unnormalized quasi-local mass of the coordinate sphere at s.
@@ -473,21 +473,19 @@ def ads_horizon_radius(m: float) -> float:
 
 
 def _defect_kernels(p: RadialProfile):
-    """The compiled q and q' of ``p``, for loops that call them directly:
-    ``q(s, p.params)`` is ``p.defect(s)`` at a float s, and ``dq`` is
-    ``p.defect_slope``, each one call instead of three.  Where the defect
-    tree cannot be built (``Expression.defect`` raises DecayError), both
-    raise that error when called, where the methods would have raised it.
-    """
+    """The compiled q of ``p``: ``q(s, p.params)`` is ``p.defect(s)`` at a
+    float s, one call instead of three.  Where ``Expression.defect``
+    refuses the tree, it raises that DecayError when called, as the method
+    would."""
     try:
-        return p.q._compiled, p.dq._compiled
+        return p.q._compiled
     except DecayError as exc:
         message = str(exc)
 
         def fail(s, params):
             raise DecayError(message)
 
-        return fail, fail
+        return fail
 
 
 def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
@@ -502,10 +500,9 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     For a rational profile, f = P/Q (``RadialProfile.rational``), the rate
     is exact: q = N/Q with N = Q (1 + s^2) - P, so |q|/f = |N|/P decays
     like s^(deg N - deg P), and like s^-inf when N = 0.  It passes when
-    the rate is at most -(2 + 4*delta), with no slack.  Neither q nor q'
-    is evaluated, so the report has no derivative slope (None) and no
-    fitted points (0), and a defect tree that ``Expression.defect``
-    refuses raises nothing here.
+    the rate is at most -(2 + 4*delta), with no slack.  q is not
+    evaluated, so the report has no fitted points (0), and a defect tree
+    that ``Expression.defect`` refuses raises nothing here.
 
     Otherwise (exp/log/sqrt, or a form above the size cap) the rate is the
     centered least-squares log-log slope (``fit_slope``) of |q|/f over the
@@ -527,10 +524,9 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     f, params = p.f._compiled, p.params
     form = p.rational
     if form is None:
-        q, dq = _defect_kernels(p)
+        q = _defect_kernels(p)
     log_s = []
     log_norm = []
-    log_dslope = []
     for s in geomspace(s_lo, 1e4 * s_lo, 41):
         fs = f(s, params)
         if not (fs > 0.0):
@@ -543,21 +539,12 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
         norm = abs(qs) / fs
         log_s.append(math.log(s))
         log_norm.append(math.log(norm))
-        dqs = dq(s, params)
-        if dqs != 0.0:
-            log_dslope.append((math.log(s), math.log(abs(dqs) / s)))
     if form is not None:
         num, den = form
         n = algebra.sub(algebra.mul(den, [1, 0, 1]), num)
         rate = float(len(n) - len(num)) if n else -math.inf
-        return AsymptoticsReport(rate <= required, rate, required, 0, None)
+        return AsymptoticsReport(rate <= required, rate, required, 0)
     if len(log_s) < 2:
-        return AsymptoticsReport(True, -math.inf, required, len(log_s), None)
+        return AsymptoticsReport(True, -math.inf, required, len(log_s))
     rate = fit_slope(log_s, log_norm)
-    dslope = None
-    if len(log_dslope) >= 2:
-        xs = [pair[0] for pair in log_dslope]
-        ys = [pair[1] for pair in log_dslope]
-        dslope = fit_slope(xs, ys)
-    passed = rate <= required + 0.05
-    return AsymptoticsReport(passed, rate, required, len(log_s), dslope)
+    return AsymptoticsReport(rate <= required + 0.05, rate, required, len(log_s))

@@ -428,10 +428,10 @@ def _decay_grid(p):
 
 
 def chain_validate_asymptotics(p):
-    """``validate_asymptotics`` with its samples taken by ``p.value``,
-    ``p.defect`` and ``p.defect_slope``."""
+    """``validate_asymptotics`` with its samples taken by ``p.value`` and
+    ``p.defect``."""
     required = -(2.0 + 4.0 * p.delta)
-    log_s, log_norm, log_dslope = [], [], []
+    log_s, log_norm = [], []
     for s in _decay_grid(p):
         fs = p.value(s)
         if not (fs > 0.0):
@@ -441,16 +441,10 @@ def chain_validate_asymptotics(p):
             continue
         log_s.append(math.log(s))
         log_norm.append(math.log(abs(q) / fs))
-        dq = p.defect_slope(s)
-        if dq != 0.0:
-            log_dslope.append((math.log(s), math.log(abs(dq) / s)))
     if len(log_s) < 2:
-        return AsymptoticsReport(True, -math.inf, required, len(log_s), None)
+        return AsymptoticsReport(True, -math.inf, required, len(log_s))
     rate = fit_slope(log_s, log_norm)
-    dslope = None
-    if len(log_dslope) >= 2:
-        dslope = fit_slope([x for x, _ in log_dslope], [y for _, y in log_dslope])
-    return AsymptoticsReport(rate <= required + 0.05, rate, required, len(log_s), dslope)
+    return AsymptoticsReport(rate <= required + 0.05, rate, required, len(log_s))
 
 
 def sympy_tree(expr, params=None):
@@ -513,7 +507,7 @@ def exact_validate_asymptotics(p):
         if not (p.value(s) > 0.0):
             raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
     rate = sympy_decay_rate(p.f, p.params)
-    return AsymptoticsReport(rate <= required, rate, required, 0, None)
+    return AsymptoticsReport(rate <= required, rate, required, 0)
 
 
 def two_pass_sturm(p):

@@ -1,14 +1,20 @@
 """Gap function, kernel inequality, and the end-to-end comparison."""
 
 import math
+import sys
+import time
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renvol.comparison
 import renvol.metric
 from renvol.comparison import (
     GapSpec,
+    _check_curvature,
     area_log_ratio,
     compare_volumes,
     kernel_margin,
@@ -19,7 +25,13 @@ from renvol.comparison import (
     volume_gap_slope,
 )
 from renvol.errors import DecayError
-from renvol.metric import ads_schwarzschild, custom_profile, hyperbolic, rn_ads
+from renvol.metric import (
+    ads_horizon_radius,
+    ads_schwarzschild,
+    custom_profile,
+    hyperbolic,
+    rn_ads,
+)
 from renvol.quadrature import Tolerance
 from renvol.volume import renormalized_volume
 
@@ -356,27 +368,32 @@ class TestCompareVolumes:
             compare_volumes(ads_schwarzschild(2.0), -1.0)
 
     def test_nan_curvature_fails_the_check(self):
-        # the sqrt keeps the tree on the sampled path; s^90 overflows beyond
-        # s = 2657, so R is NaN at the top of the grid, and the first NaN is
-        # the sampled minimum and the check fails on it
+        # the sqrt keeps the tree off the Sturm path; (s q)' is 0 in exact
+        # arithmetic, but its enclosures cancel terms like 45 c/s and decide
+        # no block above the horizon, and beyond s = 2657, where s^90
+        # overflows, (s q)' is NaN; the work budget ends the check undecided
         p = custom_profile("1 + s^2 - m/s + c*sqrt(s^90)/s^46", {"m": 2.0, "c": 1e-3})
         report = compare_volumes(p, 2.0)
         check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
         assert not check.passed
-        assert check.detail == "R(s = 2677.31) = nan falls below -6 (sampled witness)"
+        assert check.detail == (
+            "R >= -6 is undecided on [1.0003958332135576, 1.0003964945123331] after "
+            "5917 enclosures of (s q)' (no certificate)"
+        )
         assert report.verdict == "hypothesis_failed"
 
     def test_linear_defect_term_beside_an_atom_is_sampled(self):
         # q = s - m*exp(-s) normalizes, and s*q = s^2 - m*s*exp(-s) keeps
         # an s^2 beside the atom; the mass aspect has no 1 + s^2 to cancel,
-        # so this is no DecayError and R = -6 + 4/s + ... is sampled
+        # so this is no DecayError, and (s q)' = 2 s + ... is enclosed up to
+        # where 2 s overflows
         p = custom_profile("1 + s^2 - s + m*exp(-s)", {"m": 1e-3})
         report = compare_volumes(p, 2.0)
         check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
         assert check.passed
         assert check.detail == (
-            "min sampled R = -5.9996 at s = 10000 (2000-point grid plus local "
-            "refinement; sampled, not a global certificate)"
+            "R >= -6 - 1e-09 on [0.01, 8.98847e+307] (f or (s q)' is not finite "
+            "above it), certified by enclosures of (s q)'"
         )
 
     def test_rational_overflow_is_certified_exactly(self):
@@ -500,6 +517,154 @@ class TestCompareVolumes:
         assert fitted == ["rn-ads m=4 c=1", "ads m=2"]
         compare_volumes(p, 2.0)
         assert fitted.count("rn-ads m=4 c=1") == 1
+
+
+# f = 1 + s^2 - mu(s)/s has s q = mu, so R + 6 = 2 mu'/s^2: each mass
+# aspect mu comes with its derivative in mpmath, the oracle of the check
+MASS_ASPECTS = {
+    "1 + s^2 - (m + c*(1 - exp(-s/a)))/s": lambda s, c, a: c * mpmath.exp(-s / a) / a,
+    "1 + s^2 - (m + c*s/sqrt(s^2 + a))/s": lambda s, c, a: c * a / (s * s + a) ** 1.5,
+}
+
+# the verdicts of the check on trees with exp/log/sqrt and an above-cap
+# rational form, with R + 6 = 2 (s q)'/s^2 worked out by hand: passes
+# where (s q)' >= 0, failures where it dips below 0 above s_lo
+ENCLOSED_VERDICTS = [
+    ("1 + s^2 - m/s + c*exp(-s)/s", {"m": 2.0, "c": 0.5}, True),
+    ("1 + s^2 - m/s + c*exp(-s)/s^2", {"m": 2.0, "c": 0.5}, True),
+    ("1 + s^2 - m/s*exp(-1/s)", {"m": 2.0}, True),
+    ("1 + s^2 - m/s + 0*exp(-s)", {"m": 1e-5}, True),
+    ("1 + s^2 - m/s + c/sqrt(s^6 + 1)", {"m": 2.0, "c": 0.1}, True),
+    ("1 + s^2 - s + m*exp(-s)", {"m": 1e-3}, True),
+    ("1 + s^2 - (m + c*(1 - exp(-s/a)))/s", {"m": 2.0, "a": 3.0, "c": 1.0}, True),
+    ("1 + s^2 - (m + c*(1 - exp(-s/a)))/s", {"m": 2.0, "a": 3.0, "c": 1e-6}, True),
+    ("1 + s^2 - (m + c*s/sqrt(s^2 + a))/s", {"m": 2.0, "c": 1.0, "a": 3.0}, True),
+    ("1 + s^2 - (m + c*log(1 + s))/s", {"m": 2.0, "c": 0.01}, True),
+    ("1 + s^2 - m/s - c*exp(-s)/s", {"m": 2.0, "c": 0.5}, False),
+    ("1 + s^2 - m/s + c*exp(-s)", {"m": 2.0, "c": 0.5}, False),
+    ("1 + s^2 - m/s^3*exp(-1/s)", {"m": 2.0}, False),
+    ("1 + s^2 - m*exp(-s^2)/s", {"m": 2.0}, False),
+    ("1 + s^2 - m/s + c*log(s)/s^3", {"m": 2.0, "c": 0.1}, False),
+    ("1 + s^2 - m/s - c/sqrt(s^6 + 1)", {"m": 2.0, "c": 0.1}, False),
+    ("1 + s^2 - m*exp(-s)/s", {"m": 4.0}, False),
+    ("1 + s^2 + c*exp(-s)", {"c": 0.5}, False),
+    ("1 + s^2 - (m - c*(1 - exp(-s/a)))/s", {"m": 2.0, "c": 1e-6, "a": 3.0}, False),
+]
+
+# a block too wide to decide: (s q)' is 0, or -1e-12 near the horizon
+# beside terms of 1e-7, which the enclosures do not resolve
+UNDECIDED = [
+    ("1 + s^2 - m/s + c*sqrt(s^90)/s^46", {"m": 2.0, "c": 1e-3}),
+    ("1 + s^2 - m/s + c*(s - 1.1)^9/(s^2 + 1)^6", {"m": 2.0, "c": 1e-3}),
+]
+
+
+def _interval(detail, opening):
+    """The two floats of the first ``[a, b]`` after ``opening`` in detail."""
+    inside = detail.split(opening, 1)[1].split("]")[0]
+    return tuple(float(x) for x in inside.split(", "))
+
+
+def _curvature_check(text, params):
+    p = custom_profile(text, params)
+    s_lo = p.horizon.radius if p.horizon is not None else 1e-2
+    return _check_curvature(p, s_lo)
+
+
+class TestEnclosedCurvature:
+    @pytest.mark.parametrize("text, params, passed", ENCLOSED_VERDICTS)
+    def test_verdicts(self, text, params, passed):
+        check = _curvature_check(text, params)
+        assert check.passed == passed, check.detail
+        if passed:
+            assert ", certified by enclosures of (s q)'" in check.detail
+        else:
+            assert "falls below -6 (certified: R < -6 - 1e-09 on [" in check.detail
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(sorted(MASS_ASPECTS)),
+        st.floats(0.5, 5.0),
+        st.floats(0.5, 5.0),
+        st.floats(1e-3, 2.0),
+        st.booleans(),
+    )
+    def test_paper_construction(self, text, m, a, c, rising):
+        # mu is increasing for c > 0 and decreasing for c < 0
+        c = c if rising else -c
+        check = _curvature_check(text, {"m": m, "a": a, "c": c})
+        if rising:
+            assert check.passed, check.detail
+            assert ", certified by enclosures of (s q)'" in check.detail
+            return
+        assert not check.passed, check.detail
+        lo, hi = _interval(check.detail, "(certified: R < -6 - 1e-09 on [")
+        with mpmath.workdps(50):
+            s = (mpmath.mpf(lo) + mpmath.mpf(hi)) / 2
+            assert 2 * MASS_ASPECTS[text](s, c, a) / s**2 < -renvol.comparison.CURVATURE_SLACK
+
+    @pytest.mark.parametrize(
+        "text, params, top",
+        [
+            # s^2 overflows in f beyond sqrt(max), s^6 in (s q)' beyond max^(1/6)
+            ("1 + s^2 - m/s + c*exp(-s)/s^2", {"m": 2.0, "c": 0.5}, sys.float_info.max ** 0.5),
+            ("1 + s^2 - m/s*exp(-1/s)", {"m": 2.0}, sys.float_info.max ** 0.5),
+            ("1 + s^2 - m/s + c/sqrt(s^6 + 1)", {"m": 2.0, "c": 0.1}, sys.float_info.max ** (1 / 6)),
+        ],
+    )
+    def test_range_ends_at_an_overflow(self, text, params, top):
+        check = _curvature_check(text, params)
+        assert check.passed
+        assert check.detail.endswith(
+            "] (f or (s q)' is not finite above it), certified by enclosures of (s q)'"
+        )
+        _, end = _interval(check.detail, "on [")
+        assert end == pytest.approx(top, rel=1e-5)
+
+    @pytest.mark.parametrize("text, params", UNDECIDED)
+    def test_undecided_check_fails_fast(self, text, params):
+        start = time.perf_counter()
+        check = _curvature_check(text, params)
+        assert time.perf_counter() - start < 0.5
+        assert not check.passed
+        assert check.detail.startswith("R >= -6 is undecided on [")
+        assert check.detail.endswith(" enclosures of (s q)' (no certificate)")
+        lo, hi = _interval(check.detail, "on [")
+        assert 1.0 <= lo < hi < 1.1
+        assert "nan" not in check.detail
+
+    def test_certified_failure_wins_over_an_undecided_block(self):
+        # (s q)' = c (4 - s) e^-s + 2 k/(s - 2)^2: the blocks at the pole
+        # s = 2 have no enclosure and cannot be decided, and above s = 4
+        # the first term wins and R drops below -6
+        p = custom_profile(
+            "1 + s^2 - m/s - c*(s - 3)*exp(-s)/s + k/(s - 2)", {"m": 2.0, "c": 0.5, "k": 1e-3}
+        )
+        check = _check_curvature(p, 1.5)
+        assert not check.passed
+        lo, hi = _interval(check.detail, "(certified: R < -6 - 1e-09 on [")
+        assert 4.0 < lo <= hi
+        with mpmath.workdps(50):
+            s = (mpmath.mpf(lo) + mpmath.mpf(hi)) / 2
+            slope = 0.5 * (4 - s) * mpmath.exp(-s) + 2e-3 / (s - 2) ** 2
+            assert 2 * slope / s**2 < -renvol.comparison.CURVATURE_SLACK
+
+    def test_slack_grows_with_the_radius(self):
+        # s q = -k s, so R = -6 - 2k/s^2, below -6 - 1e-09 exactly for
+        # s < sqrt(2k/1e-9) = 10: every block that fails must lie below 10
+        p = custom_profile("1 + s^2 + k + 0*exp(-s)", {"k": 5e-8})
+        check = _check_curvature(p, 1.0)
+        assert not check.passed
+        lo, hi = _interval(check.detail, "(certified: R < -6 - 1e-09 on [")
+        assert 1.0 <= lo < hi < 10.0
+        assert _check_curvature(p, 10.5).passed
+
+    def test_tiny_and_huge_model_masses(self):
+        for m in np.geomspace(1e-15, 1e15, 61):
+            m = float(m)
+            p = custom_profile("1 + s^2 - m/s + 0*exp(-s)", {"m": m})
+            check = _check_curvature(p, ads_horizon_radius(m))
+            assert check.passed, (m, check.detail)
 
 
 class TestMassVolumeSweep:

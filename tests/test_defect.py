@@ -138,8 +138,8 @@ class TestModelSelfComparison:
     @pytest.mark.parametrize("m", [1e-5, 1e-4])
     def test_tiny_mass_curvature_sampled(self, m):
         # R = 2(1 - f - s f')/s^2 gave -6.00000523 at s = 1.00644e-05 for
-        # m = 1e-5; the sampled R = -6 + 2 (s q)'/s^2 has (s q)' = 0 exactly,
-        # as the rational twin 1 + s^2 - m/s, which is certified
+        # m = 1e-5; R = -6 + 2 (s q)'/s^2 has (s q)' = 0 exactly, as the
+        # rational twin 1 + s^2 - m/s, and one enclosure certifies it
         p = custom_profile("1 + s^2 - m/s + 0*exp(-s)", {"m": m})
         assert compare_volumes(p, m).verdict == "equality"
 

@@ -337,6 +337,26 @@ class TestCurvature:
         q = rn_ads(3.0, -1.0)
         assert q.scalar_curvature(2.0) == pytest.approx(-6.0 - 2.0 / 16.0, rel=1e-14)
 
+    def test_exactly_minus_six_at_every_model_horizon(self):
+        # 2 (1 - f - s f')/s^2 gave -6.000533 at the horizon of m = 1e-6;
+        # s q = m has slope 0
+        for m in np.geomspace(1e-15, 1e15, 61):
+            p = ads_schwarzschild(float(m))
+            assert p.scalar_curvature(p.horizon.radius) == -6.0, m
+
+    def test_charged_family_against_the_closed_form(self):
+        for m, c in ((4.0, 1.0), (3.0, -1.0), (1e-6, 1e-9), (1e6, -50.0)):
+            p = rn_ads(m, c)
+            for s in np.geomspace(1e-3, 1e6, 40):
+                s = float(s)
+                want = -6.0 + 2.0 * c / s**4
+                assert p.scalar_curvature(s) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_refused_defect_raises(self):
+        p = custom_profile("sqrt(1 + 2*s^2 + s^4) - m/s", {"m": 1.0})
+        with pytest.raises(DecayError, match="keeps a bare s\\^2 term"):
+            p.scalar_curvature(2.0)
+
     def test_finite_difference_oracle(self):
         p = custom_profile("1 + s^2 - 2*exp(-s)/s")
         for s in (0.9, 1.7, 4.0):
@@ -450,12 +470,10 @@ class TestAsymptotics:
 
         monkeypatch.setattr(renvol.metric, "_defect_kernels", refuse)
         monkeypatch.setattr(RadialProfile, "defect", refuse)
-        monkeypatch.setattr(RadialProfile, "defect_slope", refuse)
         report = validate_asymptotics(p)
-        assert (report.passed, report.measured_rate) == (True, -3.0)
-        assert report.fit_points == 0 and report.derivative_slope is None
-        # neither the q nor the q' tree was built
-        assert "q" not in p.__dict__ and "dq" not in p.__dict__
+        assert (report.passed, report.measured_rate, report.fit_points) == (True, -3.0, 0)
+        # the q tree was not built
+        assert "q" not in p.__dict__
 
     def test_exact_rate_has_no_slack(self):
         # q -> c is the rate -2, which misses -(2 + 4*delta) by 4*delta;

@@ -37,8 +37,8 @@ RECORDS = [
     (metric.Horizon, ("radius", "area"), (1.0, 4.0 * math.pi)),
     (
         metric.AsymptoticsReport,
-        ("passed", "measured_rate", "required_rate", "fit_points", "derivative_slope"),
-        (True, -3.0, -2.8, 41, None),
+        ("passed", "measured_rate", "required_rate", "fit_points"),
+        (True, -3.0, -2.8, 41),
     ),
     (metric.RadialProfile, ("f", "params", "delta", "label"), (_ADS, {"m": 2.0}, 0.2, "ads")),
     (quadrature.Tolerance, ("rel", "abs"), (1e-8, 1e-12)),
