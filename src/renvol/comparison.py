@@ -5,7 +5,7 @@ hypotheses (curvature bounded below by -6, an outermost horizon, an area
 at least the model's, admissible decay), then computes both renormalized
 volumes and classifies the margin.  The curvature bound is certified by
 exact Sturm counts for rational profiles, and by float enclosures of the
-mass slope ``RadialProfile.mass_slope`` for profiles with exp/log/sqrt.
+jet of ``RadialProfile.mass_aspect`` for profiles with exp/log/sqrt.
 Likewise the decay rate of a rational profile is exact, read from the
 degrees of f = P/Q, and fitted on a grid otherwise.
 
@@ -39,7 +39,6 @@ from typing import Sequence
 
 from . import algebra
 from .errors import DecayError, DomainError
-from .expressions import Expression
 from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
 from .quadrature import Tolerance, integrate, integrate_sqrt_endpoint
 from .records import Record
@@ -67,8 +66,8 @@ _FOUR_PI = 4.0 * math.pi
 CURVATURE_SLACK = 1e-9
 EQUALITY_TOL = 1e-8
 
-# the interval work one curvature check by enclosures may spend, in tree
-# nodes enclosed; at 0.05-0.25 us per node, 0.05-0.25 s whatever the tree
+# the interval work one curvature check by enclosures may spend, in jet
+# operations enclosed; at 0.05-0.25 us each, 0.05-0.25 s whatever the tree
 _CURVATURE_WORK = 1_000_000
 
 
@@ -367,17 +366,18 @@ def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
 
     Profiles with exp/log/sqrt, and forms too large for ``algebra.small``,
     bisect [s_lo, inf) in log s, lowest block first.  A block [a, b]
-    bounds (s q)' by ``Expression.enclose`` of ``p.mass_slope``,
+    bounds (s q)' by ``Expression.enclose_jet`` of ``p.mass_aspect``,
     intersected with the mean-value form (s q)'(c) + (s q)''([a, b])
     ([a, b] - c) against the blow-up of cancelling terms (Moore, Interval
     Analysis, 1966).  It passes when the lower bound clears
     -CURVATURE_SLACK a^2/2 and fails the check, certified, when the upper
     bound is below -CURVATURE_SLACK b^2/2.  The certified range ends at a
-    block that cannot be halved, has no enclosure, and where f or (s q)'
-    is inf or NaN at b without raising.  Any other such block, or the
-    lowest one left after _CURVATURE_WORK tree nodes enclosed, fails the
-    check undecided unless a certified failure is found first.  Nothing is
-    sampled.  Where ``p.mass_slope`` raises DecayError, the check fails.
+    block that cannot be halved, has no enclosure, and where f, s q or
+    (s q)' is inf or NaN at b without raising.  Any other such block, or
+    the lowest one left after _CURVATURE_WORK jet operations enclosed,
+    fails the check undecided unless a certified failure is found first.
+    Nothing is sampled.  Where ``p.mass_aspect`` raises DecayError, the
+    check fails.
     """
     if p.rational is None:
         return _enclosed_curvature(p, s_lo)
@@ -474,30 +474,32 @@ def _curvature_gap(n, f_den, x):
 
 def _enclosed_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     try:
-        slope = p.mass_slope
+        mass = p.mass_aspect
     except DecayError as exc:
         return _curvature_fails(str(exc))
-    second, params = slope.derivative(), p.params
-    limit = _CURVATURE_WORK // (_nodes(slope) + _nodes(second))
+    enclose, params = mass.enclose_jet, p.params
+    limit = _CURVATURE_WORK // max(mass._jet_enclosure.operations, 1)
     spent, top, undecided = 0, math.inf, None
     blocks = [(s_lo, sys.float_info.max)]  # depth first, lowest block first
     while blocks and spent < limit:
         a, b = blocks.pop()
         c = math.exp(0.5 * (math.log(a) + math.log(b)))
         passes, fails = -0.5 * CURVATURE_SLACK * a * a, -0.5 * CURVATURE_SLACK * b * b
-        bounds = slope.enclose(a, b, params)
+        jet = enclose(a, b, params)
         spent += 1
-        if bounds is not None and bounds[0] < passes and bounds[1] >= fails:
+        bounds = jet and jet[1]
+        if bounds and bounds[0] < passes and bounds[1] >= fails:
             # intersect with the mean-value form (s q)'(c) + (s q)''([a, b]) ([a, b] - c)
-            curve = second.enclose(a, b, params)
-            point = curve and slope.enclose(c, c, params)
-            spent += 1 if curve is None else 2
+            curve = jet[2]
+            point = curve and enclose(c, c, params)
+            spent += curve is not None
             if point:
+                point = point[1]
                 bounds = (max(bounds[0], point[0] + min(curve[0] * (b - c), curve[1] * (a - c))),
                           min(bounds[1], point[1] + max(curve[1] * (b - c), curve[0] * (a - c))))
-        if bounds is not None and bounds[0] >= passes:
+        if bounds and bounds[0] >= passes:
             continue
-        if bounds is not None and bounds[1] < fails:
+        if bounds and bounds[1] < fails:
             return _curvature_fails(
                 "R(s = %.6g) = %.12g falls below -6 (certified: R < -6 - %g on [%.15g, %.15g] "
                 "by enclosures of (s q)')" % (c, p.scalar_curvature(c), CURVATURE_SLACK, a, b)
@@ -511,25 +513,20 @@ def _enclosed_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     if undecided or blocks:  # or the lowest block left when the budget ran out
         return _curvature_fails("R >= -6 is undecided on [%r, %r] after %d enclosures of "
                                 "(s q)' (no certificate)" % ((undecided or blocks[-1]) + (spent,)))
-    end = "inf)" if top == math.inf else "%.6g] (f or (s q)' is not finite above it)" % top
+    end = "inf)" if top == math.inf else "%.6g] (f, s q or (s q)' is not finite above it)" % top
     return HypothesisCheck("scalar_curvature", True, "R >= -6 - %g on [%.6g, %s, certified by "
                            "enclosures of (s q)'" % (CURVATURE_SLACK, s_lo, end))
 
 
 def _overflows(p: RadialProfile, s: float) -> bool:
-    """True where f or (s q)' evaluates to inf or NaN at s without raising."""
-    for tree in (p.f, p.mass_slope):
+    """True where f, s q or (s q)' is inf or NaN at s without raising."""
+    for values in (lambda: [p.value(s)], lambda: p.mass_aspect.jet(s, p.params)[:2]):
         try:
-            if not math.isfinite(tree.evaluate(s, p.params)):
+            if not all(map(math.isfinite, values())):
                 return True
         except DomainError:
             pass
     return False
-
-
-def _nodes(e: Expression) -> int:
-    """The number of nodes of the tree e."""
-    return 1 + sum(_nodes(x) for x in map(e.__dict__.get, e._fields) if isinstance(x, Expression))
 
 
 def compare_volumes(

@@ -19,20 +19,23 @@ The parser produces an immutable tree that supports
 * the profile defect ``1 + s^2 - f`` as a normalized tree whose 1 and s^2
   terms cancel symbolically (``defect()``), cached on the node and
   compiled like any tree,
-* symbolic differentiation in ``s`` with constant folding of trivial
-  subtrees; the derivative tree is also cached on the node, so a shared
-  tree differentiates and compiles f' once.
+* the value with its first two derivatives in ``s`` by forward-mode
+  differentiation (``jet()``), and bounds on all three (``enclose_jet()``):
+  no derivative tree is built, and a jet costs a fixed multiple of the
+  tree's size.
 
-The three evaluations come from one emitter: each node writes its
-operation once (``_emit``), and the first call of each evaluation compiles
-the tree to a straight-line function, cached on the node, whose operations
-run in post-order, left before right, as in a recursive walk; an operation
-met again on the same operands reuses its first result.  The panel
-kernels of ``volume`` are emitted by the same code.
+All of them come from one emitter: each node writes its operation once
+(``_emit``), and the first call of each evaluation compiles the tree to a
+straight-line function, cached on the node, whose operations run in
+post-order, left before right, as in a recursive walk; an operation met
+again on the same operands reuses its first result.  A jet is the same
+emitter run over dual numbers (``_Dual``).  The panel kernels of
+``volume`` are emitted by the same code.
 
-``^`` is restricted to integer literal exponents so that derivatives stay
-inside the language.  The recognised functions are ``exp``, ``log`` and
-``sqrt``.  Trees are immutable and safe to share between threads.
+``^`` is restricted to integer literal exponents, so that every power is
+a product the emitter writes out, in value, interval and exact code
+alike.  The recognised functions are ``exp``, ``log`` and ``sqrt``.
+Trees are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -115,23 +118,24 @@ class Expression(Record):
         Raises ValueError unless lo <= hi, so also for a NaN end: reversed
         ends would give bounds that bound nothing.
         """
-        lo, hi = float(lo), float(hi)
-        if not lo <= hi:
-            raise ValueError("enclose needs lo <= hi, got [%r, %r]" % (lo, hi))
-        if not (-_INF < lo and hi < _INF):
-            return None
-        try:
-            return self._enclosure(lo, hi, params if params is not None else _NO_PARAMS)
-        except _Unbounded:
-            return None
+        return _bounded(self._enclosure, lo, hi, params)
 
-    def derivative(self) -> "Expression":
-        """Symbolic d/ds with constant folding of trivial subtrees.
+    def jet(self, s: float, params: Mapping[str, float] | None = None) -> tuple:
+        """``(g, g', g'')`` at ``s``: the value of ``evaluate`` and the first
+        two derivatives in s, by forward-mode differentiation (``_Dual``)
+        with the folds of a symbolic differentiator (``_Ring``).  Raises
+        DomainError also where only a derivative's operation does, even
+        one a fold drops (in ``0*g``, those of g')."""
+        return self._jets(float(s), params if params is not None else _NO_PARAMS)
 
-        Built on first use and cached on the node, like the compiled
-        function; every call returns the same tree.
-        """
-        return self._derivative
+    def enclose_jet(
+        self, lo: float, hi: float, params: Mapping[str, float] | None = None
+    ) -> tuple | None:
+        """Bounds ``((L, H), (L', H'), (L'', H''))`` on the components of
+        every ``jet`` at an ``s`` in ``[lo, hi]``, by the interval code of
+        ``enclose``: None where g or g' has none, and the last pair alone
+        None where only g'' has none (see ``_compile``)."""
+        return _bounded(self._jet_enclosure, lo, hi, params)
 
     def defect(self) -> "Expression":
         """The profile defect ``1 + s^2 - self`` as a cancellation-free tree.
@@ -141,7 +145,7 @@ class Expression(Record):
         exp/log/sqrt calls and divisors that are not a single term stay as
         atoms.  A negative power of ``s`` is emitted as a division, so the
         defect of ``1 + s^2 - m/s`` is ``m/s``.  Built on first use and
-        cached on the node, like ``derivative()``.
+        cached on the node, like the compiled functions.
 
         Raises DecayError when an atom-free ``s^2`` term survives next to
         an atom, as in ``sqrt(1 + 2*s^2 + s^4) - m/s``: the defect would be
@@ -172,17 +176,18 @@ class Expression(Record):
         return _compile(self, "exact")
 
     @cached_property
+    def _jets(self):
+        return _compile(self, "value", jet=True)
+
+    @cached_property
+    def _jet_enclosure(self):
+        return _compile(self, "interval", jet=True)
+
+    @cached_property
     def _kernels(self):
         """Functions compiled elsewhere from this tree, by kind (the panel
         kernels of ``volume``); filled on first use of each kind."""
         return {}
-
-    @cached_property
-    def _derivative(self):
-        return self._derive()
-
-    def _derive(self) -> "Expression":
-        raise NotImplementedError
 
     @cached_property
     def _defect(self):
@@ -204,12 +209,13 @@ class Expression(Record):
     def __getstate__(self):
         # functions built by exec do not pickle; copies recompile on first use
         state = dict(self.__dict__)
-        for name in ("_compiled", "_enclosure", "_exact", "_kernels"):
+        for name in ("_compiled", "_enclosure", "_exact", "_jets", "_jet_enclosure", "_kernels"):
             state.pop(name, None)
         return state
 
-    def _emit(self, code: _Code):
-        """Append this node's statements to ``code``; return its operand."""
+    def _emit(self, code: _Ring):
+        """Run this node's operation in ``code``, a _Code or a _Dual over
+        one: append its statements, and return its operand."""
         raise NotImplementedError
 
     # precedence used for printing; higher binds tighter
@@ -234,15 +240,12 @@ class Num(Expression):
     _prec = 9
 
     def _emit(self, code):
-        return code.constant(self.value)
+        return code.lift(self.value)
 
     def _normal(self, atoms):
         if not math.isfinite(self.value):
             return _atom(self, 1, atoms)
         return {(): Fraction(self.value)} if self.value else {}
-
-    def _derive(self):
-        return Num(0.0)
 
     def _text(self):
         return repr(self.value)
@@ -259,9 +262,6 @@ class Var(Expression):
     def _normal(self, atoms):
         return {((1, "s", 1),): _ONE}
 
-    def _derive(self):
-        return Num(1.0)
-
     def _text(self):
         return "s"
 
@@ -276,9 +276,6 @@ class Param(Expression):
 
     def _normal(self, atoms):
         return {((0, self.name, 1),): _ONE}
-
-    def _derive(self):
-        return Num(0.0)
 
     def parameters(self):
         return frozenset((self.name,))
@@ -297,9 +294,6 @@ class Neg(Expression):
 
     def _normal(self, atoms):
         return _padd({}, self.arg._normal(atoms), -1)
-
-    def _derive(self):
-        return _neg(self.arg.derivative())
 
     def _text(self):
         return "-" + self.arg._fmt(self._prec + 1)
@@ -321,9 +315,6 @@ class Add(_Binary):
     def _normal(self, atoms):
         return _padd(self.left._normal(atoms), self.right._normal(atoms), 1)
 
-    def _derive(self):
-        return _add(self.left.derivative(), self.right.derivative())
-
     def _text(self):
         return self.left._fmt(self._prec) + " + " + self.right._fmt(self._prec + 1)
 
@@ -336,9 +327,6 @@ class Sub(_Binary):
 
     def _normal(self, atoms):
         return _padd(self.left._normal(atoms), self.right._normal(atoms), -1)
-
-    def _derive(self):
-        return _sub(self.left.derivative(), self.right.derivative())
 
     def _text(self):
         return self.left._fmt(self._prec) + " - " + self.right._fmt(self._prec + 1)
@@ -353,11 +341,6 @@ class Mul(_Binary):
     def _normal(self, atoms):
         return _pmul(self.left._normal(atoms), self.right._normal(atoms))
 
-    def _derive(self):
-        da = self.left.derivative()
-        db = self.right.derivative()
-        return _add(_mul(da, self.right), _mul(self.left, db))
-
     def _text(self):
         return self.left._fmt(self._prec) + "*" + self.right._fmt(self._prec + 1)
 
@@ -366,19 +349,11 @@ class Div(_Binary):
     _prec = 3
 
     def _emit(self, code):
-        num = self.left._emit(code)
-        den = self.right._emit(code)
-        return code.divide(num, den, "division by zero in '%s'" % self)
+        return code.div(self.left._emit(code), self.right._emit(code), self)
 
     def _normal(self, atoms):
         num = self.left._normal(atoms)
         return _pmul(num, _ppow(self.right._normal(atoms), -1, atoms))
-
-    def _derive(self):
-        da = self.left.derivative()
-        db = self.right.derivative()
-        num = _sub(_mul(da, self.right), _mul(self.left, db))
-        return _div(num, _pow(self.right, 2))
 
     def _text(self):
         return self.left._fmt(self._prec) + "/" + self.right._fmt(self._prec + 1)
@@ -405,19 +380,10 @@ class Pow(Expression):
     _prec = 5
 
     def _emit(self, code):
-        power = code.ipow(self.base._emit(code), abs(self.exponent))
-        if self.exponent >= 0:
-            return power
-        # testing the power, not the base, also catches b^-n underflowing to 0
-        return code.divide(code.one, power, "zero raised to negative power in '%s'" % self)
+        return code.pow(self.base._emit(code), self.exponent, self)
 
     def _normal(self, atoms):
         return _ppow(self.base._normal(atoms), self.exponent, atoms)
-
-    def _derive(self):
-        n = self.exponent
-        inner = self.base.derivative()
-        return _mul(_mul(Num(float(n)), _pow(self.base, n - 1)), inner)
 
     def _text(self):
         # base is parenthesized unless atomic, so (s^2)^3 round-trips
@@ -438,14 +404,6 @@ class Call(Expression):
     def _normal(self, atoms):
         arg = _emit_normal(self.arg._normal(atoms), atoms)
         return _atom(Call(self.func, arg), 1, atoms)
-
-    def _derive(self):
-        inner = self.arg.derivative()
-        if self.func == "exp":
-            return _mul(Call("exp", self.arg), inner)
-        if self.func == "log":
-            return _div(inner, self.arg)
-        return _div(inner, _mul(Num(2.0), Call("sqrt", self.arg)))
 
     def _text(self):
         return "%s(%s)" % (self.func, self.arg)
@@ -473,7 +431,69 @@ _GLOBALS = {
 }
 
 
-class _Code:
+class _Ring:
+    """The node operations of ``_Code`` and ``_Dual``.  The rules of d/ds
+    call them with ``fold``, and they fold first as a symbolic
+    differentiator does: a constant with a constant, a 0 or 1 operand,
+    and -(-x); constants are the operands ``known`` reads as floats.  So a
+    derivative runs the float operations of its tree, signed zeros too.
+    """
+
+    def call(self, func, arg, node):
+        return self.apply(func, arg._emit(self), node)
+
+    def binary(self, x, op, y, fold=False):
+        """``x op y`` for op in + - *."""
+        if fold:
+            a, b = self.known(x), self.known(y)
+            if a is not None and b is not None:
+                return self.lift(a + b if op == "+" else a - b if op == "-" else a * b)
+            if op == "*" and 0.0 in (a, b):
+                return self.lift(0.0)
+            unit = 1.0 if op == "*" else 0.0
+            if b == unit:
+                return x
+            if a == unit:
+                return self.neg(y, True) if op == "-" else y
+        return self._binary(x, op, y)
+
+    def product(self, x, y):
+        """The folded ``x * y`` of a rule of d/ds."""
+        return self.binary(x, "*", y, True)
+
+    def div(self, x, y, node, fold=False):
+        if fold:
+            a, b = self.known(x), self.known(y)
+            if a == 0.0:
+                return self.lift(0.0)
+            if b == 1.0:
+                return x
+            if a is not None and b:  # b known and nonzero
+                return self.lift(a / b)
+        return self._quotient(x, y, node)
+
+    def neg(self, x, fold=False):
+        if fold:
+            a = self.known(x)
+            if a is not None:
+                return self.lift(-a)
+            if x in self.negated:
+                return self.negated[x]
+        result = self._negation(x)
+        self.negated[result] = x
+        return result
+
+    def pow(self, x, n, node, fold=False):
+        if fold and n in (0, 1):
+            return x if n else self.lift(1.0)
+        a = self.known(x) if fold else None
+        # a negative power that underflows to 0 is left to raise
+        if a is not None and (n > 0 or _ipow(a, -n) != 0.0):
+            return self.lift(_ipow(a, n) if n > 0 else 1.0 / _ipow(a, -n))
+        return self._power(x, n, node)
+
+
+class _Code(_Ring):
     """Source lines of one compiled tree; temporaries are t1, t2, ...
 
     The mode is "value" (floats), "interval" (float bounds over ``[lo, hi]``,
@@ -498,6 +518,7 @@ class _Code:
         self.params = {}  # parameter name -> operand holding its value
         self.constants = {}  # global name -> value with no exact literal
         self.memo = {}  # operation key -> operand holding its result
+        self.negated = {}  # operand of a negation -> what it negates
         self.count = 0
         self.s = ("lo", "hi") if mode == "interval" else "s"
         self.one = {"value": "1.0", "interval": ("1.0", "1.0"), "exact": "_ONE"}[mode]
@@ -540,8 +561,8 @@ class _Code:
         return self.bounds(key, lines, "min(%s)" % listed, "max(%s)" % listed)
 
     def constant(self, value):
-        # exact and interval code convert at the literal's position, and a
-        # non-finite literal raises there, as a recursive walk would
+        # a non-finite literal converts at its position (lift), and exact
+        # and interval code raise there, as a recursive walk would
         if type(value) is float and math.isfinite(value):
             literal = repr(value)  # repr round-trips, -0.0 included
         else:
@@ -554,6 +575,19 @@ class _Code:
         if literal in self.constants:
             return self.checked(literal, [], (literal, literal))
         return literal, literal
+
+    def lift(self, value):
+        """A literal: a finite float stays one, for the folds of ``_Ring``,
+        until an operation takes it (``operand``)."""
+        if type(value) is float and math.isfinite(value):
+            return value
+        return self.constant(value)
+
+    def known(self, x):
+        return x if type(x) is float else None
+
+    def operand(self, x):
+        return self.constant(x) if type(x) is float else x
 
     def param(self, name):
         # one read per name, at its first position in post-order
@@ -572,7 +606,8 @@ class _Code:
             operand = self.params[name] = value
         return operand
 
-    def neg(self, x):
+    def _negation(self, x):
+        x = self.operand(x)
         if self.mode != "interval":
             return self.assign("-" + x)
         key = ("-",) + x
@@ -583,8 +618,8 @@ class _Code:
         self.lines.append("%s, %s = -%s, -%s" % (pair + (x[1], x[0])))
         return pair
 
-    def binary(self, left, op, right):
-        """``left op right`` for op in + - *."""
+    def _binary(self, left, op, right):
+        left, right = self.operand(left), self.operand(right)
         if self.mode != "interval":
             return self.assign("%s %s %s" % (left, op, right))
         key = (op,) + left + right
@@ -596,9 +631,19 @@ class _Code:
             return self.bounds(key, [], "%s - %s" % (left[0], right[1]), "%s - %s" % (left[1], right[0]))
         return self.corners(key, "*", left, right)
 
-    def divide(self, num, den, message):
-        """``num / den``, raising DomainError(message) on a zero divisor;
-        interval code refuses a divisor whose bounds hold 0."""
+    def _quotient(self, x, y, node):
+        return self.divide(self.operand(x), self.operand(y), "division by zero", node)
+
+    def _power(self, x, n, node):
+        power = self.ipow(self.operand(x), abs(n))
+        if n >= 0:
+            return power
+        # testing the power, not the base, also catches b^-n underflowing to 0
+        return self.divide(self.one, power, "zero raised to negative power", node)
+
+    def divide(self, num, den, what, node):
+        """``num / den``, raising DomainError("<what> in '<node>'") on a
+        zero divisor; interval code refuses a divisor whose bounds hold 0."""
         if self.mode == "interval":
             key = ("/",) + num + den
             if key in self.memo:
@@ -607,6 +652,7 @@ class _Code:
             return self.corners(key, "/", num, den)
         rhs = "%s / %s" % (num, den)
         if rhs not in self.memo:
+            message = "%s in '%s'" % (what, node)
             self.lines += ["if %s == 0.0:" % den, "    raise DomainError(%r)" % message]
         return self.assign(rhs)
 
@@ -647,7 +693,11 @@ class _Code:
         if self.mode == "exact":
             self.lines.append("raise ExactUnsupported(%r)" % func)
             return "None"
-        x = arg._emit(self)
+        return self.apply(func, arg._emit(self), node)
+
+    def apply(self, func, x, node):
+        """``func(x)`` for the Call ``node``."""
+        x = self.operand(x)
         key = (func,) + ((x,) if self.mode == "value" else x)
         operand = self.memo.get(key)
         if operand is not None:
@@ -678,18 +728,99 @@ class _Code:
         return name
 
 
-def _compile(expr, mode):
+class _Dual(_Ring):
+    """Dual numbers ``(x, x')`` over ``inner``: a node's operation and the
+    rule of d/ds, folding, in one pass (forward mode; Griewank & Walther,
+    Evaluating Derivatives, SIAM 2008).  Over a _Dual they are of order 2,
+    ``((g, g'), (g', g''))``, whose two g' the memo writes once."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.s = inner.s, inner.lift(1.0)
+        self.negated = {}
+
+    def known(self, x):
+        return self.inner.known(x[0])
+
+    def lift(self, value):
+        return self.inner.lift(value), self.inner.lift(0.0)
+
+    def param(self, name):
+        return self.inner.param(name), self.inner.lift(0.0)
+
+    def _binary(self, x, op, y):
+        i = self.inner
+        value = i.binary(x[0], op, y[0])
+        if op != "*":
+            return value, i.binary(x[1], op, y[1], True)
+        return value, i.binary(i.product(x[1], y[0]), "+", i.product(x[0], y[1]), True)
+
+    def _quotient(self, x, y, node):
+        i = self.inner
+        value = i.div(x[0], y[0], node)
+        top = i.binary(i.product(x[1], y[0]), "-", i.product(x[0], y[1]), True)
+        return value, i.div(top, i.pow(y[0], 2, node, True), node, True)
+
+    def _negation(self, x):
+        return self.inner.neg(x[0]), self.inner.neg(x[1], True)
+
+    def _power(self, x, n, node):
+        i = self.inner
+        scale = i.product(i.lift(float(n)), i.pow(x[0], n - 1, node, True))
+        return i.pow(x[0], n, node), i.product(scale, x[1])
+
+    def apply(self, func, x, node):
+        i = self.inner
+        value = i.apply(func, x[0], node)
+        if func == "exp":
+            return value, i.product(value, x[1])
+        if func == "log":
+            return value, i.div(x[1], x[0], node, True)
+        return value, i.div(x[1], i.product(i.lift(2.0), value), node, True)
+
+
+def _bounded(enclosure, lo, hi, params):
+    """``enclosure(lo, hi, params)`` for ``Expression.enclose`` and
+    ``enclose_jet``: None for an infinite end or where it is unbounded."""
+    lo, hi = float(lo), float(hi)
+    if not lo <= hi:
+        raise ValueError("enclose needs lo <= hi, got [%r, %r]" % (lo, hi))
+    if not (-_INF < lo and hi < _INF):
+        return None
+    try:
+        return enclosure(lo, hi, params if params is not None else _NO_PARAMS)
+    except _Unbounded:
+        return None
+
+
+def _compile(expr, mode, jet=False):
     """Build the function of ``expr`` in ``mode`` (see ``_Code``):
     ``fn(s, params)``, or ``fn(lo, hi, params)`` returning a pair in
-    interval mode.  It runs the operations like a post-order walk."""
+    interval mode, or with ``jet`` a tuple of three.  It runs the
+    operations like a post-order walk; ``fn.operations`` counts them.
+    A jet is emitted to order 1, then to order 2, whose new lines are
+    the second derivative's alone: interval code bounds them apart."""
     code = _Code(mode)
-    result = expr._emit(code)
-    args = "s"
+    if jet:
+        results = list(expr._emit(_Dual(code)))
+        first_order = len(code.lines)
+        results.append(expr._emit(_Dual(_Dual(code)))[1][1])
+    else:
+        results = [expr._emit(code)]
+    results = [code.operand(x) for x in results]
+    args, lines = "s", code.lines
     if mode == "interval":
-        args, result = "lo, hi", "%s, %s" % result
-    body = "".join("    %s\n" % line for line in code.lines)
-    source = "def compiled(%s, params):\n%s    return %s\n" % (args, body, result)
-    return _define(source, code.constants, "<expression>")
+        args, results = "lo, hi", ["(%s, %s)" % x for x in results]
+        if jet:
+            second = lines[first_order:] + ["second = " + results.pop()]
+            lines = lines[:first_order] + ["try:"] + ["    " + line for line in second]
+            lines += ["except _Unbounded:", "    second = None"]
+            results.append("second")
+    body = "".join("    %s\n" % line for line in lines)
+    source = "def compiled(%s, params):\n%s    return %s\n" % (args, body, ", ".join(results))
+    compiled = _define(source, code.constants, "<expression>")
+    compiled.operations = code.count
+    return compiled
 
 
 def _define(source, constants, filename):
@@ -700,79 +831,6 @@ def _define(source, constants, filename):
     exec(compile(source, filename, "exec"), namespace)
     # popped so that the function and its globals form no reference cycle
     return namespace.pop("compiled")
-
-
-# ---------------------------------------------------------------------------
-# folding constructors (used by derivative(); only trivial constant folds)
-
-def _is_const(e, value=None):
-    if not isinstance(e, Num):
-        return False
-    return value is None or e.value == value
-
-
-def _add(a, b):
-    if _is_const(a) and _is_const(b):
-        return Num(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    return Add(a, b)
-
-
-def _sub(a, b):
-    if _is_const(a) and _is_const(b):
-        return Num(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return _neg(b)
-    return Sub(a, b)
-
-
-def _mul(a, b):
-    if _is_const(a) and _is_const(b):
-        return Num(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Num(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    return Mul(a, b)
-
-
-def _div(a, b):
-    if _is_const(a, 0.0):
-        return Num(0.0)
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return Num(a.value / b.value)
-    return Div(a, b)
-
-
-def _pow(base, n):
-    if n == 0:
-        return Num(1.0)
-    if n == 1:
-        return base
-    if _is_const(base):
-        if n >= 0:
-            return Num(_ipow(base.value, n))
-        power = _ipow(base.value, -n)
-        if power != 0.0:
-            return Num(1.0 / power)
-    return Pow(base, n)
-
-
-def _neg(a):
-    if _is_const(a):
-        return Num(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +929,7 @@ def _emit_normal(poly, atoms):
         num, den = _coefficient_factors(c)
         for rank, name, e in key:
             factor = atoms[name] if rank == 2 else Var() if rank == 1 else Param(name)
-            (num if e > 0 else den).append(_pow(factor, abs(e)))
+            (num if e > 0 else den).append(factor if abs(e) == 1 else Pow(factor, abs(e)))
         term = _product(num) if num else Num(1.0)
         if den:
             term = Div(term, _product(den))

@@ -8,10 +8,10 @@ deviation |q|/f.  For a rational f = P/Q that rate is exact, deg N - deg P
 for N = Q (1 + s^2) - P; for a tree with exp/log/sqrt it is fitted on a
 logarithmic radius grid outside the horizon.
 A profile computes its facts once and keeps them: the horizon, the
-asymptotics report, f' and the exact rational form are cached on the
-instance.  ``parse`` caches its trees by text, so every profile of a
-family, built-in or custom, shares one tree and its compiled f, f', q
-and q'.
+asymptotics report, the trees q and s q and the exact rational form are
+cached on the instance.  ``parse`` caches its trees by text, so every
+profile of a family, built-in or custom, shares one tree and its compiled
+functions and jets.
 
 Closed-form geometry used throughout:
 
@@ -27,9 +27,10 @@ The defect q is never computed as the float subtraction (1 + s^2) - f(s),
 which at s = 1e4 already loses half its digits and beyond s = 1e8 loses
 all of them, while mass constancy, tail integrals and the decay fit need
 q far out.  ``Expression.defect`` cancels the 1 and s^2 terms
-symbolically once per tree, and ``RadialProfile.q`` and ``dq`` evaluate
-that tree and its derivative compiled, for every profile alike.  The
-exact decay rate of a rational profile needs neither.
+symbolically once per tree, ``RadialProfile.defect`` evaluates that tree
+compiled, and q', f' and (s q)' come from jets (``Expression.jet``), for
+every profile alike.  The exact decay rate of a rational profile needs
+none of them.
 
 The horizon is the outermost root of f on a fixed geometric grid on
 (1e-6, 1e3].  For a profile without exp/log/sqrt, f = P/Q exactly
@@ -215,11 +216,6 @@ class RadialProfile(Record):
         return hash((self.f, frozenset(self.params.items()), self.delta, self.label))
 
     @cached_property
-    def df(self) -> Expression:
-        """f' as a tree; shared by every profile built on the same f."""
-        return self.f.derivative()
-
-    @cached_property
     def q(self) -> Expression:
         """The defect 1 + s^2 - f as a cancellation-free tree (see
         ``Expression.defect``); shared by every profile built on the same f.
@@ -228,32 +224,26 @@ class RadialProfile(Record):
         return self.f.defect()
 
     @cached_property
-    def dq(self) -> Expression:
-        """q' as a tree, the derivative of ``q``; shared like ``q``."""
-        return self.q.derivative()
-
-    @cached_property
-    def mass_slope(self) -> Expression:
-        """(s q)' as the derivative of ``mass_aspect(q)``, s q expanded
-        like ``q`` (a model's is m, of slope 0).  Raises DecayError where
-        ``q`` does."""
-        return mass_aspect(self.q).derivative()
+    def mass_aspect(self) -> Expression:
+        """s q as a tree, expanded like ``q`` (a model's is m); its jet
+        gives (s q)' and (s q)''.  Raises DecayError where ``q`` does."""
+        return mass_aspect(self.q)
 
     def value(self, s: float) -> float:
         """f(s)."""
         return self.f.evaluate(s, self.params)
 
     def slope(self, s: float) -> float:
-        """f'(s)."""
-        return self.df.evaluate(s, self.params)
+        """f'(s), from the jet of f."""
+        return self.f.jet(s, self.params)[1]
 
     def defect(self, s: float) -> float:
         """q(s) = 1 + s^2 - f(s), evaluated from the tree ``q``."""
         return self.q.evaluate(s, self.params)
 
     def defect_slope(self, s: float) -> float:
-        """q'(s) = 2*s - f'(s), evaluated from the tree ``dq``."""
-        return self.dq.evaluate(s, self.params)
+        """q'(s) = 2*s - f'(s), from the jet of the tree ``q``."""
+        return self.q.jet(s, self.params)[1]
 
     @cached_property
     def rational(self) -> tuple[list[int], list[int]] | None:
@@ -373,13 +363,14 @@ class RadialProfile(Record):
         return 2.0 * math.sqrt(fs) / s
 
     def scalar_curvature(self, s: float) -> float:
-        """R(s) = -6 + 2*(s q)'(s)/s^2 from ``mass_slope``, the tree the
-        curvature check reads: -6 exactly where s q is constant, which
-        2*(1 - f - s*f')/s^2 missed near a tiny horizon.  Raises DecayError
-        where the defect tree is refused, as ``hawking_mass`` does."""
+        """R(s) = -6 + 2*(s q)'(s)/s^2 from the jet of ``mass_aspect``,
+        which the curvature check reads too: -6 exactly where s q is
+        constant, which 2*(1 - f - s*f')/s^2 missed near a tiny horizon.
+        Raises DecayError where the defect tree is refused, as
+        ``hawking_mass`` does."""
         if not s > 0.0:
             raise ValueError("radius must be positive, got %r" % (s,))
-        return -6.0 + 2.0 * self.mass_slope.evaluate(s, self.params) / (s * s)
+        return -6.0 + 2.0 * self.mass_aspect.jet(s, self.params)[1] / (s * s)
 
     def hawking_mass(self, s: float) -> float:
         """Unnormalized quasi-local mass of the coordinate sphere at s.

@@ -191,8 +191,10 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
             "a32 = area * sqrt_area",
         ]
         code.lines += [
-            "if %s <= 0.0 and t > 0.0:" % fs,
-            "    raise DomainError('flow is not mean-convex: profile nonpositive at s=%r' % (s,))",
+            # f = 0 only at the horizon itself, t = 0
+            "if %s < 0.0 or %s == 0.0 and t > 0.0:" % (fs, fs),
+            "    raise DomainError('flow is not mean-convex: profile nonpositive at s=%r, t=%r'"
+            " % (s, t))",
             "grown = 4.0 * _exp(t) * area",
         ]
         qs = _defect_operand(code, f)

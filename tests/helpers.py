@@ -401,8 +401,10 @@ def chain_flow_integrand(p, hz):
     def integrand(t):
         s = hz.radius * math.exp(0.5 * t)
         fs = p.value(s)
-        if fs <= 0.0 and t > 0.0:
-            raise DomainError("flow is not mean-convex: profile nonpositive at s=%r" % (s,))
+        if fs < 0.0 or fs == 0.0 and t > 0.0:
+            raise DomainError(
+                "flow is not mean-convex: profile nonpositive at s=%r, t=%r" % (s, t)
+            )
         grown = 4.0 * math.exp(t) * area
         direct = grown + 16.0 * math.pi - math.exp(-0.5 * t) / sqrt_area * p.hawking_mass(s)
         collapsed = 16.0 * math.pi * fs
@@ -448,8 +450,8 @@ def chain_validate_asymptotics(p):
 
 
 def sympy_tree(expr, params=None):
-    """A tree without exp/log/sqrt as a sympy expression in ``s``, with
-    literals and parameters entered as the exact rationals of their floats."""
+    """A tree as a sympy expression in ``s``, with literals and parameters
+    entered as the exact rationals of their floats."""
     import sympy
 
     params = {} if params is None else params
@@ -467,7 +469,7 @@ def sympy_tree(expr, params=None):
         if isinstance(e, Pow):
             return walk(e.base) ** e.exponent
         if isinstance(e, Call):
-            raise TypeError("no sympy form for %s" % e.func)
+            return getattr(sympy, e.func)(walk(e.arg))
         left, right = walk(e.left), walk(e.right)
         if isinstance(e, Add):
             return left + right

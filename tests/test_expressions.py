@@ -17,16 +17,14 @@ from renvol.expressions import (
     ExactUnsupported,
     Neg,
     Num,
-    Pow,
     Sub,
-    _pow,
     load_profile_file,
     parse,
     parse_profile_text,
 )
 from renvol.metric import _scan_grid, ads_schwarzschild, custom_profile
 
-from helpers import exact_walk, fd_derivative, random_tree, walk_enclose, walk_evaluate
+from helpers import exact_walk, fd_derivative, random_tree, sympy_tree, walk_enclose, walk_evaluate
 
 
 @pytest.mark.parametrize(
@@ -139,22 +137,56 @@ DERIVATIVE_BATTERY = [
 @pytest.mark.parametrize("text", DERIVATIVE_BATTERY)
 @pytest.mark.parametrize("s", [0.7, 1.3, 2.9])
 def test_derivative_matches_central_difference(text, s):
+    import sympy
+
     expr = parse(text)
     params = {"m": 2.5}
-    sym = expr.derivative().evaluate(s, params)
+    jet = expr.jet(s, params)
+    assert jet[0] == expr.evaluate(s, params)
     num = fd_derivative(lambda x: expr.evaluate(x, params), s)
-    assert sym == pytest.approx(num, rel=1e-6, abs=1e-9)
+    assert jet[1] == pytest.approx(num, rel=1e-6, abs=1e-9)
+    # both derivatives against sympy's, evaluated at 50 digits
+    g, x = sympy_tree(expr, params)
+    at = {x: sympy.Rational(*s.as_integer_ratio())}
+    for order in (1, 2):
+        want = float(sympy.diff(g, x, order).evalf(50, subs=at))
+        assert jet[order] == pytest.approx(want, rel=1e-13), (text, order)
 
 
 def test_second_derivative_of_square_folds_to_constant():
-    dd = parse("s^2").derivative().derivative()
-    assert str(dd) == "2.0"
-    assert dd.evaluate(123.456) == 2.0
+    assert parse("s^2").jet(123.456)[2] == 2.0
+    # folded to the literal 2.0, so its bounds are exact
+    assert parse("s^2").enclose_jet(1.0, 2.0)[2] == (2.0, 2.0)
 
 
 def test_derivative_of_constant_is_zero():
-    d = parse("7").derivative()
-    assert d.evaluate(0.3) == 0.0
+    assert repr(parse("7").jet(0.3)) == "(7.0, 0.0, 0.0)"
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        # -(0 - m) folds to m, whose derivative is 0.0, negated: -0.0
+        ("2 - m*s", "(-2.5, -3.0, -0.0)"),
+        # the derivative of the literal -2 is -0.0, and its own is 0.0
+        ("-2", "(-2.0, -0.0, 0.0)"),
+        # 0 - 1 folds to the constant -1.0, not to -(1.0)
+        ("0 - s", "(-1.5, -1.0, 0.0)"),
+        # (s*(-2))'' is the derivative of the node -(2), -(0.0)
+        ("s*(-2)", "(-3.0, -2.0, -0.0)"),
+    ],
+)
+def test_folds_keep_signed_zeros(text, want):
+    assert repr(parse(text).jet(1.5, {"m": 3.0})) == want
+
+
+def test_double_negation_folds():
+    # in a derivative -(-x) folds to x; in a tree both negations run
+    code = renvol.expressions._Code("value")
+    twice = parse("s + s")._emit(code)
+    assert code.neg(code.neg(twice), True) == twice
+    lines = len(code.lines)
+    assert code.neg(code.neg(twice)) != twice and len(code.lines) == lines + 1
 
 
 def test_print_parse_round_trip_is_exact():
@@ -232,9 +264,9 @@ class TestCompiledEvaluation:
         compiled = []
         compile_ = renvol.expressions._compile
 
-        def counting(expr, mode):
+        def counting(expr, mode, jet=False):
             compiled.append(expr)
-            return compile_(expr, mode)
+            return compile_(expr, mode, jet)
 
         monkeypatch.setattr(renvol.expressions, "_compile", counting)
         return compiled
@@ -256,18 +288,19 @@ class TestCompiledEvaluation:
                 p.value(1.0 + i / 100.0)
                 p.slope(1.0 + i / 100.0)
         first, second = ads_schwarzschild(2.0), ads_schwarzschild(3.0)
-        assert first.f is second.f and first.df is second.df
-        assert sum(e is first.f for e in compiled) <= 1
-        assert sum(e is first.df for e in compiled) <= 1
+        assert first.f is second.f
+        # f once, and its jet once
+        assert sum(e is first.f for e in compiled) <= 2
         assert len(compiled) <= 2
 
     def test_negative_power_fold_keeps_underflow_unfolded(self):
-        assert _pow(Num(2.0), -2) == Num(0.25)
-        # 1e-300^2 underflows to zero: no fold, and evaluation is a domain error
-        kept = _pow(Num(1e-300), -2)
-        assert kept == Pow(Num(1e-300), -2)
+        # d/ds 2^-3 folds to -3.0 * 2^-4 * 0.0, which is -0.0
+        assert repr(parse("2^-3").jet(1.0)) == "(0.125, -0.0, 0.0)"
+        # 1e-300^-2 underflows to zero: no fold, and the power raises,
+        # though the factor 0.0 drops its result
+        assert parse("1e-300^-1").evaluate(1.0) == 1.0 / 1e-300
         with pytest.raises(DomainError, match="zero raised to negative power"):
-            kept.evaluate(1.0)
+            parse("1e-300^-1").jet(1.0)
 
 
 def _summands(expr):
@@ -321,16 +354,16 @@ class TestDefect:
     def test_cached_and_shared_by_the_family(self, monkeypatch):
         f = parse("1 + s^2 - m/s + c/s^2")
         assert f.defect() is f.defect()
-        assert f.defect().derivative() is f.defect().derivative()
+        assert f.defect()._jets is f.defect()._jets
         compiled = TestCompiledEvaluation()._count_compiles(monkeypatch)
         first, second = ads_schwarzschild(2.0), ads_schwarzschild(3.0)
         for p in (first, second):
             for i in range(50):
                 p.defect(1.0 + i)
                 p.defect_slope(1.0 + i)
-        assert first.q is second.q and first.dq is second.dq
-        assert sum(e is first.q for e in compiled) <= 1
-        assert sum(e is first.dq for e in compiled) <= 1
+        assert first.q is second.q
+        # q once, and its jet once
+        assert sum(e is first.q for e in compiled) <= 2
 
     def test_random_rational_defects_match_exact_arithmetic(self):
         # the compiled defect against 1 + s^2 - f in Fraction arithmetic,
@@ -363,15 +396,6 @@ class TestDefect:
                 assert abs(Fraction(got) - want) <= 8 * ulp * scale, (str(f), str(q), s, m)
                 checked += 1
         assert checked > 500 and refused < 30
-
-
-def test_derivative_printout_round_trips():
-    expr = parse("1 + s^2 - m/s")
-    d = expr.derivative()
-    assert str(d) == "2.0*s - (-m)/s^2"
-    again = parse(str(d))
-    for s in (0.4, 1.1, 6.0):
-        assert again.evaluate(s, {"m": 3.0}) == d.evaluate(s, {"m": 3.0})
 
 
 def _exact_outcome(fn, *args):
@@ -445,7 +469,27 @@ def _check_enclosure(expr, points, params):
             continue
         # a NaN value fails the comparison too
         assert bounds is None or bounds[0] <= value <= bounds[1], (str(expr), s, value, bounds)
+    _check_jet_enclosure(expr, points, params, bounds)
     return bounds
+
+
+def _check_jet_enclosure(expr, points, params, bounds):
+    """``enclose_jet`` over the span of ``points``: its value pair is that
+    of ``enclose`` bit for bit, and each pair holds the jet's component at
+    every point; where a point raises, some pair is None."""
+    jet_bounds = expr.enclose_jet(points[0], points[-1], params)
+    if jet_bounds is None:
+        return
+    assert repr(jet_bounds[0]) == repr(bounds), str(expr)
+    for s in points:
+        try:
+            jet = expr.jet(s, params)
+        except DomainError:
+            # the value and first derivative have bounds, so they run
+            assert jet_bounds[2] is None, (str(expr), s)
+            continue
+        for value, pair in zip(jet, jet_bounds):
+            assert pair is None or pair[0] <= value <= pair[1], (str(expr), s, jet, jet_bounds)
 
 
 class TestEnclosure:

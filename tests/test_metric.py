@@ -585,9 +585,19 @@ class TestProfileConstruction:
         p = make()
         p.value(2.0)
         p.slope(2.0)
+        p.scalar_curvature(2.0)
+        p.mass_aspect.enclose_jet(2.0, 3.0, p.params)
         assert p.horizon is not None
+        # the compiled functions, jets included, are dropped and rebuilt
+        compiled = {"_compiled", "_jets", "_jet_enclosure"}
+        for tree in (p.f, p.mass_aspect):
+            assert compiled & set(tree.__dict__) and not compiled & set(tree.__getstate__())
         for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
             assert clone == p and clone.horizon == p.horizon
             for s in (0.5, p.horizon.radius, 3.0, 1e4):
                 assert repr(clone.value(s)) == repr(p.value(s))
                 assert repr(clone.slope(s)) == repr(p.slope(s))
+                assert repr(clone.scalar_curvature(s)) == repr(p.scalar_curvature(s))
+            assert repr(clone.mass_aspect.enclose_jet(2.0, 3.0, p.params)) == repr(
+                p.mass_aspect.enclose_jet(2.0, 3.0, p.params)
+            )

@@ -13,8 +13,13 @@ import renvol
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
+def _readme():
+    with open(README, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _quick_tour():
-    text = open(README, encoding="utf-8").read()
+    text = _readme()
     section = text.split("## Quick tour", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
@@ -39,7 +44,7 @@ def test_quick_tour_prints_its_comments():
 
 
 def test_other_entry_points_run_as_written():
-    text = open(README, encoding="utf-8").read()
+    text = _readme()
     section = text.split("Other entry points worth knowing:", 1)[1].split("\n\n")[1]
     calls = re.findall(r"`(\w+\(.*?\))`", section)
     assert len(calls) == 9, calls
