@@ -53,7 +53,6 @@ from .quadrature import (
     integrate,
     integrate_semi_infinite,
     integrate_sqrt_endpoint,
-    inv_sqrt_diff,
 )
 from .volume import (
     FlowTime,
@@ -108,7 +107,6 @@ __all__ = [
     "integrate",
     "integrate_semi_infinite",
     "integrate_sqrt_endpoint",
-    "inv_sqrt_diff",
     "isoperimetric_identity",
     "kernel_margin",
     "kernel_threshold",

@@ -6,8 +6,9 @@ at least the model's, admissible decay), then computes both renormalized
 volumes and classifies the margin.  The curvature bound is certified by
 exact Sturm counts for rational profiles, and by float enclosures of the
 jet of ``RadialProfile.mass_aspect`` for profiles with exp/log/sqrt.
-Likewise the decay rate of a rational profile is exact, read from the
-degrees of f = P/Q, and fitted on a grid otherwise.
+The decay rate is exact too: read from the degrees of f = P/Q for a
+rational profile, and from the leading terms of q otherwise.  Rigidity is
+exact for rational profiles: "equality" needs f = P/Q to be the model's.
 
 The rest of the module is the machinery behind the strictness of that
 comparison when the areas differ: the gap function
@@ -111,7 +112,8 @@ class ComparisonReport(Record):
     ``volume``, ``model_volume``, ``margin`` are None when a hypothesis
     failed (the comparison is then never computed).  The verdict is one of
     "holds", "equality", "violated", "hypothesis_failed"; "equality"
-    additionally requires the areas to match (alpha below tolerance).
+    additionally requires the areas to match (alpha below tolerance) and a
+    rational profile to be the model's f = P/Q.
     """
 
     profile_label: str
@@ -372,8 +374,9 @@ def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     Analysis, 1966).  It passes when the lower bound clears
     -CURVATURE_SLACK a^2/2 and fails the check, certified, when the upper
     bound is below -CURVATURE_SLACK b^2/2.  The certified range ends at a
-    block that cannot be halved, has no enclosure, and where f, s q or
-    (s q)' is inf or NaN at b without raising.  Any other such block, or
+    block that cannot be halved, has no enclosure, and where the interval
+    code of the jet of f or s q has none at the point b while its jet
+    raises nothing there (``_overflows``).  Any other such block, or
     the lowest one left after _CURVATURE_WORK jet operations enclosed,
     fails the check undecided unless a certified failure is found first.
     Nothing is sampled.  Where ``p.mass_aspect`` raises DecayError, the
@@ -519,13 +522,16 @@ def _enclosed_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
 
 
 def _overflows(p: RadialProfile, s: float) -> bool:
-    """True where f, s q or (s q)' is inf or NaN at s without raising."""
-    for values in (lambda: [p.value(s)], lambda: p.mass_aspect.jet(s, p.params)[:2]):
-        try:
-            if not all(map(math.isfinite, values())):
-                return True
-        except DomainError:
-            pass
+    """True where the interval code of the jet of f or s q has no bounds at
+    s, though the jet raises nothing: some operation overflows, even one a
+    quotient rounds away, as in 0/inf = 0."""
+    for tree in (p.f, p.mass_aspect):
+        if tree.enclose_jet(s, s, p.params) is None:
+            try:
+                tree.jet(s, p.params)
+            except DomainError:
+                continue
+            return True
     return False
 
 
@@ -536,11 +542,12 @@ def compare_volumes(
 
     Hypothesis failures land in the report (verdict "hypothesis_failed"),
     never in exceptions, so a batch sweep over profiles can record honest
-    negatives.  The asymptotics check names the exact decay rate of a
-    rational profile and the fitted one otherwise; it also fails, with
-    the refusal, where the defect tree the volumes evaluate cannot be
-    built.  Numerical breakdowns (quadrature budget, instability) still
-    raise.
+    negatives.  The asymptotics check names the exact decay rate and where
+    it was read, f = P/Q or the leading term of q; it fails, with the
+    refusal, where the rate cannot be read or the defect tree the volumes
+    evaluate cannot be built.  Numerical breakdowns (quadrature budget,
+    instability) still raise.  A margin within EQUALITY_TOL is "equality"
+    only for a profile whose P/Q, if it has one, is the model's.
     """
     if not (model_mass > 0.0 and math.isfinite(model_mass)):
         raise ValueError("model mass must be positive and finite, got %r" % (model_mass,))
@@ -593,17 +600,14 @@ def compare_volumes(
     except (DomainError, DecayError) as exc:
         asym_check = HypothesisCheck("asymptotics", False, str(exc))
     else:
-        exact = p.rational is not None
-        if decay.measured_rate == -math.inf:
+        rate = "%g" % decay.measured_rate
+        if rate == "-inf" and p.rational is not None:
             rate = "none (defect identically zero)"
-        else:
-            rate = ("%d" if exact else "%.3f") % decay.measured_rate
         asym_check = HypothesisCheck(
             "asymptotics",
             decay.passed,
-            ("exact decay rate %s vs required %.3f (from f = P/Q)" if exact
-             else "fitted decay rate %s vs required %.3f (sampled trend)")
-            % (rate, decay.required_rate),
+            "exact decay rate %s vs required %.3f (from %s)" % (
+                rate, decay.required_rate, "f = P/Q" if p.rational else "the leading term of q"),
         )
 
     hypotheses = (curvature_check, horizon_check, area_check, asym_check)
@@ -613,11 +617,13 @@ def compare_volumes(
             None, None, None, "hypothesis_failed",
         )
 
+    model = ads_schwarzschild(model_mass, p.delta)
     v_g = renormalized_volume(p, tol).value
-    v_model = renormalized_volume(ads_schwarzschild(model_mass, p.delta), tol).value
+    v_model = renormalized_volume(model, tol).value
     margin = v_g - v_model
     eq_tol = EQUALITY_TOL * max(1.0, abs(v_model))
-    if abs(margin) <= eq_tol and alpha <= EQUALITY_TOL:
+    if (abs(margin) <= eq_tol and alpha <= EQUALITY_TOL
+            and p.rational in (None, model.rational)):
         verdict = "equality"
     elif margin >= -eq_tol:
         verdict = "holds"

@@ -16,9 +16,11 @@ The parser produces an immutable tree that supports
 * exact rational evaluation (``evaluate_exact()``), kept as an oracle for
   tests and for the benchmark's tracer; the library evaluates in float
   only,
-* the profile defect ``1 + s^2 - f`` as a normalized tree whose 1 and s^2
-  terms cancel symbolically (``defect()``), cached on the node and
-  compiled like any tree,
+* the profile defect ``q = 1 + s^2 - f`` as a normalized tree whose 1 and
+  s^2 terms cancel symbolically (``defect()``), the mass aspect ``s q``
+  (``mass_aspect()``) and the decay rate of ``|q|/f`` at infinity, read
+  from leading terms (``decay_rate()``): all three come from one normal
+  form of the defect, built once and cached on the node,
 * the value with its first two derivatives in ``s`` by forward-mode
   differentiation (``jet()``), and bounds on all three (``enclose_jet()``):
   no derivative tree is built, and a jet costs a fixed multiple of the
@@ -153,6 +155,27 @@ class Expression(Record):
         """
         return self._defect
 
+    def mass_aspect(self) -> "Expression":
+        """``s q`` from the normal form of ``defect()`` (a model's is m),
+        cached like it.  Raises DecayError where ``defect()`` does."""
+        return self._mass_aspect
+
+    def decay_rate(self, params: Mapping[str, float] | None = None) -> tuple:
+        """The rate ``(k, j)`` of ``|q|/f ~ c s^k log(s)^j`` as s -> inf,
+        for q = ``defect()``, read from the leading terms of q and f
+        (``_Leading``): k is exact, or -inf where q vanishes identically or
+        decays faster than every power of s.  Nothing is sampled.  Raises
+        DecayError where ``defect()`` does, and where the rate cannot be
+        read, naming the atom (as ``log(1 + 1/s)``) or the terms that may
+        cancel."""
+        f, q, atoms = self._defect_form
+        read = _Leading(self, atoms, params if params is not None else _NO_PARAMS)
+        (k, j), _ = read.lead(q) or ((-_INF, 0), None)
+        if (k, j) < (2, 0):
+            return _rate(k - 2, j)  # f = 1 + s^2 - q leads with s^2
+        (fk, fj), _ = read.lead(f) or read.refuse("f vanishes identically")
+        return (0, 0) if (fk, fj) == (k, j) else _rate(k - fk, j - fj)
+
     def parameters(self) -> frozenset:
         """Names of free parameters (everything except ``s``)."""
         names = frozenset()
@@ -190,8 +213,19 @@ class Expression(Record):
         return {}
 
     @cached_property
-    def _defect(self):
+    def _defect_form(self):
+        """The normal forms ``(f, q, atoms)`` of f and q (see ``_padd``)."""
         return _defect_of(self)
+
+    @cached_property
+    def _defect(self):
+        _, q, atoms = self._defect_form
+        return _emit_normal(q, atoms)
+
+    @cached_property
+    def _mass_aspect(self):
+        _, q, atoms = self._defect_form
+        return _emit_normal(_pmul({((1, "s", 1),): _ONE}, q), atoms)
 
     @cached_property
     def _has_call(self) -> bool:
@@ -244,7 +278,7 @@ class Num(Expression):
 
     def _normal(self, atoms):
         if not math.isfinite(self.value):
-            return _atom(self, 1, atoms)
+            return _atom(self, atoms)
         return {(): Fraction(self.value)} if self.value else {}
 
     def _text(self):
@@ -402,8 +436,8 @@ class Call(Expression):
         return code.call(self.func, self.arg, self)
 
     def _normal(self, atoms):
-        arg = _emit_normal(self.arg._normal(atoms), atoms)
-        return _atom(Call(self.func, arg), 1, atoms)
+        inner = self.arg._normal(atoms)
+        return _atom(Call(self.func, _emit_normal(inner, atoms)), atoms, self.func, inner)
 
     def _text(self):
         return "%s(%s)" % (self.func, self.arg)
@@ -855,7 +889,7 @@ def _padd(a, b, sign):
     order the terms first appear.  A monomial is a sorted tuple of
     ``(rank, name, exponent)`` with a nonzero integer exponent; rank 0 is
     a parameter, 1 the radius ``s`` and 2 an atom, named by its printed
-    tree in the ``atoms`` dict of the normalization.
+    tree in the ``atoms`` dict of the normalization (see ``_atom``).
     """
     out = dict(a)
     for key, c in b.items():
@@ -875,9 +909,12 @@ def _pmul(a, b):
     return out
 
 
-def _atom(expr, exponent, atoms):
+def _atom(expr, atoms, func=None, inner=None, exponent=1):
+    """``expr^exponent`` as a term; ``atoms`` maps its name to ``(expr,
+    func, inner)``: a call and its argument's normal form, a sum kept whole
+    (func None), or a non-finite literal (both None)."""
     name = str(expr)
-    atoms[name] = expr
+    atoms[name] = expr, func, inner
     return {((2, name, exponent),): _ONE}
 
 
@@ -900,7 +937,7 @@ def _ppow(base, n, atoms):
             return out
     # a divisor that is not a single nonzero term, or a power too long
     # to expand, is kept whole
-    return _atom(_emit_normal(base, atoms), n, atoms)
+    return _atom(_emit_normal(base, atoms), atoms, None, base, n)
 
 
 def _coefficient_factors(c):
@@ -928,7 +965,7 @@ def _emit_normal(poly, atoms):
     for key, c in poly.items():
         num, den = _coefficient_factors(c)
         for rank, name, e in key:
-            factor = atoms[name] if rank == 2 else Var() if rank == 1 else Param(name)
+            factor = atoms[name][0] if rank == 2 else Var() if rank == 1 else Param(name)
             (num if e > 0 else den).append(factor if abs(e) == 1 else Pow(factor, abs(e)))
         term = _product(num) if num else Num(1.0)
         if den:
@@ -942,8 +979,9 @@ def _emit_normal(poly, atoms):
 
 def _defect_of(f):
     atoms = {}
-    q = _padd({(): _ONE, ((1, "s", 2),): _ONE}, f._normal(atoms), -1)
-    on_atom = [any(rank == 2 for rank, _, _ in key) for key in q]
+    f_terms = f._normal(atoms)
+    q = _padd({(): _ONE, ((1, "s", 2),): _ONE}, f_terms, -1)
+    on_atom = [_holds_atom(key) for key in q]
     bare_s2 = any((1, "s", 2) in key and not atom for key, atom in zip(q, on_atom))
     if bare_s2 and any(on_atom):
         raise DecayError(
@@ -951,14 +989,139 @@ def _defect_of(f):
             "exp/log/sqrt or divisor terms, so evaluating it would cancel "
             "nearly equal numbers; write 1 + s^2 as separate terms of f" % f
         )
-    return _emit_normal(q, atoms)
+    return f_terms, q, atoms
 
 
-def mass_aspect(q: Expression) -> Expression:
-    """s*q for a defect tree q, in the normal form of ``defect()``; with
-    no 1 + s^2 to cancel, no term is refused."""
-    atoms = {}
-    return _emit_normal(_pmul({((1, "s", 1),): _ONE}, q._normal(atoms)), atoms)
+def _holds_atom(key) -> bool:
+    return any(rank == 2 for rank, _, _ in key)
+
+
+# ---------------------------------------------------------------------------
+# leading terms at s -> inf (used by decay_rate())
+
+# a tie's float sum must exceed this share of its terms' sizes to be read
+# as nonzero: coefficients that exp, log or sqrt entered carry rounding
+_INEXACT = 1e-12
+
+
+def _rate(k, j):
+    return (k, j) if -_INF < k < _INF else (k, 0)
+
+
+def _call(func, rate, c):
+    """The leading term of ``func(g)`` from g's, or None: sqrt halves the
+    rate of a g with c > 0 (an exact root where c is the square of a
+    Fraction); log(g) has (0, 1) times k where g ~ c s^k with k != 0, and
+    log(c) where g -> c > 0, c != 1; exp(g) grows or decays faster than
+    every power of s where g grows like a power, and tends to e^c or 1
+    where g tends to c or 0."""
+    k, j = rate
+    try:
+        if func == "exp":
+            if rate <= (0, 0):
+                return (0, 0), (math.exp(c) if rate == (0, 0) else _ONE)
+            if k > 0 and c is not None:
+                return (math.copysign(_INF, c), 0), 1.0
+        elif c is not None and c > 0:
+            if func == "sqrt":
+                root = type(c) is Fraction and Fraction(
+                    math.isqrt(c.numerator), math.isqrt(c.denominator))
+                return _rate(k / 2, j / 2), (root if root and root * root == c else math.sqrt(c))
+            if -_INF < k < _INF and k:
+                return (0, 1), Fraction(k)
+            if rate == (0, 0) and abs(c - 1) > (_INEXACT if type(c) is float else 0):
+                return (0, 0), math.log(c)
+    except OverflowError:
+        pass
+    return None
+
+
+class _Leading:
+    """Leading terms ``(rate, c)`` at s -> inf of normal forms over one
+    atoms dict, in the way of Gruntz's limit algorithm (D. Gruntz, ETH
+    Zurich thesis, 1996) cut down to this grammar.  A rate is a pair
+    (power of s, power of log s), compared lexicographically, or (+-inf, 0)
+    where an exp grows or decays faster than every power.  c is a Fraction
+    while exact, with each parameter bound to the rational of its float; a
+    float once exp, log or sqrt enters it (at an infinite rate only its
+    sign counts); and None where a tie at -inf hides its sign.  A divisor
+    or power kept whole has the leading term of its sum, and a call the
+    one ``_call`` gives.  Terms of one rate are summed, and a sum that is
+    exactly zero moves on to the next rate only when none of its terms
+    holds an atom.  Anything else raises DecayError naming the atom or the
+    terms."""
+
+    def __init__(self, tree, atoms, params):
+        self.tree, self.atoms, self.params = tree, atoms, params
+        self.done = {}  # atom name -> its leading term, None where it vanishes
+
+    def refuse(self, why):
+        raise DecayError("the decay rate of '%s' at infinity cannot be read from "
+                         "leading terms: %s" % (self.tree, why))
+
+    def lead(self, terms):
+        """The leading term of the sum ``terms``, or None where it vanishes."""
+        groups = {}
+        for key, c in terms.items():
+            term = self.term(key, c)
+            if term is not None:
+                groups.setdefault(term[0], []).append((key, term[1]))
+        for rate, tied in sorted(groups.items(), reverse=True):
+            if len(tied) == 1:
+                return rate, tied[0][1]
+            if rate[0] == -_INF:
+                return rate, None
+            coefs = [c for _, c in tied]
+            if rate[0] < _INF:  # a finite rate has no None coefficient
+                if all(type(c) is Fraction for c in coefs):
+                    if sum(coefs):
+                        return rate, sum(coefs)
+                    if not any(_holds_atom(key) for key, _ in tied):
+                        continue  # terms in s and the parameters that cancel exactly
+                else:
+                    try:
+                        if abs(math.fsum(coefs)) > _INEXACT * math.fsum(map(abs, coefs)):
+                            return rate, math.fsum(coefs)
+                    except OverflowError:  # a Fraction beyond the float range
+                        pass
+            self.refuse("the terms %s lead together and may cancel" % ", ".join(
+                "'%s'" % _emit_normal({key: terms[key]}, self.atoms) for key, _ in tied))
+        return None
+
+    def term(self, key, c):
+        """The leading term of the monomial ``key`` times c, or None where
+        it vanishes."""
+        k = j = 0  # ints, or floats once sqrt halves them: exact
+        try:
+            for rank, name, e in key:
+                if rank == 0:
+                    c *= Fraction(self.params[name]) ** e
+                elif rank == 1:
+                    k += e
+                elif c != 0:  # a vanishing term reads no atom
+                    (ak, aj), ac = self.atom(name) or ((0, 0), 0 ** e)
+                    k, j = k + ak * e, j + aj * e
+                    c = None if c is None or ac is None else c * ac**e
+        except (OverflowError, ZeroDivisionError):
+            k = math.nan
+        if c == 0:
+            return None
+        if k != k or type(c) is float and not 0.0 < abs(c) < _INF:
+            self.refuse("the term '%s' has no leading term c s^k log(s)^j"
+                        % _emit_normal({key: _ONE}, self.atoms))
+        return _rate(k, j), c
+
+    def atom(self, name):
+        if name not in self.done:
+            tree, func, inner = self.atoms[name]
+            lead = None if inner is None else self.lead(inner)
+            called = func is not None and (lead is not None or func == "exp")
+            if called:  # exp of a vanishing g is 1
+                lead = _call(func, *(lead or ((-_INF, 0), None)))
+            if lead is None and (called or inner is None or func == "log"):
+                self.refuse("the atom '%s' has no leading term c s^k log(s)^j" % tree)
+            self.done[name] = lead
+        return self.done[name]
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ A metric in this class is described entirely by its radial profile f.
 The reference space is f(s) = 1 + s^2; a profile is asymptotically close
 to it when the defect q(s) = 1 + s^2 - f(s) decays fast enough, which
 ``validate_asymptotics`` checks on the decay rate of the pointwise metric
-deviation |q|/f.  For a rational f = P/Q that rate is exact, deg N - deg P
-for N = Q (1 + s^2) - P; for a tree with exp/log/sqrt it is fitted on a
-logarithmic radius grid outside the horizon.
+deviation |q|/f.  That rate is exact: deg N - deg P for a rational
+f = P/Q, with N = Q (1 + s^2) - P, and otherwise read from the leading
+terms of the normal form behind q (``Expression.decay_rate``).
 A profile computes its facts once and keeps them: the horizon, the
-asymptotics report, the trees q and s q and the exact rational form are
-cached on the instance.  ``parse`` caches its trees by text, so every
-profile of a family, built-in or custom, shares one tree and its compiled
-functions and jets.
+asymptotics report and the exact rational form are cached on the
+instance.  ``parse`` caches its trees by text, and each tree keeps its q
+and s q, so every profile of a family, built-in or custom, shares one
+tree, its defect trees and their compiled functions and jets.
 
 Closed-form geometry used throughout:
 
@@ -25,12 +25,11 @@ applied anywhere in this package.
 
 The defect q is never computed as the float subtraction (1 + s^2) - f(s),
 which at s = 1e4 already loses half its digits and beyond s = 1e8 loses
-all of them, while mass constancy, tail integrals and the decay fit need
-q far out.  ``Expression.defect`` cancels the 1 and s^2 terms
-symbolically once per tree, ``RadialProfile.defect`` evaluates that tree
-compiled, and q', f' and (s q)' come from jets (``Expression.jet``), for
-every profile alike.  The exact decay rate of a rational profile needs
-none of them.
+all of them, while mass constancy and tail integrals need q far out.
+``Expression.defect`` cancels the 1 and s^2 terms symbolically once per
+tree, ``RadialProfile.defect`` evaluates that tree compiled, and q', f'
+and (s q)' come from jets (``Expression.jet``), for every profile alike.
+No decay rate evaluates any of them.
 
 The horizon is the outermost root of f on a fixed geometric grid on
 (1e-6, 1e3].  For a profile without exp/log/sqrt, f = P/Q exactly
@@ -60,8 +59,8 @@ from typing import Mapping
 
 from . import algebra
 from .errors import DecayError, DomainError
-from .expressions import Expression, mass_aspect, parse
-from .quadrature import find_root_bracketed, fit_slope, geomspace
+from .expressions import Expression, parse
+from .quadrature import find_root_bracketed, geomspace
 from .records import Record
 
 __all__ = [
@@ -160,18 +159,17 @@ class Horizon(Record):
 class AsymptoticsReport(Record):
     """Outcome of the decay-rate check performed by validate_asymptotics.
 
-    For a rational profile, ``measured_rate`` is the exact exponent
-    deg N - deg P of |q|/f = |N|/P (negative infinity when N = 0), and
-    ``fit_points`` is 0: no defect is sampled.  Otherwise
-    ``measured_rate`` is the fitted log-log slope of |q|/f (negative
-    infinity when the defect vanishes identically on the grid), and
-    ``fit_points`` the number of samples fitted.
+    ``measured_rate`` is the exact exponent k of |q|/f ~ c s^k log(s)^j at
+    infinity: deg N - deg P of |q|/f = |N|/P for a rational profile, and
+    ``Expression.decay_rate`` otherwise.  It is -inf where q vanishes
+    identically or decays faster than every power of s.  ``passed`` also
+    weighs the power j of log s, which decides only where k equals the
+    required rate.
     """
 
     passed: bool
     measured_rate: float
     required_rate: float
-    fit_points: int
 
 
 class RadialProfile(Record):
@@ -223,11 +221,12 @@ class RadialProfile(Record):
         cancellation."""
         return self.f.defect()
 
-    @cached_property
+    @property
     def mass_aspect(self) -> Expression:
-        """s q as a tree, expanded like ``q`` (a model's is m); its jet
-        gives (s q)' and (s q)''.  Raises DecayError where ``q`` does."""
-        return mass_aspect(self.q)
+        """s q as a tree (``Expression.mass_aspect``; a model's is m),
+        shared like ``q``; its jet gives (s q)' and (s q)''.  Raises
+        DecayError where ``q`` does."""
+        return self.f.mass_aspect()
 
     def value(self, s: float) -> float:
         """f(s)."""
@@ -463,22 +462,6 @@ def ads_horizon_radius(m: float) -> float:
     return x
 
 
-def _defect_kernels(p: RadialProfile):
-    """The compiled q of ``p``: ``q(s, p.params)`` is ``p.defect(s)`` at a
-    float s, one call instead of three.  Where ``Expression.defect``
-    refuses the tree, it raises that DecayError when called, as the method
-    would."""
-    try:
-        return p.q._compiled
-    except DecayError as exc:
-        message = str(exc)
-
-        def fail(s, params):
-            raise DecayError(message)
-
-        return fail
-
-
 def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     """Check that the metric deviation |q|/f decays like s^-(2 + 4*delta).
 
@@ -488,21 +471,15 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     a horizon, or whose horizon search raises DecayError, uses [1e2, 1e6].
     Raises DomainError naming the first grid point where f is not.
 
-    For a rational profile, f = P/Q (``RadialProfile.rational``), the rate
-    is exact: q = N/Q with N = Q (1 + s^2) - P, so |q|/f = |N|/P decays
-    like s^(deg N - deg P), and like s^-inf when N = 0.  It passes when
-    the rate is at most -(2 + 4*delta), with no slack.  q is not
-    evaluated, so the report has no fitted points (0), and a defect tree
-    that ``Expression.defect`` refuses raises nothing here.
-
-    Otherwise (exp/log/sqrt, or a form above the size cap) the rate is the
-    centered least-squares log-log slope (``fit_slope``) of |q|/f over the
-    grid, and it passes when that slope is at most -(2 + 4*delta) up to a
-    fit tolerance of 0.05.  Samples where the defect is exactly zero are
-    left out, and a defect that vanishes on the whole grid passes with
-    rate -inf.  A refused defect tree raises DecayError at the first
-    sample.  ``RadialProfile.asymptotics`` caches this report on the
-    profile.
+    The rate is exact; q is not evaluated.  For a rational profile,
+    f = P/Q (``RadialProfile.rational``), q = N/Q with N = Q (1 + s^2) - P,
+    so |q|/f = |N|/P decays like s^(deg N - deg P), and like s^-inf when
+    N = 0; a refused defect tree raises nothing here.  Otherwise
+    (exp/log/sqrt, or a form above the size cap) ``Expression.decay_rate``
+    reads it from leading terms, and raises DecayError where it cannot,
+    or where the defect tree is refused.  It passes when the rate is at
+    most -(2 + 4*delta), with no slack.  ``RadialProfile.asymptotics``
+    caches this report on the profile.
     """
     required = -(2.0 + 4.0 * p.delta)
     s_lo = 1e2
@@ -513,29 +490,14 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     if horizon is not None:
         s_lo = max(s_lo, 10.0 * horizon.radius)
     f, params = p.f._compiled, p.params
+    for s in geomspace(s_lo, 1e4 * s_lo, 41):
+        if not (f(s, params) > 0.0):
+            raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
     form = p.rational
     if form is None:
-        q = _defect_kernels(p)
-    log_s = []
-    log_norm = []
-    for s in geomspace(s_lo, 1e4 * s_lo, 41):
-        fs = f(s, params)
-        if not (fs > 0.0):
-            raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
-        if form is not None:
-            continue
-        qs = q(s, params)
-        if qs == 0.0:
-            continue
-        norm = abs(qs) / fs
-        log_s.append(math.log(s))
-        log_norm.append(math.log(norm))
-    if form is not None:
+        rate, logs = p.f.decay_rate(params)
+    else:
         num, den = form
         n = algebra.sub(algebra.mul(den, [1, 0, 1]), num)
-        rate = float(len(n) - len(num)) if n else -math.inf
-        return AsymptoticsReport(rate <= required, rate, required, 0)
-    if len(log_s) < 2:
-        return AsymptoticsReport(True, -math.inf, required, len(log_s))
-    rate = fit_slope(log_s, log_norm)
-    return AsymptoticsReport(rate <= required + 0.05, rate, required, len(log_s))
+        rate, logs = (len(n) - len(num) if n else -math.inf), 0
+    return AsymptoticsReport((rate, logs) <= (required, 0), float(rate), required)

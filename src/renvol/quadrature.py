@@ -20,16 +20,10 @@ both of which map the problem onto a finite interval with a bounded
 integrand.  Neither transform ever evaluates the integrand at the
 singular point itself because all Kronrod abscissae are interior.
 
-Callers that need X**-0.5 - Y**-0.5 for nearby X, Y should go through
-``inv_sqrt_diff`` instead of subtracting the two roots; the rewritten
-form (Y-X)/(sqrt(X)*sqrt(Y)*(sqrt(X)+sqrt(Y))) only needs Y-X, which is
-often available without cancellation.
-
-The sampling grids (``linspace``, ``geomspace``) and the least-squares
-``fit_slope`` stand in for numpy's linspace, geomspace and degree-1
-polyfit.  The grids follow numpy's formulas operation for operation, so
-they give numpy's floats wherever numpy's log10 and power agree with
-libm's.
+The sampling grids (``linspace``, ``geomspace``) stand in for numpy's
+linspace and geomspace.  They follow numpy's formulas operation for
+operation, so they give numpy's floats wherever numpy's log10 and power
+agree with libm's.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ __all__ = [
     "integrate_sqrt_endpoint",
     "integrate_semi_infinite",
     "find_root_bracketed",
-    "inv_sqrt_diff",
 ]
 
 DEFAULT_MAX_EVALS = 1_000_000
@@ -422,21 +415,6 @@ def find_root_bracketed(
     return 0.5 * (a + b)
 
 
-def inv_sqrt_diff(x: float, y: float, y_minus_x: float | None = None) -> float:
-    """Return x**-0.5 - y**-0.5 without subtractive cancellation.
-
-    Uses (y - x) / (sqrt(x)*sqrt(y)*(sqrt(x)+sqrt(y))).  Pass
-    ``y_minus_x`` when the difference is known analytically; that removes
-    the only remaining cancellation for nearly equal arguments.
-    """
-    if not (x > 0.0 and y > 0.0):
-        raise ValueError("arguments must be positive, got %r, %r" % (x, y))
-    diff = (y - x) if y_minus_x is None else y_minus_x
-    sx = math.sqrt(x)
-    sy = math.sqrt(y)
-    return diff / (sx * sy * (sx + sy))
-
-
 def linspace(start: float, stop: float, num: int) -> list[float]:
     """``num`` >= 2 evenly spaced floats from start to stop, both included.
 
@@ -459,16 +437,3 @@ def geomspace(start: float, stop: float, num: int) -> list[float]:
     # the pinned endpoints are not computed: 10**log10(x) may overflow
     exponents = linspace(math.log10(start), math.log10(stop), num)[1:-1]
     return [start] + [10.0**y for y in exponents] + [stop]
-
-
-def fit_slope(xs: list[float], ys: list[float]) -> float:
-    """Least-squares slope of the line through the points (xs[i], ys[i]).
-
-    Centered closed form sum((x - x_mean)*(y - y_mean)) / sum((x - x_mean)^2),
-    with each sum taken by math.fsum.  Needs two distinct abscissae.
-    """
-    n = len(xs)
-    x_mean = math.fsum(xs) / n
-    y_mean = math.fsum(ys) / n
-    dx = [x - x_mean for x in xs]
-    return math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)

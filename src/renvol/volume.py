@@ -158,22 +158,19 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
         code.param(name)  # hoisted: a profile binds every one of them
     setup, code.lines = code.lines, list(_SUBSTITUTIONS[substitution][0])
     fs = f._emit(code)
+    if integrand in ("shell", "difference"):
+        # f > 0, so also not NaN
+        code.lines += ["if not %s > 0.0:" % fs, "    raise DomainError(%r %% (s,))" % _NONPOSITIVE]
     if integrand == "shell":
         # 4*pi*s^2 / sqrt(f(s)), the integrand of volume_between
-        code.lines += [
-            "if %s <= 0.0:" % fs,
-            "    raise DomainError(%r %% (s,))" % _NONPOSITIVE,
-            "w = %r * s * s / _sqrt(%s)" % (_FOUR_PI, fs),
-        ]
+        code.lines.append("w = %r * s * s / _sqrt(%s)" % (_FOUR_PI, fs))
     elif integrand == "difference":
         # d(s) = 4*pi*s^2 * (f^-1/2 - (1+s^2)^-1/2), the difference taken
-        # as inv_sqrt_diff(f, 1 + s^2, q) does, with its refusal of a NaN f
-        code.lines += ["if %s <= 0.0:" % fs, "    raise DomainError(%r %% (s,))" % _NONPOSITIVE]
+        # as q/(sqrt(f) sqrt(1 + s^2) (sqrt(f) + sqrt(1 + s^2))), without
+        # subtracting the two roots
         ps = code.assign("1.0 + %s" % code.assign("s * s"))
         qs = _defect_operand(code, f)
         code.lines += [
-            "if not %s > 0.0:" % fs,
-            "    raise ValueError('arguments must be positive, got %%r, %%r' %% (%s, %s))" % (fs, ps),
             "sf = _sqrt(%s)" % fs,
             "sp = _sqrt(%s)" % ps,
             "w = %r * s * s * (%s / (sf * sp * (sf + sp)))" % (_FOUR_PI, qs),

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renvol.comparison
+import renvol.expressions
 import renvol.metric
 from renvol.comparison import (
     GapSpec,
@@ -25,6 +26,7 @@ from renvol.comparison import (
     volume_gap_slope,
 )
 from renvol.errors import DecayError
+from renvol.expressions import parse
 from renvol.metric import (
     ads_horizon_radius,
     ads_schwarzschild,
@@ -40,8 +42,8 @@ from helpers import sympy_decay_rate
 FOUR_PI = 4.0 * math.pi
 
 # rational defects c*s + m/s and c + m/s with a tiny c: |q|/f decays like
-# s^-1 and s^-2, but a 41-point log-log fit over [1e2, 1e6] reads -2.984
-# and -3.000
+# s^-1 and s^-2, but a 41-point log-log fit over [1e2, 1e6] read -2.984
+# and -3.000, and passed them
 FOOLED_FITS = [
     ("1 + s^2 - c*s - m/s", {"c": 1e-12, "m": 2.0}),
     ("1 + s^2 - c - m/s", {"c": 1e-8, "m": 2.0}),
@@ -407,7 +409,7 @@ class TestCompareVolumes:
         assert checks["scalar_curvature"].detail == (
             "R >= -6 on [1, inf), certified by an exact Sturm count of (s q)'"
         )
-        # f is NaN on the decay-fit grid beyond s = 2657
+        # f is NaN on the decay check's grid beyond s = 2657
         assert not checks["asymptotics"].passed
         assert report.verdict == "hypothesis_failed"
 
@@ -460,16 +462,18 @@ class TestCompareVolumes:
         with pytest.raises(DecayError, match=r"decays like s\^%.3f," % rate):
             renormalized_volume(p)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="a tree with exp/log/sqrt keeps the 41-point fit, which reads "
-        "-2.984 and -3.000 here and passes",
-    )
     @pytest.mark.parametrize("text, params", FOOLED_FITS)
-    def test_fitted_rate_misses_a_slow_transcendental_defect(self, text, params):
+    def test_leading_term_fails_a_slow_transcendental_defect(self, text, params):
+        # the same defects beside an exp: the leading term of q is c*s or c
         p = custom_profile(text + " + 0*exp(-s)", params)
-        assert compare_volumes(p, 1.0).verdict == "hypothesis_failed"
+        rate = sympy_decay_rate(custom_profile(text, params).f, params)
+        report = compare_volumes(p, 1.0)
+        assert report.verdict == "hypothesis_failed"
+        checks = {h.name: h for h in report.hypotheses}
+        assert [name for name, h in checks.items() if not h.passed] == ["asymptotics"]
+        assert checks["asymptotics"].detail == (
+            "exact decay rate %d vs required -2.800 (from the leading term of q)" % rate
+        )
 
     def test_refused_defect_fails_the_asymptotics_check(self):
         # f = 1 + s^2 - m/s exactly, so the exact rate -3 passes, but the
@@ -514,7 +518,7 @@ class TestCompareVolumes:
         monkeypatch.setattr(renvol.metric, "validate_asymptotics", counted)
         p = rn_ads(4.0, 1.0)
         assert compare_volumes(p, 2.0).verdict == "holds"
-        # the profile and the model, each fitted once
+        # the profile and the model, each checked once
         assert fitted == ["rn-ads m=4 c=1", "ads m=2"]
         compare_volumes(p, 2.0)
         assert fitted.count("rn-ads m=4 c=1") == 1
@@ -634,6 +638,24 @@ class TestEnclosedCurvature:
         assert 1.0 <= lo < hi < 1.1
         assert "nan" not in check.detail
 
+    def test_family_compiles_the_jet_enclosure_of_s_q_once(self, monkeypatch):
+        compiled = []
+        compile_ = renvol.expressions._compile
+
+        def counting(expr, mode, jet=False):
+            compiled.append((expr, mode, jet))
+            return compile_(expr, mode, jet)
+
+        monkeypatch.setattr(renvol.expressions, "_compile", counting)
+        parse.cache_clear()  # a fresh tree, so no earlier test has compiled it
+        text = "1 + s^2 - m/s + c*exp(-s)/s"
+        profiles = [custom_profile(text, {"m": 2.0 + 0.25 * i, "c": 0.5}) for i in range(10)]
+        for p in profiles:
+            assert _check_curvature(p, p.horizon.radius).passed
+        mass = profiles[0].mass_aspect
+        assert all(p.mass_aspect is mass for p in profiles)
+        assert [(mode, jet) for e, mode, jet in compiled if e is mass] == [("interval", True)]
+
     def test_certified_failure_wins_over_an_undecided_block(self):
         # (s q)' = c (4 - s) e^-s + 2 k/(s - 2)^2: the blocks at the pole
         # s = 2 have no enclosure and cannot be decided, and above s = 4
@@ -697,28 +719,44 @@ class TestPaperTheorem:
         assert report.hypotheses_ok, report.hypotheses
         assert report.verdict in ("holds", "equality"), (report.verdict, report.margin)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="rigidity is judged by |margin| <= EQUALITY_TOL, not by the profile: this "
-        "non-model, of the model's own mass, returns equality with margin 1.4e-8",
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        text=st.sampled_from(sorted(MASS_ASPECTS)),
+        m=st.floats(0.5, 5.0),
+        a=st.floats(0.1, 5.0),
+        c=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+        r=st.floats(0.01, 1.0),
     )
+    def test_transcendental_rising_mass_is_never_violated(self, text, m, a, c, r):
+        # mu = m + c (1 - exp(-s/a)) or m + c s/sqrt(s^2 + a): the decay and
+        # curvature hypotheses are decided by leading terms and enclosures
+        p = custom_profile(text, {"m": m, "a": a, "c": c})
+        s_h = p.horizon.radius
+        report = compare_volumes(p, r * (s_h**3 + s_h))
+        assert report.hypotheses_ok, report.hypotheses
+        assert report.verdict in ("holds", "equality"), (report.verdict, report.margin)
+
     def test_equality_only_for_the_model(self):
+        # a non-model of the model's own mass: its margin, 1.4e-8, is
+        # within EQUALITY_TOL, but its P/Q is not the model's
         p = custom_profile(RISING_MASS % (1, 1, 1), {"m": 2.0, "a": 1.0, "c": 1e-8})
         s_h = p.horizon.radius
         report = compare_volumes(p, s_h**3 + s_h)
         assert report.verdict == "holds", (report.verdict, report.margin)
+        # the model itself, written as a custom profile, is still equal
+        model = custom_profile("1 + s^2 - m/s", {"m": 2.0})
+        assert compare_volumes(model, 2.0).verdict == "equality"
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="c = 1e-300 has too many bits for algebra.small, and the enclosure check is "
-        "undecided at s = 2.4e51: (s^3 + a^3)^2 overflows there, but (s q)' rounds to "
-        "0/inf = 0, so the range-end rule sees no overflow",
-    )
     def test_tiny_rising_term_is_decided(self):
+        # c = 1e-300 has too many bits for algebra.small, so the enclosures
+        # decide R >= -6; (s^3 + a^3)^2 overflows at s = 2.4e51, where
+        # (s q)' rounds to 0/inf = 0, and the interval code sees it
         p = custom_profile(RISING_MASS % (3, 3, 3), {"m": 1.0, "a": 1.0, "c": 1e-300})
         s_h = p.horizon.radius
         report = compare_volumes(p, s_h**3 + s_h)
         assert report.hypotheses_ok, report.hypotheses
+        check = report.hypotheses[0]
+        assert check.detail.startswith("R >= -6 - 1e-09 on [0.682328, 2.37567e+51]")
 
 
 class TestMassVolumeSweep:

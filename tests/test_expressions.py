@@ -348,7 +348,7 @@ class TestDefect:
         with pytest.raises(DecayError, match="bare s\\^2 term"):
             parse("sqrt(1 + 2*s^2 + s^4) - m/s").defect()
         # an s^2 term with nothing left to cancel against is an ordinary
-        # slow decay, which the decay fit reports
+        # slow decay, which the decay check reports
         assert str(parse("2 + 2*s^2 - m/s").defect()) == "-1.0 - s^2 + m/s"
 
     def test_cached_and_shared_by_the_family(self, monkeypatch):

@@ -12,9 +12,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renvol.metric
 from renvol.errors import DecayError, DomainError
+from renvol.expressions import Expression, Mul, Num, Sub, parse
 from renvol.metric import (
     RadialProfile,
     _scan_grid,
@@ -26,7 +29,14 @@ from renvol.metric import (
     validate_asymptotics,
 )
 
-from helpers import bisect60, fd_derivative, forward_scan_horizon, sympy_decay_rate
+from helpers import (
+    bisect60,
+    fd_derivative,
+    forward_scan_horizon,
+    random_tree,
+    sympy_decay_rate,
+    sympy_limit_rate,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -445,6 +455,140 @@ class TestDefectIdentity:
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+# every profile with exp, log or sqrt quoted in tests/, README.md and the
+# FLOAT_FAMILIES of bench/workloads.py, with k of |q|/f ~ c s^k log(s)^j from
+# sympy's limit of log(|q|/f)/log(s) (helpers.sympy_limit_rate), frozen:
+# the live limits take 0.1-4 s each on a 2-core Xeon, 17 s for the table
+QUOTED_DECAY = [
+    ("1 + s^2 - m*exp(-s)/s", {"m": 2.0}, -math.inf),
+    ("1 + s^2 - m*exp(-s^2)/s", {"m": 2.0}, -math.inf),
+    ("1 + s^2 - m/s^3*exp(-1/s)", {"m": 2.0}, -5.0),
+    ("1 + s^2 + c*exp(-s)", {"c": 0.1}, -math.inf),
+    ("1 + s^2 - m/s*exp(-1/s)", {"m": 2.0}, -3.0),
+    ("1 + s^2 - m/s + c*exp(-s)", {"m": 2.0, "c": 0.5}, -3.0),
+    ("1 + s^2 - 2*exp(-s)/s", {}, -math.inf),
+    ("s - 2 + 0*sqrt((s - 1)*(s - 3))", {}, 1.0),
+    ("1 + s^2 - s + m*exp(-s)", {"m": 1e-3}, -1.0),
+    ("1 + s^2 - m/s + 0*exp(s-s)", {"m": 2.0}, -3.0),
+    ("1 + s^2 - m/s + 0*exp(-s)", {"m": 1e-5}, -3.0),
+    ("1 + s^2 - (m + c*(1 - exp(-s/a)))/s", {"m": 2.0, "a": 3.0, "c": 1.0}, -3.0),
+    ("1 + s^2 - (m - c*(1 - exp(-s/a)))/s", {"m": 2.0, "c": 1e-6, "a": 3.0}, -3.0),
+    ("1 + s^2 - m/s + c/sqrt(s^6 + 1)", {"m": 2.0, "c": 0.1}, -3.0),
+    ("1 + s^2 - m/s - c/sqrt(s^6 + 1)", {"m": 2.0, "c": 0.1}, -3.0),
+    ("1 + s^2 - m/s + c*sqrt(s^90)/s^46", {"m": 2.0, "c": 1e-3}, -3.0),
+    ("1 + s^2 - m/s + c*exp(-s)/s^2", {"m": 2.0, "c": 0.5}, -3.0),
+    ("1 + s^2 - m/s + c*exp(-s)/s", {"m": 2.0, "c": 0.5}, -3.0),
+    ("1 + s^2 - m/s - c*exp(-s)/s", {"m": 2.0, "c": 0.5}, -3.0),
+    # m/s + c/sqrt(s^2 + a) ties at s^-1, and the exact sum m + c leads
+    ("1 + s^2 - (m + c*s/sqrt(s^2 + a))/s", {"m": 2.0, "c": 1.0, "a": 3.0}, -3.0),
+    ("1 + s^2 - m/s - c*(s - 3)*exp(-s)/s + k/(s - 2)", {"m": 2.0, "c": 0.5, "k": 1e-3}, -3.0),
+    ("1 + s^2 - m/s + c*log(s)/s^3", {"m": 2.0, "c": 0.1}, -3.0),
+    ("1 + s^2 - log(s)/s", {}, -3.0),
+    ("1 + s^2 - log(s)/sqrt(s)", {}, -2.5),
+    ("1 + s^2 - 1/(sqrt(s)*log(s))", {}, -2.5),
+    ("1 + s^2 - (m + c*log(1 + s))/s", {"m": 2.0, "c": 0.01}, -3.0),
+    ("1 + s^2 - c*s - m/s + 0*exp(-s)", {"c": 1e-12, "m": 2.0}, -1.0),
+    ("1 + s^2 - c - m/s + 0*exp(-s)", {"c": 1e-8, "m": 2.0}, -2.0),
+    ("1 + s^2 + k + 0*exp(-s)", {"k": 5e-8}, -2.0),
+    ("1 + s^2 + exp(-s)", {}, -math.inf),
+    ("1 + s^2 - m/s + sqrt(s - c)", {"m": 2.0, "c": 1.0}, -1.5),
+    ("1 + s^2 - m/s + log(s - c)", {"m": 2.0, "c": 1.0}, -2.0),
+    ("1 + s^2 - m/s + c*sqrt((s - a)*(s - b))", {"m": 2.0, "c": 1e-3, "a": 1.0, "b": 2.0}, -1.0),
+    ("1 + s^2 - m/s + 0*exp(-s) + c/(s - a)", {"m": 2.0, "c": 1.0, "a": 5.0}, -3.0),
+    ("(s - a)*(s - a - d)*(s + 1) + 0*exp(-s)", {"a": 1.7, "d": 1e-3}, 0.0),
+    ("(s - 2)*(s + 1) + 0*sqrt((s - 1)*(s - 3))", {}, -1.0),
+    ("1 + s^2 - m*exp(-s)/s + exp(-s)", {"m": 2.0}, -math.inf),
+    # and two more: q and f both lead with exp(s); log(s^2) is 2 log(s)
+    ("1 + s^2 - m/s + exp(s)", {"m": 2.0}, 0.0),
+    ("1 + s^2 - c*(log(s^2) - log(s))/s - m/s^2", {"m": 2.0, "c": 0.5}, -3.0),
+]
+
+# trees whose rate is not read, with the refusal that names the cause
+REFUSED_DECAY = [
+    # a*s^2/(s + 1) - a*s^2/(s + 2) = a s^2/((s + 1)(s + 2)) tends to a:
+    # |q|/f ~ s^-2, but the tie of two divisor terms sums to exactly 0
+    ("1 + s^2 - a*s^2/(s + 1) + a*s^2/(s + 2) + c*exp(-s)", {"a": 1.0, "c": 1.0},
+     "the terms 'a*s^2/(s + 1.0)', '-a*s^2/(s + 2.0)' lead together and may cancel"),
+    ("1 + s^2 - m/s + log(1 + 1/s)", {"m": 2.0},
+     "the atom 'log(1.0 + 1.0/s)' has no leading term"),
+    ("1 + s^2 - m/s - exp(s) - exp(2*s)", {"m": 2.0},
+     "the terms 'exp(s)', 'exp(2.0*s)' lead together"),
+    ("1 + s^2 - m/s + exp(s)*exp(-s^2)", {"m": 2.0},
+     "the term 'exp(-s^2)*exp(s)' has no leading term"),
+    # both ties cancel exactly: q = -m/s^2, |q|/f ~ s^-4
+    ("1 + s^2 - c*(log(s^2) - 2*log(s))/s - m/s^2", {"m": 2.0, "c": 0.5},
+     "the terms 'c*log(s^2)/s', '-2.0*c*log(s)/s' lead together and may cancel"),
+    ("1 + s^2 - m/s - c*(sqrt(2)*s - sqrt(2*s^2))", {"m": 2.0, "c": 0.5},
+     "the terms 'c*s*sqrt(2.0)', '-c*sqrt(2.0*s^2)' lead together and may cancel"),
+    # a float tie whose exact term m^2 = 1e600 leaves the float range
+    ("1 + s^2 - m*m - sqrt(1 + 0.5^2)", {"m": 1e300},
+     "the terms 'm^2', 'sqrt(1.25)' lead together and may cancel"),
+    ("sqrt(1 + 2*s^2 + s^4) - m/s", {"m": 1.0}, "keeps a bare s^2 term"),
+    ("1 + exp(-s)", {}, "keeps a bare s^2 term"),
+]
+
+
+class TestDecayRate:
+    """``Expression.decay_rate``: the leading term of q, against sympy."""
+
+    @pytest.mark.parametrize("text, params, rate", QUOTED_DECAY)
+    def test_quoted_profiles_match_sympy(self, text, params, rate):
+        assert float(parse(text).decay_rate(params)[0]) == rate
+
+    def test_live_sympy_agrees(self):
+        # the frozen table against the live limits: the FLOAT_FAMILIES rows,
+        # whose limits the fused-kernel tests share, a tie and a log power
+        for text, params, rate in QUOTED_DECAY[:4] + [QUOTED_DECAY[19], QUOTED_DECAY[23]]:
+            assert sympy_limit_rate(str(parse(text)), tuple(sorted(params.items()))) == rate
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32), st.sampled_from([-2.5, -0.5, 0.75, 1.5, 3.0]))
+    def test_random_trees_match_sympy(self, seed, m):
+        # dyadic m keeps sympy's rationals short; with floats(-4, 4) a
+        # constant exp(-(m*m)^2) took sympy over 10 s on a 2-core Xeon
+        text = "1 + s^2 - (%s)" % random_tree(random.Random(seed), 3)
+        params = {"m": m} if "m" in parse(text).parameters() else {}
+        try:
+            k, _ = parse(text).decay_rate(params)
+        except DecayError as exc:
+            assert "lead together and may cancel" in str(exc) or "bare s^2" in str(exc), exc
+            return
+        assert float(k) == sympy_limit_rate(text, tuple(params.items())), text
+
+    @pytest.mark.parametrize("text, params, match", REFUSED_DECAY)
+    def test_refusals_name_the_cause(self, text, params, match):
+        with pytest.raises(DecayError, match=re.escape(match)):
+            custom_profile(text, params).f.decay_rate(params)
+
+    def test_pitfall_profile_does_not_pass(self):
+        # a reader that skipped every exact zero would read -inf here
+        text, params, match = REFUSED_DECAY[0]
+        p = custom_profile(text, params)
+        with pytest.raises(DecayError, match=re.escape(match)):
+            validate_asymptotics(p)
+        assert sympy_limit_rate(text, tuple(sorted(params.items()))) == -2.0
+
+    def test_non_finite_literal_is_named(self):
+        f = Sub(parse("1 + s^2 - m/s"), Mul(Num(math.inf), parse("exp(-s)")))
+        with pytest.raises(DecayError, match="the atom 'inf' has no leading term"):
+            f.decay_rate({"m": 2.0})
+
+    @pytest.mark.parametrize(
+        "text, c, rate",
+        [
+            # c = 0 drops the term before its atom is read
+            ("1 + s^2 - m/s - c*log(1 + 1/s)", 0.0, -3.0),
+            # exp(-c*s) is 1 at c = 0, and decays faster than every power at c > 0
+            ("1 + s^2 - m*exp(-c*s)/s", 0.0, -3.0),
+            ("1 + s^2 - m*exp(-c*s)/s", 1.0, -math.inf),
+            # q = m/s - c*s grows at c < 0 too: |q|/f ~ s^-1
+            ("1 + s^2 - m/s - c*s*exp(-1/s)", -1e-9, -1.0),
+        ],
+    )
+    def test_parameters_bind_exactly(self, text, c, rate):
+        assert float(parse(text).decay_rate({"m": 2.0, "c": c})[0]) == rate
+
+
 class TestAsymptotics:
     def test_model_family_passes(self):
         # q/f = m/(s^3 + s - m): the rate is exactly -3
@@ -468,10 +612,10 @@ class TestAsymptotics:
         def refuse(*args):
             raise AssertionError("the exact decay path evaluated the defect")
 
-        monkeypatch.setattr(renvol.metric, "_defect_kernels", refuse)
+        monkeypatch.setattr(Expression, "decay_rate", refuse)
         monkeypatch.setattr(RadialProfile, "defect", refuse)
         report = validate_asymptotics(p)
-        assert (report.passed, report.measured_rate, report.fit_points) == (True, -3.0, 0)
+        assert (report.passed, report.measured_rate) == (True, -3.0)
         # the q tree was not built
         assert "q" not in p.__dict__
 
@@ -505,15 +649,14 @@ class TestAsymptotics:
         assert report.measured_rate == -math.inf
 
     def test_exponential_defect_is_resolved(self):
-        # q = 2*exp(-s)/s is far below the float resolution of 1 + s^2 on
-        # the whole grid, yet the normalized defect evaluates it to full
-        # relative precision until exp underflows near s = 745: the fit
-        # sees the steep decay, d log(q/f) / d log s = -(s + 3), not noise
+        # q = 2*exp(-s)/s decays faster than every power of s, read from
+        # its leading term; the normalized defect evaluates it to full
+        # relative precision until exp underflows near s = 745, far below
+        # the float resolution of 1 + s^2
         p = custom_profile("1 + s^2 - 2*exp(-s)/s")
         report = validate_asymptotics(p)
         assert report.passed
-        assert report.fit_points == 9
-        assert -320.0 < report.measured_rate < -250.0
+        assert report.measured_rate == -math.inf
         s = 500.0
         want = 2.0 * math.exp(-s) / s
         assert p.defect(s) == pytest.approx(want, rel=4e-16)
@@ -523,7 +666,7 @@ class TestAsymptotics:
         p = rn_ads(m, 1.0)
         s_lo = max(1e2, 10.0 * p.horizon.radius)
         assert (s_lo > 1e2) == moved
-        # the fit calls the compiled f, not RadialProfile.value
+        # the grid calls the compiled f, not RadialProfile.value
         seen = []
         compiled = p.f._compiled
         monkeypatch.setitem(
@@ -537,14 +680,20 @@ class TestAsymptotics:
         with pytest.raises(DomainError):
             validate_asymptotics(custom_profile("1 + s^2 - s^3/100"))
 
-    def test_tighter_delta_raises_the_bar(self):
-        # log(s)/s decays a hair slower than s^-1, so the fitted rate of
-        # about -2.87 straddles the two thresholds
-        lax = validate_asymptotics(custom_profile("1 + s^2 - log(s)/s", delta=0.01))
-        assert lax.passed
-        strict = validate_asymptotics(custom_profile("1 + s^2 - log(s)/s", delta=0.24))
-        assert not strict.passed
-        assert strict.measured_rate == pytest.approx(lax.measured_rate)
+    def test_log_factor_meets_every_delta(self):
+        # |q|/f ~ s^-3 log s is O(s^-(2 + 4 delta)) for every delta < 1/4
+        for delta in (0.01, 0.24):
+            report = validate_asymptotics(custom_profile("1 + s^2 - log(s)/s", delta=delta))
+            assert report.passed and report.measured_rate == -3.0
+
+    @pytest.mark.parametrize(
+        "text, passed", [("1 + s^2 - log(s)/sqrt(s)", False), ("1 + s^2 - 1/(sqrt(s)*log(s))", True)]
+    )
+    def test_log_power_decides_a_tie(self, text, passed):
+        # |q|/f ~ s^-2.5 log(s)^(+-1) against the required s^-2.5 at delta = 1/8
+        report = validate_asymptotics(custom_profile(text, delta=0.125))
+        assert (report.measured_rate, report.required_rate) == (-2.5, -2.5)
+        assert report.passed == passed
 
 
 class TestProfileConstruction:

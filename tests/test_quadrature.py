@@ -16,18 +16,16 @@ from renvol.quadrature import (
     Integral,
     Tolerance,
     find_root_bracketed,
-    fit_slope,
     geomspace,
     integrate,
     integrate_semi_infinite,
     integrate_sqrt_endpoint,
-    inv_sqrt_diff,
     _panel,
     _panel_source,
     linspace,
 )
 
-from helpers import bisect60, loop_panel, simpson_composite
+from helpers import bisect60, inv_sqrt_diff, loop_panel, simpson_composite
 
 
 class TestIntegrate:
@@ -368,17 +366,3 @@ class TestGridsAndSlope:
         top = 1.7976931348623157e308
         grid = geomspace(1e307, top, 3)
         assert grid[0] == 1e307 and grid[-1] == top and 1e307 < grid[1] < top
-
-    def test_slope_matches_polyfit(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            n = rng.randint(2, 60)
-            xs = sorted(rng.uniform(-5.0, 15.0) for _ in range(n))
-            slope = rng.uniform(-4.0, 4.0)
-            ys = [slope * x + rng.uniform(-1.0, 1.0) for x in xs]
-            want = float(np.polyfit(xs, ys, 1)[0])
-            assert fit_slope(xs, ys) == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    def test_slope_of_an_exact_line(self):
-        xs = [math.log(s) for s in geomspace(1e2, 1e6, 41)]
-        assert fit_slope(xs, [-3.0 * x + 0.5 for x in xs]) == pytest.approx(-3.0, rel=1e-14)
