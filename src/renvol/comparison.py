@@ -40,6 +40,7 @@ from typing import Sequence
 
 from . import algebra
 from .errors import DecayError, DomainError
+from .expressions import _Overflow, _Unbounded
 from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
 from .quadrature import Tolerance, integrate, integrate_sqrt_endpoint
 from .records import Record
@@ -375,8 +376,8 @@ def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     -CURVATURE_SLACK a^2/2 and fails the check, certified, when the upper
     bound is below -CURVATURE_SLACK b^2/2.  The certified range ends at a
     block that cannot be halved, has no enclosure, and where the interval
-    code of the jet of f or s q has none at the point b while its jet
-    raises nothing there (``_overflows``).  Any other such block, or
+    code of the jet of f or s q has an infinite end at the point b while
+    its jet raises nothing there (``_overflows``).  Any other such block, or
     the lowest one left after _CURVATURE_WORK jet operations enclosed,
     fails the check undecided unless a certified failure is found first.
     Nothing is sampled.  Where ``p.mass_aspect`` raises DecayError, the
@@ -522,16 +523,22 @@ def _enclosed_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
 
 
 def _overflows(p: RadialProfile, s: float) -> bool:
-    """True where the interval code of the jet of f or s q has no bounds at
-    s, though the jet raises nothing: some operation overflows, even one a
-    quotient rounds away, as in 0/inf = 0."""
+    """True where the interval code of the jet of f or s q has an infinite
+    or NaN end at the point s, though the jet raises nothing: some
+    operation overflows, even one a quotient rounds away, as in
+    0/inf = 0.  A divisor, log or sqrt argument whose bounds merely hold
+    0 is refused otherwise and is no overflow."""
     for tree in (p.f, p.mass_aspect):
-        if tree.enclose_jet(s, s, p.params) is None:
+        try:
+            tree._jet_enclosure(s, s, p.params)
+        except _Overflow:
             try:
                 tree.jet(s, p.params)
             except DomainError:
                 continue
             return True
+        except _Unbounded:
+            pass
     return False
 
 

@@ -72,6 +72,10 @@ class _Unbounded(Exception):
     """Internal: a subtree has no finite enclosure; see Expression.enclose."""
 
 
+class _Overflow(_Unbounded):
+    """Internal: an enclosure has an infinite or NaN end."""
+
+
 class Expression(Record):
     """Base class for expression nodes.
 
@@ -167,7 +171,7 @@ class Expression(Record):
         decays faster than every power of s.  Nothing is sampled.  Raises
         DecayError where ``defect()`` does, and where the rate cannot be
         read, naming the atom (as ``log(1 + 1/s)``) or the terms that may
-        cancel."""
+        cancel; EvaluationError for an unbound parameter."""
         f, q, atoms = self._defect_form
         read = _Leading(self, atoms, params if params is not None else _NO_PARAMS)
         (k, j), _ = read.lead(q) or ((-_INF, 0), None)
@@ -457,6 +461,7 @@ _GLOBALS = {
     "_nextafter": math.nextafter,
     "_INF": _INF,
     "_Unbounded": _Unbounded,
+    "_Overflow": _Overflow,
     "_Fraction": Fraction,
     "_ONE": _ONE,
     "DomainError": DomainError,
@@ -543,7 +548,8 @@ class _Code(_Ring):
 
     Interval code writes its arithmetic inline.  Every pair it assigns is
     checked by two comparisons, ``-_INF < L`` and ``H < _INF``, which a NaN
-    end fails too, and raises ``_Unbounded`` otherwise.
+    end fails too, and raises ``_Overflow`` otherwise; a refusal of an
+    operand outside an operation's domain raises ``_Unbounded``.
     """
 
     def __init__(self, mode):
@@ -573,7 +579,7 @@ class _Code(_Ring):
         """Interval code: ``pair``, the names that ``lines`` assign, refused
         unless finite; kept in the memo under ``key``."""
         self.lines += lines
-        self.lines += ["if not (-_INF < %s and %s < _INF):" % pair, "    raise _Unbounded"]
+        self.lines += ["if not (-_INF < %s and %s < _INF):" % pair, "    raise _Overflow"]
         self.memo[key] = pair
         return pair
 
@@ -999,11 +1005,6 @@ def _holds_atom(key) -> bool:
 # ---------------------------------------------------------------------------
 # leading terms at s -> inf (used by decay_rate())
 
-# a tie's float sum must exceed this share of its terms' sizes to be read
-# as nonzero: coefficients that exp, log or sqrt entered carry rounding
-_INEXACT = 1e-12
-
-
 def _rate(k, j):
     return (k, j) if -_INF < k < _INF else (k, 0)
 
@@ -1012,7 +1013,7 @@ def _call(func, rate, c):
     """The leading term of ``func(g)`` from g's, or None: sqrt halves the
     rate of a g with c > 0 (an exact root where c is the square of a
     Fraction); log(g) has (0, 1) times k where g ~ c s^k with k != 0, and
-    log(c) where g -> c > 0, c != 1; exp(g) grows or decays faster than
+    log(c) where g -> c > 0 for an exact c != 1; exp(g) grows or decays faster than
     every power of s where g grows like a power, and tends to e^c or 1
     where g tends to c or 0."""
     k, j = rate
@@ -1029,7 +1030,7 @@ def _call(func, rate, c):
                 return _rate(k / 2, j / 2), (root if root and root * root == c else math.sqrt(c))
             if -_INF < k < _INF and k:
                 return (0, 1), Fraction(k)
-            if rate == (0, 0) and abs(c - 1) > (_INEXACT if type(c) is float else 0):
+            if rate == (0, 0) and type(c) is Fraction and c != 1:
                 return (0, 0), math.log(c)
     except OverflowError:
         pass
@@ -1046,9 +1047,9 @@ class _Leading:
     float once exp, log or sqrt enters it (at an infinite rate only its
     sign counts); and None where a tie at -inf hides its sign.  A divisor
     or power kept whole has the leading term of its sum, and a call the
-    one ``_call`` gives.  Terms of one rate are summed, and a sum that is
-    exactly zero moves on to the next rate only when none of its terms
-    holds an atom.  Anything else raises DecayError naming the atom or the
+    one ``_call`` gives.  Terms of one rate are summed where every
+    coefficient is exact, and a sum that is exactly zero moves on to the
+    next rate only when none of its terms holds an atom.  Anything else raises DecayError naming the atom or the
     terms."""
 
     def __init__(self, tree, atoms, params):
@@ -1071,19 +1072,13 @@ class _Leading:
                 return rate, tied[0][1]
             if rate[0] == -_INF:
                 return rate, None
-            coefs = [c for _, c in tied]
-            if rate[0] < _INF:  # a finite rate has no None coefficient
-                if all(type(c) is Fraction for c in coefs):
-                    if sum(coefs):
-                        return rate, sum(coefs)
-                    if not any(_holds_atom(key) for key, _ in tied):
-                        continue  # terms in s and the parameters that cancel exactly
-                else:
-                    try:
-                        if abs(math.fsum(coefs)) > _INEXACT * math.fsum(map(abs, coefs)):
-                            return rate, math.fsum(coefs)
-                    except OverflowError:  # a Fraction beyond the float range
-                        pass
+            # a finite rate has no None coefficient; a float one may carry rounding
+            if rate[0] < _INF and all(type(c) is Fraction for _, c in tied):
+                total = sum(c for _, c in tied)
+                if total:
+                    return rate, total
+                if not any(_holds_atom(key) for key, _ in tied):
+                    continue  # terms in s and the parameters that cancel exactly
             self.refuse("the terms %s lead together and may cancel" % ", ".join(
                 "'%s'" % _emit_normal({key: terms[key]}, self.atoms) for key, _ in tied))
         return None
@@ -1095,6 +1090,8 @@ class _Leading:
         try:
             for rank, name, e in key:
                 if rank == 0:
+                    if name not in self.params:
+                        raise EvaluationError("unbound parameter '%s'" % name)
                     c *= Fraction(self.params[name]) ** e
                 elif rank == 1:
                     k += e
@@ -1102,7 +1099,7 @@ class _Leading:
                     (ak, aj), ac = self.atom(name) or ((0, 0), 0 ** e)
                     k, j = k + ak * e, j + aj * e
                     c = None if c is None or ac is None else c * ac**e
-        except (OverflowError, ZeroDivisionError):
+        except (OverflowError, ValueError, ZeroDivisionError):  # a non-finite parameter
             k = math.nan
         if c == 0:
             return None

@@ -672,6 +672,18 @@ class TestEnclosedCurvature:
             slope = 0.5 * (4 - s) * mpmath.exp(-s) + 2e-3 / (s - 2) ** 2
             assert 2 * slope / s**2 < -renvol.comparison.CURVATURE_SLACK
 
+    def test_certified_failure_wins_over_a_pole_of_sqrt(self):
+        # as above with the pole of k/(sqrt(s) - a) at s = 2: near it the
+        # widened sqrt leaves a divisor holding 0, which is no overflow
+        p = custom_profile(
+            "1 + s^2 - m/s - c*(s - 3)*exp(-s)/s + k/(sqrt(s) - a)",
+            {"m": 2.0, "c": 0.5, "k": 1e-3, "a": math.sqrt(2.0)},
+        )
+        check = _check_curvature(p, 1.5)
+        assert not check.passed
+        lo, hi = _interval(check.detail, "(certified: R < -6 - 1e-09 on [")
+        assert 4.0 < lo <= hi
+
     def test_slack_grows_with_the_radius(self):
         # s q = -k s, so R = -6 - 2k/s^2, below -6 - 1e-09 exactly for
         # s < sqrt(2k/1e-9) = 10: every block that fails must lie below 10

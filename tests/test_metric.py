@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renvol.metric
-from renvol.errors import DecayError, DomainError
+from renvol.errors import DecayError, DomainError, EvaluationError
 from renvol.expressions import Expression, Mul, Num, Sub, parse
 from renvol.metric import (
     RadialProfile,
@@ -520,9 +520,12 @@ REFUSED_DECAY = [
      "the terms 'c*log(s^2)/s', '-2.0*c*log(s)/s' lead together and may cancel"),
     ("1 + s^2 - m/s - c*(sqrt(2)*s - sqrt(2*s^2))", {"m": 2.0, "c": 0.5},
      "the terms 'c*s*sqrt(2.0)', '-c*sqrt(2.0*s^2)' lead together and may cancel"),
-    # a float tie whose exact term m^2 = 1e600 leaves the float range
+    # a tie with a float coefficient is refused, however far apart its terms
     ("1 + s^2 - m*m - sqrt(1 + 0.5^2)", {"m": 1e300},
      "the terms 'm^2', 'sqrt(1.25)' lead together and may cancel"),
+    # and so is log of a float limit, which may round from 1
+    ("1 + s^2 - m/s + log(sqrt(2) + 1/s)", {"m": 2.0},
+     "the atom 'log(sqrt(2.0) + 1.0/s)' has no leading term"),
     ("sqrt(1 + 2*s^2 + s^4) - m/s", {"m": 1.0}, "keeps a bare s^2 term"),
     ("1 + exp(-s)", {}, "keeps a bare s^2 term"),
 ]
@@ -567,6 +570,10 @@ class TestDecayRate:
         with pytest.raises(DecayError, match=re.escape(match)):
             validate_asymptotics(p)
         assert sympy_limit_rate(text, tuple(sorted(params.items()))) == -2.0
+
+    def test_unbound_parameter_is_named(self):
+        with pytest.raises(EvaluationError, match="unbound parameter 'm'"):
+            parse("1 + s^2 - m*exp(-s)/s").decay_rate()
 
     def test_non_finite_literal_is_named(self):
         f = Sub(parse("1 + s^2 - m/s"), Mul(Num(math.inf), parse("exp(-s)")))
