@@ -3,7 +3,9 @@
 A profile tree without exp/log/sqrt is a rational function of ``s`` once
 its parameters are bound.  ``rational_form`` binds every literal and
 parameter to the exact rational of its float (``float.as_integer_ratio``)
-and returns f = P/Q as integer polynomials with gcd(P, Q) cancelled.  The
+and returns f = P/Q as integer polynomials with gcd(P, Q) cancelled.
+P/Q is built once per tree with the parameters symbolic, and cached on
+the tree; each profile substitutes its values and reduces once.  The
 rest of the module answers sign questions about such polynomials
 exactly:
 
@@ -24,12 +26,16 @@ exactly:
   evaluated there as den^n * p(num/den) by integer Horner steps, so the
   sign is exact.  ``variations(seq, a) - variations(seq, b)`` is the
   number of distinct roots in (a, b] (Sturm's theorem in the form of
-  Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, 2.50).
+  Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, 2.50);
+* bisection of a bracket that holds one root by the sign of the
+  square-free ``seq[0]`` alone (``root_above``, ``narrow``): once counts
+  have bracketed one root, one polynomial is evaluated per step instead
+  of the whole chain.
 
 A polynomial is a list of ``int`` coefficients, constant term first,
 without trailing zeros; the zero polynomial is the empty list.  Only
-``int`` arithmetic is used, and each routine runs once per profile,
-never per evaluation.
+``int`` arithmetic is used.  The symbolic P/Q is built once per tree;
+the other routines run a few times per profile, never per evaluation.
 """
 
 from __future__ import annotations
@@ -48,6 +54,9 @@ __all__ = [
     "variations",
     "value",
     "isolate",
+    "narrow",
+    "sign",
+    "root_above",
     "root_bound",
     "midpoint",
     "small",
@@ -235,6 +244,8 @@ def variations(seq, x):
     with den > 0, or None for +infinity.  Zeros are skipped."""
     count = 0
     last = 0
+    if x is not None:
+        x = _point(x)
     for p in seq:
         v = p[-1] if x is None else value(p, x)
         if v:
@@ -256,33 +267,76 @@ def root_bound(p):
     return 2 + max(map(abs, p[:-1]), default=0) // abs(p[-1]), 1
 
 
+def sign(p, x):
+    """The sign of p at the point x (see ``variations``): -1, 0 or 1."""
+    v = value(p, x)
+    return (v > 0) - (v < 0)
+
+
+def root_above(at_x, at_b):
+    """Whether the one root r of a square-free p in (a, b] lies above x,
+    for a < x < b, from the signs of p at x and at b.  p has one sign on
+    (r, b] and the other on (a, r), so r > x exactly when p(x) is nonzero
+    and not the sign at b, which is 0 when r = b.  Once a bracket holds
+    one root, this one evaluation of p decides what a Sturm count of the
+    whole chain would."""
+    return at_x != 0 and at_x != at_b
+
+
+def narrow(p, a, b, done):
+    """Bisect the dyadic (a, b], which holds exactly one root of the
+    square-free p, at midpoints by the sign of p (``root_above``) until
+    ``done(a, b)``; the intervals are those Sturm counts give."""
+    at_b = sign(p, b)
+    while not done(a, b):
+        m = midpoint(a, b)
+        at_m = sign(p, m)
+        if root_above(at_m, at_b):
+            a = m
+        else:
+            b, at_b = m, at_m
+    return a, b
+
+
+def _isolated(a, b):
+    """b - a <= 2^-40 b for dyadic points 0 <= a < b."""
+    (na, da), (nb, db) = a, b
+    d = max(da, db)
+    width = nb * (d // db) - na * (d // da)
+    return width << 40 <= abs(nb * (d // db))
+
+
 def isolate(seq, lo, hi, count):
     """Isolating intervals (a, b] of the ``count`` outermost roots of
     ``seq[0]`` in (lo, hi], 0 <= lo, outermost first, as dyadic pairs.
     Each holds exactly one root and is narrowed by bisection to
-    b - a <= 2^-40 b."""
+    b - a <= 2^-40 b: by Sturm counts while an interval holds more than
+    one root, and by the sign of ``seq[0]`` from the first that holds
+    one."""
     out = []
     lo, hi = _point(lo), _point(hi)
     stack = [(lo, variations(seq, lo), hi, variations(seq, hi))]
     while stack and len(out) < count:
         a, va, b, vb = stack.pop()
-        if va == vb:
-            continue
-        (na, da), (nb, db) = a, b
-        d = max(da, db)
-        width = nb * (d // db) - na * (d // da)
-        if va - vb == 1 and width << 40 <= abs(nb * (d // db)):
-            out.append((a, b))
-            continue
-        m = midpoint(a, b)
-        vm = variations(seq, m)
-        stack.append((a, va, m, vm))
-        stack.append((m, vm, b, vb))  # the upper half is searched first
+        if va - vb == 1:
+            out.append(narrow(seq[0], a, b, _isolated))
+        elif va != vb:
+            m = midpoint(a, b)
+            vm = variations(seq, m)
+            stack.append((a, va, m, vm))
+            stack.append((m, vm, b, vb))  # the upper half is searched first
     return out
 
 
 # ---------------------------------------------------------------------------
 # f = P/Q from a tree
+#
+# The form of a tree is built once, with its parameters symbolic
+# (``_symbolic``, cached on the tree as ``Expression._symbolic_form``), in
+# family polynomials: a dict that maps a tuple of exponents, one per
+# parameter of the tree in sorted order, to the integer polynomial in s
+# that multiplies that monomial of the parameters; the zero polynomial is
+# {}.  A profile substitutes its parameters' values into it.
 
 
 def rational_form(expr, params):
@@ -290,15 +344,39 @@ def rational_form(expr, params):
 
     Literals and parameters enter as the exact rationals of their floats.
     gcd(P, Q) is cancelled, the integer contents are coprime and Q has a
-    positive leading coefficient.  None is returned for a tree with
+    positive leading coefficient, so the form depends on the rational
+    function alone.  The tree's symbolic form is built on the first call
+    and cached on the tree; each call substitutes the parameters' values
+    into it and reduces P/Q once.  None is returned for a tree with
     exp/log/sqrt, a non-finite literal or parameter, a division by the
-    zero polynomial, or a form that is not ``small``.  A tree with
-    exp/log/sqrt is refused at once, from a flag cached on the tree.
+    zero polynomial, or a form that is not ``small``: a polynomial of the
+    symbolic build, or P or Q after substitution, with their common
+    content divided out but before gcd(P, Q) is cancelled.  A tree with
+    exp/log/sqrt is refused at once, from a flag cached on the tree, and
+    builds nothing.
     """
     if expr._has_call:
         return None
+    form = expr._symbolic_form
+    if form is None:
+        return None
+    names, num, den, divisors = form
+    values = []
+    for name in names:
+        x = float(params[name])
+        if not math.isfinite(x):
+            return None
+        values.append(x.as_integer_ratio())
+    if not all(_substitute((d,), values)[0] for d in divisors):
+        return None
+    p, q = _substitute((num, den), values)
+    if _free(num) and _free(den):
+        return p, q  # reduced by the build
+    # the content P and Q share, the substitution's scale among it, goes
+    # before the size cap applies
+    c = math.gcd(*p, *q)
     try:
-        return _rational(expr, params)
+        return _reduce([x // c for x in p], [x // c for x in q])
     except _NotRational:
         return None
 
@@ -327,41 +405,139 @@ def _exact(x):
     return ([n] if n else []), [d]
 
 
-def _rational(e, params):
-    if isinstance(e, Num):
-        return _exact(e.value)
-    if isinstance(e, Var):
-        return [0, 1], [1]
-    if isinstance(e, Param):
-        return _exact(params[e.name])
-    if isinstance(e, Neg):
-        p, q = _rational(e.arg, params)
-        return _neg(p), q
-    if isinstance(e, Pow):
-        p, q = _rational(e.base, params)
-        n = e.exponent
-        if n < 0:
-            p, q, n = q, p, -n
-        if not q:
-            raise _NotRational
-        pn, qn = [1], [1]
-        for _ in range(n):
-            pn, qn = mul(pn, p), mul(qn, q)
-            if not (small(pn) and small(qn)):
+def _free(a):
+    """True when the family polynomial a holds no parameter."""
+    return not any(map(any, a))
+
+
+def _fadd(a, b):
+    out = dict(a)
+    for key, p in b.items():
+        p = _add(out.get(key, []), p)
+        if p:
+            out[key] = p
+        else:
+            del out[key]
+    return out
+
+
+def _fneg(a):
+    return {key: _neg(p) for key, p in a.items()}
+
+
+def _fmul(a, b):
+    out = {}
+    for ka, pa in a.items():
+        for kb, pb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = _add(out.get(key, []), mul(pa, pb))
+    return {key: p for key, p in out.items() if p}
+
+
+def _fsmall(a):
+    return all(map(small, a.values()))
+
+
+def _substitute(forms, values):
+    """The integer polynomials of the family polynomials ``forms`` with
+    each parameter bound to its value (num, den), all times the one
+    positive factor den^t per parameter, t its highest exponent there."""
+    top = [max(column) for column in zip(*(key for form in forms for key in form))]
+    out = []
+    for form in forms:
+        acc = [0] * max(map(len, form.values()), default=0)
+        for key, p in form.items():
+            c = 1
+            for (n, d), e, t in zip(values, key, top):
+                c *= n**e * d ** (t - e)
+            for i, x in enumerate(p):
+                acc[i] += c * x
+        out.append(_trim(acc))
+    return out
+
+
+def _symbolic(expr):
+    """``(names, P, Q, divisors)`` of a tree without exp/log/sqrt, or None
+    when no binding of its parameters gives a form.
+
+    names are the tree's parameters, sorted.  P, Q and the divisors are
+    family polynomials in them, and f = P/Q at every binding where no
+    divisor vanishes: the divisors are the numerators of the right
+    operands of / and of the bases of negative powers that hold a
+    parameter.  An operation whose P and Q hold no parameter is reduced as
+    ``rational_form`` reduces its result, and refused where it divides by
+    zero; the others are not reduced, and sum over the lcm of their
+    denominators when neither holds a parameter, over their product
+    otherwise.  None also for a non-finite literal, and where a polynomial
+    built, at any operation and any step of a power, is not ``small``.
+    """
+    names = sorted(expr.parameters())
+    zero = (0,) * len(names)
+    one = {zero: [1]}
+    divisors = []
+
+    def const(p):
+        return {zero: p} if p else {}
+
+    def walk(e):
+        if isinstance(e, Num):
+            p, q = _exact(e.value)
+            return const(p), const(q)
+        if isinstance(e, Var):
+            return const([0, 1]), one
+        if isinstance(e, Param):
+            key = [0] * len(names)
+            key[names.index(e.name)] = 1
+            return {tuple(key): [1]}, one
+        if isinstance(e, Neg):
+            p, q = walk(e.arg)
+            return _fneg(p), q
+        if isinstance(e, Pow):
+            p, q = walk(e.base)
+            n = e.exponent
+            if n < 0:
+                p, q, n = q, p, -n
+                if not _free(q):
+                    divisors.append(q)
+            if not q:
                 raise _NotRational
-        # powers of coprime polynomials and contents stay coprime
-        return (_neg(pn), _neg(qn)) if qn[-1] < 0 else (pn, qn)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        p1, q1 = _rational(e.left, params)
-        p2, q2 = _rational(e.right, params)
-        if isinstance(e, Mul):
-            return _reduce(mul(p1, p2), mul(q1, q2))
-        if isinstance(e, Div):
-            return _reduce(mul(p1, q2), mul(q1, p2))
-        if isinstance(e, Sub):
-            p2 = _neg(p2)
-        # over the lcm of the denominators, so no degree is added in vain
-        g = _gcd(q1, q2)
-        r1, r2 = _exquo(q1, g), _exquo(q2, g)
-        return _reduce(_add(mul(p1, r2), mul(p2, r1)), mul(q1, r2))
-    raise _NotRational  # exp, log or sqrt, which rational_form refuses first
+            pn, qn = one, one
+            for _ in range(n):
+                pn, qn = _fmul(pn, p), _fmul(qn, q)
+                if not (_fsmall(pn) and _fsmall(qn)):
+                    raise _NotRational
+            # powers of coprime polynomials and contents stay coprime
+            if _free(qn) and qn[zero][-1] < 0:
+                return _fneg(pn), _fneg(qn)
+            return pn, qn
+        if isinstance(e, (Add, Sub, Mul, Div)):
+            p1, q1 = walk(e.left)
+            p2, q2 = walk(e.right)
+            if isinstance(e, Mul):
+                p, q = _fmul(p1, p2), _fmul(q1, q2)
+            elif isinstance(e, Div):
+                if not _free(p2):
+                    divisors.append(p2)
+                p, q = _fmul(p1, q2), _fmul(q1, p2)
+            else:
+                if isinstance(e, Sub):
+                    p2 = _fneg(p2)
+                r1, r2 = q1, q2
+                if _free(q1) and _free(q2):
+                    # over the lcm of the denominators, so no degree is added in vain
+                    g = _gcd(q1[zero], q2[zero])
+                    r1, r2 = const(_exquo(q1[zero], g)), const(_exquo(q2[zero], g))
+                p, q = _fadd(_fmul(p1, r2), _fmul(p2, r1)), _fmul(q1, r2)
+            if _free(p) and _free(q):
+                p, q = _reduce(p.get(zero, []), q.get(zero, []))
+                return const(p), const(q)
+            if not (q and _fsmall(p) and _fsmall(q)):
+                raise _NotRational
+            return p, q
+        raise _NotRational  # exp, log or sqrt, which rational_form refuses first
+
+    try:
+        num, den = walk(expr)
+    except _NotRational:
+        return None
+    return names, num, den, divisors

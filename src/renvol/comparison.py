@@ -442,12 +442,7 @@ def _negative_interval(seq, lo, rising: bool):
     a, b = roots[0]
     lower = roots[1][1] if len(roots) > 1 else lo
     # isolating intervals may share an end; narrow the upper one off it
-    while a[0] * lower[1] <= lower[0] * a[1]:
-        m = algebra.midpoint(a, b)
-        if algebra.variations(seq, a) > algebra.variations(seq, m):
-            b = m
-        else:
-            a = m
+    a, b = algebra.narrow(seq[0], a, b, lambda a, b: a[0] * lower[1] > lower[0] * a[1])
     return lower, a
 
 

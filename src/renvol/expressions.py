@@ -222,6 +222,14 @@ class Expression(Record):
         return _defect_of(self)
 
     @cached_property
+    def _symbolic_form(self):
+        """f = P/Q with the parameters symbolic (``algebra._symbolic``),
+        built on the first ``algebra.rational_form`` of the tree."""
+        from . import algebra
+
+        return algebra._symbolic(self)
+
+    @cached_property
     def _defect(self):
         _, q, atoms = self._defect_form
         return _emit_normal(q, atoms)
@@ -591,12 +599,14 @@ class _Code(_Ring):
     def corners(self, key, op, a, b):
         """Interval code: ``a op b`` for op in * /, bounded by the least
         and greatest of the four corner results (each is monotone in both
-        operands away from a zero divisor)."""
-        corners = [self.temp() for _ in range(4)]
-        lines = [
-            "%s = %s %s %s" % (c, x, op, y)
-            for c, (x, y) in zip(corners, [(a[0], b[0]), (a[0], b[1]), (a[1], b[0]), (a[1], b[1])])
-        ]
+        operands away from a zero divisor).  A corner repeated by a point
+        operand ``(c, c)`` is computed once; min and max see the others in
+        the same first-occurrence order."""
+        operands = dict.fromkeys([(a[0], b[0]), (a[0], b[1]), (a[1], b[0]), (a[1], b[1])])
+        corners = [self.temp() for _ in operands]
+        lines = ["%s = %s %s %s" % (c, x, op, y) for c, (x, y) in zip(corners, operands)]
+        if len(corners) == 1:
+            return self.checked(key, lines, (corners[0], corners[0]))
         listed = ", ".join(corners)
         return self.bounds(key, lines, "min(%s)" % listed, "max(%s)" % listed)
 

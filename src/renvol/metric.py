@@ -34,8 +34,9 @@ No decay rate evaluates any of them.
 The horizon is the outermost root of f on a fixed geometric grid on
 (1e-6, 1e3].  For a profile without exp/log/sqrt, f = P/Q exactly
 (``algebra.rational_form``), and ``RadialProfile.horizon`` finds the grid
-cell that holds the outermost root of P by binary search on exact Sturm
-counts, about 14 of them, then refines that cell.  Otherwise, and
+cell that holds the outermost root of P by binary search: on exact Sturm
+counts until the range holds one root, a few of them, and then on the
+sign of P, about 14 halvings in all; it refines that cell.  Otherwise, and
 wherever the float f at that cell's ends is undefined, NaN or does not
 change sign, it walks the grid inward from its outer edge and refines the
 first sign change it meets.  The walk skips blocks of grid points on
@@ -111,7 +112,8 @@ _WALK = object()
 
 
 def _counted_horizon(fn, numerator: list[int], grid: array):
-    """The horizon of f = numerator/Q from exact Sturm counts: a Horizon,
+    """The horizon of f = numerator/Q from exact Sturm counts and signs
+    (``_root_cell``): a Horizon,
     None for no root on the grid, or _WALK where the walk could find
     something else (f at the outer edge or at the ends of the root's cell
     undefined, NaN or not changing sign, or an exact zero on grid[0])."""
@@ -121,17 +123,10 @@ def _counted_horizon(fn, numerator: list[int], grid: array):
     except DomainError:
         return _WALK
     seq = algebra.sturm(numerator)
-    top = algebra.variations(seq, grid[-1])
-    lo, hi = 0, len(grid) - 1
-    if algebra.variations(seq, grid[lo]) == top:
-        return None if algebra.value(seq[0], grid[lo]) else _WALK
-    # a root lies in (grid[lo], grid[-1]] and none in (grid[hi], grid[-1]]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if algebra.variations(seq, grid[mid]) > top:
-            lo = mid
-        else:
-            hi = mid
+    cell = _root_cell(seq, grid)
+    if cell is None:
+        return None if algebra.value(seq[0], grid[0]) else _WALK
+    lo, hi = cell
     try:
         f_lo, f_hi = fn(grid[lo]), fn(grid[hi])
     except DomainError:
@@ -141,6 +136,38 @@ def _counted_horizon(fn, numerator: list[int], grid: array):
     if (f_lo > 0.0) != (f_hi > 0.0) and not (math.isnan(f_lo) or math.isnan(f_hi)):
         return _refine(fn, grid[lo], grid[hi], f_lo, f_hi)
     return _WALK
+
+
+def _root_cell(seq, grid: array):
+    """The indices (lo, lo + 1) of the grid cell (grid[lo], grid[lo + 1]]
+    that holds the outermost root of ``seq[0]`` in (grid[0], grid[-1]], or
+    None for no root there; seq is a Sturm sequence (``algebra.sturm``).
+    Sturm counts halve the range while it holds more than one root, and
+    from then on the sign of the square-free seq[0] follows the root
+    (``algebra.root_above``): the cell is the one counts alone find."""
+    top = algebra.variations(seq, grid[-1])
+    lo, hi = 0, len(grid) - 1
+    count = algebra.variations(seq, grid[lo])
+    if count == top:
+        return None
+    # (grid[lo], grid[hi]] holds count - top roots and (grid[hi], grid[-1]]
+    # holds none
+    while hi - lo > 1 and count > top + 1:
+        mid = (lo + hi) // 2
+        at_mid = algebra.variations(seq, grid[mid])
+        if at_mid > top:
+            lo, count = mid, at_mid
+        else:
+            hi = mid
+    at_hi = algebra.sign(seq[0], grid[hi])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        at_mid = algebra.sign(seq[0], grid[mid])
+        if algebra.root_above(at_mid, at_hi):
+            lo = mid
+        else:
+            hi, at_hi = mid, at_mid
+    return lo, hi
 
 
 def _refine(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> Horizon:
@@ -247,7 +274,9 @@ class RadialProfile(Record):
     @cached_property
     def rational(self) -> tuple[list[int], list[int]] | None:
         """f = P/Q as integer polynomials, or None for a tree with
-        exp/log/sqrt (see ``algebra.rational_form``); built once per profile."""
+        exp/log/sqrt (see ``algebra.rational_form``).  The tree's symbolic
+        P/Q is built once and shared by every profile of the family; each
+        profile substitutes its parameters' values and reduces once."""
         return algebra.rational_form(self.f, self.params)
 
     @cached_property
@@ -255,9 +284,11 @@ class RadialProfile(Record):
         """Outermost root of f on the search grid, or None if f stays positive.
 
         The grid is ``_scan_grid``, geometric on (1e-6, 1e3].  When f = P/Q
-        is rational and positive at the outer edge, a binary search on
-        exact Sturm counts of P finds the cell (lo, hi] that holds P's
-        outermost root in that range; no root there means no horizon.  If
+        is rational and positive at the outer edge, a binary search finds
+        the cell (lo, hi] that holds P's outermost root in that range: on
+        exact Sturm counts of P while the range holds more than one root,
+        then on the sign of P's square-free part (``_root_cell``); no root
+        there means no horizon.  If
         f at lo and hi is defined and changes between f > 0 and f <= 0,
         that cell is refined by safeguarded bracketed root finding, and an
         exact zero at hi is the horizon itself.  Otherwise (an undefined or
@@ -465,11 +496,12 @@ def ads_horizon_radius(m: float) -> float:
 def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     """Check that the metric deviation |q|/f decays like s^-(2 + 4*delta).
 
-    f must be positive on a 41-point geometric grid over four decades,
-    from s_0 = max(1e2, 10*s_h) to 1e4*s_0, where s_h is the horizon
-    radius, so a large horizon does not reach into it; a profile without
-    a horizon, or whose horizon search raises DecayError, uses [1e2, 1e6].
-    Raises DomainError naming the first grid point where f is not.
+    f must be positive and finite on a 41-point geometric grid over four
+    decades, from s_0 = max(1e2, 10*s_h) to 1e4*s_0, where s_h is the
+    horizon radius, so a large horizon does not reach into it; a profile
+    without a horizon, or whose horizon search raises DecayError, uses
+    [1e2, 1e6].  Raises DomainError naming the first grid point where f is
+    not, so an f that overflows there fails here, before any quadrature.
 
     The rate is exact; q is not evaluated.  For a rational profile,
     f = P/Q (``RadialProfile.rational``), q = N/Q with N = Q (1 + s^2) - P,
@@ -491,8 +523,11 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
         s_lo = max(s_lo, 10.0 * horizon.radius)
     f, params = p.f._compiled, p.params
     for s in geomspace(s_lo, 1e4 * s_lo, 41):
-        if not (f(s, params) > 0.0):
-            raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
+        fs = f(s, params)
+        if not (0.0 < fs < math.inf):
+            raise DomainError(
+                "profile not positive and finite at s=%r on the asymptotics grid: f = %r" % (s, fs)
+            )
     form = p.rational
     if form is None:
         rate, logs = p.f.decay_rate(params)

@@ -276,6 +276,117 @@ def exact_walk(expr, s, params=None):
     return walk(expr)
 
 
+def walk_rational_form(expr, params):
+    """f = P/Q of a tree by a recursive walk per binding, or None.
+
+    The reference for ``algebra.rational_form``, which substitutes the
+    parameters into a form built once per tree: every node is built from
+    the exact rationals of the bound floats, and each sum, product and
+    quotient is reduced at once, over the lcm of the denominators for a
+    sum.  None where a literal or parameter is not finite, a divisor is
+    the zero polynomial, or a product or power on the way is not
+    ``algebra.small``.  The two apply that size cap to different
+    polynomials, so close to the cap, as with parameters of magnitude
+    1e-80 or 1e80 in some trees, one may build a form the other refuses.
+    """
+    from renvol import algebra
+
+    def exact(x):
+        x = float(x)
+        if not math.isfinite(x):
+            raise algebra._NotRational
+        n, d = x.as_integer_ratio()
+        return ([n] if n else []), [d]
+
+    def walk(e):
+        if isinstance(e, Num):
+            return exact(e.value)
+        if isinstance(e, Var):
+            return [0, 1], [1]
+        if isinstance(e, Param):
+            return exact(params[e.name])
+        if isinstance(e, Neg):
+            p, q = walk(e.arg)
+            return algebra._neg(p), q
+        if isinstance(e, Pow):
+            p, q = walk(e.base)
+            n = e.exponent
+            if n < 0:
+                p, q, n = q, p, -n
+            if not q:
+                raise algebra._NotRational
+            pn, qn = [1], [1]
+            for _ in range(n):
+                pn, qn = algebra.mul(pn, p), algebra.mul(qn, q)
+                if not (algebra.small(pn) and algebra.small(qn)):
+                    raise algebra._NotRational
+            return (algebra._neg(pn), algebra._neg(qn)) if qn[-1] < 0 else (pn, qn)
+        if isinstance(e, Call):
+            raise algebra._NotRational
+        p1, q1 = walk(e.left)
+        p2, q2 = walk(e.right)
+        if isinstance(e, Mul):
+            return algebra._reduce(algebra.mul(p1, p2), algebra.mul(q1, q2))
+        if isinstance(e, Div):
+            return algebra._reduce(algebra.mul(p1, q2), algebra.mul(q1, p2))
+        if isinstance(e, Sub):
+            p2 = algebra._neg(p2)
+        g = algebra._gcd(q1, q2)
+        r1, r2 = algebra._exquo(q1, g), algebra._exquo(q2, g)
+        top = algebra._add(algebra.mul(p1, r2), algebra.mul(p2, r1))
+        return algebra._reduce(top, algebra.mul(q1, r2))
+
+    try:
+        return walk(expr)
+    except algebra._NotRational:
+        return None
+
+
+def counted_isolate(seq, lo, hi, count):
+    """``algebra.isolate`` by Sturm counts alone: every bisection of an
+    interval, one root in it or more, counts sign variations of the whole
+    chain at the midpoint."""
+    from renvol import algebra
+
+    out = []
+    lo, hi = algebra._point(lo), algebra._point(hi)
+    stack = [(lo, algebra.variations(seq, lo), hi, algebra.variations(seq, hi))]
+    while stack and len(out) < count:
+        a, va, b, vb = stack.pop()
+        if va == vb:
+            continue
+        (na, da), (nb, db) = a, b
+        d = max(da, db)
+        width = nb * (d // db) - na * (d // da)
+        if va - vb == 1 and width << 40 <= abs(nb * (d // db)):
+            out.append((a, b))
+            continue
+        m = algebra.midpoint(a, b)
+        vm = algebra.variations(seq, m)
+        stack.append((a, va, m, vm))
+        stack.append((m, vm, b, vb))
+    return out
+
+
+def counted_cell(seq, grid):
+    """The grid cell (lo, hi] of the outermost root of ``seq[0]`` in
+    (grid[0], grid[-1]], or None, by a binary search on Sturm counts
+    alone: the reference for the sign steps of ``metric._root_cell``."""
+    from renvol import algebra
+
+    top = algebra.variations(seq, grid[-1])
+    lo, hi = 0, len(grid) - 1
+    if algebra.variations(seq, grid[lo]) == top:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if algebra.variations(seq, grid[mid]) > top:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def forward_scan_horizon(p):
     """The horizon search as a forward scan over the whole grid.
 
@@ -444,10 +555,13 @@ def _decay_grid(p):
 
 
 def _grid_positive(p):
-    """f > 0 on the 41 points of the decay check, through ``p.value``."""
+    """0 < f < inf on the 41 points of the decay check, through ``p.value``."""
     for s in _decay_grid(p):
-        if not (p.value(s) > 0.0):
-            raise DomainError("profile nonpositive at s=%r on the asymptotics grid" % (s,))
+        fs = p.value(s)
+        if not (0.0 < fs < math.inf):
+            raise DomainError(
+                "profile not positive and finite at s=%r on the asymptotics grid: f = %r" % (s, fs)
+            )
 
 
 def chain_validate_asymptotics(p):

@@ -2,6 +2,7 @@
 Fraction arithmetic, and the certified curvature verdict against its
 closed form."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,11 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_expressions
-from helpers import exact_walk, random_tree, two_pass_sturm
+from helpers import (
+    counted_cell,
+    counted_isolate,
+    exact_walk,
+    random_tree,
+    two_pass_sturm,
+    walk_rational_form,
+)
 from renvol import algebra
 from renvol.comparison import _check_curvature
 from renvol.expressions import parse
-from renvol.metric import RadialProfile, custom_profile, rn_ads
+from renvol.metric import RadialProfile, _root_cell, _scan_grid, custom_profile, rn_ads
 
 X = sympy.Symbol("x")
 
@@ -171,6 +179,93 @@ def test_isolating_intervals_hold_one_root_each():
         assert a < root <= b and b - a <= 2.0**-40 * b
 
 
+def _grid_root(i, j):
+    """A point j quarters of the grid cell (grid[i], grid[i + 1]] above
+    grid[i]: the grid point itself for j = 0."""
+    grid = _scan_grid()
+    return grid[i] + (grid[i + 1] - grid[i]) * j / 4
+
+
+# roots for the sign-step properties, each with a multiplicity: dyadic
+# points k/8, grid points and points inside a grid cell, and pairs of
+# roots inside one cell
+_root = st.one_of(
+    st.integers(1, 40).map(lambda k: k / 8),
+    st.builds(_grid_root, st.integers(0, 9998), st.integers(0, 3)),
+)
+_roots = st.one_of(
+    st.lists(st.tuples(_root, st.integers(1, 3)), min_size=1, max_size=3),
+    st.integers(0, 9998).map(lambda i: [(_grid_root(i, 1), 1), (_grid_root(i, 3), 1)]),
+)
+
+
+def _with_roots(roots, extra, scale):
+    """scale times the product of (s - r)^k over roots, times a factor with
+    no root above 0 (s + 3, s^2 + 1) when extra is 1 or 2."""
+    p = [scale]
+    for r, k in roots:
+        num, den = r.as_integer_ratio()
+        for _ in range(k):
+            p = algebra.mul(p, [-num, den])
+    return algebra.mul(p, [[1], [3, 1], [1, 0, 1]][extra])
+
+
+def test_sign_steps_find_the_counted_cell():
+    grid = _scan_grid()
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_roots, st.integers(0, 2), st.sampled_from([-2, 1]))
+    def check(roots, extra, scale):
+        seq = algebra.sturm(_with_roots(roots, extra, scale))
+        cell = _root_cell(seq, grid)
+        assert cell == counted_cell(seq, grid), roots
+        if cell is not None:
+            lo, hi = cell
+            inside = [r for r, _ in roots if grid[lo] < r <= grid[hi]]
+            seen.add("repeated" if any(k > 1 for _, k in roots) else "simple")
+            seen.add("two in the cell" if len(inside) > 1 else "one in the cell")
+            seen.add("root at the upper end" if grid[hi] in inside else "root inside")
+
+    check()
+    assert seen == {
+        "repeated", "simple", "two in the cell", "one in the cell", "root at the upper end",
+        "root inside",
+    }
+
+
+def test_sign_steps_isolate_the_counted_intervals():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        _roots,
+        st.integers(0, 2),
+        st.sampled_from([-2, 1]),
+        st.integers(0, 16).map(lambda k: k / 8),
+        st.one_of(st.none(), st.integers(3, 48).map(lambda k: k / 8)),
+        st.integers(1, 4),
+    )
+    def check(roots, extra, scale, lo, hi, count):
+        p = _with_roots(roots, extra, scale)
+        seq = algebra.sturm(p)
+        hi = algebra.root_bound(p) if hi is None or hi <= lo else hi.as_integer_ratio()
+        intervals = algebra.isolate(seq, lo, hi, count)
+        assert intervals == counted_isolate(seq, lo, hi, count), roots
+        for r, k in roots:
+            for a, b in intervals:
+                if a[0] < r * a[1] and r * b[1] <= b[0]:
+                    seen.add("repeated root" if k > 1 else "simple root")
+                    seen.add("at a dyadic k/8" if r * 8 == int(r * 8) else "off the k/8")
+                    seen.add("at the upper end" if r * b[1] == b[0] else "inside")
+
+    check()
+    assert seen == {
+        "repeated root", "simple root", "at a dyadic k/8", "off the k/8", "at the upper end",
+        "inside",
+    }
+
+
 def _rational_trees():
     """Every tree without exp/log/sqrt in tests/test_expressions.py."""
     texts = []
@@ -200,6 +295,8 @@ def test_rational_form_matches_fraction_arithmetic():
     above_cap = []
     for tree in _rational_trees():
         form = algebra.rational_form(tree, params)
+        # bit for bit the form of the walk that reduced at every node
+        assert form == walk_rational_form(tree, params), str(tree)
         if form is None:
             above_cap.append(str(tree))
             continue
@@ -221,27 +318,167 @@ def test_rational_form_matches_fraction_arithmetic():
     assert checked > 800
 
 
+# far from the size cap: 2^-30 and 1e30 have 31 and 100 bits; magnitudes
+# much further out can move a form across the cap (see walk_rational_form)
+_SWEEP_VALUES = (0.0, -0.0, 1.0, -0.75, 2.5, 1.0 / 3.0, 2.0**-30, 1e-30, 1e30)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # rn-ads: at c = 0 the factor s of P and Q cancels
+        "1 + s^2 - m/s + c/s^2",
+        # the benchmark's custom family: at k = 0 a factor s cancels
+        "1 + s^2 - m/s + c/s^2 + k/s^3",
+        # divisors that hold a parameter, some vanishing at zero values,
+        # and factors shared at some values
+        "(s - c)*(s + m)/(s - c)",
+        "m*s/(c*s + k) + 1/(s + m)^2",
+        "1 + s^2 - m/s + c*(s - k)^2/(s^2 + k^2*s)",
+        "(m*s + c)^-2 - (c + m*s)^-2 + k*s",
+        "(s^5 + s^3 - m*s^2)/(s^3 + 1)",
+        "1 + s^2 - (m + c*s^3/(s^3 + a^3))/s",
+    ],
+)
+def test_symbolic_form_matches_the_walk_over_sweeps(text):
+    # every binding over the sweep values of the tree's parameters
+    tree = parse(text)
+    names = sorted(tree.parameters())
+    rng = random.Random(text)
+    for values in itertools.product(_SWEEP_VALUES, repeat=len(names)):
+        params = dict(zip(names, values))
+        form = algebra.rational_form(tree, params)
+        assert form == walk_rational_form(tree, params), params
+        if form is None:
+            continue
+        num, den = form
+        for _ in range(3):
+            s = Fraction(rng.randint(-400, 400), rng.randint(1, 64))
+            try:
+                want = exact_walk(tree, s, params)
+            except ZeroDivisionError:
+                continue
+            assert Fraction(_at(num, s), _at(den, s)) == want, (params, s)
+
+
+def test_symbolic_form_cancels_shared_factors():
+    rn = parse("1 + s^2 - m/s + c/s^2")
+    assert algebra.rational_form(rn, {"m": 2.0, "c": 0.0}) == ([-2, 1, 0, 1], [0, 1])
+    assert algebra.rational_form(rn, {"m": 2.0, "c": 0.5}) == ([1, -4, 2, 0, 2], [0, 0, 2])
+    custom = parse("1 + s^2 - m/s + c/s^2 + k/s^3")
+    assert algebra.rational_form(custom, {"m": 2.0, "c": 0.5, "k": 0.0}) == (
+        [1, -4, 2, 0, 2], [0, 0, 2]
+    )
+
+
+def test_symbolic_form_meets_the_cap_where_the_walk_does():
+    # the rising-mass family of the theorem oracle leaves the exact path
+    # near c = 1e-290 for k = 3; on both sides of that edge, with the
+    # substitution's scale divided out, the forms and refusals are the walk's
+    rng = random.Random(290)
+    refused = set()
+    for k in (1, 2, 3):
+        tree = parse("1 + s^2 - (m + c*s^%d/(s^%d + a^%d))/s" % (k, k, k))
+        for e in range(250, 311, 3):
+            params = {"m": rng.uniform(0.5, 5.0), "a": rng.uniform(0.1, 5.0), "c": 10.0**-e}
+            form = algebra.rational_form(tree, params)
+            assert form == walk_rational_form(tree, params), (k, params)
+            refused.add((k, form is None))
+    assert refused == {(1, False), (2, False), (3, False), (3, True)}
+
+
+def test_symbolic_sums_take_the_lcm_of_constant_denominators():
+    # s^2, not s * s^2, so no degree is added in vain
+    names, num, den, divisors = parse("1 + s^2 - m/s + c/s^2")._symbolic_form
+    assert names == ["c", "m"] and den == {(0, 0): [0, 0, 1]} and divisors == []
+    assert num == {(0, 0): [0, 0, 1, 0, 1], (0, 1): [0, -1], (1, 0): [1]}
+
+
+def test_symbolic_cap_holds_for_every_binding():
+    # the 400th powers are expanded with m symbolic, above the cap; the
+    # walk built them at m = 0, where the power is 1
+    tree = parse("1.0 + s^2 - m/s + (1.0 + m/s)^400 - (1.0 + m/s)^400")
+    assert tree._symbolic_form is None
+    assert algebra.rational_form(tree, {"m": 0.0}) is None
+    assert walk_rational_form(tree, {"m": 0.0}) == ([1, 0, 1], [1])
+
+
 def test_rational_form_refuses_what_has_no_exact_form():
     assert algebra.rational_form(parse("1 + exp(-s)"), {}) is None
     assert algebra.rational_form(parse("1/(s - s)"), {}) is None
+    assert algebra.rational_form(parse("(s - s)/(s - s)"), {}) is None
+    assert algebra.rational_form(parse("0*(1/(s - s))"), {}) is None
+    assert algebra.rational_form(parse("c*s/(c*s)"), {"c": 0.0}) is None
+    assert algebra.rational_form(parse("c*s/(c*s)"), {"c": 2.0}) == ([1], [1])
+    assert algebra.rational_form(parse("(1/(c*s))^0"), {"c": 0.0}) is None
+    assert algebra.rational_form(parse("((c*s)^-1)^0"), {"c": 0.0}) is None
+    assert algebra.rational_form(parse("((c*s)^-1)^0"), {"c": 2.0}) == ([1], [1])
     assert algebra.rational_form(parse("1 + m/s"), {"m": math.inf}) is None
+    assert algebra.rational_form(parse("1 + 0*m/s"), {"m": math.inf}) is None
     assert algebra.rational_form(parse("s^90 - s^90 + 1"), {}) == ([1], [1])
+    # the defect's normal form refuses this tree with a DecayError
+    assert algebra.rational_form(parse("2 + s + 2 + s/(2 + s)"), {}) == ([8, 7, 1], [2, 1])
     # (1 + 2476979795053773 s/2^51)^60 has 3,000-bit coefficients
     assert algebra.rational_form(parse("(s - 1.1)^60"), {}) is None
 
 
 def test_rational_form_refuses_a_call_before_building_anything(monkeypatch):
-    # the flag is cached on each node; no P/Q of any subtree is built
+    # the flag is cached on each node; no symbolic form is built or cached
     built = []
-    original = algebra._rational
-    monkeypatch.setattr(
-        algebra, "_rational", lambda e, params: built.append(e) or original(e, params)
-    )
+    original = algebra._symbolic
+    monkeypatch.setattr(algebra, "_symbolic", lambda e: built.append(e) or original(e))
     for text in ("1 + s^2 - m*exp(-s)/s", "1 + s^2 - m/s^3*exp(-1/s)", "(s - 1)^9 + log(s)"):
-        assert algebra.rational_form(parse(text), {"m": 2.0}) is None
+        tree = parse(text)
+        assert algebra.rational_form(tree, {"m": 2.0}) is None
+        assert "_symbolic_form" not in tree.__dict__
     assert built == []
-    assert algebra.rational_form(parse("1 + s^2 - m/s"), {"m": 2.0}) == ([-2, 1, 0, 1], [0, 1])
-    assert built
+    tree = parse("1 + s^2 - m/s + 0*m/s^7")  # parsed by no other test
+    assert algebra.rational_form(tree, {"m": 2.0}) == ([-2, 1, 0, 1], [0, 1])
+    assert built == [tree]
+
+
+def test_a_family_builds_one_symbolic_form(monkeypatch):
+    built = []
+    original = algebra._symbolic
+    monkeypatch.setattr(algebra, "_symbolic", lambda e: built.append(e) or original(e))
+    text = "1 + s^2 - m/s + c/s^2 + k/s^3 + 0*k/s^4"  # parsed by no other test
+    profiles = [custom_profile(text, {"m": m, "c": 0.3, "k": 0.1}) for m in (4.0, 5.0, 6.0)]
+    assert len({str(p.rational) for p in profiles}) == 3
+    assert built == [profiles[0].f]
+    rn_ads(4.0, 0.5).rational
+    before = len(built)
+    rn_ads(5.0, -0.5).rational
+    assert len(built) == before <= 2
+
+
+def _benchmark_like_profiles():
+    """rn-ads and 1 + s^2 - m/s + c/s^2 + k/s^3 over the parameter ranges
+    of the compare-rational benchmark."""
+    rng = random.Random(23)
+    u = rng.uniform
+    custom = "1 + s^2 - m/s + c/s^2 + k/s^3"
+    for _ in range(10):
+        yield rn_ads(u(3.0, 6.0), u(0.1, 1.0))
+        yield rn_ads(u(3.0, 6.0), u(-1.0, -0.1))
+        yield custom_profile(custom, {"m": u(4.0, 8.0), "c": u(0.1, 0.5), "k": u(0.02, 0.2)})
+        yield custom_profile(custom, {"m": u(3.0, 6.0), "c": u(0.05, 0.2), "k": u(-1.0, -0.5)})
+
+
+def test_horizon_search_counts_few_chains(monkeypatch):
+    # counts stop once the cell range holds one root; signs of P do the
+    # remaining halvings of the 10,000-point grid, about 14 of them
+    counts, signs = [], []
+    for name, calls in (("variations", counts), ("sign", signs)):
+        original = getattr(algebra, name)
+        monkeypatch.setattr(
+            algebra, name, lambda seq, x, _o=original, _c=calls: _c.append(x) or _o(seq, x)
+        )
+    for p in _benchmark_like_profiles():
+        assert p.rational is not None
+        counts.clear()
+        signs.clear()
+        assert p.horizon is not None
+        assert len(counts) <= 6 and len(counts) + len(signs) >= 15, p.label
 
 
 def test_call_flag_matches_the_text():

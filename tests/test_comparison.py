@@ -380,8 +380,8 @@ class TestCompareVolumes:
         check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
         assert not check.passed
         assert check.detail == (
-            "R >= -6 is undecided on [1.000294659650724, 1.0002973045809305] after "
-            "3333 enclosures of (s q)' (no certificate)"
+            "R >= -6 is undecided on [1.0003422694644737, 1.0003475595836555] after "
+            "3623 enclosures of (s q)' (no certificate)"
         )
         assert report.verdict == "hypothesis_failed"
 

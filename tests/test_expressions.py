@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -547,6 +548,17 @@ class TestEnclosure:
         points = [lo + (hi - lo) * k / 64 for k in range(64)] + [hi]
         bounds = _check_enclosure(expr, points, {"m": 2.0})
         assert (bounds is not None) == bounded
+
+    def test_point_operands_emit_each_product_once(self):
+        # m and c are point pairs (v, v): each of their products has two
+        # distinct corners, not four
+        code = renvol.expressions._Code("interval")
+        parse("m/s + c*exp(-s)")._emit(code)
+        product = re.compile(r"t\d+ = (\w+ [*/] \w+)")
+        products = [m.group(1) for m in map(product.fullmatch, code.lines) if m]
+        assert len(products) == 4 and len(set(products)) == 4
+        bounds = _check_enclosure(parse("m/s + c*exp(-s)"), [0.5, 1.0, 2.0], {"m": 2.0, "c": -3.0})
+        assert bounds is not None
 
     def test_calls_are_widened(self):
         for text, fn in (("exp(s)", math.exp), ("log(s)", math.log), ("sqrt(s)", math.sqrt)):

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import renvol.comparison
 import renvol.metric
+import renvol.volume
 from renvol.errors import DecayError, DomainError, EvaluationError
 from renvol.expressions import Expression, Mul, Num, Sub, parse
 from renvol.metric import (
@@ -686,6 +688,20 @@ class TestAsymptotics:
     def test_negative_profile_on_grid(self):
         with pytest.raises(DomainError):
             validate_asymptotics(custom_profile("1 + s^2 - s^3/100"))
+
+    def test_infinite_profile_on_grid_fails_fast(self):
+        # s^90 overflows above s = 2.7e3, so f = inf at the grid points
+        # there; the decay rate alone, -3, would pass
+        p = custom_profile("1 + s^2 - m/s + c*sqrt(s^90)/s^46", {"m": 2.0, "c": 1e-3})
+        match = r"not positive and finite at s=(\S+) on the asymptotics grid: f = inf"
+        with pytest.raises(DomainError, match=match) as info:
+            validate_asymptotics(p)
+        s = float(re.search(match, str(info.value)).group(1))
+        assert 2.7e3 < s < 3.2e3 and math.isinf(p.value(s)) and math.isfinite(p.value(s / 1.3))
+        with pytest.raises(DomainError, match=match):
+            renvol.volume.renormalized_volume(p)
+        check = renvol.comparison.compare_volumes(p, 1.0).hypotheses[-1]
+        assert (check.name, check.passed, check.detail) == ("asymptotics", False, str(info.value))
 
     def test_log_factor_meets_every_delta(self):
         # |q|/f ~ s^-3 log s is O(s^-(2 + 4 delta)) for every delta < 1/4
