@@ -68,9 +68,10 @@ _FOUR_PI = 4.0 * math.pi
 CURVATURE_SLACK = 1e-9
 EQUALITY_TOL = 1e-8
 
-# the interval work one curvature check by enclosures may spend, in jet
-# operations enclosed; at 0.05-0.25 us each, 0.05-0.25 s whatever the tree
-_CURVATURE_WORK = 1_000_000
+# the interval work one curvature check by enclosures may spend, in nodes
+# of the s q tree enclosed (``Expression._size``); at 0.2-1.2 us each,
+# 0.02-0.12 s whatever the tree
+_CURVATURE_WORK = 100_000
 
 
 class GapSpec(Record):
@@ -378,7 +379,7 @@ def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     block that cannot be halved, has no enclosure, and where the interval
     code of the jet of f or s q has an infinite end at the point b while
     its jet raises nothing there (``_overflows``).  Any other such block, or
-    the lowest one left after _CURVATURE_WORK jet operations enclosed,
+    the lowest one left after _CURVATURE_WORK nodes of s q enclosed,
     fails the check undecided unless a certified failure is found first.
     Nothing is sampled.  Where ``p.mass_aspect`` raises DecayError, the
     check fails.
@@ -477,7 +478,7 @@ def _enclosed_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:
     except DecayError as exc:
         return _curvature_fails(str(exc))
     enclose, params = mass.enclose_jet, p.params
-    limit = _CURVATURE_WORK // max(mass._jet_enclosure.operations, 1)
+    limit = _CURVATURE_WORK // mass._size
     spent, top, undecided = 0, math.inf, None
     blocks = [(s_lo, sys.float_info.max)]  # depth first, lowest block first
     while blocks and spent < limit:

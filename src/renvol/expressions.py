@@ -12,7 +12,7 @@ The parser produces an immutable tree that supports
 * float interval enclosures (``enclose()``): bounds on every value
   ``evaluate`` returns for s in an interval, or None where some point may
   raise or give a non-finite value.  The horizon walk uses them to pass
-  over blocks of its grid where f is provably positive,
+  over ranges of its grid where f provably keeps one sign,
 * exact rational evaluation (``evaluate_exact()``), kept as an oracle for
   tests and for the benchmark's tracer; the library evaluates in float
   only,
@@ -240,6 +240,14 @@ class Expression(Record):
         return _emit_normal(_pmul({((1, "s", 1),): _ONE}, q), atoms)
 
     @cached_property
+    def _size(self) -> int:
+        """The number of nodes of the tree, a power counted as the products
+        it stands for; cached like ``_has_call``.  A measure of the work of
+        one evaluation that no change of the emitter moves."""
+        d = self.__dict__
+        return 1 + sum(d[name]._size for name in self._fields if isinstance(d[name], Expression))
+
+    @cached_property
     def _has_call(self) -> bool:
         """True when the tree holds an exp, log or sqrt node; cached like
         ``_defect``."""
@@ -430,6 +438,12 @@ class Pow(Expression):
 
     def _normal(self, atoms):
         return _ppow(self.base._normal(atoms), self.exponent, atoms)
+
+    @cached_property
+    def _size(self):
+        # the power counts as the products of _ipow that it stands for
+        n = abs(self.exponent)
+        return self.base._size + max(n.bit_length() + n.bit_count() - 2, 1)
 
     def _text(self):
         # base is parenthesized unless atomic, so (s^2)^3 round-trips
@@ -847,7 +861,7 @@ def _compile(expr, mode, jet=False):
     """Build the function of ``expr`` in ``mode`` (see ``_Code``):
     ``fn(s, params)``, or ``fn(lo, hi, params)`` returning a pair in
     interval mode, or with ``jet`` a tuple of three.  It runs the
-    operations like a post-order walk; ``fn.operations`` counts them.
+    operations like a post-order walk.
     A jet is emitted to order 1, then to order 2, whose new lines are
     the second derivative's alone: interval code bounds them apart."""
     code = _Code(mode)
@@ -869,7 +883,6 @@ def _compile(expr, mode, jet=False):
     body = "".join("    %s\n" % line for line in lines)
     source = "def compiled(%s, params):\n%s    return %s\n" % (args, body, ", ".join(results))
     compiled = _define(source, code.constants, "<expression>")
-    compiled.operations = code.count
     return compiled
 
 

@@ -32,21 +32,11 @@ and (s q)' come from jets (``Expression.jet``), for every profile alike.
 No decay rate evaluates any of them.
 
 The horizon is the outermost root of f on a fixed geometric grid on
-(1e-6, 1e3].  For a profile without exp/log/sqrt, f = P/Q exactly
-(``algebra.rational_form``), and ``RadialProfile.horizon`` finds the grid
-cell that holds the outermost root of P by binary search: on exact Sturm
-counts until the range holds one root, a few of them, and then on the
-sign of P, about 14 halvings in all; it refines that cell.  Otherwise, and
-wherever the float f at that cell's ends is undefined, NaN or does not
-change sign, it walks the grid inward from its outer edge and refines the
-first sign change it meets.  The walk skips blocks of grid points on
-which ``Expression.enclose`` bounds the float values of f away from zero,
-with the sign of the last value seen: no point there can be a zero or a
-sign change, so the walk needs f only at each block's lowest point and
-finds what a point-by-point walk finds.  The enclosure is compiled once,
-by the emitter of f, and follows f's float operations.  A NaN f on the
-walk raises DomainError naming the point.  Either way the refinement is
-the same call, so both give the same radius bit for bit.  Model profiles
+(1e-6, 1e3], found for every profile by one walk inward from the grid's
+outer edge (``RadialProfile.horizon``): a depth-first bisection that
+skips each range of the grid where ``Expression.enclose`` bounds f away
+from zero, and that for f = P/Q passes over the sign changes that exact
+signs of P and Q show to be poles or rounding noise.  Model profiles
 carry their closed-form horizon from ``ads_horizon_radius`` and search
 nothing.
 """
@@ -101,73 +91,31 @@ def _scan_grid() -> array:
     return grid
 
 
-# the horizon walk certifies blocks of this many grid points at first,
-# doubling on success and halving on failure; below _MIN_BLOCK it steps
-# point by point, and each point step brings the size back up by one
-_BLOCK = 16
+# the walk encloses f on a range of at least this many grid points and
+# steps through shorter ones point by point: below 4 points, evaluating f
+# costs less than enclosing it.  With no minimum, the undefined gap (1, 3)
+# of s - 2 + 0*sqrt((s - 1)*(s - 3)) takes 559 enclosures; with 4, 243.
 _MIN_BLOCK = 4
 
-# returned by _counted_horizon when the walk has to decide
-_WALK = object()
 
-
-def _counted_horizon(fn, numerator: list[int], grid: array):
-    """The horizon of f = numerator/Q from exact Sturm counts and signs
-    (``_root_cell``): a Horizon,
-    None for no root on the grid, or _WALK where the walk could find
-    something else (f at the outer edge or at the ends of the root's cell
-    undefined, NaN or not changing sign, or an exact zero on grid[0])."""
-    try:
-        if not fn(grid[-1]) > 0.0:
-            return _WALK
-    except DomainError:
-        return _WALK
-    seq = algebra.sturm(numerator)
-    cell = _root_cell(seq, grid)
-    if cell is None:
-        return None if algebra.value(seq[0], grid[0]) else _WALK
-    lo, hi = cell
-    try:
-        f_lo, f_hi = fn(grid[lo]), fn(grid[hi])
-    except DomainError:
-        return _WALK
-    if f_hi == 0.0:
-        return Horizon(grid[hi], _FOUR_PI * grid[hi] * grid[hi])
-    if (f_lo > 0.0) != (f_hi > 0.0) and not (math.isnan(f_lo) or math.isnan(f_hi)):
-        return _refine(fn, grid[lo], grid[hi], f_lo, f_hi)
-    return _WALK
-
-
-def _root_cell(seq, grid: array):
-    """The indices (lo, lo + 1) of the grid cell (grid[lo], grid[lo + 1]]
-    that holds the outermost root of ``seq[0]`` in (grid[0], grid[-1]], or
-    None for no root there; seq is a Sturm sequence (``algebra.sturm``).
-    Sturm counts halve the range while it holds more than one root, and
-    from then on the sign of the square-free seq[0] follows the root
-    (``algebra.root_above``): the cell is the one counts alone find."""
-    top = algebra.variations(seq, grid[-1])
-    lo, hi = 0, len(grid) - 1
-    count = algebra.variations(seq, grid[lo])
-    if count == top:
-        return None
-    # (grid[lo], grid[hi]] holds count - top roots and (grid[hi], grid[-1]]
-    # holds none
-    while hi - lo > 1 and count > top + 1:
-        mid = (lo + hi) // 2
-        at_mid = algebra.variations(seq, grid[mid])
-        if at_mid > top:
-            lo, count = mid, at_mid
-        else:
-            hi = mid
-    at_hi = algebra.sign(seq[0], grid[hi])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        at_mid = algebra.sign(seq[0], grid[mid])
-        if algebra.root_above(at_mid, at_hi):
-            lo = mid
-        else:
-            hi, at_hi = mid, at_mid
-    return lo, hi
+def _is_root(form, grid: array, i: int, j: int) -> bool:
+    """Whether the walk's event at grid[i] is a root of f: a sign change of
+    the float f from grid[i] to grid[j] = grid[i + 1], or a float zero at
+    grid[i] = grid[j].  Always for f without an exact form = (P, Q).  For
+    f = P/Q, not where Q has unlike signs at the two points (a pole), and
+    not where P has one nonzero sign at both unless P has a root above
+    grid[i - 1] (rounding noise away from P's roots)."""
+    if form is None:
+        return True
+    num, den = form
+    if algebra.sign(den, grid[i]) != algebra.sign(den, grid[j]):
+        return False
+    at_i = algebra.sign(num, grid[i])
+    if at_i != algebra.sign(num, grid[j]) or not at_i:
+        return True
+    seq = algebra.sturm(num)
+    below = grid[max(i - 1, 0)]
+    return algebra.variations(seq, below) > algebra.variations(seq, None)
 
 
 def _refine(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> Horizon:
@@ -283,94 +231,91 @@ class RadialProfile(Record):
     def horizon(self) -> Horizon | None:
         """Outermost root of f on the search grid, or None if f stays positive.
 
-        The grid is ``_scan_grid``, geometric on (1e-6, 1e3].  When f = P/Q
-        is rational and positive at the outer edge, a binary search finds
-        the cell (lo, hi] that holds P's outermost root in that range: on
-        exact Sturm counts of P while the range holds more than one root,
-        then on the sign of P's square-free part (``_root_cell``); no root
-        there means no horizon.  If
-        f at lo and hi is defined and changes between f > 0 and f <= 0,
-        that cell is refined by safeguarded bracketed root finding, and an
-        exact zero at hi is the horizon itself.  Otherwise (an undefined or
-        NaN end, a root of even multiplicity, or a tree with exp/log/sqrt) the
-        grid is walked inward from its outer edge to the first root seen
-        from there: a point where f is exactly zero, or a change between
-        f > 0 and f <= 0 from one point to the next, refined by the same
-        call, so both paths give the same radius bit for bit.  Points where
-        f is undefined are skipped and break the adjacency of their
-        neighbours; a point where f is NaN raises DomainError naming it.
-        Below the outermost defined point the walk first tries to pass
-        over a block of points at once: where ``Expression.enclose`` bounds
-        f on the block below by a positive number, or above by a negative
-        one, every float f there is defined and of one sign.  When the last
-        value seen is undefined or of that sign too, the block holds no
-        root and no sign change, and f is evaluated only at its lowest
-        point, the neighbour of the next one.  Blocks start at 16 points,
-        double on success and halve on failure; below 4 the walk goes point
-        by point.  A profile whose outermost defined value is negative
-        cannot enclose a compact region and raises DecayError.  A pole of Q
-        is no root for the count, while the walk would take its sign change
-        for one.
+        The grid is ``_scan_grid``, geometric on (1e-6, 1e3].  It is
+        walked inward from its outer edge to the first root seen from there:
+        a point where f is exactly zero, or a change between f > 0 and
+        f <= 0 from one point to the next, refined by safeguarded bracketed
+        root finding.  Points where f is undefined are skipped and break
+        the adjacency of their neighbours; a point where f is NaN raises
+        DomainError naming it.  A profile whose outermost defined value is
+        negative cannot enclose a compact region and raises DecayError.
+
+        Below the outermost defined point the walk bisects the grid depth
+        first, upper half first.  A range of at least ``_MIN_BLOCK`` points
+        is enclosed once by ``Expression.enclose``: where f is bounded
+        below by a positive number, or above by a negative one, every float
+        f there is defined and of one sign.  When the last value seen is
+        undefined or of that sign too, the range holds no root and no sign
+        change, and f is evaluated only at its lowest point, the neighbour
+        of the next one; otherwise the range is halved.  Shorter ranges go
+        point by point.  So the walk finds what a point-by-point walk finds.
+
+        For f = P/Q (``rational``) the walk passes over each root that
+        exact signs of P and Q at its grid points show to be a pole or
+        rounding noise (``_is_root``).  A tree with exp/log/sqrt, or a form
+        above the size cap, has its poles refined like roots.
         ``ads_schwarzschild`` profiles search nothing: they come with the
         closed-form root of ``ads_horizon_radius``.
         """
         fn = self.value
         grid = _scan_grid()
-        if self.rational is not None:
-            found = _counted_horizon(fn, self.rational[0], grid)
-            if found is not _WALK:
-                return found
         enclose, params = self.f.enclose, self.params
         outermost = True
         upper_s = upper_f = None
-        size = _BLOCK
-        i = len(grid) - 1
-        # the grid is built upward, so the points and the refined root are
-        # those of a scan from the inside that keeps its last sign change
-        while i >= 0:
-            if size >= _MIN_BLOCK and not outermost:
-                j = max(i - size + 1, 0)
-                bounds = enclose(grid[j], grid[i], params)
+        # ranges of grid indices, the highest on top; the grid is built
+        # upward, so the points and the refined root are those of a scan
+        # from the inside that keeps its last sign change
+        ranges = [(0, len(grid) - 1)]
+        while ranges:
+            lo, hi = ranges.pop()
+            if outermost:
+                # the outer edge point by point, down to f's first value
+                if lo < hi:
+                    ranges.append((lo, hi - 1))
+                lo = hi
+            elif hi - lo >= _MIN_BLOCK - 1:
+                bounds = enclose(grid[lo], grid[hi], params)
                 if bounds is not None and (
                     bounds[0] > 0.0 and (upper_f is None or upper_f > 0.0)
                     or bounds[1] < 0.0 and (upper_f is None or upper_f < 0.0)
                 ):
-                    # f > 0 or f < 0 on all of grid[j..i], like the last
+                    # f > 0 or f < 0 on all of grid[lo..hi], like the last
                     # value seen: no zero and no sign change
-                    upper_s = grid[j]
+                    upper_s = grid[lo]
                     upper_f = fn(upper_s)
-                    i = j - 1
-                    size *= 2
                 else:
-                    size //= 2
+                    mid = (lo + hi + 1) // 2
+                    ranges += [(lo, mid - 1), (mid, hi)]
                 continue
-            s = grid[i]
-            i -= 1
-            if size < _MIN_BLOCK:
-                size += 1
-            try:
-                fs = fn(s)
-            except DomainError:
-                upper_f = None
-                continue
-            if math.isnan(fs):
-                raise DomainError(
-                    "profile %r: f is NaN at s=%r on the horizon search grid"
-                    % (self.label, s)
-                )
-            if outermost:
-                if fs < 0.0:
-                    raise DecayError(
-                        "profile %r is negative at the outer scan edge; no "
-                        "enclosing region exists" % self.label
+            for i in range(hi, lo - 1, -1):
+                s = grid[i]
+                try:
+                    fs = fn(s)
+                except DomainError:
+                    upper_f = None
+                    continue
+                if math.isnan(fs):
+                    raise DomainError(
+                        "profile %r: f is NaN at s=%r on the horizon search grid"
+                        % (self.label, s)
                     )
-                outermost = False
-            elif upper_f is not None and (fs > 0.0) != (upper_f > 0.0):
-                return _refine(fn, s, upper_s, fs, upper_f)
-            if fs == 0.0:
-                return Horizon(s, _FOUR_PI * s * s)
-            upper_s = s
-            upper_f = fs
+                if outermost:
+                    if fs < 0.0:
+                        raise DecayError(
+                            "profile %r is negative at the outer scan edge; no "
+                            "enclosing region exists" % self.label
+                        )
+                    outermost = False
+                elif (
+                    upper_f is not None
+                    and (fs > 0.0) != (upper_f > 0.0)
+                    and _is_root(self.rational, grid, i, i + 1)
+                ):
+                    return _refine(fn, s, upper_s, fs, upper_f)
+                if fs == 0.0 and _is_root(self.rational, grid, i, i):
+                    return Horizon(s, _FOUR_PI * s * s)
+                upper_s = s
+                upper_f = fs
         return None
 
     @cached_property

@@ -256,7 +256,14 @@ def _integrate(panel, a, b, tol=None, max_evals=DEFAULT_MAX_EVALS) -> Integral:
     total_value = value
     total_err = err
 
-    while total_err > tol.target(total_value):
+    while True:
+        if not total_err > tol.target(total_value):
+            # the running sums can absorb small terms after a huge one: the
+            # exact sums, which are returned, must meet the target too
+            total_value = math.fsum(entry[4] for entry in heap)
+            total_err = math.fsum(entry[5] for entry in heap)
+            if not total_err > tol.target(total_value):
+                return Integral(total_value, total_err, evals)
         if evals + 30 > max_evals:
             raise QuadratureError(
                 "tolerance not met within evaluation budget (%d evaluations, "
@@ -278,12 +285,6 @@ def _integrate(panel, a, b, tol=None, max_evals=DEFAULT_MAX_EVALS) -> Integral:
         heapq.heappush(heap, (-lerr, seq, pa, mid, lval, lerr))
         seq += 1
         heapq.heappush(heap, (-rerr, seq, mid, pb, rval, rerr))
-
-    # re-sum in interval order; repairs drift from the incremental updates
-    panels = sorted((entry[2], entry[4], entry[5]) for entry in heap)
-    final_value = math.fsum(p[1] for p in panels)
-    final_err = math.fsum(p[2] for p in panels)
-    return Integral(final_value, final_err, evals)
 
 
 def _check_bounds(a, b):

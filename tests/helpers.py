@@ -3,10 +3,11 @@
 Everything here is deliberately dumb: plain bisection, composite
 Simpson, central differences, one closed-form antiderivative, recursive
 expression walks in float, interval and Fraction arithmetic, a forward
-horizon scan, the Kronrod panel as a loop over its table, the volume
-integrands as chains of the profile's public methods, and sympy limits
-for decay rates.  The point is that none of it shares code (or failure
-modes) with the library's adaptive machinery.
+horizon scan and the counted horizon search it backs, the Kronrod panel
+as a loop over its table, the volume integrands as chains of the
+profile's public methods, and sympy limits for decay rates.  The point
+is that none of it shares code (or failure modes) with the library's
+adaptive machinery.
 """
 
 import math
@@ -385,6 +386,45 @@ def counted_cell(seq, grid):
         else:
             hi = mid
     return lo, hi
+
+
+def counted_horizon(p):
+    """The horizon search of a cell count, with the forward scan behind it.
+
+    The reference for ``RadialProfile.horizon`` on rational profiles: for
+    f = P/Q with f > 0 at the outer grid edge, ``counted_cell`` of P's
+    Sturm sequence gives the cell of P's outermost root on the grid; no
+    cell is no horizon, unless P vanishes on grid[0].  A cell whose ends
+    give f = 0 at the upper one, or a sign change of f, is the horizon
+    (the upper end, or the cell refined as the library does).  Every
+    other case, and every tree without P/Q, is ``forward_scan_horizon``'s.
+    """
+    from renvol import algebra
+    from renvol.metric import _scan_grid
+
+    fn, grid, form = p.value, _scan_grid(), p.rational
+    try:
+        counted = form is not None and fn(grid[-1]) > 0.0
+    except DomainError:
+        counted = False
+    if counted:
+        seq = algebra.sturm(form[0])
+        cell = counted_cell(seq, grid)
+        if cell is None:
+            if algebra.value(seq[0], grid[0]):
+                return None
+        else:
+            lo, hi = grid[cell[0]], grid[cell[1]]
+            try:
+                f_lo, f_hi = fn(lo), fn(hi)
+            except DomainError:
+                f_lo = f_hi = math.nan
+            if f_hi == 0.0:
+                return Horizon(hi, 4.0 * math.pi * hi * hi)
+            if (f_lo > 0.0) != (f_hi > 0.0) and not (math.isnan(f_lo) or math.isnan(f_hi)):
+                root = find_root_bracketed(fn, lo, hi, tol=1e-14 * max(1.0, hi), fa=f_lo, fb=f_hi)
+                return Horizon(root, 4.0 * math.pi * root * root)
+    return forward_scan_horizon(p)
 
 
 def forward_scan_horizon(p):

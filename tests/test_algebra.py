@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import test_expressions
 from helpers import (
-    counted_cell,
     counted_isolate,
     exact_walk,
     random_tree,
@@ -24,7 +23,7 @@ from helpers import (
 from renvol import algebra
 from renvol.comparison import _check_curvature
 from renvol.expressions import parse
-from renvol.metric import RadialProfile, _root_cell, _scan_grid, custom_profile, rn_ads
+from renvol.metric import RadialProfile, _scan_grid, custom_profile, rn_ads
 
 X = sympy.Symbol("x")
 
@@ -208,30 +207,6 @@ def _with_roots(roots, extra, scale):
         for _ in range(k):
             p = algebra.mul(p, [-num, den])
     return algebra.mul(p, [[1], [3, 1], [1, 0, 1]][extra])
-
-
-def test_sign_steps_find_the_counted_cell():
-    grid = _scan_grid()
-    seen = set()
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_roots, st.integers(0, 2), st.sampled_from([-2, 1]))
-    def check(roots, extra, scale):
-        seq = algebra.sturm(_with_roots(roots, extra, scale))
-        cell = _root_cell(seq, grid)
-        assert cell == counted_cell(seq, grid), roots
-        if cell is not None:
-            lo, hi = cell
-            inside = [r for r, _ in roots if grid[lo] < r <= grid[hi]]
-            seen.add("repeated" if any(k > 1 for _, k in roots) else "simple")
-            seen.add("two in the cell" if len(inside) > 1 else "one in the cell")
-            seen.add("root at the upper end" if grid[hi] in inside else "root inside")
-
-    check()
-    assert seen == {
-        "repeated", "simple", "two in the cell", "one in the cell", "root at the upper end",
-        "root inside",
-    }
 
 
 def test_sign_steps_isolate_the_counted_intervals():
@@ -462,23 +437,6 @@ def _benchmark_like_profiles():
         yield rn_ads(u(3.0, 6.0), u(-1.0, -0.1))
         yield custom_profile(custom, {"m": u(4.0, 8.0), "c": u(0.1, 0.5), "k": u(0.02, 0.2)})
         yield custom_profile(custom, {"m": u(3.0, 6.0), "c": u(0.05, 0.2), "k": u(-1.0, -0.5)})
-
-
-def test_horizon_search_counts_few_chains(monkeypatch):
-    # counts stop once the cell range holds one root; signs of P do the
-    # remaining halvings of the 10,000-point grid, about 14 of them
-    counts, signs = [], []
-    for name, calls in (("variations", counts), ("sign", signs)):
-        original = getattr(algebra, name)
-        monkeypatch.setattr(
-            algebra, name, lambda seq, x, _o=original, _c=calls: _c.append(x) or _o(seq, x)
-        )
-    for p in _benchmark_like_profiles():
-        assert p.rational is not None
-        counts.clear()
-        signs.clear()
-        assert p.horizon is not None
-        assert len(counts) <= 6 and len(counts) + len(signs) >= 15, p.label
 
 
 def test_call_flag_matches_the_text():

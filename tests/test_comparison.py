@@ -380,8 +380,8 @@ class TestCompareVolumes:
         check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
         assert not check.passed
         assert check.detail == (
-            "R >= -6 is undecided on [1.0003422694644737, 1.0003475595836555] after "
-            "3623 enclosures of (s q)' (no certificate)"
+            "R >= -6 is undecided on [1.000405752741089, 1.0004163336788685] after "
+            "4001 enclosures of (s q)' (no certificate)"
         )
         assert report.verdict == "hypothesis_failed"
 
@@ -412,6 +412,24 @@ class TestCompareVolumes:
         # f is NaN on the decay check's grid beyond s = 2657
         assert not checks["asymptotics"].passed
         assert report.verdict == "hypothesis_failed"
+
+    def test_pole_at_the_start_of_the_curvature_range(self):
+        # f > 0 has no horizon, so the range starts at s = 0.01, the pole
+        p = custom_profile("1 + s^2 + c/(s - 0.01)^2", {"c": 1.0})
+        report = compare_volumes(p, 2.0)
+        checks = {h.name: h for h in report.hypotheses}
+        assert not checks["horizon"].passed
+        assert checks["scalar_curvature"].detail == "f has a pole at s = 0.01 (certified)"
+
+    def test_exact_form_with_a_curvature_numerator_over_the_cap(self):
+        # P/Q is under algebra.small, the numerator of (s q)' is not, so the
+        # check takes the enclosures and certifies the dip near s = 1.1
+        p = custom_profile("1 + s^2 - m/s + c*(s - 1.1)^2/(s^2 + 1)^4", {"m": 2.0, "c": 1e-3})
+        assert p.rational is not None
+        check = {h.name: h for h in compare_volumes(p, 2.0).hypotheses}["scalar_curvature"]
+        assert not check.passed
+        assert "falls below -6 (certified: R < -6 - 1e-09 on [" in check.detail
+        assert check.detail.endswith(" by enclosures of (s q)')")
 
     def test_narrow_curvature_dip_fails_the_check(self):
         # s q = m - A w^2/((s - 5.003)^2 + w^2) decreases up to s = 5.003,
@@ -492,7 +510,8 @@ class TestCompareVolumes:
     def test_prem_calls_per_golden_comparison(self, monkeypatch):
         # a deterministic work pin: the pseudo-remainders of one comparison
         # of the compare_custom_rational golden profile (40 with two-pass
-        # Sturm chains, no monomial gcd and no power of s split off)
+        # Sturm chains, no monomial gcd and no power of s split off); the
+        # horizon search builds no chain
         calls = []
         original = renvol.algebra._prem
 
@@ -505,7 +524,7 @@ class TestCompareVolumes:
             "1 + s^2 - m/s + c/s^2 + k/s^3", {"m": 5.0, "c": 0.3, "k": 0.1}
         )
         assert compare_volumes(p, 2.0).verdict == "holds"
-        assert len(calls) == 6
+        assert len(calls) == 2
 
     def test_asymptotics_fit_runs_once_per_profile(self, monkeypatch):
         fitted = []

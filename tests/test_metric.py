@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import renvol.comparison
 import renvol.metric
 import renvol.volume
+from renvol import algebra
 from renvol.errors import DecayError, DomainError, EvaluationError
 from renvol.expressions import Expression, Mul, Num, Sub, parse
 from renvol.metric import (
@@ -33,12 +35,14 @@ from renvol.metric import (
 
 from helpers import (
     bisect60,
+    counted_horizon,
     fd_derivative,
     forward_scan_horizon,
     random_tree,
     sympy_decay_rate,
     sympy_limit_rate,
 )
+from test_algebra import _benchmark_like_profiles, _root, _roots, _with_roots
 
 FOUR_PI = 4.0 * math.pi
 
@@ -49,6 +53,17 @@ def _record_values(monkeypatch):
     original = RadialProfile.value
     monkeypatch.setattr(
         RadialProfile, "value", lambda self, s: seen.append(s) or original(self, s)
+    )
+    return seen
+
+
+def _record_enclosures(monkeypatch):
+    """Wrap ``Expression.enclose``; the returned list collects each range it is called on."""
+    seen = []
+    original = Expression.enclose
+    monkeypatch.setattr(
+        Expression, "enclose",
+        lambda self, lo, hi, params=None: seen.append((lo, hi)) or original(self, lo, hi, params),
     )
     return seen
 
@@ -212,6 +227,41 @@ def _outcome(search):
     return None if horizon is None else (repr(horizon.radius), repr(horizon.area))
 
 
+def _rooted_profile(roots, extra, scale, pole):
+    """(text, params) of f = P/Q, P = ``test_algebra._with_roots(roots,
+    extra, scale)`` written as the product of its factors, so that the
+    float f has the exact sign of P, and Q = (s - p)^k for pole = (p, k),
+    or 1 for None."""
+    params = {"c": float(scale)}
+    text = "c"
+    for n, (r, k) in enumerate(roots):
+        params["r%d" % n] = r
+        text += "*(s - r%d)^%d" % (n, k)
+    text += ["", "*(s + 3)", "*(s^2 + 1)"][extra]
+    if pole is not None:
+        params["p"] = pole[0]
+        text += "/(s - p)^%d" % pole[1]
+    return text, params
+
+
+def _holds_pole(outcome, den, grid):
+    """Whether a search with this ``_outcome`` took a pole of Q = den for
+    its root: Q changes sign or vanishes on the grid cell of its radius,
+    or the search divided by zero on a grid with a root of Q."""
+    if outcome is None:
+        return False
+    if outcome[0] is DomainError:
+        seq = algebra.sturm(den)
+        return "division by zero" in outcome[1] and (
+            algebra.variations(seq, grid[0]) > algebra.variations(seq, grid[-1])
+        )
+    if not isinstance(outcome[0], str):
+        return False
+    k = bisect_left(grid, float(outcome[0]))
+    lo, hi = algebra.sign(den, grid[max(k - 1, 0)]), algebra.sign(den, grid[k])
+    return lo != hi or not lo * hi
+
+
 class TestHorizonWalk:
     """The inward walk against the forward scan it replaced."""
 
@@ -247,39 +297,165 @@ class TestHorizonWalk:
         ],
     )
     def test_counted_cell_matches_the_forward_scan(self, text, params):
-        # rational profiles whose root cell the Sturm counts cannot settle
-        # alone: each outcome is that of the scan
+        # rational profiles whose root cell a Sturm count of P cannot
+        # settle alone, so that the counted oracle scans: each outcome is
+        # that of the scan
         want = _outcome(lambda: forward_scan_horizon(custom_profile(text, params)))
         assert custom_profile(text, params).rational is not None
         assert _outcome(lambda: custom_profile(text, params).horizon) == want
 
+    def test_matches_the_counted_oracle(self):
+        # P from test_algebra's root strategies, over no pole, a simple
+        # pole or a double one; the two searches differ only where the
+        # oracle's cell holds a pole, which its scan took for a root
+        grid = _scan_grid()
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(
+            _roots,
+            st.integers(0, 2),
+            st.sampled_from([-2, 1]),
+            st.one_of(st.none(), st.tuples(_root, st.integers(1, 2))),
+        )
+        def check(roots, extra, scale, pole):
+            text, params = _rooted_profile(roots, extra, scale, pole)
+            p = custom_profile(text, params)
+            if p.rational is None:
+                seen.add("above the size cap")  # walked like exp/log/sqrt
+            else:
+                # P/Q is _with_roots(...)/(s - p)^k up to a positive factor
+                num, den = p.rational
+                x = algebra.mul(num, [1] if pole is None else _with_roots([pole], 0, 1))
+                y = algebra.mul(_with_roots(roots, extra, scale), den)
+                assert [c * y[-1] for c in x] == [c * x[-1] for c in y] and x[-1] * y[-1] > 0
+            got = _outcome(lambda: p.horizon)
+            want = _outcome(lambda: counted_horizon(custom_profile(text, params)))
+            if got != want:
+                assert _holds_pole(want, p.rational[1], grid), (text, params, got, want)
+                seen.add("the oracle's pole")
+            if want is None or want[0] is DecayError:
+                seen.add("no horizon" if want is None else "DecayError")
+            seen.add("repeated root" if any(k > 1 for _, k in roots) else "simple roots")
+            if len({bisect_left(grid, r) for r, _ in roots}) < len(roots):
+                seen.add("two roots in one cell")
+            if any(r in grid for r, _ in roots):
+                seen.add("a root on a grid point")
+            seen.add("no pole" if pole is None else "pole of order %d" % pole[1])
+
+        check()
+        assert seen == {
+            "the oracle's pole", "no horizon", "DecayError", "repeated root", "simple roots",
+            "two roots in one cell", "a root on a grid point", "no pole", "pole of order 1",
+            "pole of order 2", "above the size cap",
+        }
+
+    def test_pinned_rational_cases(self):
+        grid = _scan_grid()
+
+        def both(text, params):
+            p = custom_profile(text, params)
+            return _outcome(lambda: p.horizon), _outcome(lambda: counted_horizon(p))
+
+        # the oracle's count settles the double root's cell, finds f of one
+        # sign at its ends and scans, and the scan refines the pole at p;
+        # the walk passes over the pole and takes r0, the horizon
+        stress = {"r0": 0.0023732174541420577, "r1": 26.986285727832236, "p": 36.902577898482676}
+        got, want = both("(s - r0)*(s - r1)^2/(s - p)", stress)
+        assert got[0] == repr(stress["r0"])
+        assert float(want[0]) == pytest.approx(stress["p"], rel=1e-14)
+        # with the double root above the pole, P keeps its sign across the
+        # pole but has a root above it: only the sign of Q tells the pole
+        got, want = both("(s - r0)*(s - r1)^2/(s - p)", {"r0": 0.5, "r1": 3.0, "p": 2.0})
+        assert got[0] == "0.5" and float(want[0]) == pytest.approx(2.0, rel=1e-14)
+        # (s - a)^2 + 1e-300 has no real root; its float values change sign
+        # by rounding near a, where the scan refines a "root"
+        tangent = {"a": grid[1160], "e": 1e-300}
+        text = "1 + s^2 - 1 - 2*a*s + a^2 + e"
+        assert both(text, tangent) == (None, None)
+        assert forward_scan_horizon(custom_profile(text, tangent)) is not None
+        # the same times s - b is taken at b, not near a
+        tangent = {"a": grid[3444], "e": 1e-300, "b": grid[3444] / 3}
+        text = "(1 + s^2 - 1 - 2*a*s + a^2 + e)*(s - b)"
+        got, want = both(text, tangent)
+        assert got == want and got[0] == repr(tangent["b"])
+        assert forward_scan_horizon(custom_profile(text, tangent)).radius > 2 * tangent["b"]
+        # a triple root at a, expanded: P keeps its sign from grid point to
+        # grid point around a, but has a root above the lower neighbour, so
+        # the rounding sign change near a is taken, as the oracle's scan does
+        for a in (0.6471154184923379, 0.0016342605912526183):
+            cubic = {"a": a, "b": a / 3}
+            got, want = both("(s^3 - 3*a*s^2 + 3*a^2*s - a^3)*(s - b)", cubic)
+            assert got == want and float(got[0]) == pytest.approx(a, rel=1e-5)
+        # a pole above the horizon of either sign
+        for c in (1.0, -1.0):
+            got, want = both("1 + s^2 - m/s + c/(s - 5)", {"m": 2.0, "c": c})
+            assert got == want and float(got[0]) == pytest.approx(5.0, rel=0.01)
+
     def test_call_budget_stops_at_the_outermost_root(self, monkeypatch):
-        # the forward scan took 10,007 calls and the walk 3,207; the Sturm
-        # counts find the cell near s = 1.32 without evaluating f
+        # the forward scan took 10,007 calls; the walk bisects the grid
+        # below its outer edge down to the cell near s = 1.32
         calls = _record_values(monkeypatch)
+        enclosures = _record_enclosures(monkeypatch)
         rn_ads(4.0, 0.5).horizon
-        assert len(calls) <= 60
+        assert len(calls) <= 17 and len(enclosures) <= 17
 
     def test_call_budget_without_a_root(self, monkeypatch):
-        # enclosures certify blocks of 16, 32, ... points with one call at
-        # the bottom of each: 11 calls for the 10,000 points
+        # one enclosure certifies the 9,999 points below the outer edge,
+        # with one call at the bottom
         calls = _record_values(monkeypatch)
+        enclosures = _record_enclosures(monkeypatch)
         assert custom_profile("1 + s^2 + exp(-s)").horizon is None
-        assert len(calls) <= 20
+        assert len(calls) <= 2 and len(enclosures) <= 1
 
     def test_call_budget_with_a_transcendental_root(self, monkeypatch):
         # about 3,300 grid points lie above the root near s = 0.97
         calls = _record_values(monkeypatch)
+        enclosures = _record_enclosures(monkeypatch)
         assert custom_profile("1 + s^2 - m*exp(-s)/s", {"m": 5.0}).horizon is not None
-        assert len(calls) <= 80
+        assert len(calls) <= 17 and len(enclosures) <= 18
 
     def test_call_budget_below_an_undefined_gap(self, monkeypatch):
         # f = s - 2 < 0 on the 6,666 grid points below the gap (1, 3), where
-        # blocks bounded above by a negative number are certified; the
-        # point walk took 7,209 calls, about 530 of them on the gap itself
+        # ranges bounded above by a negative number are certified; the
+        # point walk took 7,209 calls, and about 530 of the 550 left fall on
+        # the gap itself, where f raises
         calls = _record_values(monkeypatch)
+        enclosures = _record_enclosures(monkeypatch)
         assert custom_profile("s - 2 + 0*sqrt((s - 1)*(s - 3))").horizon is None
-        assert len(calls) <= 600
+        assert len(calls) <= 550 and len(enclosures) <= 243
+
+    def test_work_on_benchmark_like_profiles(self, monkeypatch):
+        # about 32 f calls and 18 enclosures per horizon, and every event
+        # accepted here is a sign change of P, so no Sturm chain is built
+        calls = _record_values(monkeypatch)
+        enclosures = _record_enclosures(monkeypatch)
+        chains = []
+        original = algebra.sturm
+        monkeypatch.setattr(algebra, "sturm", lambda p: chains.append(p) or original(p))
+        for p in _benchmark_like_profiles():
+            assert p.rational is not None
+            assert p.horizon is not None, p.label
+        assert len(calls) <= 1293 and len(enclosures) <= 702
+        assert chains == []
+
+    def test_work_on_the_float_families(self, monkeypatch):
+        # ten profiles across the benchmark range of each transcendental
+        # family: about 20 calls and 15 enclosures per horizon with a root
+        # (the block schedule took 26 and 23), and 2 and 1 without one
+        calls = _record_values(monkeypatch)
+        enclosures = _record_enclosures(monkeypatch)
+        for text, name, (a, b), work in [
+            ("1 + s^2 - m*exp(-s)/s", "m", (2.0, 8.0), (248, 177)),
+            ("1 + s^2 - m*exp(-s^2)/s", "m", (2.0, 8.0), (271, 174)),
+            ("1 + s^2 - m/s^3*exp(-1/s)", "m", (2.0, 5.0), (275, 222)),
+            ("1 + s^2 + c*exp(-s)", "c", (0.1, 1.0), (20, 10)),
+        ]:
+            calls.clear()
+            enclosures.clear()
+            for k in range(10):
+                custom_profile(text, {name: a + (b - a) * k / 9}).horizon
+            assert len(calls) <= work[0] and len(enclosures) <= work[1], text
 
     def test_nan_at_the_grid_top_names_the_point(self):
         with pytest.raises(DomainError, match=r"f is NaN at s=1000\.0"):
@@ -289,7 +465,7 @@ class TestHorizonWalk:
         "text, params",
         [
             ("s - 1e-5 + 0*(1e300/s^2)", {}),
-            # the Sturm count finds the root in the cell above the NaN point
+            # the root lies in the cell just above the NaN point
             ("s - c + 0*(1e300/s^2)", {"c": _ABOVE_LAST_NAN}),
         ],
     )
@@ -572,6 +748,16 @@ class TestDecayRate:
         with pytest.raises(DecayError, match=re.escape(match)):
             validate_asymptotics(p)
         assert sympy_limit_rate(text, tuple(sorted(params.items()))) == -2.0
+
+    def test_exact_tie_and_log_of_a_constant(self):
+        # -a/s + b/s cancels exactly at a = b, so q = -c*exp(-s) decays
+        # faster than every power; log(2 + 1/s) leads with the constant log 2
+        for text, params, rate in [
+            ("1 + s^2 - a/s + b/s + c*exp(-s)", {"a": 2.0, "b": 2.0, "c": 1.0}, -math.inf),
+            ("1 + s^2 - m/s + c*log(2 + 1/s)/s^3", {"m": 2.0, "c": 1.0}, -3.0),
+        ]:
+            assert parse(text).decay_rate(params) == (rate, 0)
+            assert sympy_limit_rate(text, tuple(sorted(params.items()))) == rate
 
     def test_unbound_parameter_is_named(self):
         with pytest.raises(EvaluationError, match="unbound parameter 'm'"):

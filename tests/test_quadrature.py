@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from renvol.expressions import _define
 from renvol.quadrature import (
     _XGK,
     Integral,
+    _integrate,
     Tolerance,
     find_root_bracketed,
     geomspace,
@@ -54,6 +56,27 @@ class TestIntegrate:
         with pytest.raises(QuadratureError, match=r"budget \(\d+ evaluations"):
             integrate(lambda x: math.sqrt(abs(x)), -1.0, 1.0,
                       Tolerance(rel=1e-14), max_evals=200)
+
+    def test_error_sum_absorbed_by_a_huge_panel_is_not_accepted(self):
+        # the guard value 1e300 at the node s = 0.3 gives one panel an error
+        # near 1e293; once it is split, the running sums of values and
+        # errors had absorbed every small term, and the loop stopped at an
+        # estimate of 0.093 against a target of 7.5e-9 (with 1e20, 7.6e-9
+        # against 7.58e-9); the exact sums, the target of the exact value
+        # included, must meet it, and then the guard does not matter
+        results = []
+        for guard in (1e300, 1e20):
+            res = integrate(lambda x: 1.0 / abs(x - 0.3) if x != 0.3 else guard, 0.0, 1.0)
+            assert res.err_estimate <= Tolerance().target(res.value), guard
+            results.append(res)
+        assert results[0] == results[1]
+
+    def test_panel_too_small_to_refine(self):
+        # an error that stays on the panel holding 0.3 however narrow it is
+        with pytest.raises(
+            QuadratureError, match=re.escape("panel [0.29999999999999993, 0.3] too small")
+        ):
+            _integrate(lambda a, b: (0.0, 1.0 if a <= 0.3 <= b else 0.0), 0.0, 1.0)
 
     def test_smooth_value_against_composite_simpson(self):
         fn = lambda x: math.exp(-x * x)
@@ -250,6 +273,19 @@ class TestFindRoot:
         fn = lambda x: math.tanh(50.0 * (x - 0.7))
         root = find_root_bracketed(fn, 0.0, 1.0)
         assert root == pytest.approx(0.7, abs=1e-12)
+
+    def test_nan_inside_the_bracket_is_named(self):
+        # the first secant step lands on 0.5
+        with pytest.raises(QuadratureError, match=re.escape("non-finite function value at 0.5")):
+            find_root_bracketed(lambda x: math.nan if x == 0.5 else x - 0.5, 0.0, 1.0)
+
+    def test_bracket_of_adjacent_floats_returns_at_once(self):
+        calls = []
+        hi = math.nextafter(1.0, 2.0)
+        root = find_root_bracketed(
+            lambda x: calls.append(x) or x - 1.0, 1.0, hi, tol=1e-300, fa=-1.0, fb=1.0
+        )
+        assert root in (1.0, hi) and calls == []
 
     def test_known_endpoint_values_are_not_recomputed(self):
         calls = []
