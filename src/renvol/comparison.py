@@ -29,20 +29,24 @@ e^t dt = 2 e^alpha dy/u^3: the first gap integrand is
 2 e^alpha d/(sqrt(X) sqrt(Y) (sqrt(X) + sqrt(Y))), with neither a
 difference of roots nor a huge e^t times a tiny e^(-3t/2).  The second
 gap integral stays in t, where its weight e^t peaks at the end
-t = alpha, and takes its kernel at y = 1 - e^(-t/2).
+t = alpha, and takes its kernel at y = 1 - e^(-t/2).  Each of these
+integrals runs as a panel kernel compiled on first use (``_kernel``),
+with the bits of its integrand evaluated node by node.  The kernel
+threshold is searched once per tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache, partial
 from typing import Sequence
 
 from . import algebra
-from .errors import DecayError, DomainError
-from .expressions import _Overflow, _Unbounded
+from .errors import DecayError, DomainError, QuadratureError
+from .expressions import _define, _Overflow, _Unbounded
 from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
-from .quadrature import Tolerance, integrate, integrate_sqrt_endpoint
+from .quadrature import Tolerance, _integrate, _panel_source
 from .records import Record
 from .volume import renormalized_volume
 
@@ -157,15 +161,44 @@ def area_log_ratio(area: float, model_area: float) -> float:
     return math.log(area / model_area)
 
 
-def _kernel(y: float, eps: float, a: float, c: float) -> float:
-    """eps + a (1 - u^3) + c u^2 (1 - u) at u = 1 - y.
+# The gap, slope and margin integrands, each run as a compiled panel kernel
+# (quadrature._panel_source) with the operations of the integrand evaluated
+# node by node, bit for bit.  _K is the kernel at y in the summed form of
+# the module docstring.
+_K = "k = eps + y * (area * (3.0 - y * (3.0 - y)) + c * (1.0 - y) ** 2)"
 
-    Written as eps + y (a (3 - y (3 - y)) + c (1 - y)^2), from
-    1 - u^3 = y (3 - 3y + y^2): a sum of nonnegative terms on [0, 1], so
-    it keeps its relative accuracy down to y = 0, where the integrands
-    below peak.
-    """
-    return eps + y * (a * (3.0 - y * (3.0 - y)) + c * (1.0 - y) ** 2)
+# integrand -> (kernel arguments, body lines, the value w of the integrand
+# at the y or t that the first line sets)
+_INTEGRANDS = {
+    # the first gap integrand in y, X = k, Y = X + (1 - y)^3 d, scale = 2 e^alpha d
+    "difference": ("eps, area, c, d, scale",
+                   ["y = %s", "r = 1.0 - y", _K, "sx = _sqrt(k)", "sy = _sqrt(k + r * r * r * d)"],
+                   "scale / (sx * sy * (sx + sy))"),
+    # the second gap integrand in t, with its kernel at y = 1 - e^(-t/2)
+    "unshifted": ("eps, area, c", ["t = %s", "y = -_expm1(-0.5 * t)", _K], "_exp(t) / _sqrt(k)"),
+    # 2 k^-3/2 in y, the integrand of the slope and of the kernel margin
+    "power": ("eps, area, c", ["y = %s", _K], "2.0 * k ** -1.5"),
+}
+
+
+class _NonFinite(QuadratureError):
+    """A kernel's refusal of a non-finite integrand value, in _panel's words.
+    In a gap integral it is an overflow: the roots and divisors are
+    positive at every node, and the values carry e^alpha or e^t."""
+
+
+@lru_cache(maxsize=None)
+def _kernel(integrand: str, substitution: str):
+    """The panel kernel ``kernel(*args, a, b) -> (value, err)`` of
+    ``integrand``, with the ``args`` that ``_INTEGRANDS`` names, compiled
+    on first use.  "plain" integrates in the integrand's variable, "sqrt"
+    in u with u^2 that variable, as integrate_sqrt_endpoint does from the
+    lower end 0.0 (where 0.0 + u * u is u * u)."""
+    args, body, value = _INTEGRANDS[integrand]
+    variable, weighted = ("u * u", "2.0 * u * w") if substitution == "sqrt" else ("u", "w")
+    lines = [body[0] % variable] + body[1:] + ["w = " + value]
+    constants = {"QuadratureError": _NonFinite, "_expm1": math.expm1}
+    return _define(_panel_source(args, [], lines, weighted), constants, "<panel>")
 
 
 def _grow(alpha: float) -> float:
@@ -185,28 +218,25 @@ def _gap_value(a_bar: float, alpha: float, eps: float, tol: Tolerance) -> float:
     # Y - X = u^3 d in the shifted variable, and e^t dt = 2 e^alpha dy/u^3
     d = -(a_bar * math.expm1(-1.5 * alpha) + c * math.expm1(-0.5 * alpha))
     scale = 2.0 * grow * d
-
-    def difference(y: float) -> float:
-        u = 1.0 - y
-        x = _kernel(y, eps, a_bar, c)
-        sx = math.sqrt(x)
-        sy = math.sqrt(x + u * u * u * d)
-        return scale / (sx * sy * (sx + sy))
-
-    def unshifted(t: float) -> float:
-        # in t: a y-range would end at 1 - e^(-alpha/2), rounded to 1e-16,
-        # where the weight e^t = u^-2 is largest; at alpha = 50 that moved
-        # the integral by 1e-5
-        return math.exp(t) / math.sqrt(_kernel(-math.expm1(-0.5 * t), eps, a_bar, _FOUR_PI))
-
-    if eps == 0.0:
-        # X and Y vanish like y at y = 0, Y like t at t = 0
-        first = integrate_sqrt_endpoint(difference, 0.0, 1.0, "lower", tol)
-        second = integrate_sqrt_endpoint(unshifted, 0.0, alpha, "lower", tol)
+    # at eps = 0, X and Y vanish like y at y = 0, Y like t at t = 0.  The
+    # second integral stays in t: a y-range would end at 1 - e^(-alpha/2),
+    # rounded to 1e-16, where the weight e^t = u^-2 is largest; at
+    # alpha = 50 that moved the integral by 1e-5
+    substitution, top = ("sqrt", math.sqrt(alpha)) if eps == 0.0 else ("plain", alpha)
+    try:
+        first = _integrate(partial(_kernel("difference", substitution), eps, a_bar, c, d, scale),
+                           0.0, 1.0, tol)
+        second = _integrate(partial(_kernel("unshifted", substitution), eps, a_bar, _FOUR_PI),
+                            0.0, top, tol)
+    except _NonFinite:
+        value = math.inf
     else:
-        first = integrate(difference, 0.0, 1.0, tol)
-        second = integrate(unshifted, 0.0, alpha, tol)
-    return first.value - second.value
+        value = first.value - second.value
+    if not math.isfinite(value):
+        # an integrand value, a panel's sum or an integral overflowed
+        raise ValueError("alpha = %r is too large: the gap integrals overflow with e^alpha"
+                         % (alpha,))
+    return value
 
 
 def volume_gap(spec: GapSpec, tol: Tolerance | None = None) -> float:
@@ -214,7 +244,8 @@ def volume_gap(spec: GapSpec, tol: Tolerance | None = None) -> float:
 
     Zero at alpha = 0, strictly positive and increasing for alpha > 0.
     The spec must carry epsilon = 0; use volume_gap_regularized otherwise.
-    Raises ValueError naming alpha where e^alpha overflows.
+    Raises ValueError naming alpha where e^alpha, or the gap integrals
+    it scales, overflow.
     """
     if spec.epsilon != 0.0:
         raise ValueError("volume_gap requires epsilon = 0; got %r" % (spec.epsilon,))
@@ -222,7 +253,8 @@ def volume_gap(spec: GapSpec, tol: Tolerance | None = None) -> float:
 
 
 def volume_gap_regularized(spec: GapSpec, tol: Tolerance | None = None) -> float:
-    """The regularized gap I_eps(alpha); converges to volume_gap as eps -> 0."""
+    """The regularized gap I_eps(alpha); converges to volume_gap as eps -> 0,
+    and raises where it does."""
     if not spec.epsilon > 0.0:
         raise ValueError("regularized gap requires epsilon > 0; got %r" % (spec.epsilon,))
     return _gap_value(spec.model_area, spec.alpha, spec.epsilon, tol or Tolerance())
@@ -248,14 +280,10 @@ def volume_gap_slope(spec: GapSpec, tol: Tolerance | None = None) -> SlopeBound:
     alpha = spec.alpha
     eps = spec.epsilon
     shrink = math.exp(-alpha)
-    c = _FOUR_PI * shrink
-
-    def integrand(y: float) -> float:
-        return 2.0 * _kernel(y, eps, a_bar, c) ** -1.5
-
-    j = integrate(integrand, 0.0, 1.0, tol)
+    power = partial(_kernel("power", "plain"), eps, a_bar, _FOUR_PI * shrink)
+    j = _integrate(power, 0.0, 1.0, tol).value
     grow = _grow(alpha)
-    value = 0.25 * grow * (3.0 * a_bar + _FOUR_PI * shrink) * j.value - grow / math.sqrt(eps)
+    value = 0.25 * grow * (3.0 * a_bar + _FOUR_PI * shrink) * j - grow / math.sqrt(eps)
     if not math.isfinite(value):
         raise ValueError(
             "alpha = %r is too large: the slope %r overflows with e^alpha" % (alpha, value)
@@ -284,11 +312,8 @@ def kernel_margin(eps: float, mu: float, tol: Tolerance | None = None) -> float:
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError("mu must be positive and finite, got %r" % (mu,))
     tol = tol or Tolerance()
-
-    def integrand(y: float) -> float:
-        return 2.0 * _kernel(y, eps, mu, 0.0) ** -1.5
-
-    lhs = 3.0 * mu * integrate(integrand, 0.0, 1.0, tol).value
+    power = partial(_kernel("power", "plain"), eps, mu, 0.0)
+    lhs = 3.0 * mu * _integrate(power, 0.0, 1.0, tol).value
     return lhs - 4.0 / math.sqrt(eps) - 1.0 / math.sqrt(mu)
 
 
@@ -297,22 +322,29 @@ def kernel_threshold(mu: float, tol: Tolerance | None = None) -> float:
 
     The margin scales exactly as (eps, mu) -> lambda^-1/2, so its sign
     depends on eps/mu alone; the search therefore runs at mu = 1 and the
-    result is the same float for every valid mu.  Starting from ratio 1,
-    where the margin must be negative, it walks down one decade at a time
-    to the first positive margin, so it finds the largest crossing.  It
-    then refines that bracket on log10(eps/mu) to width 1e-11 by the
-    Illinois rule (Dowell and Jarratt, BIT 11, 1971) and returns the
-    midpoint: regula falsi steps, where an end kept for a second step in
-    a row has its margin halved.  Near the crossing the margin reaches
-    its rounding floor, about 2e-15; there ``find_root_bracketed``, whose
-    secant and bisection steps the horizon search is tuned to, keeps
-    stepping from one side and spends about 16 margin calls, against 9.
-    Raises ValueError when the margin is not negative at ratio 1 or stays
-    nonpositive down to ratio 1e-12.
+    result is the same float for every valid mu.  The search runs once
+    per tolerance (the last 64 are remembered, a raising search is not);
+    a later call at any mu returns its float without a margin call.
+    Starting from ratio 1, where the margin must be negative, it walks
+    down one decade at a time to the first positive margin, so it finds
+    the largest crossing.  It then refines that bracket on log10(eps/mu)
+    to width 1e-11 by the Illinois rule (Dowell and Jarratt, BIT 11,
+    1971) and returns the midpoint: regula falsi steps, where an end kept
+    for a second step in a row has its margin halved.  Near the crossing
+    the margin reaches its rounding floor, about 2e-15; there
+    ``find_root_bracketed``, whose secant and bisection steps the horizon
+    search is tuned to, keeps stepping from one side and spends about 16
+    margin calls, against 9.  Raises ValueError when the margin is not
+    negative at ratio 1 or stays nonpositive down to ratio 1e-12.
     """
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError("mu must be positive and finite, got %r" % (mu,))
-    tol = tol or Tolerance()
+    return _threshold(tol or Tolerance())
+
+
+@lru_cache(maxsize=64)
+def _threshold(tol: Tolerance) -> float:
+    """The search of ``kernel_threshold``, at mu = 1."""
 
     def margin(x: float) -> float:
         return kernel_margin(10.0**x, 1.0, tol)

@@ -9,10 +9,10 @@ bitwise-identical results.
 
 One adaptive loop, ``_integrate``, runs every integral.  It takes the
 rule as a panel function, ``panel(a, b) -> (value, err)``: ``integrate``
-passes ``_panel`` over its integrand, and the volume integrals pass
-kernels compiled from ``_panel_source``, which evaluate a whole panel of
-a profile's integrand in one call with ``_panel``'s nodes, checks and
-sums, so both give the same bits.
+passes ``_panel`` over its integrand, and the volume, gap, slope and
+kernel-margin integrals pass kernels compiled from ``_panel_source``,
+which evaluate a whole panel of their integrand in one call with
+``_panel``'s nodes, checks and sums, so both give the same bits.
 
 Endpoint square-root singularities are handled by the substitution
 u^2 = |t - endpoint| and half-infinite domains by u = exp(-lambda*(t-a)),

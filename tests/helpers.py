@@ -5,9 +5,9 @@ Simpson, central differences, one closed-form antiderivative, recursive
 expression walks in float, interval and Fraction arithmetic, a forward
 horizon scan and the counted horizon search it backs, the Kronrod panel
 as a loop over its table, the volume integrands as chains of the
-profile's public methods, and sympy limits for decay rates.  The point
-is that none of it shares code (or failure modes) with the library's
-adaptive machinery.
+profile's public methods, the gap and kernel integrands as closures, and
+sympy limits for decay rates.  The point is that none of it shares code
+(or failure modes) with the library's adaptive machinery.
 """
 
 import math
@@ -578,6 +578,52 @@ def chain_flow_integrand(p, hz):
                 "flow integrand cross-check failed at t=%r: %r vs %r" % (t, direct, collapsed)
             )
         return math.exp(1.5 * t) * a32 / math.sqrt(collapsed)
+
+    return integrand
+
+
+def gap_kernel(y, eps, a, c):
+    """eps + a (1 - u^3) + c u^2 (1 - u) at u = 1 - y, in the summed form
+    the gap, slope and margin integrands take it in."""
+    return eps + y * (a * (3.0 - y * (3.0 - y)) + c * (1.0 - y) ** 2)
+
+
+def gap_arguments(a_bar, alpha, eps):
+    """(eps, a_bar, c, d, scale) of the first gap integrand at alpha:
+    c = 4 pi e^-alpha, Y - X = u^3 d and scale = 2 e^alpha d."""
+    c = 4.0 * math.pi * math.exp(-alpha)
+    d = -(a_bar * math.expm1(-1.5 * alpha) + c * math.expm1(-0.5 * alpha))
+    return eps, a_bar, c, d, 2.0 * math.exp(alpha) * d
+
+
+def gap_difference(eps, a, c, d, scale):
+    """The first gap integrand in y as a closure, the square roots and
+    their sum taken one node at a time: the reference for the compiled
+    "difference" kernel."""
+    def difference(y):
+        u = 1.0 - y
+        x = gap_kernel(y, eps, a, c)
+        sx = math.sqrt(x)
+        sy = math.sqrt(x + u * u * u * d)
+        return scale / (sx * sy * (sx + sy))
+
+    return difference
+
+
+def gap_unshifted(eps, a, c):
+    """The second gap integrand in t, e^t over the root of the kernel at
+    y = 1 - e^(-t/2), as a closure."""
+    def unshifted(t):
+        return math.exp(t) / math.sqrt(gap_kernel(-math.expm1(-0.5 * t), eps, a, c))
+
+    return unshifted
+
+
+def kernel_power(eps, a, c):
+    """2 K^(-3/2) in y as a closure, the integrand of the slope's J and of
+    the kernel margin."""
+    def integrand(y):
+        return 2.0 * gap_kernel(y, eps, a, c) ** -1.5
 
     return integrand
 

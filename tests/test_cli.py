@@ -180,6 +180,13 @@ class TestIAlpha:
     def test_requires_alpha(self, capsys):
         assert run(["ialpha"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["705", "709.5", "710"])
+    def test_overflowing_alpha_is_a_usage_error(self, capsys, alpha):
+        # the gap integrals overflow with e^alpha from about 705 at this
+        # area, and e^alpha itself beyond 709.78
+        assert run(["ialpha", "--a-bar", "10", "--alpha", alpha]) == 2
+        assert "alpha = %r is too large" % float(alpha) in capsys.readouterr().err
+
 
 class TestLemmaAux:
     def test_margin_mode(self, capsys):

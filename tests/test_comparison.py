@@ -1,13 +1,16 @@
 """Gap function, kernel inequality, and the end-to-end comparison."""
 
+import json
 import math
+import os
 import sys
 import time
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renvol.comparison
@@ -25,7 +28,7 @@ from renvol.comparison import (
     volume_gap_regularized,
     volume_gap_slope,
 )
-from renvol.errors import DecayError
+from renvol.errors import DecayError, QuadratureError
 from renvol.expressions import parse
 from renvol.metric import (
     ads_horizon_radius,
@@ -34,12 +37,22 @@ from renvol.metric import (
     hyperbolic,
     rn_ads,
 )
-from renvol.quadrature import Tolerance
+from renvol.quadrature import Tolerance, _integrate, _panel, integrate, integrate_sqrt_endpoint
 from renvol.volume import renormalized_volume
 
-from helpers import sympy_decay_rate
+from helpers import (
+    gap_arguments,
+    gap_difference,
+    gap_unshifted,
+    kernel_power,
+    sympy_decay_rate,
+)
 
 FOUR_PI = 4.0 * math.pi
+
+# the gap-kernel benchmark's inputs at seeds 1-10, with the reprs the gap
+# functions returned for them when their integrands were closures
+GAP_REPRS = os.path.join(os.path.dirname(__file__), "golden", "gap_kernel_reprs.json")
 
 # rational defects c*s + m/s and c + m/s with a tiny c: |q|/f decays like
 # s^-1 and s^-2, but a 41-point log-log fit over [1e2, 1e6] read -2.984
@@ -159,6 +172,22 @@ class TestVolumeGap:
         with pytest.raises(ValueError, match="alpha = 710"):
             volume_gap(GapSpec(area, 710.0))
 
+    @pytest.mark.parametrize("area,alpha,eps", [
+        # an integrand value overflows, though e^alpha does not
+        (10.0, 705.0, 0.0), (10.0, 708.0, 0.0), (10.0, 708.0, 1e-2), (10.0, 709.5, 0.0),
+        (10.0, 709.5, 1e-2), (10.0, 709.78, 0.0), (1e6, 700.0, 0.0),
+        # every value is finite, but a panel's sum overflows to inf
+        (4.64395517767651, 705.6868367127363, 0.0026637502515093284),
+    ])
+    def test_overflowing_integrals_name_alpha(self, area, alpha, eps):
+        gap = volume_gap_regularized if eps else volume_gap
+        with pytest.raises(ValueError, match="alpha = %r is too large" % alpha):
+            gap(GapSpec(area, alpha, eps))
+
+    def test_values_below_the_overflow_stay(self):
+        assert volume_gap(GapSpec(10.0, 700.0)) == 2.2485976733004578e+303
+        assert volume_gap_regularized(GapSpec(10.0, 705.0, 1e-2)) == 3.1328478904315667e+305
+
 
 class TestVolumeGapRegularized:
     def test_converges_to_sharp_value(self):
@@ -259,6 +288,14 @@ class TestKernelMargin:
 
 
 class TestKernelThreshold:
+    @pytest.fixture(autouse=True)
+    def fresh_search(self):
+        # the search is remembered per tolerance; each test starts without
+        # it, and leaves none that a patched kernel_margin computed
+        renvol.comparison._threshold.cache_clear()
+        yield
+        renvol.comparison._threshold.cache_clear()
+
     def test_brackets_the_sign_change(self):
         for mu in (0.1, 1.0, 10.0):
             rho = kernel_threshold(mu)
@@ -307,6 +344,134 @@ class TestKernelThreshold:
     def test_validation(self):
         with pytest.raises(ValueError):
             kernel_threshold(0.0)
+
+    def test_validation_runs_on_every_call(self):
+        kernel_threshold(1.0)
+        for mu in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="mu must be positive"):
+                kernel_threshold(mu)
+
+    def test_later_calls_make_no_margin_call(self, monkeypatch):
+        rho = kernel_threshold(1.0)
+        calls = []
+        monkeypatch.setattr(renvol.comparison, "kernel_margin", lambda *args: calls.append(args))
+        for mu in (1e-4, 0.1, 10.0, 1e4):
+            assert repr(kernel_threshold(mu)) == repr(rho)
+        assert repr(kernel_threshold(2.0, Tolerance())) == repr(rho)
+        assert calls == []
+
+    def test_another_tolerance_searches_afresh(self, monkeypatch):
+        kernel_threshold(1.0)
+        tols = []
+
+        def counted(eps, mu, tol=None):
+            tols.append(tol)
+            return kernel_margin(eps, mu, tol)
+
+        monkeypatch.setattr(renvol.comparison, "kernel_margin", counted)
+        tight = Tolerance(rel=1e-12)
+        rho = kernel_threshold(1.0, tight)
+        assert len(tols) >= 3
+        assert all(tol == tight for tol in tols)
+        del tols[:]
+        # an equal tolerance is the same search
+        assert repr(kernel_threshold(5.0, Tolerance(rel=1e-12))) == repr(rho)
+        assert tols == []
+
+    def test_a_raising_search_raises_again(self, monkeypatch):
+        calls = []
+
+        def positive(eps, mu, tol=None):
+            calls.append(eps / mu)
+            return 1.0
+
+        monkeypatch.setattr(renvol.comparison, "kernel_margin", positive)
+        for count in (1, 2):
+            with pytest.raises(ValueError, match="at ratio 1 is not negative"):
+                kernel_threshold(1.0)
+            assert calls == [1.0] * count
+
+
+def outcome(call):
+    """("value", repr) of what call() returns, or the kind and text of what
+    it raises; a kernel's refusal counts as the QuadratureError it is."""
+    try:
+        return "value", repr(call())
+    except QuadratureError as exc:
+        return "QuadratureError", str(exc)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestGapKernels:
+    """The compiled gap, slope and margin kernels against their integrands
+    as closures (tests/helpers.py), bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        area=st.floats(-6.0, 6.0).map(lambda x: 10.0**x),
+        alpha=st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 700.0)),
+        ratio=st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda x: 10.0**x)),
+        cut=st.floats(0.0, 1.0),
+    )
+    # refusals: scale = 2 e^alpha d overflows, or one value does
+    @example(area=1e6, alpha=700.0, ratio=0.0, cut=0.5)
+    @example(area=1e6, alpha=700.0, ratio=1e-3, cut=0.5)
+    @example(area=1.0, alpha=700.0, ratio=1e-12, cut=1e-3)
+    def test_kernels_match_their_closures(self, area, alpha, ratio, cut):
+        eps = ratio * area
+        args = gap_arguments(area, alpha, eps)
+        c = args[2]
+        cases = [
+            ("difference", args, gap_difference(*args), 1.0),
+            ("unshifted", (eps, area, FOUR_PI), gap_unshifted(eps, area, FOUR_PI), alpha),
+        ]
+        if eps > 0.0:
+            cases += [
+                ("power", (eps, area, c), kernel_power(eps, area, c), 1.0),
+                ("power", (eps, area, 0.0), kernel_power(eps, area, 0.0), 1.0),
+            ]
+        refused = False
+        for integrand, kernel_args, fn, end in cases:
+            substitution = "sqrt" if eps == 0.0 else "plain"
+            kernel = renvol.comparison._kernel(integrand, substitution)
+            if substitution == "sqrt":
+                top = math.sqrt(end)
+                want = outcome(lambda: integrate_sqrt_endpoint(fn, 0.0, end, "lower"))
+
+                def closure(u, fn=fn):
+                    return 2.0 * u * fn(0.0 + u * u)
+            else:
+                top = end
+                want = outcome(lambda: integrate(fn, 0.0, end))
+                closure = fn
+            assert outcome(lambda: _integrate(partial(kernel, *kernel_args), 0.0, top)) == want
+            for lo, hi in ((0.0, top), (0.0, cut * top), (cut * top, top)):
+                panel = outcome(lambda: kernel(*kernel_args, lo, hi))
+                assert panel == outcome(lambda: _panel(closure, lo, hi))
+                refused = refused or panel[0] != "value"
+        if area == 1e6 and alpha == 700.0:
+            assert refused
+
+    def test_parent_reprs_at_the_benchmark_inputs(self):
+        renvol.comparison._threshold.cache_clear()
+        with open(GAP_REPRS) as fh:
+            cases = json.load(fh)
+        assert len(cases) == 30
+        for case in cases:
+            area, alpha = case["area"], case["alpha"]
+            got = {
+                "kernel_threshold": repr(kernel_threshold(area)),
+                "volume_gap": [repr(volume_gap(GapSpec(area, a)))
+                               for a in case["grid"] + [alpha]],
+                "volume_gap_regularized": [repr(volume_gap_regularized(GapSpec(area, alpha, e)))
+                                           for e in case["eps"]],
+                "volume_gap_slope": [repr(volume_gap_slope(GapSpec(area, alpha, e)))
+                                     for e in case["eps"]],
+                "kernel_margin": [repr(kernel_margin(e, area)) for e in case["eps"]],
+            }
+            for name, value in got.items():
+                assert value == case[name], (name, area, alpha)
 
 
 class TestCompareVolumes:

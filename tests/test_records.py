@@ -288,6 +288,17 @@ for call in (renvol.renormalized_volume, lambda p: renvol.flow_volume_lower_boun
         del generated[:]
         call(p)
         print(" ".join(generated))
+for call in (
+    lambda: renvol.kernel_margin(1e-3, 1.0),
+    lambda: renvol.volume_gap(renvol.GapSpec(10.0, 1.0)),
+    lambda: renvol.volume_gap_regularized(renvol.GapSpec(10.0, 1.0, 1e-2)),
+    lambda: renvol.volume_gap_slope(renvol.GapSpec(10.0, 1.0, 1e-2)),
+    lambda: renvol.kernel_threshold(1.0),
+):
+    for _ in range(2):
+        del generated[:]
+        call()
+        print(" ".join(generated))
 """
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(TESTS_DIR), "src"))
     proc = subprocess.run(
@@ -298,9 +309,15 @@ for call in (renvol.renormalized_volume, lambda p: renvol.flow_volume_lower_boun
     # each compile and run one <expression>, and a second call neither.
     # The first renormalized_volume compiles and runs its three panel
     # kernels (core, remainder, shell) under their own name, and no
-    # <expression>; the flow bound one more; a second call none
+    # <expression>; the flow bound one more; a second call none.  The
+    # first kernel_margin compiles and runs its kernel, the first
+    # volume_gap and volume_gap_regularized their two each (the sqrt and
+    # the plain substitutions); the slope and the threshold reuse the
+    # margin's, and no second call compiles
     once = "<expression> <expression>"
     volume = " ".join(["<panel>"] * 6)
+    one, two = "<panel> <panel>", " ".join(["<panel>"] * 4)
     assert proc.stdout.split("\n") == [
-        "", once, "", once, "", once, "", volume, "", "<panel> <panel>", "", ""
+        "", once, "", once, "", once, "", volume, "", one, "",
+        one, "", two, "", two, "", "", "", "", "", "",
     ]
