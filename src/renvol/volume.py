@@ -7,10 +7,14 @@ the difference integrand
 
     d(s) = 4*pi*s^2 * (f(s)^-1/2 - (1+s^2)^-1/2)
 
-in stabilized form and adds the remainder integral over (r, infinity)
-via the substitution s = 1/u, which turns it into a proper integral with
-a bounded integrand.  No asymptotic model of the remainder is assumed;
-profiles whose defect decays at any admissible rate are handled alike.
+in stabilized form: from the horizon in u = sqrt(s - s_h), which removes
+the endpoint singularity, or, without a horizon, in t = log(1 + s), in
+which the integrand is nearly flat at large s.  It subtracts the
+reference ball inside the horizon in closed form and adds the remainder
+integral over (r, infinity) via the substitution s = 1/u, which turns it
+into a proper integral with a bounded integrand.  No asymptotic model of
+the remainder is assumed; profiles whose defect decays at any admissible
+rate are handled alike.
 
 The flow bounds reparametrize coordinate spheres by the parameter t of
 inverse mean curvature flow (area grows exactly as e^t, so the sphere
@@ -40,7 +44,6 @@ from .quadrature import (
     _integrate,
     _panel_source,
     _sqrt_range,
-    integrate,
     integrate_sqrt_endpoint,
 )
 from .records import Record
@@ -134,6 +137,8 @@ _SUBSTITUTIONS = {
     "sqrt": (["s = origin + u * u"], "2.0 * u * w"),
     # s = 1/u, the remainder integral over (r, infinity)
     "inverse": (["s = 1.0 / u"], "w / (u * u)"),
+    # u = log(1 + s): the horizon-free core and the shell [r, 10r]
+    "log1p": (["s = _expm1(u)"], "(1.0 + s) * w"),
     # u^2 = t, the flow parameter, and s the flow sphere's radius there
     "flow": (["t = u * u", "s = radius * _exp(0.5 * t)"], "2.0 * u * w"),
 }
@@ -206,7 +211,8 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
         ]
     source = _panel_source("params, origin", setup, code.lines,
                            _SUBSTITUTIONS[substitution][1])
-    constants = dict(code.constants, DecayError=DecayError, QuadratureError=QuadratureError)
+    constants = dict(code.constants, DecayError=DecayError, QuadratureError=QuadratureError,
+                     _expm1=math.expm1)
     return _define(source, constants, "<panel>")
 
 
@@ -259,6 +265,26 @@ def volume_between(
     return _profile_integral(p, "shell", "s", None, s_lo, s_hi, tol)
 
 
+# the series 4*pi*s^3 * sum_k c_k s^(2k) of the reference ball, with
+# c_k = binomial(-1/2, k)/(2k + 3), highest first for Horner's rule; it
+# runs below s = 0.3, where the closed form cancels its leading terms, and
+# 14 terms reach the rounding error there
+_BALL_SERIES = tuple((-1) ** k * math.comb(2 * k, k) / (4 ** k * (2 * k + 3))
+                     for k in reversed(range(14)))
+
+
+def _reference_ball(s: float) -> float:
+    """Volume of the reference ball of coordinate radius s,
+    integral_0^s 4*pi*x^2 (1 + x^2)^-1/2 dx = 2*pi*(s sqrt(1 + s^2) - asinh s)."""
+    if s > 0.3:
+        return 2.0 * math.pi * (s * math.sqrt(1.0 + s * s) - math.asinh(s))
+    x = s * s
+    total = 0.0
+    for c in _BALL_SERIES:
+        total = total * x + c
+    return _FOUR_PI * s * x * total
+
+
 def renormalized_volume(
     p: RadialProfile,
     tol: Tolerance | None = None,
@@ -271,12 +297,14 @@ def renormalized_volume(
         integral_{s_h}^{r} d(s) ds  -  integral_0^{s_h} 4 pi s^2 (1+s^2)^-1/2 ds
                                     +  integral_r^{infinity} d(s) ds
 
-    with the remainder evaluated exactly (substitution s = 1/u) rather
-    than modeled.  The truncation radius r defaults to
-    max(DEFAULT_TRUNCATION_RADIUS, 10*s_h), so it stays outside a large
-    horizon.  Requires the decay validation to pass; raises DecayError
-    otherwise, and also when the reported stability |V(r) - V(10r)|
-    exceeds ten times the quadrature tolerance.
+    with the first integral in sqrt(s - s_h), or in log(1 + s) when there
+    is no horizon, the reference ball in closed form, and the remainder
+    evaluated exactly (substitution s = 1/u) rather than modeled.  The
+    truncation radius r defaults to max(DEFAULT_TRUNCATION_RADIUS, 10*s_h),
+    so it stays outside a large horizon.  Requires the decay validation to
+    pass; raises DecayError otherwise, and also when the reported stability
+    |V(r) - V(10r)| exceeds ten times the quadrature tolerance; the shell
+    [r, 10r] of V(10r) runs in log(1 + s).
     """
     tol = tol or Tolerance()
     report = p.asymptotics
@@ -293,29 +321,18 @@ def renormalized_volume(
     if not (r > max(s_h, 0.0) and math.isfinite(r)):
         raise ValueError("truncation radius %r must be finite and exceed the horizon" % (r,))
 
-    evals = 0
-
     if hz is not None:
         core = _profile_integral(p, "difference", "sqrt", s_h, 0.0, _sqrt_range(s_h, r), tol)
     else:
-        core = _profile_integral(p, "difference", "s", None, s_h, r, tol)
-    evals += core.evaluations
-
-    inner = Integral(0.0, 0.0, 0)
-    if s_h > 0.0:
-        inner = integrate(
-            lambda s: _FOUR_PI * s * s / math.sqrt(1.0 + s * s), 0.0, s_h, tol
-        )
-    evals += inner.evaluations
-
+        core = _profile_integral(p, "difference", "log1p", None, 0.0, math.log1p(r), tol)
     tail = _profile_integral(p, "difference", "inverse", None, 0.0, 1.0 / r, tol)
-    evals += tail.evaluations
+    evals = core.evaluations + tail.evaluations
+    value = core.value - _reference_ball(s_h) + tail.value
 
-    value = core.value - inner.value + tail.value
-
-    # recompute the split at 10r: the shell piece runs in s, the remainder
-    # in u, so agreement cross-validates the substitution
-    shell = _profile_integral(p, "difference", "s", None, r, 10.0 * r, tol)
+    # recompute the split at 10r: the shell piece runs in log(1 + s), the
+    # remainder in 1/s, so agreement cross-validates the substitutions
+    shell = _profile_integral(p, "difference", "log1p", None,
+                              math.log1p(r), math.log1p(10.0 * r), tol)
     tail10 = _profile_integral(p, "difference", "inverse", None, 0.0, 1.0 / (10.0 * r), tol)
     evals += shell.evaluations + tail10.evaluations
     value10 = value - tail.value + shell.value + tail10.value

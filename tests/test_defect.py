@@ -58,7 +58,7 @@ class TestVolumeAgainstOracle:
         p = custom_profile("1 + s^2 - m/s + 0*exp(s-s)", {"m": 2.0})
         model = renormalized_volume(ads_schwarzschild(2.0))
         assert renormalized_volume(p) == model
-        assert model.value == 10.579797094323736 and model.evaluations == 405
+        assert model.value == 10.579797094323736 and model.evaluations == 240
 
     @pytest.mark.parametrize("m", [2.0, 8.0])
     def test_fast_decaying_tail_is_kept(self, m):
@@ -167,3 +167,28 @@ class TestTightTolerance:
         p = make()
         v = renormalized_volume(p, Tolerance(rel=rel))
         assert _rel(v.value, _oracle(q, p)) <= 1e-13
+
+    # at rel 1e-10 each is within 1e-12 of the oracle, in 270 to 300
+    # evaluations; at rel 1e-12 they take 104,220 to 861,810 evaluations
+    # and come out 1.2e-8 to 2.4e-8 off
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the refined horizon lies up to 1e-14 max(1, s_h) off the root, "
+        "and tight tolerances resolve the kink this offset puts in the "
+        "sqrt-endpoint integrand, so V moves like its square root "
+        "(ROADMAP item 2)",
+    )
+    @pytest.mark.parametrize(
+        "m,a,c",
+        [
+            (0.3179173727483757, 1.5598928396248324, 3.4021568513327664e-12),
+            (0.26576155193409373, 1.695689345333267, 0.00012089747573736398),
+            (0.16753672969602085, 1.5285489802592938, 1.2393529223937009e-05),
+        ],
+    )
+    def test_transcendental_volume_matches_oracle(self, m, a, c):
+        p = custom_profile("1 + s^2 - (m + c*(1 - exp(-s/a)))/s", {"m": m, "a": a, "c": c})
+        v = renormalized_volume(p, Tolerance(rel=1e-12))
+        want = _oracle(lambda s: (m + c * (1 - mp.exp(-s / a))) / s, p)
+        assert _rel(v.value, want) <= 1e-12
