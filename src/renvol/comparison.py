@@ -29,10 +29,14 @@ e^t dt = 2 e^alpha dy/u^3: the first gap integrand is
 2 e^alpha d/(sqrt(X) sqrt(Y) (sqrt(X) + sqrt(Y))), with neither a
 difference of roots nor a huge e^t times a tiny e^(-3t/2).  The second
 gap integral stays in t, where its weight e^t peaks at the end
-t = alpha, and takes its kernel at y = 1 - e^(-t/2).  Each of these
-integrals runs as a panel kernel compiled on first use (``_kernel``),
-with the bits of its integrand evaluated node by node.  The kernel
-threshold is searched once per tolerance.
+t = alpha, and takes its kernel at y = 1 - e^(-t/2).  At eps = 0 they
+run in u^2 = y and u^2 = t.  At eps > 0 each peaks in a layer of width
+eps/b at 0, b the kernel's slope there, and runs in u = log(1 + y/width),
+the second on t in [0, min(alpha, 1)], its tail in plain t.  The slope
+and the margin take the eps^-1/2 of the tangent eps + b y out in closed
+form.  Each integral runs as a panel kernel compiled on first use
+(``_kernel``), with the bits of its integrand evaluated node by node.
+The kernel threshold is searched once per tolerance.
 """
 
 from __future__ import annotations
@@ -167,17 +171,20 @@ def area_log_ratio(area: float, model_area: float) -> float:
 # the module docstring.
 _K = "k = eps + y * (area * (3.0 - y * (3.0 - y)) + c * (1.0 - y) ** 2)"
 
-# integrand -> (kernel arguments, body lines, the value w of the integrand
-# at the y or t that the first line sets)
+# integrand -> (kernel arguments, its variable, body lines, the value w of
+# the integrand there)
 _INTEGRANDS = {
     # the first gap integrand in y, X = k, Y = X + (1 - y)^3 d, scale = 2 e^alpha d
-    "difference": ("eps, area, c, d, scale",
-                   ["y = %s", "r = 1.0 - y", _K, "sx = _sqrt(k)", "sy = _sqrt(k + r * r * r * d)"],
+    "difference": ("eps, area, c, d, scale", "y",
+                   ["r = 1.0 - y", _K, "sx = _sqrt(k)", "sy = _sqrt(k + r * r * r * d)"],
                    "scale / (sx * sy * (sx + sy))"),
     # the second gap integrand in t, with its kernel at y = 1 - e^(-t/2)
-    "unshifted": ("eps, area, c", ["t = %s", "y = -_expm1(-0.5 * t)", _K], "_exp(t) / _sqrt(k)"),
-    # 2 k^-3/2 in y, the integrand of the slope and of the kernel margin
-    "power": ("eps, area, c", ["y = %s", _K], "2.0 * k ** -1.5"),
+    "unshifted": ("eps, area, c", "t", ["y = -_expm1(-0.5 * t)", _K], "_exp(t) / _sqrt(k)"),
+    # J' of the slope and the margin, 2 (K^-3/2 - L^-3/2) in y: L = eps + lead y, and K = L (1 - x)
+    # for x = (L - K)/L = y (y/L) (area (3 - y) + c (2 - y)), with no subtraction
+    "power": ("eps, area, c, lead", "y",
+              [_K, "x = y * (y / (eps + lead * y)) * (area * (3.0 - y) + c * (2.0 - y))"],
+              "-2.0 * _expm1(1.5 * _log1p(-x)) / k / _sqrt(k)"),
 }
 
 
@@ -191,14 +198,29 @@ class _NonFinite(QuadratureError):
 def _kernel(integrand: str, substitution: str):
     """The panel kernel ``kernel(*args, a, b) -> (value, err)`` of
     ``integrand``, with the ``args`` that ``_INTEGRANDS`` names, compiled
-    on first use.  "plain" integrates in the integrand's variable, "sqrt"
-    in u with u^2 that variable, as integrate_sqrt_endpoint does from the
-    lower end 0.0 (where 0.0 + u * u is u * u)."""
-    args, body, value = _INTEGRANDS[integrand]
-    variable, weighted = ("u * u", "2.0 * u * w") if substitution == "sqrt" else ("u", "w")
-    lines = [body[0] % variable] + body[1:] + ["w = " + value]
-    constants = {"QuadratureError": _NonFinite, "_expm1": math.expm1}
+    on first use.  "plain" integrates in the integrand's variable v, "sqrt"
+    in u = sqrt(v), as integrate_sqrt_endpoint does from 0.0 (where
+    0.0 + u * u is u * u), "layer" in u = log(1 + v/width), with ``width``
+    after ``args``: v = width (e^u - 1), dv = (width + v) du."""
+    args, v, body, value = _INTEGRANDS[integrand]
+    mapped, weighted = {"plain": ("u", "w"), "sqrt": ("u * u", "2.0 * u * w"),
+                        "layer": ("width * _expm1(u)", "(width + %s) * w" % v)}[substitution]
+    args += ", width" if substitution == "layer" else ""
+    lines = ["%s = %s" % (v, mapped)] + body + ["w = " + value]
+    constants = {"QuadratureError": _NonFinite, "_expm1": math.expm1, "_log1p": math.log1p}
     return _define(_panel_source(args, [], lines, weighted), constants, "<panel>")
+
+
+def _layered(integrand: str, args: tuple, b: float, end: float, tol: Tolerance) -> float:
+    """The integral of ``integrand`` over [0, end] in the layer variable of
+    width eps/b, eps = args[0]; ValueError naming eps where that width is
+    not a normal float (0.0 at eps = 5e-324), so that 1/width is finite."""
+    width = args[0] / b
+    if not width >= sys.float_info.min:
+        raise ValueError("eps = %r is too small: the layer width eps/%r is not a normal float"
+                         % (args[0], b))
+    kernel = partial(_kernel(integrand, "layer"), *args, width)
+    return _integrate(kernel, 0.0, math.log1p(end / width), tol).value
 
 
 def _grow(alpha: float) -> float:
@@ -218,20 +240,27 @@ def _gap_value(a_bar: float, alpha: float, eps: float, tol: Tolerance) -> float:
     # Y - X = u^3 d in the shifted variable, and e^t dt = 2 e^alpha dy/u^3
     d = -(a_bar * math.expm1(-1.5 * alpha) + c * math.expm1(-0.5 * alpha))
     scale = 2.0 * grow * d
-    # at eps = 0, X and Y vanish like y at y = 0, Y like t at t = 0.  The
-    # second integral stays in t: a y-range would end at 1 - e^(-alpha/2),
-    # rounded to 1e-16, where the weight e^t = u^-2 is largest; at
-    # alpha = 50 that moved the integral by 1e-5
-    substitution, top = ("sqrt", math.sqrt(alpha)) if eps == 0.0 else ("plain", alpha)
+    # the second integral stays in t: a y-range would end at 1 - e^(-alpha/2),
+    # rounded, where its weight e^t peaks
     try:
-        first = _integrate(partial(_kernel("difference", substitution), eps, a_bar, c, d, scale),
-                           0.0, 1.0, tol)
-        second = _integrate(partial(_kernel("unshifted", substitution), eps, a_bar, _FOUR_PI),
-                            0.0, top, tol)
+        if eps == 0.0:
+            # X and Y vanish like y at y = 0, Y like t at t = 0
+            first = _integrate(partial(_kernel("difference", "sqrt"), eps, a_bar, c, d, scale),
+                               0.0, 1.0, tol).value
+            second = _integrate(partial(_kernel("unshifted", "sqrt"), eps, a_bar, _FOUR_PI),
+                                0.0, math.sqrt(alpha), tol).value
+        else:
+            # the tail runs in plain t: the layer's weight would scale e^t by alpha
+            first = _layered("difference", (eps, a_bar, c, d, scale), 3.0 * a_bar + c, 1.0, tol)
+            second = _layered("unshifted", (eps, a_bar, _FOUR_PI), 1.5 * a_bar + 0.5 * _FOUR_PI,
+                              min(alpha, 1.0), tol)
+            if alpha > 1.0:
+                second += _integrate(partial(_kernel("unshifted", "plain"), eps, a_bar, _FOUR_PI),
+                                     1.0, alpha, tol).value
     except _NonFinite:
         value = math.inf
     else:
-        value = first.value - second.value
+        value = first - second
     if not math.isfinite(value):
         # an integrand value, a panel's sum or an integral overflowed
         raise ValueError("alpha = %r is too large: the gap integrals overflow with e^alpha"
@@ -263,15 +292,17 @@ def volume_gap_regularized(spec: GapSpec, tol: Tolerance | None = None) -> float
 def volume_gap_slope(spec: GapSpec, tol: Tolerance | None = None) -> SlopeBound:
     """Derivative of the regularized gap in alpha, versus its lower bound.
 
-    value = (e^alpha/4) (3 A + 4 pi e^-alpha) J - e^alpha eps^-1/2, where
-    J integrates e^(-t/2) against the kernel to the power -3/2; the bound
-    is (e^alpha/4) (A + (4 pi/3) e^-alpha)^-1/2.  ``satisfied`` honestly
-    reports value >= bound, which fails for large eps by design.  Raises
-    ValueError naming alpha where e^alpha, or the value, overflows.
+    value = (e^alpha/4) b J - e^alpha eps^-1/2 with b = 3 A + 4 pi e^-alpha,
+    where J integrates e^(-t/2) against the kernel to the power -3/2; the
+    bound is (e^alpha/4) (A + (4 pi/3) e^-alpha)^-1/2.  ``satisfied``
+    honestly reports value >= bound, which fails for large eps by design.
+    Raises ValueError naming alpha where e^alpha, or the value, overflows.
 
     In y = 1 - e^(-t/2), J = integral_0^1 2 K^(-3/2) dy with
-    K = eps + y (A (3 - 3y + y^2) + 4 pi e^-alpha (1 - y)^2), which
-    keeps its digits in the peak of width about eps/(3 A) at y = 0.
+    K = eps + y (A (3 - 3y + y^2) + 4 pi e^-alpha (1 - y)^2), which peaks
+    in a layer of width eps/b at y = 0.  Its tangent L = eps + b y gives
+    value = e^alpha (b J'/4 - (eps + b)^-1/2), J' = integral 2 (K^-3/2 -
+    L^-3/2) dy, with no e^alpha eps^-1/2 to cancel.
     """
     if not spec.epsilon > 0.0:
         raise ValueError("slope bound requires epsilon > 0; got %r" % (spec.epsilon,))
@@ -280,10 +311,10 @@ def volume_gap_slope(spec: GapSpec, tol: Tolerance | None = None) -> SlopeBound:
     alpha = spec.alpha
     eps = spec.epsilon
     shrink = math.exp(-alpha)
-    power = partial(_kernel("power", "plain"), eps, a_bar, _FOUR_PI * shrink)
-    j = _integrate(power, 0.0, 1.0, tol).value
+    c, b = _FOUR_PI * shrink, 3.0 * a_bar + _FOUR_PI * shrink
+    j = _layered("power", (eps, a_bar, c, b), b, 1.0, tol)
     grow = _grow(alpha)
-    value = 0.25 * grow * (3.0 * a_bar + _FOUR_PI * shrink) * j - grow / math.sqrt(eps)
+    value = grow * (0.25 * b * j - 1.0 / math.sqrt(eps + b))
     if not math.isfinite(value):
         raise ValueError(
             "alpha = %r is too large: the slope %r overflows with e^alpha" % (alpha, value)
@@ -301,20 +332,19 @@ def kernel_margin(eps: float, mu: float, tol: Tolerance | None = None) -> float:
     Positive margin means the inequality holds; it does for small eps/mu
     and fails near eps = mu.  Scales exactly like (eps, mu) -> lambda^-1/2.
 
-    In y = 1 - e^(-t/2) the left side is
-    6 mu integral_0^1 (eps + mu y (3 - 3y + y^2))^(-3/2) dy, since
-    1 - u^3 = y (3 - 3y + y^2) needs no subtraction.  Its peak of width
-    about eps/(3 mu) at y = 0 is resolved down to ratios of 1e-12 and
-    below, where the map u = e^(-t/2) could not place a node.
+    In y = 1 - e^(-t/2) the left side is 6 mu integral_0^1 K^(-3/2) dy,
+    K = eps + mu y (3 - 3y + y^2).  As in ``volume_gap_slope`` (A = mu,
+    b = 3 mu), the margin is 3 mu J' - 4 (eps + 3 mu)^-1/2 - mu^-1/2: it
+    keeps its digits to the limit 1.8043642106509085 mu^-1/2 as eps/mu
+    -> 0, and raises ValueError naming eps below eps/mu = 7e-308.
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite, got %r" % (eps,))
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError("mu must be positive and finite, got %r" % (mu,))
     tol = tol or Tolerance()
-    power = partial(_kernel("power", "plain"), eps, mu, 0.0)
-    lhs = 3.0 * mu * _integrate(power, 0.0, 1.0, tol).value
-    return lhs - 4.0 / math.sqrt(eps) - 1.0 / math.sqrt(mu)
+    j = _layered("power", (eps, mu, 0.0, 3.0 * mu), 3.0 * mu, 1.0, tol)
+    return 3.0 * mu * j - 4.0 / math.sqrt(eps + 3.0 * mu) - 1.0 / math.sqrt(mu)
 
 
 def kernel_threshold(mu: float, tol: Tolerance | None = None) -> float:

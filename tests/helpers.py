@@ -619,13 +619,105 @@ def gap_unshifted(eps, a, c):
     return unshifted
 
 
-def kernel_power(eps, a, c):
-    """2 K^(-3/2) in y as a closure, the integrand of the slope's J and of
-    the kernel margin."""
+def kernel_power(eps, a, c, lead):
+    """2 (K^-3/2 - L^-3/2) in y as a closure, with L = eps + lead y the
+    kernel's tangent at y = 0 and K = L (1 - x) for x = (L - K)/L written
+    without a subtraction: the integrand of the slope's and the kernel
+    margin's J'."""
     def integrand(y):
-        return 2.0 * gap_kernel(y, eps, a, c) ** -1.5
+        k = gap_kernel(y, eps, a, c)
+        x = y * (y / (eps + lead * y)) * (a * (3.0 - y) + c * (2.0 - y))
+        return -2.0 * math.expm1(1.5 * math.log1p(-x)) / k / math.sqrt(k)
 
     return integrand
+
+
+def layer_map(fn, width):
+    """``fn`` in u = log(1 + v/width), v = width (e^u - 1), with the weight
+    dv/du = width + v, as a closure."""
+    def mapped(u):
+        v = width * math.expm1(u)
+        return (width + v) * fn(v)
+
+    return mapped
+
+
+def _mp_kernel(y, eps, a, c):
+    """eps + a (1 - u^3) + c u^2 (1 - u) at u = 1 - y, in mpmath."""
+    u = 1 - y
+    return eps + a * (1 - u**3) + c * u * u * (1 - u)
+
+
+def _mp_layer_points(width, end=1):
+    """Breakpoints 0, width, 100 width, ... up to ``end`` for mpmath.quad."""
+    points = [0]
+    while points[-1] * 100 < end:
+        points.append(width if len(points) == 1 else points[-1] * 100)
+    return points + [end]
+
+
+def mp_gap_regularized(a, alpha, eps, dps=30):
+    """I_eps(alpha) at ``dps`` digits: the first gap integral in y with the
+    roots' difference as 2 e^alpha d/(sqrt(X) sqrt(Y) (sqrt(X) + sqrt(Y))),
+    the second in t over [0, alpha], each with breakpoints two decades
+    apart from its peak's width up."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, alpha, eps = mp.mpf(a), mp.mpf(alpha), mp.mpf(eps)
+        c = 4 * mp.pi * mp.exp(-alpha)
+        d = a * (1 - mp.exp(-1.5 * alpha)) + c * (1 - mp.exp(-alpha / 2))
+
+        def first(y):
+            x = _mp_kernel(y, eps, a, c)
+            sx, sy = mp.sqrt(x), mp.sqrt(x + (1 - y) ** 3 * d)
+            return 2 * mp.exp(alpha) * d / (sx * sy * (sx + sy))
+
+        def second(t):
+            return mp.exp(t) / mp.sqrt(_mp_kernel(-mp.expm1(-t / 2), eps, a, 4 * mp.pi))
+
+        # e^t peaks at the end t = alpha
+        head = _mp_layer_points(eps / (1.5 * a + 2 * mp.pi), min(alpha, 1))
+        tail = [t for t in (alpha - 10, alpha - 3, alpha - 1, alpha) if t > head[-1]]
+        return mp.quad(first, _mp_layer_points(eps / (3 * a + c))) - mp.quad(second, head + tail)
+
+
+def mp_kernel_power(eps, a, c, dps=30):
+    """J = integral_0^1 2 K^(-3/2) dy at ``dps`` digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        eps, a, c = mp.mpf(eps), mp.mpf(a), mp.mpf(c)
+        return mp.quad(lambda y: 2 * _mp_kernel(y, eps, a, c) ** mp.mpf(-1.5),
+                       _mp_layer_points(eps / (3 * a + c)))
+
+
+def _cancelled_digits(eps, a):
+    """The digits that the slope and the margin cancel when they subtract
+    their multiple of eps^-1/2, about log10 sqrt(a/eps): J is computed
+    with that many more."""
+    return max(0, int(-0.5 * math.log10(eps / a)) + 1)
+
+
+def mp_gap_slope(a, alpha, eps, dps=30):
+    """The slope (e^alpha/4) b J - e^alpha eps^-1/2, b = 3 a + 4 pi e^-alpha,
+    to ``dps`` digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps + _cancelled_digits(eps, a)):
+        a, alpha, eps = mp.mpf(a), mp.mpf(alpha), mp.mpf(eps)
+        c = 4 * mp.pi * mp.exp(-alpha)
+        j = mp_kernel_power(eps, a, c, mp.mp.dps)
+        return mp.exp(alpha) * ((3 * a + c) * j / 4 - 1 / mp.sqrt(eps))
+
+
+def mp_kernel_margin(eps, mu, dps=30):
+    """The kernel margin 3 mu J - 4 eps^-1/2 - mu^-1/2 to ``dps`` digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps + _cancelled_digits(eps, mu)):
+        eps, mu = mp.mpf(eps), mp.mpf(mu)
+        return 3 * mu * mp_kernel_power(eps, mu, 0, mp.mp.dps) - 4 / mp.sqrt(eps) - 1 / mp.sqrt(mu)
 
 
 def _decay_grid(p):

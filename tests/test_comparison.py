@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import sys
 import time
 from functools import partial
@@ -45,6 +46,10 @@ from helpers import (
     gap_difference,
     gap_unshifted,
     kernel_power,
+    layer_map,
+    mp_gap_regularized,
+    mp_gap_slope,
+    mp_kernel_margin,
     sympy_decay_rate,
 )
 
@@ -177,7 +182,7 @@ class TestVolumeGap:
         (10.0, 705.0, 0.0), (10.0, 708.0, 0.0), (10.0, 708.0, 1e-2), (10.0, 709.5, 0.0),
         (10.0, 709.5, 1e-2), (10.0, 709.78, 0.0), (1e6, 700.0, 0.0),
         # every value is finite, but a panel's sum overflows to inf
-        (4.64395517767651, 705.6868367127363, 0.0026637502515093284),
+        (0.020014459269235053, 708.0539675110019, 0.016287889239036887),
     ])
     def test_overflowing_integrals_name_alpha(self, area, alpha, eps):
         gap = volume_gap_regularized if eps else volume_gap
@@ -186,7 +191,25 @@ class TestVolumeGap:
 
     def test_values_below_the_overflow_stay(self):
         assert volume_gap(GapSpec(10.0, 700.0)) == 2.2485976733004578e+303
-        assert volume_gap_regularized(GapSpec(10.0, 705.0, 1e-2)) == 3.1328478904315667e+305
+        # each within the quadrature tolerance of 20 digits of helpers.mp_gap_regularized
+        for spec, want, oracle in [
+            (GapSpec(10.0, 705.0, 1e-2), 3.1328478904315667e+305, 3.132847890431593475e+305),
+            # raised while the second gap integral ran in plain t from t = 0
+            (GapSpec(4.64395517767651, 705.6868367127363, 0.0026637502515093284),
+             9.283089695304873e+305, 9.2830896953042939441e+305),
+        ]:
+            assert volume_gap_regularized(spec) == want
+            assert want == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+    # the largest alpha on the grid 700, 700.25, ..., 710 at which the gap
+    # was finite while its integrals ran in y and plain t
+    @pytest.mark.parametrize("area,eps,last", [
+        (10.0, 1e-2, 706.25), (4.64395517767651, 0.0026637502515093284, 705.5),
+        (1e3, 1.0, 702.0), (1e-3, 1e-6, 701.5), (FOUR_PI, 1e-4, 704.0),
+    ])
+    def test_no_finite_gap_starts_to_raise(self, area, eps, last):
+        for k in range(int((last - 700.0) / 0.25) + 1):
+            assert math.isfinite(volume_gap_regularized(GapSpec(area, 700.0 + 0.25 * k, eps)))
 
 
 class TestVolumeGapRegularized:
@@ -242,15 +265,36 @@ class TestVolumeGapSlope:
     @pytest.mark.parametrize(
         "spec",
         [
-            # e^alpha J and e^alpha eps^-1/2 both overflow: inf - inf
-            GapSpec(1e-6, 700.0, 1e-9),
-            GapSpec(1e6, 700.0, 1e3),
+            # the value overflows
+            GapSpec(1e-6, 705.0, 1e-9),
+            # e^alpha overflows
             GapSpec(FOUR_PI, 710.0, 1e-4),
         ],
     )
     def test_overflowing_alpha_names_alpha(self, spec):
         with pytest.raises(ValueError, match="alpha = %r" % spec.alpha):
             volume_gap_slope(spec)
+
+    @pytest.mark.parametrize("spec,want,oracle", [
+        # these raised while e^alpha J and e^alpha eps^-1/2 were computed
+        # and subtracted: inf - inf; the oracles are 20 digits of
+        # helpers.mp_gap_slope
+        (GapSpec(1e-6, 700.0, 1e-9), 6.675240225679865e+306, 6.6752402256798725921e+306),
+        (GapSpec(1e6, 700.0, 1e3), 6.675240225674557e+300, 6.6752402256798724649e+300),
+    ])
+    def test_values_below_the_overflow_stay(self, spec, want, oracle):
+        assert volume_gap_slope(spec).value == want
+        assert want == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+    def test_tiny_eps_names_eps(self):
+        # eps/(3A + c) is below the smallest normal float, 0.0 for 5e-324
+        for eps in (5e-324, 1e-310):
+            with pytest.raises(ValueError, match="eps = %r is too small" % eps):
+                volume_gap_slope(GapSpec(1.0, 1.0, eps))
+            with pytest.raises(ValueError, match="eps = %r is too small" % eps):
+                volume_gap_regularized(GapSpec(1.0, 1.0, eps))
+            with pytest.raises(ValueError, match="eps = %r is too small" % eps):
+                kernel_margin(eps, 10.0)
 
 
 class TestKernelMargin:
@@ -392,6 +436,57 @@ class TestKernelThreshold:
             assert calls == [1.0] * count
 
 
+def stratified(rng, lo, hi, n):
+    """n draws, one in each of n equal slices of [lo, hi), shuffled."""
+    values = [lo + (i + rng.random()) * (hi - lo) / n for i in range(n)]
+    rng.shuffle(values)
+    return values
+
+
+# a derandomized corpus (A, alpha, eps), one case in each sixth of log10 A
+# in [-3, 4], of alpha in [0.01, 30] and of log10(eps/A) in [-12, 0]
+_CORPUS = random.Random(27)
+ORACLE_CASES = [(a, alpha, 10.0**x * a) for a, alpha, x in zip(
+    [10.0**x for x in stratified(_CORPUS, -3.0, 4.0, 6)], stratified(_CORPUS, 0.01, 30.0, 6),
+    stratified(_CORPUS, -12.0, 0.0, 6))]
+
+# where u^2 = t in the second gap integral misses the layer at t = 0: the gap
+# came out 1.7e-9 off (relative) while the error estimate claimed 3.4e-11
+SQRT_TRAP = (1.3780598432029814, 10.544569408529814, 2.51789628624827e-08)
+
+# 6 int_0^1 y^-3/2 ((3 - 3y + y^2)^-3/2 - 3^-3/2) dy - 4/sqrt(3) - 1, the
+# kernel margin at mu = 1 as eps -> 0, to 20 digits of 40-digit mpmath
+MARGIN_LIMIT = 1.8043642106509085224
+
+
+class TestGapOracle:
+    """The regularized gap, its slope and the kernel margin against 30-digit
+    mpmath (tests/helpers.py): the gap within the quadrature tolerance of
+    its value, the slope and the margin within it of the largest term of
+    their formulas."""
+
+    @pytest.mark.parametrize("area,alpha,eps", ORACLE_CASES + [SQRT_TRAP])
+    def test_against_mpmath(self, area, alpha, eps):
+        spec = GapSpec(area, alpha, eps)
+        want = float(mp_gap_regularized(area, alpha, eps))
+        assert volume_gap_regularized(spec) == pytest.approx(want, rel=1e-10, abs=0.0)
+        want = float(mp_gap_slope(area, alpha, eps))
+        lead = 3.0 * area + FOUR_PI * math.exp(-alpha)
+        largest = abs(want) + math.exp(alpha) / math.sqrt(eps + lead)
+        assert volume_gap_slope(spec).value == pytest.approx(want, abs=1e-10 * largest)
+        want = float(mp_kernel_margin(eps, area))
+        largest = abs(want) + 4.0 / math.sqrt(eps + 3.0 * area) + 1.0 / math.sqrt(area)
+        assert kernel_margin(eps, area) == pytest.approx(want, abs=1e-10 * largest)
+
+    @pytest.mark.parametrize("ratio", [1e-12, 1e-16, 1e-20, 1e-40, 1e-100, 1e-200, 1e-300])
+    def test_margin_keeps_its_digits_as_the_ratio_vanishes(self, ratio):
+        # the margin is within 6 sqrt(ratio) of its limit, so the limit is
+        # the oracle from ratio 1e-40 on
+        want = float(mp_kernel_margin(ratio, 1.0)) if ratio >= 1e-20 else MARGIN_LIMIT
+        largest = abs(want) + 4.0 / math.sqrt(ratio + 3.0) + 1.0
+        assert kernel_margin(ratio, 1.0) == pytest.approx(want, abs=1e-10 * largest)
+
+
 def outcome(call):
     """("value", repr) of what call() returns, or the kind and text of what
     it raises; a kernel's refusal counts as the QuadratureError it is."""
@@ -422,18 +517,29 @@ class TestGapKernels:
         eps = ratio * area
         args = gap_arguments(area, alpha, eps)
         c = args[2]
-        cases = [
-            ("difference", args, gap_difference(*args), 1.0),
-            ("unshifted", (eps, area, FOUR_PI), gap_unshifted(eps, area, FOUR_PI), alpha),
-        ]
-        if eps > 0.0:
-            cases += [
-                ("power", (eps, area, c), kernel_power(eps, area, c), 1.0),
-                ("power", (eps, area, 0.0), kernel_power(eps, area, 0.0), 1.0),
+        # (integrand, substitution, kernel arguments, closure, range in the
+        # integrand's variable); the layer's width comes last in its arguments
+        if eps == 0.0:
+            cases = [
+                ("difference", "sqrt", args, gap_difference(*args), 1.0),
+                ("unshifted", "sqrt", (eps, area, FOUR_PI), gap_unshifted(eps, area, FOUR_PI),
+                 alpha),
+            ]
+        else:
+            lead, margin_lead = 3.0 * area + c, 3.0 * area
+            cases = [
+                ("difference", "layer", args + (eps / lead,), gap_difference(*args), 1.0),
+                # the second gap integral: the head [0, min(alpha, 1)] in the
+                # layer variable, the tail [1, alpha] in t
+                ("unshifted", "layer", (eps, area, FOUR_PI, eps / (1.5 * area + 2.0 * math.pi)),
+                 gap_unshifted(eps, area, FOUR_PI), min(alpha, 1.0)),
+                ("power", "layer", (eps, area, c, lead, eps / lead),
+                 kernel_power(eps, area, c, lead), 1.0),
+                ("power", "layer", (eps, area, 0.0, margin_lead, eps / margin_lead),
+                 kernel_power(eps, area, 0.0, margin_lead), 1.0),
             ]
         refused = False
-        for integrand, kernel_args, fn, end in cases:
-            substitution = "sqrt" if eps == 0.0 else "plain"
+        for integrand, substitution, kernel_args, fn, end in cases:
             kernel = renvol.comparison._kernel(integrand, substitution)
             if substitution == "sqrt":
                 top = math.sqrt(end)
@@ -442,25 +548,50 @@ class TestGapKernels:
                 def closure(u, fn=fn):
                     return 2.0 * u * fn(0.0 + u * u)
             else:
-                top = end
-                want = outcome(lambda: integrate(fn, 0.0, end))
-                closure = fn
+                width = kernel_args[-1]
+                top = math.log1p(end / width)
+                closure = layer_map(fn, width)
+                want = outcome(lambda: integrate(closure, 0.0, top))
             assert outcome(lambda: _integrate(partial(kernel, *kernel_args), 0.0, top)) == want
             for lo, hi in ((0.0, top), (0.0, cut * top), (cut * top, top)):
                 panel = outcome(lambda: kernel(*kernel_args, lo, hi))
                 assert panel == outcome(lambda: _panel(closure, lo, hi))
                 refused = refused or panel[0] != "value"
+            if integrand == "unshifted" and substitution == "layer" and alpha > 1.0:
+                kernel = renvol.comparison._kernel("unshifted", "plain")
+                assert (outcome(lambda: _integrate(partial(kernel, *kernel_args[:-1]), 1.0, alpha))
+                        == outcome(lambda: integrate(fn, 1.0, alpha)))
+                for lo, hi in ((1.0, alpha), (1.0, 1.0 + cut * (alpha - 1.0))):
+                    panel = outcome(lambda: kernel(*kernel_args[:-1], lo, hi))
+                    assert panel == outcome(lambda: _panel(fn, lo, hi))
+                    refused = refused or panel[0] != "value"
         if area == 1e6 and alpha == 700.0:
             assert refused
+        if eps > 0.0 and alpha > 0.0:
+            # the gap is the first integral less the head and the tail
+            got = outcome(lambda: volume_gap_regularized(GapSpec(area, alpha, eps)))
+            if got[0] == "value":
+                (_, _, first_args, first, _), (_, _, head_args, unshifted, head) = cases[:2]
 
-    def test_parent_reprs_at_the_benchmark_inputs(self):
+                def layered(fn, width, end):
+                    return integrate(layer_map(fn, width), 0.0, math.log1p(end / width)).value
+
+                second = layered(unshifted, head_args[-1], head)
+                if alpha > 1.0:
+                    second += integrate(unshifted, 1.0, alpha).value
+                assert got == ("value", repr(layered(first, first_args[-1], 1.0) - second))
+
+    @staticmethod
+    def benchmark_reprs():
+        """(case, the reprs of its gap-kernel calls) for each of the 30
+        benchmark input sets, the threshold searched afresh."""
         renvol.comparison._threshold.cache_clear()
         with open(GAP_REPRS) as fh:
             cases = json.load(fh)
         assert len(cases) == 30
         for case in cases:
             area, alpha = case["area"], case["alpha"]
-            got = {
+            yield case, {
                 "kernel_threshold": repr(kernel_threshold(area)),
                 "volume_gap": [repr(volume_gap(GapSpec(area, a)))
                                for a in case["grid"] + [alpha]],
@@ -470,8 +601,25 @@ class TestGapKernels:
                                      for e in case["eps"]],
                 "kernel_margin": [repr(kernel_margin(e, area)) for e in case["eps"]],
             }
+
+    def test_parent_reprs_at_the_benchmark_inputs(self):
+        for case, got in self.benchmark_reprs():
             for name, value in got.items():
-                assert value == case[name], (name, area, alpha)
+                assert value == case[name], (name, case["area"], case["alpha"])
+
+    def test_evaluations_at_the_benchmark_inputs_are_pinned(self, monkeypatch):
+        evaluations = []
+
+        def counted(*args, **kwargs):
+            result = _integrate(*args, **kwargs)
+            evaluations.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(renvol.comparison, "_integrate", counted)
+        for _ in self.benchmark_reprs():
+            pass
+        # 143,775 while the eps > 0 integrals ran in y and plain t
+        assert sum(evaluations) == 59_835
 
 
 class TestCompareVolumes:

@@ -312,8 +312,9 @@ for call in (
     # <expression>; the flow bound one more; a second call none.  The
     # first kernel_margin compiles and runs its kernel, the first
     # volume_gap and volume_gap_regularized their two each (the sqrt and
-    # the plain substitutions); the slope and the threshold reuse the
-    # margin's, and no second call compiles
+    # the layer substitutions; at alpha = 1 the second gap integral has no
+    # tail in plain t); the slope and the threshold reuse the margin's,
+    # and no second call compiles
     once = "<expression> <expression>"
     volume = " ".join(["<panel>"] * 6)
     one, two = "<panel> <panel>", " ".join(["<panel>"] * 4)
