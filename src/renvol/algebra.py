@@ -14,17 +14,22 @@ exactly:
   read off without a remainder (every denominator of a
   Laurent-polynomial profile is such a monomial);
 * the product of the odd-multiplicity factors (Yun's algorithm, after the
-  power of s is split off), so counting roots counts sign changes;
+  power of s is split off), so counting roots counts sign changes; that
+  of s^j (a + b s), the curvature numerator of 1 + s^2 - m/s + c/s^2 +
+  k/s^3, is read off without a gcd;
 * Sturm sequences of square-free parts by primitive pseudo-remainders,
   whose multipliers are kept positive so every remainder has the sign of
   the true one.  One remainder sequence per chain: the chain of p is
   built first, and when it ends in a nonzero constant p is square-free
   and the chain is the answer; only otherwise is p divided by gcd(p, p'),
-  the chain's last nonzero entry, and a second chain built;
+  the chain's last nonzero entry, and a second chain built.  The chain
+  of a monomial c s^k, k >= 2, is that of sgn(c) s and is read off;
 * sign variations at a point, which is a float, an exact dyadic pair
-  ``(num, den)`` or ``None`` for +infinity.  A polynomial of degree n is
-  evaluated there as den^n * p(num/den) by integer Horner steps, so the
-  sign is exact.  ``variations(seq, a) - variations(seq, b)`` is the
+  ``(num, den)`` with den a power of two, or ``None`` for +infinity.  A
+  polynomial of degree n is evaluated there as den^n * p(num/den) by
+  integer Horner steps, so the sign is exact; the powers of den are
+  shifts, and so are the alignments of two points' numerators in
+  midpoints and widths.  ``variations(seq, a) - variations(seq, b)`` is the
   number of distinct roots in (a, b] (Sturm's theorem in the form of
   Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, 2.50);
 * bisection of a bracket that holds one root by the sign of the
@@ -182,6 +187,8 @@ def odd_part(p):
     p = _primitive(p[j:])
     if len(p) <= 1:
         return out
+    if len(p) == 2:  # a linear r is square-free, and Yun's gcds return it
+        return out[:-1] + (p if p[-1] > 0 else _neg(p))
     dp = derivative(p)
     a = _gcd(p, dp)
     b, c = _exquo(p, a), _exquo(dp, a)
@@ -213,10 +220,14 @@ def sturm(p):
     The chain of p is built first.  It ends in a nonzero constant exactly
     when gcd(p, p') = 1, and is then the answer.  Otherwise it ends in
     zero, its last nonzero entry is gcd(p, p') up to sign, and the chain
-    is built again from p over that gcd.
+    is built again from p over that gcd.  For a monomial c s^k, k >= 2,
+    that gcd is s^(k-1), so the answer is read off: the chain of the sign
+    of c times s.
     """
     if len(p) <= 2:
         return _chain(p)
+    if not any(p[:-1]):
+        return [[0, 1], [1]] if p[-1] > 0 else [[0, -1], [-1]]
     seq = _chain(_primitive(p))
     if seq[-1]:
         return seq
@@ -229,19 +240,20 @@ def _point(x):
 
 
 def value(p, x):
-    """den^deg(p) * p(num/den) at the point x = num/den, an exact int."""
+    """den^deg(p) * p(num/den) at the point x = num/den, an exact int; den
+    must be a power of two, so the Horner steps multiply by it by shifts."""
     num, den = _point(x)
-    acc = 0
-    power = 1
+    step = den.bit_length() - 1
+    acc = shift = 0
     for c in reversed(p):
-        acc = acc * num + c * power
-        power *= den
+        acc = acc * num + (c << shift)
+        shift += step
     return acc
 
 
 def variations(seq, x):
     """Sign changes along ``seq`` at x; x is a float, a pair (num, den)
-    with den > 0, or None for +infinity.  Zeros are skipped."""
+    with den a power of two, or None for +infinity.  Zeros are skipped."""
     count = 0
     last = 0
     if x is not None:
@@ -255,11 +267,18 @@ def variations(seq, x):
     return count
 
 
+def _aligned(a, b):
+    """The numerators of the dyadic points a and b over the larger of their
+    denominators, and that denominator."""
+    (na, da), (nb, db) = a, b
+    shift = db.bit_length() - da.bit_length()
+    return (na << shift, nb, db) if shift > 0 else (na, nb << -shift, da)
+
+
 def midpoint(a, b):
     """Exact midpoint of two dyadic points (num, den), den a power of two."""
-    (na, da), (nb, db) = _point(a), _point(b)
-    d = max(da, db)
-    return na * (d // da) + nb * (d // db), 2 * d
+    na, nb, d = _aligned(a, b)
+    return na + nb, d << 1
 
 
 def root_bound(p):
@@ -300,10 +319,8 @@ def narrow(p, a, b, done):
 
 def _isolated(a, b):
     """b - a <= 2^-40 b for dyadic points 0 <= a < b."""
-    (na, da), (nb, db) = a, b
-    d = max(da, db)
-    width = nb * (d // db) - na * (d // da)
-    return width << 40 <= abs(nb * (d // db))
+    na, nb, _ = _aligned(a, b)
+    return (nb - na) << 40 <= abs(nb)
 
 
 def isolate(seq, lo, hi, count):

@@ -512,10 +512,7 @@ def _negative_interval(seq, lo, rising: bool):
 def _probe_points(a, b):
     """Dyadic points inside (a, b), most of them near its ends; b None is
     read as 2a."""
-    (na, da) = a
-    (nb, db) = (2 * na, da) if b is None else b
-    d = max(da, db)
-    na, nb = na * (d // da), nb * (d // db)
+    na, nb, d = algebra._aligned(a, (2 * a[0], a[1]) if b is None else b)
     one = 1 << 40
     for j in (1, 1 << 20, 1 << 30, 1 << 39, one - (1 << 30), one - (1 << 20), one - 1):
         yield na * (one - j) + nb * j, d * one
@@ -523,11 +520,11 @@ def _probe_points(a, b):
 
 def _curvature_gap(n, f_den, x):
     """(x, R(x) + 6) with R + 6 = 2 N/(s Q)^2 evaluated exactly at x and
-    rounded once."""
+    rounded once; the powers of den, a power of two, are shifts."""
     num, den = x
-    e = 2 + 2 * (len(f_den) - 1) - (len(n) - 1)
-    top = 2 * algebra.value(n, x) * den ** max(e, 0)
-    bottom = (num * algebra.value(f_den, x)) ** 2 * den ** max(-e, 0)
+    e = (2 + 2 * (len(f_den) - 1) - (len(n) - 1)) * (den.bit_length() - 1)
+    top = 2 * algebra.value(n, x) << max(e, 0)
+    bottom = (num * algebra.value(f_den, x)) ** 2 << max(-e, 0)
     try:
         return x, top / bottom
     except OverflowError:

@@ -182,13 +182,15 @@ class Expression(Record):
 
     def parameters(self) -> frozenset:
         """Names of free parameters (everything except ``s``)."""
-        names = frozenset()
+        return self._parameters
+
+    @cached_property
+    def _parameters(self) -> frozenset:
+        """``parameters()``, collected once per tree; cached like ``_has_call``."""
         d = self.__dict__
-        for name in self._fields:
-            value = d[name]
-            if isinstance(value, Expression):
-                names |= value.parameters()
-        return names
+        return frozenset().union(
+            *(d[name]._parameters for name in self._fields if isinstance(d[name], Expression))
+        )
 
     @cached_property
     def _compiled(self):
@@ -331,7 +333,8 @@ class Param(Expression):
     def _normal(self, atoms):
         return {((0, self.name, 1),): _ONE}
 
-    def parameters(self):
+    @cached_property
+    def _parameters(self):
         return frozenset((self.name,))
 
     def _text(self):

@@ -46,6 +46,8 @@ from __future__ import annotations
 import math
 from array import array
 from functools import cache, cached_property
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Mapping
 
 from . import algebra
@@ -83,12 +85,7 @@ def _scan_grid() -> array:
     """The horizon search grid: _SCAN_POINTS forward products s *= ratio
     from _SCAN_LO, built on the first horizon search of the process."""
     ratio = (_SCAN_HI / _SCAN_LO) ** (1.0 / (_SCAN_POINTS - 1))
-    grid = array("d")
-    s = _SCAN_LO
-    for _ in range(_SCAN_POINTS):
-        grid.append(s)
-        s *= ratio
-    return grid
+    return array("d", accumulate(repeat(ratio, _SCAN_POINTS - 1), mul, initial=_SCAN_LO))
 
 
 # the walk encloses f on a range of at least this many grid points and
@@ -242,13 +239,18 @@ class RadialProfile(Record):
 
         Below the outermost defined point the walk bisects the grid depth
         first, upper half first.  A range of at least ``_MIN_BLOCK`` points
-        is enclosed once by ``Expression.enclose``: where f is bounded
-        below by a positive number, or above by a negative one, every float
-        f there is defined and of one sign.  When the last value seen is
-        undefined or of that sign too, the range holds no root and no sign
-        change, and f is evaluated only at its lowest point, the neighbour
-        of the next one; otherwise the range is halved.  Shorter ranges go
-        point by point.  So the walk finds what a point-by-point walk finds.
+        passes, with the value at its lowest point, the neighbour of the
+        next one, where ``Expression.enclose`` bounds f below by a positive
+        number or above by a negative one, and the last value seen is
+        undefined or of that sign too: every float f there is defined and of
+        one sign, so it holds no root and no sign change.  Other ranges are
+        halved.  Below a defined value, f at the lowest point comes first,
+        and unless it is nonzero and of that value's sign the range is halved
+        unenclosed, as its enclosure would be refused.  So only ranges
+        without the root are enclosed, and f is evaluated at most once per
+        point; a NaN or DomainError seen ahead raises nothing until the walk
+        reaches its point.  Shorter ranges go point by point.  So the walk
+        finds what a point-by-point walk finds.
 
         For f = P/Q (``rational``) the walk passes over each root that
         exact signs of P and Q at its grid points show to be a pole or
@@ -257,9 +259,20 @@ class RadialProfile(Record):
         ``ads_schwarzschild`` profiles search nothing: they come with the
         closed-form root of ``ads_horizon_radius``.
         """
-        fn = self.value
+        f, params = self.f._compiled, self.params
         grid = _scan_grid()
-        enclose, params = self.f.enclose, self.params
+        enclose = self.f.enclose
+        seen = {}
+
+        def at(i):
+            # f at grid[i], evaluated once; None where it raises DomainError
+            if i not in seen:
+                try:
+                    seen[i] = f(grid[i], params)
+                except DomainError:
+                    seen[i] = None
+            return seen[i]
+
         outermost = True
         upper_s = upper_f = None
         # ranges of grid indices, the highest on top; the grid is built
@@ -274,26 +287,27 @@ class RadialProfile(Record):
                     ranges.append((lo, hi - 1))
                 lo = hi
             elif hi - lo >= _MIN_BLOCK - 1:
-                bounds = enclose(grid[lo], grid[hi], params)
-                if bounds is not None and (
-                    bounds[0] > 0.0 and (upper_f is None or upper_f > 0.0)
-                    or bounds[1] < 0.0 and (upper_f is None or upper_f < 0.0)
+                low = None if upper_f is None else at(lo)
+                bounds = None
+                if upper_f is None or low is not None and (
+                    low > 0.0 and upper_f > 0.0 or low < 0.0 and upper_f < 0.0
                 ):
-                    # f > 0 or f < 0 on all of grid[lo..hi], like the last
-                    # value seen: no zero and no sign change
+                    bounds = enclose(grid[lo], grid[hi], params)
+                if bounds is not None and (bounds[0] > 0.0 or bounds[1] < 0.0):
+                    # f > 0 or f < 0 on all of grid[lo..hi], the sign of f at
+                    # lo and so of a defined last value: no zero, no sign change
                     upper_s = grid[lo]
-                    upper_f = fn(upper_s)
+                    upper_f = at(lo)
                 else:
                     mid = (lo + hi + 1) // 2
                     ranges += [(lo, mid - 1), (mid, hi)]
                 continue
             for i in range(hi, lo - 1, -1):
-                s = grid[i]
-                try:
-                    fs = fn(s)
-                except DomainError:
+                fs = at(i)
+                if fs is None:
                     upper_f = None
                     continue
+                s = grid[i]
                 if math.isnan(fs):
                     raise DomainError(
                         "profile %r: f is NaN at s=%r on the horizon search grid"
@@ -311,7 +325,7 @@ class RadialProfile(Record):
                     and (fs > 0.0) != (upper_f > 0.0)
                     and _is_root(self.rational, grid, i, i + 1)
                 ):
-                    return _refine(fn, s, upper_s, fs, upper_f)
+                    return _refine(lambda x: f(x, params), s, upper_s, fs, upper_f)
                 if fs == 0.0 and _is_root(self.rational, grid, i, i):
                     return Horizon(s, _FOUR_PI * s * s)
                 upper_s = s
@@ -379,9 +393,11 @@ def ads_schwarzschild(m: float, delta: float = DEFAULT_DELTA) -> RadialProfile:
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError("mass must be positive and finite, got %r" % (m,))
     p = RadialProfile(_ADS, {"m": m}, delta, "ads m=%g" % m)
-    # the closed-form root, stored where the cached property keeps it
+    # the cached horizon and P/Q in closed form: f = (d s^3 + d s - n)/(d s) for m = n/d
     radius = ads_horizon_radius(m)
-    p.__dict__["horizon"] = Horizon(radius, _FOUR_PI * radius * radius)
+    n, d = float(m).as_integer_ratio()
+    p.__dict__.update(horizon=Horizon(radius, _FOUR_PI * radius * radius),
+                      rational=([-n, d, 0, d], [0, d]))
     return p
 
 

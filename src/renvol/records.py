@@ -43,8 +43,11 @@ class Record:
         cls.__match_args__ = cls._fields
 
     def __init__(self, *args, **kwargs):
-        # the error texts follow those Python gives for an explicit signature
         fields = self._fields
+        if len(args) == len(fields) and not kwargs:
+            self.__dict__.update(zip(fields, args))
+            return
+        # the error texts follow those Python gives for an explicit signature
         if len(args) > len(fields):
             raise TypeError(
                 "%s.__init__() takes %d positional arguments but %d were given"

@@ -3,11 +3,13 @@
 Everything here is deliberately dumb: plain bisection, composite
 Simpson, central differences, one closed-form antiderivative, recursive
 expression walks in float, interval and Fraction arithmetic, a forward
-horizon scan and the counted horizon search it backs, the Kronrod panel
-as a loop over its table, the volume integrands as chains of the
-profile's public methods, the gap and kernel integrands as closures, and
-sympy limits for decay rates.  The point is that none of it shares code
-(or failure modes) with the library's adaptive machinery.
+horizon scan and the counted horizon search it backs, the horizon walk
+that encloses every range, the integer routines of ``algebra`` in their
+multiply-and-divide forms, the Kronrod panel as a loop over its table,
+the volume integrands as chains of the profile's public methods, the gap
+and kernel integrands as closures, and sympy limits for decay rates.
+The point is that none of it shares code (or failure modes) with the
+library's adaptive machinery.
 """
 
 import math
@@ -899,3 +901,116 @@ def mp_horizon(q, guess, dps=50):
 
     with mp.workdps(dps):
         return mp.findroot(lambda s: 1 + s * s - q(s), mp.mpf(guess))
+
+
+def yun_odd_part(p):
+    """``algebra.odd_part`` with Yun's gcds run on every cofactor of the
+    power of s, linear ones included: the reference for its shortcut."""
+    from renvol import algebra
+
+    j = next((i for i, c in enumerate(p) if c), 0)
+    out = [0] * (j % 2) + [1]
+    p = algebra._primitive(p[j:])
+    if len(p) <= 1:
+        return out
+    dp = algebra.derivative(p)
+    a = algebra._gcd(p, dp)
+    b, c = algebra._exquo(p, a), algebra._exquo(dp, a)
+    odd = True
+    while len(b) > 1:
+        d = algebra.sub(c, algebra.derivative(b))
+        a = algebra._gcd(b, d)
+        if odd:
+            out = algebra.mul(out, a)
+        b, c = algebra._exquo(b, a), algebra._exquo(d, a)
+        odd = not odd
+    return algebra._primitive(out)
+
+
+def divided_value(p, x):
+    """den^deg(p) * p(num/den) with the powers of den multiplied out: the
+    reference for the shifts of ``algebra.value``."""
+    num, den = x.as_integer_ratio() if isinstance(x, float) else x
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def divided_midpoint(a, b):
+    """``algebra.midpoint`` with the numerators aligned by floor division."""
+    (na, da), (nb, db) = a, b
+    d = max(da, db)
+    return na * (d // da) + nb * (d // db), 2 * d
+
+
+def divided_isolated(a, b):
+    """``algebra._isolated`` with the numerators aligned by floor division."""
+    (na, da), (nb, db) = a, b
+    d = max(da, db)
+    width = nb * (d // db) - na * (d // da)
+    return width << 40 <= abs(nb * (d // db))
+
+
+def enclosing_walk(p, enclosures):
+    """The horizon walk that encloses every range of at least
+    ``_MIN_BLOCK`` points below the outer edge, as ``RadialProfile.horizon``
+    did before it looked at f first.  Returns or raises what that walk
+    did, and appends ``(lo, hi, passed)`` for each enclosure to
+    ``enclosures``: the reference for which enclosures may be skipped."""
+    from renvol.metric import _MIN_BLOCK, _is_root, _refine, _scan_grid
+
+    fn, grid = p.value, _scan_grid()
+    outermost = True
+    upper_s = upper_f = None
+    ranges = [(0, len(grid) - 1)]
+    while ranges:
+        lo, hi = ranges.pop()
+        if outermost:
+            if lo < hi:
+                ranges.append((lo, hi - 1))
+            lo = hi
+        elif hi - lo >= _MIN_BLOCK - 1:
+            bounds = p.f.enclose(grid[lo], grid[hi], p.params)
+            passed = bounds is not None and (
+                bounds[0] > 0.0 and (upper_f is None or upper_f > 0.0)
+                or bounds[1] < 0.0 and (upper_f is None or upper_f < 0.0)
+            )
+            enclosures.append((grid[lo], grid[hi], passed))
+            if passed:
+                upper_s = grid[lo]
+                upper_f = fn(upper_s)
+            else:
+                mid = (lo + hi + 1) // 2
+                ranges += [(lo, mid - 1), (mid, hi)]
+            continue
+        for i in range(hi, lo - 1, -1):
+            s = grid[i]
+            try:
+                fs = fn(s)
+            except DomainError:
+                upper_f = None
+                continue
+            if math.isnan(fs):
+                raise DomainError(
+                    "profile %r: f is NaN at s=%r on the horizon search grid" % (p.label, s)
+                )
+            if outermost:
+                if fs < 0.0:
+                    raise DecayError(
+                        "profile %r is negative at the outer scan edge; no "
+                        "enclosing region exists" % p.label
+                    )
+                outermost = False
+            elif (
+                upper_f is not None
+                and (fs > 0.0) != (upper_f > 0.0)
+                and _is_root(p.rational, grid, i, i + 1)
+            ):
+                return _refine(fn, s, upper_s, fs, upper_f)
+            if fs == 0.0 and _is_root(p.rational, grid, i, i):
+                return Horizon(s, 4.0 * math.pi * s * s)
+            upper_s = s
+            upper_f = fs
+    return None

@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 import test_expressions
 from helpers import (
     counted_isolate,
+    divided_isolated,
+    divided_midpoint,
+    divided_value,
     exact_walk,
     random_tree,
     two_pass_sturm,
     walk_rational_form,
+    yun_odd_part,
 )
 from renvol import algebra
 from renvol.comparison import _check_curvature
@@ -132,6 +136,64 @@ def test_monomial_gcd_matches_sympy(k, c, other, first):
         want = [-x for x in want]
     args = (monomial, other) if first else (other, monomial)
     assert algebra._gcd(*args) == want
+
+
+def test_monomial_sturm_is_the_generic_chain():
+    # c s^k for k >= 2 is read off as the chain of sgn(c) s; the generic
+    # build keeps the sign of c, which a chain of s alone would drop
+    assert algebra.sturm([0, 0, 0, -7]) == two_pass_sturm([0, 0, 0, -7]) == [[0, -1], [-1]]
+    signs = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 12), st.integers(-(2**80), 2**80).filter(bool))
+    def check(k, c):
+        p = [0] * k + [c]
+        assert algebra.sturm(p) == two_pass_sturm(p)
+        signs.add(c > 0)
+
+    check()
+    assert signs == {True, False}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 7),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**70), 2**70).filter(bool),
+    st.sampled_from([-6, -1, 1, 4]),
+)
+def test_odd_part_of_a_power_of_s_times_a_linear_factor_is_yuns(j, a, b, scale):
+    p = algebra.mul([0] * j + [scale], [a, b])
+    assert algebra.odd_part(p) == yun_odd_part(p)
+
+
+# dyadic points (num, 2^k) with 0 <= num, and floats, where the integer
+# routines align numerators and multiply by powers of den
+_dyadic = st.tuples(st.integers(0, 2**90), st.integers(0, 200).map(lambda k: 1 << k))
+_point = st.one_of(_dyadic, st.floats(0.0, 1e300))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-(2**70), 2**70), max_size=9), _point, _point)
+def test_shifts_match_the_divided_forms(p, a, b):
+    p = algebra._trim(p)
+    assert algebra.value(p, a) == divided_value(p, a)
+    a, b = algebra._point(a), algebra._point(b)
+    assert algebra.midpoint(a, b) == divided_midpoint(a, b)
+    a, b = sorted((a, b), key=lambda x: Fraction(*x))
+    if Fraction(*a) < Fraction(*b):
+        assert algebra._isolated(a, b) == divided_isolated(a, b)
+
+
+def test_isolation_width_at_the_bound():
+    # b - a = 2^-40 b is isolated and one unit more is not, at unlike dens
+    b = (1 << 100, 1 << 60)
+    for den in (1 << 60, 1 << 61, 1 << 200):
+        shift = den.bit_length() - 61
+        a = ((b[0] - (b[0] >> 40)) << shift, den)
+        assert algebra._isolated(a, b) and divided_isolated(a, b)
+        a = (a[0] - 1, den)
+        assert not algebra._isolated(a, b) and not divided_isolated(a, b)
 
 
 def _bit_length_size(p):

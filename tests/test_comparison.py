@@ -823,8 +823,9 @@ class TestCompareVolumes:
     def test_prem_calls_per_golden_comparison(self, monkeypatch):
         # a deterministic work pin: the pseudo-remainders of one comparison
         # of the compare_custom_rational golden profile (40 with two-pass
-        # Sturm chains, no monomial gcd and no power of s split off); the
-        # horizon search builds no chain
+        # Sturm chains, no monomial gcd and no power of s split off; 2
+        # while the chain of the pole polynomial s^3 was built, not read
+        # off as that of s); the horizon search builds no chain
         calls = []
         original = renvol.algebra._prem
 
@@ -837,7 +838,31 @@ class TestCompareVolumes:
             "1 + s^2 - m/s + c/s^2 + k/s^3", {"m": 5.0, "c": 0.3, "k": 0.1}
         )
         assert compare_volumes(p, 2.0).verdict == "holds"
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_reports_match_the_golden_reprs(self):
+        # 40 rational profiles: rn-ads, the compare-rational custom family,
+        # the model and other Laurent and pole shapes, with holds,
+        # equality, curvature, area, horizon and asymptotics failures and
+        # poles.  Their reports, horizons, P/Q, Sturm chains of P and Q and
+        # model P/Q, recorded before the exact routines took shortcuts
+        with open(os.path.join(os.path.dirname(__file__), "golden",
+                               "compare_rational_reports.json")) as fh:
+            cases = json.load(fh)
+        assert len(cases) == 40
+        for case in cases:
+            params = case["params"]
+            if case["family"] == "rn_ads":
+                p = rn_ads(params["m"], params["c"])
+            elif case["family"] == "ads":
+                p = ads_schwarzschild(params["m"])
+            else:
+                p = custom_profile(case["text"], params)
+            assert repr(compare_volumes(p, case["mass"])) == case["report"]
+            assert repr(p.horizon) == case["horizon"]
+            assert list(p.rational) == case["rational"]
+            assert [renvol.algebra.sturm(x) for x in p.rational] == case["chains"]
+            assert list(ads_schwarzschild(case["mass"]).rational) == case["model_rational"]
 
     def test_asymptotics_fit_runs_once_per_profile(self, monkeypatch):
         fitted = []

@@ -36,6 +36,7 @@ from renvol.metric import (
 from helpers import (
     bisect60,
     counted_horizon,
+    enclosing_walk,
     fd_derivative,
     forward_scan_horizon,
     random_tree,
@@ -48,12 +49,16 @@ FOUR_PI = 4.0 * math.pi
 
 
 def _record_values(monkeypatch):
-    """Wrap ``RadialProfile.value``; the returned list collects each s it is called at."""
+    """Wrap the compiled f of every tree, which ``RadialProfile.value`` and
+    the horizon walk call; the returned list collects each s it is called at."""
     seen = []
-    original = RadialProfile.value
-    monkeypatch.setattr(
-        RadialProfile, "value", lambda self, s: seen.append(s) or original(self, s)
-    )
+    compiled = Expression.__dict__["_compiled"]
+
+    def counted(self):
+        fn = compiled.__get__(self, Expression)
+        return lambda s, params: seen.append(s) or fn(s, params)
+
+    monkeypatch.setattr(Expression, "_compiled", property(counted))
     return seen
 
 
@@ -126,6 +131,28 @@ class TestHorizon:
         assert ads_schwarzschild(1e-12).horizon.radius == pytest.approx(1e-12, rel=1e-15)
         big = ads_schwarzschild(1e10).horizon.radius
         assert big**3 + big == pytest.approx(1e10, rel=1e-15)
+
+    def test_scan_grid_is_the_loop_built_grid(self):
+        ratio = (renvol.metric._SCAN_HI / renvol.metric._SCAN_LO) ** (
+            1.0 / (renvol.metric._SCAN_POINTS - 1)
+        )
+        want, s = [], renvol.metric._SCAN_LO
+        for _ in range(renvol.metric._SCAN_POINTS):
+            want.append(s)
+            s *= ratio
+        assert _scan_grid().tolist() == want
+
+    def test_model_rational_form_is_closed_form(self):
+        # the model stores f = (d s^3 + d s - n)/(d s) for m = n/d, the
+        # form rational_form reduces to, from the subnormals to 1e300 and
+        # at the compare-rational benchmark's masses
+        masses = [5e-324, *(10.0**k for k in range(-300, 301))]
+        rng = random.Random(7)
+        masses += [rng.uniform(1.0, 8.0) for _ in range(20)] + [2.0, 3.0, 1.5]
+        for m in masses:
+            assert ads_schwarzschild(m).rational == algebra.rational_form(
+                renvol.metric._ADS, {"m": m}
+            ), m
 
     def test_model_horizon_runs_no_scan(self, monkeypatch):
         calls = _record_values(monkeypatch)
@@ -392,13 +419,25 @@ class TestHorizonWalk:
             got, want = both("1 + s^2 - m/s + c/(s - 5)", {"m": 2.0, "c": c})
             assert got == want and float(got[0]) == pytest.approx(5.0, rel=0.01)
 
-    def test_call_budget_stops_at_the_outermost_root(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "profile, work",
+        [
+            (lambda: rn_ads(4.0, 0.5), (24, 8)),
+            # the compare_custom_rational golden profile
+            (lambda: custom_profile("1 + s^2 - m/s + c/s^2 + k/s^3",
+                                    {"m": 5.0, "c": 0.3, "k": 0.1}), (23, 7)),
+        ],
+    )
+    def test_work_pins_down_to_the_outermost_root(self, monkeypatch, profile, work):
         # the forward scan took 10,007 calls; the walk bisects the grid
-        # below its outer edge down to the cell near s = 1.32
+        # below its outer edge down to the cell near s = 1.32 (1.48).  f at
+        # a range's lowest point comes before its enclosure, and the 9
+        # ranges that hold the root are split without one: the walk that
+        # enclosed them took 17 values and 17 enclosures (15 and 16)
         calls = _record_values(monkeypatch)
         enclosures = _record_enclosures(monkeypatch)
-        rn_ads(4.0, 0.5).horizon
-        assert len(calls) <= 17 and len(enclosures) <= 17
+        profile().horizon
+        assert (len(calls), len(enclosures)) == work
 
     def test_call_budget_without_a_root(self, monkeypatch):
         # one enclosure certifies the 9,999 points below the outer edge,
@@ -413,20 +452,22 @@ class TestHorizonWalk:
         calls = _record_values(monkeypatch)
         enclosures = _record_enclosures(monkeypatch)
         assert custom_profile("1 + s^2 - m*exp(-s)/s", {"m": 5.0}).horizon is not None
-        assert len(calls) <= 17 and len(enclosures) <= 18
+        assert len(calls) <= 23 and len(enclosures) <= 6
 
     def test_call_budget_below_an_undefined_gap(self, monkeypatch):
         # f = s - 2 < 0 on the 6,666 grid points below the gap (1, 3), where
         # ranges bounded above by a negative number are certified; the
         # point walk took 7,209 calls, and about 530 of the 550 left fall on
-        # the gap itself, where f raises
+        # the gap itself, where f raises.  Where the last value is defined,
+        # f at a range's lowest point skips 12 of the 243 enclosures
         calls = _record_values(monkeypatch)
         enclosures = _record_enclosures(monkeypatch)
         assert custom_profile("s - 2 + 0*sqrt((s - 1)*(s - 3))").horizon is None
-        assert len(calls) <= 550 and len(enclosures) <= 243
+        assert len(calls) <= 550 and len(enclosures) <= 231
 
     def test_work_on_benchmark_like_profiles(self, monkeypatch):
-        # about 32 f calls and 18 enclosures per horizon, and every event
+        # about 39 f calls and 7 enclosures per horizon (32 and 18 when the
+        # ranges that hold the root were enclosed), and every event
         # accepted here is a sign change of P, so no Sturm chain is built
         calls = _record_values(monkeypatch)
         enclosures = _record_enclosures(monkeypatch)
@@ -436,19 +477,20 @@ class TestHorizonWalk:
         for p in _benchmark_like_profiles():
             assert p.rational is not None
             assert p.horizon is not None, p.label
-        assert len(calls) <= 1293 and len(enclosures) <= 702
+        assert len(calls) <= 1568 and len(enclosures) <= 282
         assert chains == []
 
     def test_work_on_the_float_families(self, monkeypatch):
         # ten profiles across the benchmark range of each transcendental
-        # family: about 20 calls and 15 enclosures per horizon with a root
-        # (the block schedule took 26 and 23), and 2 and 1 without one
+        # family: about 33 calls and 8 enclosures per horizon with a root
+        # (26 and 23 by the block schedule, 26 and 19 when the ranges that
+        # hold the root were enclosed), and 2 and 1 without one
         calls = _record_values(monkeypatch)
         enclosures = _record_enclosures(monkeypatch)
         for text, name, (a, b), work in [
-            ("1 + s^2 - m*exp(-s)/s", "m", (2.0, 8.0), (248, 177)),
-            ("1 + s^2 - m*exp(-s^2)/s", "m", (2.0, 8.0), (271, 174)),
-            ("1 + s^2 - m/s^3*exp(-1/s)", "m", (2.0, 5.0), (275, 222)),
+            ("1 + s^2 - m*exp(-s)/s", "m", (2.0, 8.0), (307, 57)),
+            ("1 + s^2 - m*exp(-s^2)/s", "m", (2.0, 8.0), (335, 54)),
+            ("1 + s^2 - m/s^3*exp(-1/s)", "m", (2.0, 5.0), (337, 132)),
             ("1 + s^2 + c*exp(-s)", "c", (0.1, 1.0), (20, 10)),
         ]:
             calls.clear()
@@ -456,6 +498,32 @@ class TestHorizonWalk:
             for k in range(10):
                 custom_profile(text, {name: a + (b - a) * k / 9}).horizon
             assert len(calls) <= work[0] and len(enclosures) <= work[1], text
+
+    @pytest.mark.parametrize("text, params", _walk_cases())
+    def test_skips_only_enclosures_that_would_be_refused(self, monkeypatch, text, params):
+        # the walk that enclosed every range: the same outcome, bit for bit,
+        # and every enclosure skipped is one it refused
+        p = custom_profile(text, params)
+        full = []
+        want = _outcome(lambda: enclosing_walk(p, full))
+        enclosures = _record_enclosures(monkeypatch)
+        assert _outcome(lambda: custom_profile(text, params).horizon) == want
+        kept = iter(enclosures)
+        pending = next(kept, None)
+        for lo, hi, passed in full:
+            if (lo, hi) == pending:
+                pending = next(kept, None)
+            else:
+                assert not passed, (lo, hi)
+        assert pending is None  # the enclosures kept are the full walk's, in order
+
+    def test_nan_ahead_of_the_walk_raises_nothing(self):
+        # f is NaN below s = 7.45e-5, where 1e300/s^2 overflows; the lowest
+        # point of the first range is among them, and the root at 2 is
+        # found before the walk reaches any of them
+        p = custom_profile("s - 2 + 0*(1e300/s^2)")
+        assert math.isnan(p.value(_scan_grid()[0]))
+        assert p.horizon.radius == 2.0
 
     def test_nan_at_the_grid_top_names_the_point(self):
         with pytest.raises(DomainError, match=r"f is NaN at s=1000\.0"):
