@@ -8,6 +8,10 @@ starts with a `# argv:` comment echoing the full flag set, and
 `renvol replay --from-csv FILE` re-runs that embedded command and
 byte-compares the result for regression diffing.
 
+A run builds only the parser of the subcommand it names, from the table
+``_SUBCOMMANDS``; the full parser, from the same table, reports top-level
+help and usage errors.
+
 Exit codes: 0 all checks passed, 1 a verified inequality or hypothesis
 violation (an honest negative result, not a crash), 2 usage error,
 3 numerical failure (quadrature budget, decay too slow, I/O).
@@ -18,7 +22,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import shlex
 import sys
 
 from .comparison import (
@@ -165,6 +168,8 @@ def _write_rows(args: argparse.Namespace, argv: list[str], header: str, rows) ->
     lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
     body = "\n".join(lines) + "\n"
     if args.out:
+        import shlex  # only a run that writes a file pays for the import
+
         comment = _ARGV_PREFIX + shlex.join(_strip_out(argv)) + "\n"
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(comment + body)
@@ -340,8 +345,10 @@ def _cmd_replay(args: argparse.Namespace, argv: list[str]) -> int:
             "%s has no leading %r comment; only files written via --out replay"
             % (args.from_csv, _ARGV_PREFIX.strip())
         )
+    import shlex  # only this subcommand pays for the imports
+    import tempfile
+
     embedded = shlex.split(first_line[len(_ARGV_PREFIX):])
-    import tempfile  # only this subcommand pays for the import
 
     fd, tmp_path = tempfile.mkstemp(prefix="renvol-replay-", suffix=".csv")
     os.close(fd)
@@ -368,117 +375,113 @@ def _cmd_replay(args: argparse.Namespace, argv: list[str]) -> int:
             pass
 
 
-def _add_profile_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=("hyperbolic", "ads", "rn-ads", "custom"),
-                     default="ads", help="profile family (default: ads)")
-    sub.add_argument("--m", type=float, default=None, help="mass parameter")
-    sub.add_argument("--c", type=float, default=None,
-                     help="charge-squared parameter for rn-ads")
-    sub.add_argument("--profile", default=None, metavar="EXPR",
-                     help="profile expression for --family custom")
-    sub.add_argument("--profile-file", default=None, metavar="PATH",
-                     help="file of 'name = expression' lines for --family custom")
-    sub.add_argument("--name", default=None,
-                     help="profile to pick from --profile-file")
-    sub.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
-                     help="bind a parameter of a custom expression (repeatable)")
-    sub.add_argument("--delta", type=float, default=None,
-                     help="decay exponent in (0, 1/4), default 0.2")
+def _arg(*flags: str, **kwargs) -> tuple:
+    """One ``add_argument`` call, kept as data."""
+    return flags, kwargs
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rel-tol", type=float, default=1e-10,
-                     help="relative quadrature tolerance (default 1e-10)")
-    sub.add_argument("--abs-tol", type=float, default=1e-14,
-                     help="absolute quadrature tolerance (default 1e-14)")
-    sub.add_argument("--out", default=None, metavar="PATH",
-                     help="write CSV here (with a replayable # argv: comment) "
-                          "instead of standard output")
+_PROFILE_FLAGS = (
+    _arg("--family", choices=("hyperbolic", "ads", "rn-ads", "custom"),
+         default="ads", help="profile family (default: ads)"),
+    _arg("--m", type=float, default=None, help="mass parameter"),
+    _arg("--c", type=float, default=None, help="charge-squared parameter for rn-ads"),
+    _arg("--profile", default=None, metavar="EXPR",
+         help="profile expression for --family custom"),
+    _arg("--profile-file", default=None, metavar="PATH",
+         help="file of 'name = expression' lines for --family custom"),
+    _arg("--name", default=None, help="profile to pick from --profile-file"),
+    _arg("--param", action="append", default=[], metavar="NAME=VALUE",
+         help="bind a parameter of a custom expression (repeatable)"),
+    _arg("--delta", type=float, default=None, help="decay exponent in (0, 1/4), default 0.2"),
+)
+
+_OUTPUT_FLAGS = (
+    _arg("--rel-tol", type=float, default=1e-10,
+         help="relative quadrature tolerance (default 1e-10)"),
+    _arg("--abs-tol", type=float, default=1e-14,
+         help="absolute quadrature tolerance (default 1e-14)"),
+    _arg("--out", default=None, metavar="PATH",
+         help="write CSV here (with a replayable # argv: comment) instead of standard output"),
+)
+_PROFILE_OUTPUT_FLAGS = _PROFILE_FLAGS + _OUTPUT_FLAGS
+
+# name -> (help, arguments in help order, handler); the order is the listing's
+_SUBCOMMANDS = {
+    "volume": ("renormalized volume of a profile", _PROFILE_OUTPUT_FLAGS + (
+        _arg("--r-max", type=float, default=None,
+             help="truncation radius (default max(%g, 10 s_h))" % DEFAULT_TRUNCATION_RADIUS),
+    ), _cmd_volume),
+    "hawking": ("pointwise geometry: f, H, R, quasi-local mass", _PROFILE_OUTPUT_FLAGS + (
+        _arg("--s", type=float, action="append", default=[], help="sample radius (repeatable)"),
+        _arg("--grid", default=None, metavar="SPEC",
+             help="radius grid start:stop:count or log:start:stop:count"),
+    ), _cmd_hawking),
+    "bounds": ("flow and area lower bounds vs the true volume", _PROFILE_OUTPUT_FLAGS + (
+        _arg("--tau", type=float, required=True, help="flow duration"),
+    ), _cmd_bounds),
+    "iso-check": ("coordinate-sphere volume identity on the model family", _OUTPUT_FLAGS + (
+        _arg("--m", type=float, required=True, help="model mass"),
+        _arg("--s-top", type=float, default=None, help="outer radius"),
+        _arg("--tau", type=float, default=None, help="flow duration, alternative to --s-top"),
+    ), _cmd_iso_check),
+    "ialpha": ("volume-gap function of the area log-ratio", _OUTPUT_FLAGS + (
+        _arg("--a-bar", type=float, default=4.0 * math.pi,
+             help="model boundary area (default 4*pi)"),
+        _arg("--alpha", type=float, action="append", default=[],
+             help="area log-ratio (repeatable)"),
+        _arg("--grid", default=None, metavar="SPEC",
+             help="alpha grid start:stop:count or log:start:stop:count"),
+        _arg("--eps", type=float, default=0.0,
+             help="regularization, 0 for the sharp gap (default 0)"),
+    ), _cmd_ialpha),
+    "lemma-aux": ("kernel inequality margin and threshold ratio", _OUTPUT_FLAGS + (
+        _arg("--eps", type=float, default=None, help="regularization offset"),
+        _arg("--mu", type=float, default=None, help="kernel coefficient"),
+        _arg("--threshold", action="store_true",
+             help="solve for the crossover ratio eps/mu instead"),
+    ), _cmd_lemma_aux),
+    "compare": ("hypothesis-checked volume comparison against a model profile",
+                _PROFILE_OUTPUT_FLAGS + (
+        _arg("--model-m", type=float, required=True, help="mass of the reference model"),
+    ), _cmd_compare),
+    "sweep": ("model volume over a mass grid", _OUTPUT_FLAGS + (
+        _arg("--grid", required=True, metavar="SPEC",
+             help="mass grid start:stop:count or log:start:stop:count"),
+    ), _cmd_sweep),
+    "verify": ("run the full acceptance suite", (), _cmd_verify),
+    "replay": ("re-run the command embedded in a CSV and byte-compare the output", (
+        _arg("--from-csv", required=True, metavar="PATH", help="CSV produced earlier via --out"),
+    ), _cmd_replay),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, arguments, handler = _SUBCOMMANDS[name]
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone, the one the full
+    parser adds under that name.  Without a known subcommand, or with
+    arguments left over, the full parser parses again: argparse reports
+    those from the top level (``renvol: error: ...``)."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = _add_arguments(argparse.ArgumentParser(prog="renvol " + argv[0]), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
     parser = argparse.ArgumentParser(
         prog="renvol",
         description="Renormalized-volume comparison toolkit for radially "
                     "symmetric asymptotically hyperbolic metrics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    volume = sub.add_parser("volume", help="renormalized volume of a profile")
-    _add_profile_flags(volume)
-    _add_output_flags(volume)
-    volume.add_argument("--r-max", type=float, default=None,
-                        help="truncation radius (default max(%g, 10 s_h))"
-                        % DEFAULT_TRUNCATION_RADIUS)
-    volume.set_defaults(handler=_cmd_volume)
-
-    hawking = sub.add_parser("hawking", help="pointwise geometry: f, H, R, quasi-local mass")
-    _add_profile_flags(hawking)
-    _add_output_flags(hawking)
-    hawking.add_argument("--s", type=float, action="append", default=[],
-                         help="sample radius (repeatable)")
-    hawking.add_argument("--grid", default=None, metavar="SPEC",
-                         help="radius grid start:stop:count or log:start:stop:count")
-    hawking.set_defaults(handler=_cmd_hawking)
-
-    bounds = sub.add_parser("bounds", help="flow and area lower bounds vs the true volume")
-    _add_profile_flags(bounds)
-    _add_output_flags(bounds)
-    bounds.add_argument("--tau", type=float, required=True, help="flow duration")
-    bounds.set_defaults(handler=_cmd_bounds)
-
-    iso = sub.add_parser("iso-check", help="coordinate-sphere volume identity on the model family")
-    _add_output_flags(iso)
-    iso.add_argument("--m", type=float, required=True, help="model mass")
-    iso.add_argument("--s-top", type=float, default=None, help="outer radius")
-    iso.add_argument("--tau", type=float, default=None,
-                     help="flow duration, alternative to --s-top")
-    iso.set_defaults(handler=_cmd_iso_check)
-
-    ialpha = sub.add_parser("ialpha", help="volume-gap function of the area log-ratio")
-    _add_output_flags(ialpha)
-    ialpha.add_argument("--a-bar", type=float, default=4.0 * math.pi,
-                        help="model boundary area (default 4*pi)")
-    ialpha.add_argument("--alpha", type=float, action="append", default=[],
-                        help="area log-ratio (repeatable)")
-    ialpha.add_argument("--grid", default=None, metavar="SPEC",
-                        help="alpha grid start:stop:count or log:start:stop:count")
-    ialpha.add_argument("--eps", type=float, default=0.0,
-                        help="regularization, 0 for the sharp gap (default 0)")
-    ialpha.set_defaults(handler=_cmd_ialpha)
-
-    lemma = sub.add_parser("lemma-aux", help="kernel inequality margin and threshold ratio")
-    _add_output_flags(lemma)
-    lemma.add_argument("--eps", type=float, default=None, help="regularization offset")
-    lemma.add_argument("--mu", type=float, default=None, help="kernel coefficient")
-    lemma.add_argument("--threshold", action="store_true",
-                       help="solve for the crossover ratio eps/mu instead")
-    lemma.set_defaults(handler=_cmd_lemma_aux)
-
-    compare = sub.add_parser("compare", help="hypothesis-checked volume comparison "
-                                             "against a model profile")
-    _add_profile_flags(compare)
-    _add_output_flags(compare)
-    compare.add_argument("--model-m", type=float, required=True,
-                         help="mass of the reference model")
-    compare.set_defaults(handler=_cmd_compare)
-
-    sweep = sub.add_parser("sweep", help="model volume over a mass grid")
-    _add_output_flags(sweep)
-    sweep.add_argument("--grid", required=True, metavar="SPEC",
-                       help="mass grid start:stop:count or log:start:stop:count")
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    verify = sub.add_parser("verify", help="run the full acceptance suite")
-    verify.set_defaults(handler=_cmd_verify)
-
-    replay = sub.add_parser("replay", help="re-run the command embedded in a CSV "
-                                           "and byte-compare the output")
-    replay.add_argument("--from-csv", required=True, metavar="PATH",
-                        help="CSV produced earlier via --out")
-    replay.set_defaults(handler=_cmd_replay)
-
-    return parser
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
+    return parser.parse_args(argv)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -486,9 +489,8 @@ def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -330,7 +330,9 @@ def kernel_margin(eps: float, mu: float, tol: Tolerance | None = None) -> float:
             >= 4 eps^-1/2 + mu^-1/2.
 
     Positive margin means the inequality holds; it does for small eps/mu
-    and fails near eps = mu.  Scales exactly like (eps, mu) -> lambda^-1/2.
+    and fails near eps = mu.  Scales exactly like (eps, mu) -> lambda^-1/2,
+    so it is computed as the margin at (eps/mu, 1) over sqrt(mu): the
+    integrand at mu itself overflows where mu is tiny (1e-300).
 
     In y = 1 - e^(-t/2) the left side is 6 mu integral_0^1 K^(-3/2) dy,
     K = eps + mu y (3 - 3y + y^2).  As in ``volume_gap_slope`` (A = mu,
@@ -343,8 +345,13 @@ def kernel_margin(eps: float, mu: float, tol: Tolerance | None = None) -> float:
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError("mu must be positive and finite, got %r" % (mu,))
     tol = tol or Tolerance()
-    j = _layered("power", (eps, mu, 0.0, 3.0 * mu), 3.0 * mu, 1.0, tol)
-    return 3.0 * mu * j - 4.0 / math.sqrt(eps + 3.0 * mu) - 1.0 / math.sqrt(mu)
+    ratio = eps / mu
+    try:
+        j = _layered("power", (ratio, 1.0, 0.0, 3.0), 3.0, 1.0, tol)
+    except ValueError:
+        raise ValueError("eps = %r is too small: the layer width eps/%r is not a normal float"
+                         % (eps, 3.0 * mu)) from None
+    return (3.0 * j - 4.0 / math.sqrt(ratio + 3.0) - 1.0) / math.sqrt(mu)
 
 
 def kernel_threshold(mu: float, tol: Tolerance | None = None) -> float:

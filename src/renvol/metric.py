@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Mapping
@@ -454,6 +454,13 @@ def ads_horizon_radius(m: float) -> float:
     return x
 
 
+@lru_cache(maxsize=64)
+def _asymptotics_grid(s_lo: float) -> tuple[float, ...]:
+    """The 41 points of the asymptotics check, four decades from s_lo.
+    s_lo is 1e2 for every horizon below 10, so that grid is built once."""
+    return tuple(geomspace(s_lo, 1e4 * s_lo, 41))
+
+
 def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     """Check that the metric deviation |q|/f decays like s^-(2 + 4*delta).
 
@@ -483,7 +490,7 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     if horizon is not None:
         s_lo = max(s_lo, 10.0 * horizon.radius)
     f, params = p.f._compiled, p.params
-    for s in geomspace(s_lo, 1e4 * s_lo, 41):
+    for s in _asymptotics_grid(s_lo):
         fs = f(s, params)
         if not (0.0 < fs < math.inf):
             raise DomainError(

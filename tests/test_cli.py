@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: CSV output, exit codes, replay."""
 
+import argparse
+import json
 import math
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 
 import pytest
 
+import renvol.cli
 from renvol.cli import run
 
 FOUR_PI = 4.0 * math.pi
@@ -17,6 +20,10 @@ GOLDEN_DIR = os.path.join(TESTS_DIR, "golden")
 GOLDEN = sorted(
     os.path.join(GOLDEN_DIR, name) for name in os.listdir(GOLDEN_DIR) if name.endswith(".csv")
 )
+# exit code, stdout and stderr of run() on help and usage-error argvs, recorded
+# with COLUMNS=80 from the CLI that built every subcommand's parser on each run
+with open(os.path.join(GOLDEN_DIR, "cli_messages.json"), encoding="utf-8") as _fh:
+    MESSAGES = json.load(_fh)
 
 
 def rows_of(output):
@@ -314,6 +321,36 @@ class TestUsage:
         assert run(["--help"]) == 0
         assert "subcommand" in capsys.readouterr().out or True
 
+    @pytest.mark.parametrize("case", MESSAGES, ids=lambda case: " ".join(case["argv"]) or "(none)")
+    def test_messages_match_the_golden(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        code = run(case["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+    def test_messages_cover_every_subcommand(self):
+        argvs = [case["argv"] for case in MESSAGES]
+        for argv in (["-h"], [], ["frobnicate"]):
+            assert argv in argvs
+        for name in renvol.cli._SUBCOMMANDS:
+            assert [name, "-h"] in argvs, name
+
+    def test_a_run_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(["volume", "--family", "ads", "--m", "2"]) == 0
+        assert built == ["renvol volume"]
+        del built[:]
+        assert run(["volume", "--m", "2", "extra"]) == 2
+        # the leftover is reported by the full parser: itself and ten subparsers
+        assert built[:2] == ["renvol volume", "renvol"] and len(built) == 12
+
 
 def test_verify_runs_every_criterion(capsys):
     assert run(["verify"]) == 0
@@ -324,7 +361,7 @@ def test_verify_runs_every_criterion(capsys):
 
 def test_import_loads_only_what_every_subcommand_needs():
     # tempfile and typing are left out: site loads them before renvol
-    unwanted = ["numpy", "dataclasses", "inspect", "renvol.acceptance"]
+    unwanted = ["numpy", "dataclasses", "inspect", "shlex", "renvol.acceptance"]
     code = (
         "import sys, renvol, renvol.cli; "
         "print(' '.join(m for m in %r if m in sys.modules))" % (unwanted,)

@@ -325,6 +325,11 @@ class TestKernelMargin:
         with pytest.raises(ValueError):
             kernel_margin(1e-4, -1.0)
 
+    @pytest.mark.parametrize("eps,mu", [(1e-310, 1e-300), (1e-200, 1e-190)])
+    def test_tiny_mu_against_oracle(self, eps, mu):
+        # at mu = 1e-300 the kernel itself overflows; the margin at eps/mu does not
+        assert kernel_margin(eps, mu) == pytest.approx(float(mp_kernel_margin(eps, mu)), rel=1e-10)
+
     def test_small_ratio_against_substitution_oracle(self):
         lhs, want = substitution_margin(1e-12, 1.0)
         # the error rel=1e-10 permits on an LHS of about 4e6

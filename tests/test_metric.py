@@ -22,6 +22,7 @@ import renvol.volume
 from renvol import algebra
 from renvol.errors import DecayError, DomainError, EvaluationError
 from renvol.expressions import Expression, Mul, Num, Sub, parse
+from renvol.quadrature import geomspace
 from renvol.metric import (
     RadialProfile,
     _scan_grid,
@@ -938,6 +939,9 @@ class TestAsymptotics:
         validate_asymptotics(p)
         assert len(seen) == 41
         assert seen[0] == s_lo and seen[-1] == 1e4 * s_lo
+        # a second check reads the remembered grid: the same floats
+        validate_asymptotics(p)
+        assert seen == 2 * geomspace(s_lo, 1e4 * s_lo, 41)
 
     def test_negative_profile_on_grid(self):
         with pytest.raises(DomainError):
