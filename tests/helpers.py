@@ -493,8 +493,7 @@ def forward_scan_horizon(p):
 
 def loop_panel(fn, a, b):
     """The Kronrod/Gauss pair on [a, b] as a loop over the abscissa table:
-    the reference for the straight-line ``quadrature._panel`` and for the
-    compiled panel kernels."""
+    the reference for the compiled panel kernels."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     sum_k = 0.0

@@ -20,7 +20,7 @@ from renvol.metric import (
     rn_ads,
     validate_asymptotics,
 )
-from renvol.quadrature import _XGK, Integral, Tolerance, _panel
+from renvol.quadrature import _XGK, Integral, Tolerance
 from renvol.volume import (
     _kernel,
     _reference_ball,
@@ -41,6 +41,7 @@ from helpers import (
     chain_validate_asymptotics,
     exact_validate_asymptotics,
     hyperbolic_ball_volume,
+    loop_panel,
     random_tree,
 )
 
@@ -399,10 +400,18 @@ def _sqrt_sub(fn, origin):
     return lambda u: 2.0 * u * fn(origin + u * u)
 
 
+def _log1p_sub(fn):
+    # u = log(1 + s), ds = (1 + s) du
+    def weighted(u):
+        s = math.expm1(u)
+        return (1.0 + s) * fn(s)
+    return weighted
+
+
 def _kernel_checks(p):
     """(kernel, origin, reference, panels) for each compiled panel kernel of
     p: the reference is the matching ``helpers.chain_*`` integrand under
-    the kernel's substitution, to run under ``quadrature._panel``.  A
+    the kernel's substitution, to run under ``helpers.loop_panel``.  A
     degenerate panel [x, x] puts all 15 nodes on x, which reaches every
     point of the sets below; the others spread the nodes."""
     points = list(_scan_grid()[::50])
@@ -424,6 +433,9 @@ def _kernel_checks(p):
     # the core integral's s = origin + u^2, next to the horizon
     in_sqrt = [(u, u) for u in _kronrod_nodes(0.0, 1.0)]
     in_sqrt += [(0.0, 1.0), (0.0, 1e-3), (1.0, 40.0), (0.0, 5e-324)]
+    # the horizon-free core and the shell [r, 10r] in u = log(1 + s)
+    in_log1p = [(math.log1p(s), math.log1p(s)) for s in points]
+    in_log1p += [(0.0, math.log1p(1e3)), (math.log1p(1e3), math.log1p(1e4))]
     d = lru_cache(maxsize=None)(chain_difference_integrand(p))
     shell = lru_cache(maxsize=None)(chain_shell_integrand(p))
     checks = [
@@ -432,6 +444,7 @@ def _kernel_checks(p):
         (_kernel(p.f, "difference", "inverse"), None, lambda u: d(1.0 / u) / (u * u), in_inverse),
         (_kernel(p.f, "difference", "sqrt"), origin, _sqrt_sub(d, origin), in_sqrt),
         (_kernel(p.f, "shell", "sqrt"), origin, _sqrt_sub(shell, origin), in_sqrt),
+        (_kernel(p.f, "difference", "log1p"), None, _log1p_sub(d), in_log1p),
     ]
     if hz is not None:
         # flow times t = u^2: t = 0, the nodes to t = 3, the t of each
@@ -448,7 +461,7 @@ def _kernel_checks(p):
 
 
 class TestFusedIntegrands:
-    """The compiled panel kernels against ``quadrature._panel`` over the
+    """The compiled panel kernels against ``helpers.loop_panel`` over the
     chains of public methods they replace (``helpers``): the same
     ``(value, err)`` bit for bit, or the same error with the same message,
     the node it names included."""
@@ -459,7 +472,7 @@ class TestFusedIntegrands:
         for kernel, origin, reference, panels in _kernel_checks(p):
             for a, b in panels:
                 got = _outcome(kernel, p.params, origin, a, b)
-                assert got == _outcome(_panel, reference, a, b), (text, a, b)
+                assert got == _outcome(loop_panel, reference, a, b), (text, a, b)
         # a rational f has its decay rate read exactly from P/Q
         reference = chain_validate_asymptotics if p.rational is None else exact_validate_asymptotics
         assert _outcome(validate_asymptotics, p) == _outcome(reference, p), text
