@@ -48,9 +48,9 @@ from typing import Sequence
 
 from . import algebra
 from .errors import DecayError, DomainError, QuadratureError
-from .expressions import _define, _Overflow, _Unbounded
+from .expressions import _Overflow, _Unbounded
 from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
-from .quadrature import Tolerance, _integrate, _panel_source
+from .quadrature import Tolerance, _integrate, _panel_kernel
 from .records import Record
 from .volume import renormalized_volume
 
@@ -166,7 +166,7 @@ def area_log_ratio(area: float, model_area: float) -> float:
 
 
 # The gap, slope and margin integrands, each run as a compiled panel kernel
-# (quadrature._panel_source) with the operations of the integrand evaluated
+# (quadrature._panel_kernel) with the operations of the integrand evaluated
 # node by node, bit for bit.  _K is the kernel at y in the summed form of
 # the module docstring.
 _K = "k = eps + y * (area * (3.0 - y * (3.0 - y)) + c * (1.0 - y) ** 2)"
@@ -189,26 +189,21 @@ _INTEGRANDS = {
 
 
 class _NonFinite(QuadratureError):
-    """A kernel's refusal of a non-finite integrand value, in _panel's words.
-    In a gap integral it is an overflow: the roots and divisors are
-    positive at every node, and the values carry e^alpha or e^t."""
+    """A kernel's refusal of a non-finite integrand value.  In a gap
+    integral it is an overflow: the roots and divisors are positive at
+    every node, and the values carry e^alpha or e^t."""
 
 
 @lru_cache(maxsize=None)
 def _kernel(integrand: str, substitution: str):
     """The panel kernel ``kernel(*args, a, b) -> (value, err)`` of
     ``integrand``, with the ``args`` that ``_INTEGRANDS`` names, compiled
-    on first use.  "plain" integrates in the integrand's variable v, "sqrt"
-    in u = sqrt(v), as integrate_sqrt_endpoint does from 0.0 (where
-    0.0 + u * u is u * u), "layer" in u = log(1 + v/width), with ``width``
-    after ``args``: v = width (e^u - 1), dv = (width + v) du."""
+    on first use: "plain", "sqrt" or "layer" of quadrature._SUBSTITUTIONS,
+    with ``width`` after ``args`` for "layer"."""
     args, v, body, value = _INTEGRANDS[integrand]
-    mapped, weighted = {"plain": ("u", "w"), "sqrt": ("u * u", "2.0 * u * w"),
-                        "layer": ("width * _expm1(u)", "(width + %s) * w" % v)}[substitution]
     args += ", width" if substitution == "layer" else ""
-    lines = ["%s = %s" % (v, mapped)] + body + ["w = " + value]
-    constants = {"QuadratureError": _NonFinite, "_expm1": math.expm1, "_log1p": math.log1p}
-    return _define(_panel_source(args, [], lines, weighted), constants, "<panel>")
+    return _panel_kernel(args, substitution, body + ["w = " + value], v,
+                         constants={"QuadratureError": _NonFinite})
 
 
 def _layered(integrand: str, args: tuple, b: float, end: float, tol: Tolerance) -> float:

@@ -885,16 +885,8 @@ def _compile(expr, mode, jet=False):
             results.append("second")
     body = "".join("    %s\n" % line for line in lines)
     source = "def compiled(%s, params):\n%s    return %s\n" % (args, body, ", ".join(results))
-    compiled = _define(source, code.constants, "<expression>")
-    return compiled
-
-
-def _define(source, constants, filename):
-    """The function ``compiled`` that ``source`` defines, run with
-    ``_GLOBALS`` and ``constants`` as its globals; ``filename`` labels its
-    code objects."""
-    namespace = dict(_GLOBALS, **constants)
-    exec(compile(source, filename, "exec"), namespace)
+    namespace = dict(_GLOBALS, **code.constants)
+    exec(compile(source, "<expression>", "exec"), namespace)
     # popped so that the function and its globals form no reference cycle
     return namespace.pop("compiled")
 

@@ -8,11 +8,13 @@ pure function of the integrand values, so identical inputs produce
 bitwise-identical results.
 
 One adaptive loop, ``_integrate``, runs every integral.  It takes the
-rule as a panel function, ``panel(a, b) -> (value, err)``: ``integrate``
-passes ``_panel`` over its integrand, and the volume, gap, slope and
-kernel-margin integrals pass kernels compiled from ``_panel_source``,
-which evaluate a whole panel of their integrand in one call with
-``_panel``'s nodes, checks and sums, so both give the same bits.
+rule as a panel function, ``panel(a, b) -> (value, err)``, compiled by
+``_panel_kernel``: a loop over the 15 nodes of a panel with the
+integrand's operations written inline, in the node variable u of one
+substitution from one table (``_SUBSTITUTIONS``).  The volume, flow,
+area, gap, slope and kernel-margin integrals each have a kernel of
+their own; ``integrate`` and ``integrate_sqrt_endpoint`` run a callable
+through a kernel that calls it at each node.
 
 Endpoint square-root singularities are handled by the substitution
 u^2 = |t - endpoint| and half-infinite domains by u = exp(-lambda*(t-a)),
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from .errors import QuadratureError
@@ -91,6 +93,11 @@ class Tolerance(Record):
             raise ValueError("rel tolerance must be >= 1e-14, got %r" % (rel,))
         if not (abs > 0.0):
             raise ValueError("abs tolerance must be positive, got %r" % (abs,))
+        # an infinite target would accept the first panel's estimate
+        if rel == math.inf:
+            raise ValueError("rel tolerance must be finite, got %r" % (rel,))
+        if abs == math.inf:
+            raise ValueError("abs tolerance must be finite, got %r" % (abs,))
         d = self.__dict__
         d["rel"] = rel
         d["abs"] = abs
@@ -107,119 +114,86 @@ class Integral(Record):
     evaluations: int
 
 
-_isfinite = math.isfinite
-
-
-def _panel(fn, a, b):
-    """Apply the Kronrod/Gauss pair on [a, b]; return (value, err).
-
-    Straight-line code: the seven pairs of abscissae, lo before hi, each
-    pair checked before the next is evaluated, then the center.  Both sums
-    run from 0.0 in that order, the Gauss sum over the odd pairs.
-    """
-    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
-    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
-    g0, g1, g2, g3 = _WG
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    dx = half * x0
-    lo, hi = center - dx, center + dx
-    f0, h0 = fn(lo), fn(hi)
-    if not (_isfinite(f0) and _isfinite(h0)):
-        _refuse(lo, hi, f0)
-    dx = half * x1
-    lo, hi = center - dx, center + dx
-    f1, h1 = fn(lo), fn(hi)
-    if not (_isfinite(f1) and _isfinite(h1)):
-        _refuse(lo, hi, f1)
-    dx = half * x2
-    lo, hi = center - dx, center + dx
-    f2, h2 = fn(lo), fn(hi)
-    if not (_isfinite(f2) and _isfinite(h2)):
-        _refuse(lo, hi, f2)
-    dx = half * x3
-    lo, hi = center - dx, center + dx
-    f3, h3 = fn(lo), fn(hi)
-    if not (_isfinite(f3) and _isfinite(h3)):
-        _refuse(lo, hi, f3)
-    dx = half * x4
-    lo, hi = center - dx, center + dx
-    f4, h4 = fn(lo), fn(hi)
-    if not (_isfinite(f4) and _isfinite(h4)):
-        _refuse(lo, hi, f4)
-    dx = half * x5
-    lo, hi = center - dx, center + dx
-    f5, h5 = fn(lo), fn(hi)
-    if not (_isfinite(f5) and _isfinite(h5)):
-        _refuse(lo, hi, f5)
-    dx = half * x6
-    lo, hi = center - dx, center + dx
-    f6, h6 = fn(lo), fn(hi)
-    if not (_isfinite(f6) and _isfinite(h6)):
-        _refuse(lo, hi, f6)
-    fc = fn(center)
-    if not _isfinite(fc):
-        _refuse(center, center, fc)
-    p1, p3, p5 = f1 + h1, f3 + h3, f5 + h5
-    sum_k = (0.0 + k0 * (f0 + h0) + k1 * p1 + k2 * (f2 + h2) + k3 * p3
-             + k4 * (f4 + h4) + k5 * p5 + k6 * (f6 + h6) + k7 * fc)
-    sum_g = 0.0 + g0 * p1 + g1 * p3 + g2 * p5 + g3 * fc
-    return half * sum_k, abs(half * (sum_k - sum_g))
-
-
-def _refuse(lo, hi, flo):
-    # the lo point is named when both values are non-finite
-    bad = lo if not _isfinite(flo) else hi
-    raise QuadratureError("non-finite integrand value at %r" % bad)
-
-
 # the 15 abscissae of a panel as multiples of its half-width from the
-# center, in _panel's order: the seven pairs, lo first, then the center,
-# as -0.0 since center + half*-0.0 is center bit for bit, -0.0 included
+# center: the seven pairs, lo first, then the center, as -0.0 since
+# center + half*-0.0 is center bit for bit, -0.0 included
 _NODES = tuple(x for i in range(7) for x in (-_XGK[i], _XGK[i])) + (-0.0,)
 
+# substitution -> (the integrand's variable v at the node u, the integrand's
+# value w there times dv/du); {v} stands for the variable's name
+_SUBSTITUTIONS = {
+    "plain": ("u", "w"),
+    # an inverse-sqrt endpoint at v = 0
+    "sqrt": ("u * u", "2.0 * u * w"),
+    # a remainder integral over (r, infinity)
+    "inverse": ("1.0 / u", "w / (u * u)"),
+    # u = log(1 + v/width), for a peak in a layer of that width at v = 0
+    "layer": ("width * _expm1(u)", "(width + {v}) * w"),
+}
 
-def _panel_source(args, setup, body, value):
-    """Source of ``def compiled(args, a, b)``, a panel function for
-    ``_integrate``: ``_panel`` of the integrand that ``body`` computes.
+_KERNEL_GLOBALS = {
+    "QuadratureError": QuadratureError,
+    "_INF": math.inf,
+    "_exp": math.exp,
+    "_expm1": math.expm1,
+    "_log1p": math.log1p,
+    "_sqrt": math.sqrt,
+}
 
-    ``setup`` lines run once per panel; ``body`` lines run at each node,
-    in one loop, with the node in ``u``, and ``value`` is then the
-    integrand's value there.  Nodes and checks follow ``_panel``:
-    a pair is checked after its hi node, the lo point named first, and the
-    sums run in ``_panel``'s order over the shared tables.  The source
-    names ``QuadratureError`` and ``_INF`` (math.inf), which the caller
-    binds in the globals it execs the source with.
-    """
-    pairs = ["(v%d + v%d)" % (2 * i, 2 * i + 1) for i in range(7)] + ["v14"]
+
+def _panel_kernel(args, substitution, body, var="v", setup=(), constants=None):
+    """The panel function ``kernel(args, a, b) -> (value, err)`` of an
+    integrand in ``var``, run in the node variable u of ``substitution``,
+    compiled.  ``setup`` lines run once per panel; at each node, ``var``
+    is set from u and the ``body`` lines leave the integrand's value in
+    ``w``.  The nodes run as the seven pairs, lo first, then the center.
+    A non-finite value raises ``QuadratureError`` naming its node once
+    the pair's hi node has run: the lo node where both are non-finite.
+    Both sums run from 0.0 in the order of the tables.  ``constants`` add
+    to ``_KERNEL_GLOBALS`` or replace them.  The panel's own locals start
+    with an underscore; the body's names must not."""
+    mapped, weighted = _SUBSTITUTIONS[substitution]
+    pairs = ["(_v%d + _v%d)" % (2 * i, 2 * i + 1) for i in range(7)] + ["_v14"]
     sum_k = " + ".join("%r * %s" % (w, p) for w, p in zip(_WGK, pairs))
     sum_g = " + ".join("%r * %s" % (w, p) for w, p in zip(_WG, pairs[1::2]))
     lines = ["def compiled(%s, a, b):" % args]
     lines += ["    " + line for line in setup]
     lines += [
-        "    center = 0.5 * (a + b)",
-        "    half = 0.5 * (b - a)",
-        "    values = []",
-        "    bad = None",
-        "    for x in %r:" % (_NODES,),
-        "        u = center + half * x",
+        "    _center = 0.5 * (a + b)",
+        "    _half = 0.5 * (b - a)",
+        "    _values = []",
+        "    _bad = None",
+        "    for _x in %r:" % (_NODES,),
+        "        u = _center + _half * _x",
+        "        %s = %s" % (var, mapped),
     ]
     lines += ["        " + line for line in body]
     lines += [
-        "        v = %s" % value,
-        "        if bad is not None:",
-        "            raise QuadratureError('non-finite integrand value at %r' % bad)",
-        "        if not -_INF < v < _INF:",
-        "            if x >= 0.0:",
+        "        _w = %s" % weighted.format(v=var),
+        "        if _bad is not None:",
+        "            raise QuadratureError('non-finite integrand value at %r' % _bad)",
+        "        if not -_INF < _w < _INF:",
+        "            if _x >= 0.0:",
         "                raise QuadratureError('non-finite integrand value at %r' % u)",
-        "            bad = u",
-        "        values.append(v)",
-        "    %s = values" % ", ".join("v%d" % i for i in range(15)),
-        "    sum_k = 0.0 + %s" % sum_k,
-        "    sum_g = 0.0 + %s" % sum_g,
-        "    return half * sum_k, abs(half * (sum_k - sum_g))",
+        "            _bad = u",
+        "        _values.append(_w)",
+        "    %s = _values" % ", ".join("_v%d" % i for i in range(15)),
+        "    _sum_k = 0.0 + %s" % sum_k,
+        "    _sum_g = 0.0 + %s" % sum_g,
+        "    return _half * _sum_k, abs(_half * (_sum_k - _sum_g))",
     ]
-    return "".join(line + "\n" for line in lines)
+    namespace = dict(_KERNEL_GLOBALS, **(constants or {}))
+    exec(compile("".join(line + "\n" for line in lines), "<panel>", "exec"), namespace)
+    # popped so that the function and its globals form no reference cycle
+    return namespace.pop("compiled")
+
+
+@lru_cache(maxsize=None)
+def _callable_kernel(substitution, point):
+    """The panel kernel ``kernel(fn, origin, a, b)`` of a callable fn,
+    called at ``point``, an expression in v and ``origin``, with v the
+    variable of ``substitution``; compiled on first use."""
+    return _panel_kernel("fn, origin", substitution, ["w = fn(%s)" % point])
 
 
 def integrate(
@@ -236,12 +210,12 @@ def integrate(
     is exhausted before the tolerance is met or the integrand returns a
     non-finite value.
     """
-    return _integrate(partial(_panel, fn), a, b, tol, max_evals)
+    return _integrate(partial(_callable_kernel("plain", "v"), fn, None), a, b, tol, max_evals)
 
 
 def _integrate(panel, a, b, tol=None, max_evals=DEFAULT_MAX_EVALS) -> Integral:
-    """``integrate`` with the rule given as ``panel(a, b) -> (value, err)``:
-    ``_panel`` over an integrand, or a compiled kernel (``_panel_source``)."""
+    """``integrate`` with the rule given as ``panel(a, b) -> (value, err)``,
+    a kernel compiled by ``_panel_kernel``."""
     if tol is None:
         tol = Tolerance()
     _check_bounds(a, b)
@@ -317,16 +291,10 @@ def integrate_sqrt_endpoint(
     """
     if singular_end not in ("lower", "upper"):
         raise ValueError("singular_end must be 'lower' or 'upper', got %r" % singular_end)
-    width = _sqrt_range(a, b)
-    if a == b:
-        return Integral(0.0, 0.0, 0)
-    if singular_end == "lower":
-        def transformed(u):
-            return 2.0 * u * fn(a + u * u)
-    else:
-        def transformed(u):
-            return 2.0 * u * fn(b - u * u)
-    return integrate(transformed, 0.0, width, tol, max_evals)
+    lower = singular_end == "lower"
+    kernel = _callable_kernel("sqrt", "origin + v" if lower else "origin - v")
+    return _integrate(partial(kernel, fn, a if lower else b), 0.0, _sqrt_range(a, b),
+                      tol, max_evals)
 
 
 def integrate_semi_infinite(

@@ -28,24 +28,17 @@ its integrand on every evaluation.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 
-from .errors import DecayError, QuadratureError
-from .expressions import Expression, _Code, _define
+from .errors import DecayError
+from .expressions import _GLOBALS, Expression, _Code
 from .metric import (
     Horizon,
     RadialProfile,
     ads_horizon_radius,
     ads_schwarzschild,
 )
-from .quadrature import (
-    Integral,
-    Tolerance,
-    _integrate,
-    _panel_source,
-    _sqrt_range,
-    integrate_sqrt_endpoint,
-)
+from .quadrature import Integral, Tolerance, _integrate, _panel_kernel, _sqrt_range
 from .records import Record
 
 __all__ = [
@@ -124,24 +117,11 @@ def model_bound_inner(area: float, t: float, alpha: float = 0.0, eps: float = 0.
 
 # The profile integrals run as compiled panel kernels: one function per
 # tree f, integrand and substitution computes a whole Kronrod panel (see
-# quadrature._panel_source).  It reads the parameters once per panel, maps
+# quadrature._panel_kernel).  It reads the parameters once per panel, maps
 # each node u to s, runs f and q inline, q's operations shared with f
 # written once, and then the integrand.  The operations, their order and
 # their errors are those of the integrand through f's and q's compiled
-# functions under quadrature._panel, bit for bit.
-
-# substitution -> (the node u to s, the value at u of the integrand w at s)
-_SUBSTITUTIONS = {
-    "s": (["s = u"], "w"),
-    # u^2 = s - origin, the inverse-sqrt endpoint of integrate_sqrt_endpoint
-    "sqrt": (["s = origin + u * u"], "2.0 * u * w"),
-    # s = 1/u, the remainder integral over (r, infinity)
-    "inverse": (["s = 1.0 / u"], "w / (u * u)"),
-    # u = log(1 + s): the horizon-free core and the shell [r, 10r]
-    "log1p": (["s = _expm1(u)"], "(1.0 + s) * w"),
-    # u^2 = t, the flow parameter, and s the flow sphere's radius there
-    "flow": (["t = u * u", "s = radius * _exp(0.5 * t)"], "2.0 * u * w"),
-}
+# functions evaluated node by node, bit for bit.
 
 _NONPOSITIVE = "profile nonpositive at s=%r inside a volume integral"
 
@@ -161,7 +141,19 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
     code = _Code("value")
     for name in sorted(f.parameters()):
         code.param(name)  # hoisted: a profile binds every one of them
-    setup, code.lines = code.lines, list(_SUBSTITUTIONS[substitution][0])
+    setup, code.lines = code.lines, []
+    var = "s"
+    if integrand == "flow":
+        # u^2 = t, the flow parameter, and s the flow sphere's radius there
+        var = "t"
+        code.lines.append("s = radius * _exp(0.5 * t)")
+    elif substitution == "sqrt":
+        # u^2 = s - origin, from the horizon
+        var = "v"
+        code.lines.append("s = origin + v")
+    elif substitution == "layer":
+        # u = log(1 + s): the horizon-free core and the shell [r, 10r]
+        setup.append("width = 1.0")
     fs = f._emit(code)
     if integrand in ("shell", "difference"):
         # f > 0, so also not NaN
@@ -209,19 +201,16 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
             " % (t, direct, collapsed))",
             "w = _exp(1.5 * t) * a32 / _sqrt(collapsed)",
         ]
-    source = _panel_source("params, origin", setup, code.lines,
-                           _SUBSTITUTIONS[substitution][1])
-    constants = dict(code.constants, DecayError=DecayError, QuadratureError=QuadratureError,
-                     _expm1=math.expm1)
-    return _define(source, constants, "<panel>")
+    constants = dict(_GLOBALS, **code.constants, DecayError=DecayError)
+    return _panel_kernel("params, origin", substitution, code.lines, var, setup, constants)
 
 
 def _kernel(f: Expression, integrand: str, substitution: str):
     """The panel kernel ``kernel(params, origin, a, b) -> (value, err)`` of
     ``integrand`` ("difference", "shell" or "flow") of the profile tree f
-    under ``substitution`` (see ``_SUBSTITUTIONS``); ``origin`` is the
-    sqrt endpoint, or the flow's Horizon.  Compiled on first use and cached
-    on f, like f's own compiled function."""
+    under ``substitution`` (see ``quadrature._SUBSTITUTIONS``; the layer
+    at width 1); ``origin`` is the sqrt endpoint, or the flow's Horizon.
+    Compiled on first use and cached on f, like f's own compiled function."""
     kernels = f._kernels
     kernel = kernels.get((integrand, substitution))
     if kernel is None:
@@ -262,7 +251,7 @@ def volume_between(
 
     if at_horizon:
         return _profile_integral(p, "shell", "sqrt", s_lo, 0.0, _sqrt_range(s_lo, s_hi), tol)
-    return _profile_integral(p, "shell", "s", None, s_lo, s_hi, tol)
+    return _profile_integral(p, "shell", "plain", None, s_lo, s_hi, tol)
 
 
 # the series 4*pi*s^3 * sum_k c_k s^(2k) of the reference ball, with
@@ -324,14 +313,14 @@ def renormalized_volume(
     if hz is not None:
         core = _profile_integral(p, "difference", "sqrt", s_h, 0.0, _sqrt_range(s_h, r), tol)
     else:
-        core = _profile_integral(p, "difference", "log1p", None, 0.0, math.log1p(r), tol)
+        core = _profile_integral(p, "difference", "layer", None, 0.0, math.log1p(r), tol)
     tail = _profile_integral(p, "difference", "inverse", None, 0.0, 1.0 / r, tol)
     evals = core.evaluations + tail.evaluations
     value = core.value - _reference_ball(s_h) + tail.value
 
     # recompute the split at 10r: the shell piece runs in log(1 + s), the
     # remainder in 1/s, so agreement cross-validates the substitutions
-    shell = _profile_integral(p, "difference", "log1p", None,
+    shell = _profile_integral(p, "difference", "layer", None,
                               math.log1p(r), math.log1p(10.0 * r), tol)
     tail10 = _profile_integral(p, "difference", "inverse", None, 0.0, 1.0 / (10.0 * r), tol)
     evals += shell.evaluations + tail10.evaluations
@@ -345,6 +334,25 @@ def renormalized_volume(
             "|V(%g) - V(%g)| = %.3e exceeds %.3e" % (p.label, r, 10.0 * r, stability, threshold)
         )
     return RenormalizedVolume(value, r, tail.value, stability, evals)
+
+
+@lru_cache(maxsize=None)
+def _area_kernel():
+    """The panel kernel ``kernel(area, a32, a, b)`` of the area bound's
+    integrand e^t a32 / sqrt(model_bound_inner(area, t)) in u^2 = t,
+    compiled on first use; a32 = area^(3/2)."""
+    # model_bound_inner's operations at eps = alpha = 0, where t - alpha is t
+    inner = "0.0 + area * -_expm1(-1.5 * t) + %r * _exp(-t) * -_expm1(-0.5 * t)" % _FOUR_PI
+    return _panel_kernel("area, a32", "sqrt", ["w = _exp(t) * a32 / _sqrt(%s)" % inner], "t")
+
+
+def _up_to_tau(kernel, tau: float, tol: Tolerance) -> Integral:
+    """The integral of a flow-bound kernel over [0, tau] in u^2 = t;
+    ValueError naming tau where an exponential of t overflows."""
+    try:
+        return _integrate(kernel, 0.0, _sqrt_range(0.0, tau), tol)
+    except OverflowError:
+        raise ValueError("tau = %r is too large: the bound overflows with e^tau" % (tau,)) from None
 
 
 def flow_volume_lower_bound(
@@ -373,7 +381,7 @@ def flow_volume_lower_bound(
         raise ValueError("profile %r has no horizon to start the flow from" % (p.label,))
     if tau == 0.0:
         return Integral(0.0, 0.0, 0)
-    return _profile_integral(p, "flow", "flow", hz, 0.0, _sqrt_range(0.0, tau), tol)
+    return _up_to_tau(partial(_kernel(p.f, "flow", "sqrt"), p.params, hz), tau, tol)
 
 
 def area_lower_bound(area: float, tau: float, tol: Tolerance | None = None) -> Integral:
@@ -395,12 +403,7 @@ def area_lower_bound(area: float, tau: float, tol: Tolerance | None = None) -> I
         raise ValueError("flow parameter must be nonnegative, got %r" % (tau,))
     if tau == 0.0:
         return Integral(0.0, 0.0, 0)
-    a32 = area * math.sqrt(area)
-
-    def integrand(t: float) -> float:
-        return math.exp(t) * a32 / math.sqrt(model_bound_inner(area, t))
-
-    return integrate_sqrt_endpoint(integrand, 0.0, tau, "lower", tol)
+    return _up_to_tau(partial(_area_kernel(), area, area * math.sqrt(area)), tau, tol)
 
 
 def isoperimetric_identity(

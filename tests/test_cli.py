@@ -49,6 +49,14 @@ class TestVolume:
         assert run(["volume", "--m", "-1"]) == 2
         assert "mass must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+    def test_infinite_tolerance_is_usage_error(self, capsys, flag):
+        # an infinite target accepted the first panels: 60 evaluations, stability 0
+        assert run(["volume", "--family", "ads", "--m", "2", flag, "inf"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: %s tolerance must be finite, got inf\n" % flag[2:5]
+
     def test_custom_profile(self, capsys):
         code = run(["volume", "--family", "custom", "--profile", "1 + s^2 - 3/s + 1/s^3"])
         assert code == 0
@@ -149,6 +157,11 @@ class TestBounds:
     def test_horizonless_profile(self, capsys):
         assert run(["bounds", "--family", "hyperbolic", "--tau", "1"]) == 2
         assert "no horizon" in capsys.readouterr().err
+
+    def test_overflowing_tau_is_usage_error(self, capsys):
+        assert run(["bounds", "--family", "ads", "--m", "2", "--tau", "800"]) == 2
+        assert capsys.readouterr().err == (
+            "error: tau = 800.0 is too large: the bound overflows with e^tau\n")
 
 
 class TestIsoCheck:
@@ -372,6 +385,31 @@ def test_import_loads_only_what_every_subcommand_needs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_import_compiles_no_panel_kernel():
+    # the generic, area and gap kernels each compile on first use
+    code = (
+        "import builtins\n"
+        "compile_ = builtins.compile\n"
+        "names = []\n"
+        "def counted(source, filename, *args, **kwargs):\n"
+        "    names.append(filename)\n"
+        "    return compile_(source, filename, *args, **kwargs)\n"
+        "builtins.compile = counted\n"
+        "import renvol, renvol.cli\n"
+        "import renvol.quadrature as q\n"
+        "assert 'renvol.comparison' in __import__('sys').modules\n"
+        "print(names.count('<panel>'))\n"
+        "q.integrate(abs, 0.0, 1.0)\n"
+        "print(names.count('<panel>'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(TESTS_DIR), "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_golden_set_covers_the_subcommands():

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renvol.errors import QuadratureError
-from renvol.expressions import _define
 from renvol.quadrature import (
     _XGK,
     Integral,
@@ -22,7 +21,7 @@ from renvol.quadrature import (
     integrate,
     integrate_semi_infinite,
     integrate_sqrt_endpoint,
-    _panel_source,
+    _panel_kernel,
     linspace,
 )
 
@@ -167,15 +166,11 @@ def _panel_outcome(panel, fn, a, b):
 
 
 class TestPanel:
-    """A kernel compiled by ``_panel_source`` against the loop over the
+    """A kernel compiled by ``_panel_kernel`` against the loop over the
     abscissa table."""
 
     # a compiled panel whose integrand at u is origin(u)
-    kernel = staticmethod(_define(
-        _panel_source("params, origin", [], ["w = origin(u)"], "w"),
-        {"QuadratureError": QuadratureError},
-        "<panel>",
-    ))
+    kernel = staticmethod(_panel_kernel("params, origin", "plain", ["w = origin(v)"]))
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
@@ -221,6 +216,12 @@ class TestPanel:
                 with pytest.raises(QuadratureError) as info:
                     panel(fn, 0.0, 1.0)
                 assert str(info.value) == "non-finite integrand value at %r" % want
+
+    def test_body_names_leave_the_panel_alone(self):
+        # a body may name its own x and bad, as the power kernel names x
+        kernel = _panel_kernel("fn", "plain", ["x = bad = values = -1.0", "w = fn(v)"])
+        for fn in (lambda u: math.nan, lambda u: math.inf if u > 0.5 else 1.0, math.exp):
+            assert _panel_outcome(kernel, fn, 0.0, 1.0) == _panel_outcome(loop_panel, fn, 0.0, 1.0)
 
 
 class TestSqrtEndpoint:

@@ -189,6 +189,8 @@ def test_profile_copies_its_params():
         (lambda: quadrature.Tolerance(rel=1e-15), "rel tolerance must be >= 1e-14, got 1e-15"),
         (lambda: quadrature.Tolerance(rel=math.nan), "rel tolerance must be >= 1e-14, got nan"),
         (lambda: quadrature.Tolerance(abs=0.0), "abs tolerance must be positive, got 0.0"),
+        (lambda: quadrature.Tolerance(rel=math.inf), "rel tolerance must be finite, got inf"),
+        (lambda: quadrature.Tolerance(abs=math.inf), "abs tolerance must be finite, got inf"),
         (lambda: comparison.GapSpec(0.0, 0.1), "model area must be positive and finite, got 0.0"),
         (lambda: comparison.GapSpec(math.inf, 0.1), "model area must be positive and finite, got inf"),
         (lambda: comparison.GapSpec(1.0, -1.0), "alpha must be nonnegative and finite, got -1.0"),
@@ -231,12 +233,12 @@ def test_cached_properties_live_in_the_instance_dict():
         assert clone.evaluate_exact(2) == 5
 
     # a panel kernel is cached on the tree, and dropped like the others
-    assert volume._kernel(tree, "shell", "s") is volume._kernel(tree, "shell", "s")
+    assert volume._kernel(tree, "shell", "plain") is volume._kernel(tree, "shell", "plain")
     assert "_kernels" in vars(tree)
     for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
         assert "_kernels" not in vars(clone)
-        got = volume._kernel(clone, "shell", "s")(_NO_PARAMS, None, 1.0, 2.0)
-        assert got == volume._kernel(tree, "shell", "s")(_NO_PARAMS, None, 1.0, 2.0)
+        got = volume._kernel(clone, "shell", "plain")(_NO_PARAMS, None, 1.0, 2.0)
+        assert got == volume._kernel(tree, "shell", "plain")(_NO_PARAMS, None, 1.0, 2.0)
 
     p = metric.ads_schwarzschild(2.0)
     assert p.horizon == metric.Horizon(1.0, 4.0 * math.pi)

@@ -3,11 +3,14 @@
 import copy
 import math
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import renvol.quadrature
 import renvol.volume
 from renvol.errors import DecayError, DomainError, QuadratureError
 from renvol.expressions import Add, Call, Expression, Mul, Num, Var, parse
@@ -20,7 +23,7 @@ from renvol.metric import (
     rn_ads,
     validate_asymptotics,
 )
-from renvol.quadrature import _XGK, Integral, Tolerance
+from renvol.quadrature import _XGK, Integral, Tolerance, _integrate
 from renvol.volume import (
     _kernel,
     _reference_ball,
@@ -132,7 +135,7 @@ class TestRenormalizedVolume:
         # a tail weight of 1/u for 1/u^2 is off by about 2 pi m/r at each
         # truncation radius, which the shell in log(1 + s) does not share;
         # the copied tree has no cached kernel
-        monkeypatch.setitem(renvol.volume._SUBSTITUTIONS, "inverse", (["s = 1.0 / u"], "w / u"))
+        monkeypatch.setitem(renvol.quadrature._SUBSTITUTIONS, "inverse", ("1.0 / u", "w / u"))
         model = ads_schwarzschild(2.0)
         p = RadialProfile(copy.deepcopy(model.f), model.params, model.delta, model.label)
         assert not p.f.__dict__.get("_kernels")
@@ -215,6 +218,13 @@ class TestFlowBound:
         with pytest.raises(ValueError, match="horizon"):
             flow_volume_lower_bound(hyperbolic(), 1.0)
 
+    def test_overflow_names_tau(self):
+        # e^(3t/2) overflows past t = 473; 470 is the last whole tau that runs
+        assert flow_volume_lower_bound(ads_schwarzschild(2.0), 470.0).value == pytest.approx(
+            8.252515769542305e204, rel=1e-12)
+        with pytest.raises(ValueError, match=r"^tau = 480.0 is too large: the bound overflows"):
+            flow_volume_lower_bound(ads_schwarzschild(2.0), 480.0)
+
 
 class TestAreaBound:
     def test_equality_on_model_family(self):
@@ -242,6 +252,28 @@ class TestAreaBound:
             area_lower_bound(0.0, 1.0)
         with pytest.raises(ValueError):
             area_lower_bound(FOUR_PI, -0.5)
+
+    def test_overflow_names_tau(self):
+        # e^t overflows past t = 709.78
+        with pytest.raises(ValueError, match=r"^tau = 720.0 is too large: the bound overflows"):
+            area_lower_bound(1.0, 720.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-6.0, 8.0).map(lambda x: 10.0**x), st.floats(1e-6, 750.0))
+    def test_kernel_matches_model_bound_inner(self, area, tau):
+        # the integrand through model_bound_inner in u^2 = t, under the loop panel
+        a32 = area * math.sqrt(area)
+
+        def integrand(u):
+            t = u * u
+            return 2.0 * u * (math.exp(t) * a32 / math.sqrt(model_bound_inner(area, t)))
+
+        want = _outcome(_integrate, partial(loop_panel, integrand), 0.0, math.sqrt(tau))
+        got = _outcome(area_lower_bound, area, tau)
+        if got[0] is ValueError:  # the refusal of an OverflowError
+            assert want[0] is OverflowError and got[1].startswith("tau = %r" % tau)
+        else:
+            assert got == want
 
 
 class TestModelBoundInner:
@@ -439,12 +471,12 @@ def _kernel_checks(p):
     d = lru_cache(maxsize=None)(chain_difference_integrand(p))
     shell = lru_cache(maxsize=None)(chain_shell_integrand(p))
     checks = [
-        (_kernel(p.f, "difference", "s"), None, d, in_s),
-        (_kernel(p.f, "shell", "s"), None, shell, in_s),
+        (_kernel(p.f, "difference", "plain"), None, d, in_s),
+        (_kernel(p.f, "shell", "plain"), None, shell, in_s),
         (_kernel(p.f, "difference", "inverse"), None, lambda u: d(1.0 / u) / (u * u), in_inverse),
         (_kernel(p.f, "difference", "sqrt"), origin, _sqrt_sub(d, origin), in_sqrt),
         (_kernel(p.f, "shell", "sqrt"), origin, _sqrt_sub(shell, origin), in_sqrt),
-        (_kernel(p.f, "difference", "log1p"), None, _log1p_sub(d), in_log1p),
+        (_kernel(p.f, "difference", "layer"), None, _log1p_sub(d), in_log1p),
     ]
     if hz is not None:
         # flow times t = u^2: t = 0, the nodes to t = 3, the t of each
@@ -456,7 +488,7 @@ def _kernel_checks(p):
         # the panel of a flow up to tau = 20
         in_flow.append((0.0, math.sqrt(20.0)))
         flow = chain_flow_integrand(p, hz)
-        checks.append((_kernel(p.f, "flow", "flow"), hz, _sqrt_sub(flow, 0.0), in_flow))
+        checks.append((_kernel(p.f, "flow", "sqrt"), hz, _sqrt_sub(flow, 0.0), in_flow))
     return checks
 
 
