@@ -4,10 +4,10 @@ A profile tree without exp/log/sqrt is a rational function of ``s`` once
 its parameters are bound.  ``rational_form`` binds every literal and
 parameter to the exact rational of its float (``float.as_integer_ratio``)
 and returns f = P/Q as integer polynomials with gcd(P, Q) cancelled.
-P/Q is built once per tree with the parameters symbolic, and cached on
-the tree; each profile substitutes its values and reduces once.  The
-rest of the module answers sign questions about such polynomials
-exactly:
+P/Q is read from the tree's normal form, the one its defect comes from,
+built once and cached on the tree; each profile binds its values into
+it and reduces once.  The rest of the module answers sign questions
+about such polynomials exactly:
 
 * gcds by primitive pseudo-remainders, except that a gcd with a
   monomial c s^k is the power of s the other operand holds, up to s^k,
@@ -39,15 +39,13 @@ exactly:
 
 A polynomial is a list of ``int`` coefficients, constant term first,
 without trailing zeros; the zero polynomial is the empty list.  Only
-``int`` arithmetic is used.  The symbolic P/Q is built once per tree;
-the other routines run a few times per profile, never per evaluation.
+``int`` arithmetic is used.  Every routine runs a few times per
+profile, never per evaluation.
 """
 
 from __future__ import annotations
 
 import math
-
-from .expressions import Add, Div, Mul, Neg, Num, Param, Pow, Sub, Var
 
 __all__ = [
     "rational_form",
@@ -346,14 +344,8 @@ def isolate(seq, lo, hi, count):
 
 
 # ---------------------------------------------------------------------------
-# f = P/Q from a tree
-#
-# The form of a tree is built once, with its parameters symbolic
-# (``_symbolic``, cached on the tree as ``Expression._symbolic_form``), in
-# family polynomials: a dict that maps a tuple of exponents, one per
-# parameter of the tree in sorted order, to the integer polynomial in s
-# that multiplies that monomial of the parameters; the zero polynomial is
-# {}.  A profile substitutes its parameters' values into it.
+# f = P/Q from a tree's normal form (``Expression._normal_form``), the one
+# ``defect()`` reads; see ``expressions._padd`` for its representation
 
 
 def rational_form(expr, params):
@@ -362,199 +354,129 @@ def rational_form(expr, params):
     Literals and parameters enter as the exact rationals of their floats.
     gcd(P, Q) is cancelled, the integer contents are coprime and Q has a
     positive leading coefficient, so the form depends on the rational
-    function alone.  The tree's symbolic form is built on the first call
-    and cached on the tree; each call substitutes the parameters' values
-    into it and reduces P/Q once.  None is returned for a tree with
-    exp/log/sqrt, a non-finite literal or parameter, a division by the
-    zero polynomial, or a form that is not ``small``: a polynomial of the
-    symbolic build, or P or Q after substitution, with their common
-    content divided out but before gcd(P, Q) is cancelled.  A tree with
-    exp/log/sqrt is refused at once, from a flag cached on the tree, and
-    builds nothing.
+    function alone.  Each call binds the parameters' values into the
+    tree's normal form, built on the first call and cached on the tree,
+    and reduces P/Q once.  None is returned for a tree with exp/log/sqrt,
+    a non-finite literal or parameter, a divisor that binds to the zero
+    polynomial, or a form that is not ``small``: a step of an atom's
+    power, a partial sum with its common content divided out, or P or Q
+    before gcd(P, Q) is cancelled.  A tree with exp/log/sqrt is refused
+    at once, from a flag cached on the tree, and builds nothing.
     """
     if expr._has_call:
         return None
-    form = expr._symbolic_form
-    if form is None:
-        return None
-    names, num, den, divisors = form
-    values = []
-    for name in names:
+    terms, atoms = expr._normal_form
+    if any(inner is None for _, _, inner in atoms.values()):
+        return None  # a non-finite literal, even in a term that vanished
+    values = {}
+    for name in expr.parameters():
         x = float(params[name])
         if not math.isfinite(x):
             return None
-        values.append(x.as_integer_ratio())
-    if not all(_substitute((d,), values)[0] for d in divisors):
-        return None
-    p, q = _substitute((num, den), values)
-    if _free(num) and _free(den):
-        return p, q  # reduced by the build
-    # the content P and Q share, the substitution's scale among it, goes
-    # before the size cap applies
-    c = math.gcd(*p, *q)
+        values[name] = x.as_integer_ratio()
+    bound = {}
     try:
-        return _reduce([x // c for x in p], [x // c for x in q])
+        if not all(_bind(d, values, atoms, bound)[0] for d in atoms.divisors):
+            return None
+        return _reduce(*_bind(terms, values, atoms, bound))
     except _NotRational:
         return None
 
 
+def _bind(terms, values, atoms, bound):
+    """P/Q of the normal form ``terms`` with each parameter bound to its
+    ``values`` entry (num, den).  The terms are grouped by their atoms;
+    each group is a Laurent polynomial in s, scaled to integers by the lcm
+    of its denominators, times the atoms' powers, and the groups are
+    summed (``_sum``).  An atom's inner form is bound once, into
+    ``bound`` by name."""
+    groups = {}
+    for key, c in terms.items():
+        num, den, k, i = c.numerator, c.denominator, 0, 0
+        for rank, name, e in key:
+            if rank:
+                if rank == 2:
+                    break
+                k = e
+            else:
+                n, d = values[name]
+                if e < 0:
+                    n, d, e = d, n, -e
+                num, den = num * n**e, den * d**e
+            i += 1
+        if num:
+            if not den:
+                raise _NotRational  # a parameter bound to 0 divides
+            if den < 0:
+                num, den = -num, -den
+            groups.setdefault(key[i:], []).append((k, num, den))
+    p = q = None
+    for group_atoms, group in groups.items():
+        lcm = math.lcm(*[den for _, _, den in group])
+        ks = [k for k, _, _ in group]
+        low = min(ks)
+        a = [0] * (max(ks) - low + 1)
+        for k, num, den in group:
+            a[k - low] += num * (lcm // den)
+        if not _trim(a):
+            continue
+        a, b = [0] * max(low, 0) + a, [0] * max(-low, 0) + [lcm]
+        for _, name, e in group_atoms:
+            if name not in bound:
+                bound[name] = _bind(atoms[name][2], values, atoms, bound)
+            pa, qa = _power(*bound[name], e)
+            a, b = mul(a, pa), mul(b, qa)
+        p, q = (a, b) if p is None else _sum(p, q, a, b)
+    return ([], [1]) if p is None else (p, q)
+
+
+def _power(p, q, n):
+    """(p/q)^n for n != 0, refused unless each step is ``small``."""
+    if n < 0:
+        p, q, n = q, p, -n
+    if not q:
+        raise _NotRational
+    pn, qn = p, q
+    for _ in range(n - 1):
+        pn, qn = mul(pn, p), mul(qn, q)
+        if not (small(pn) and small(qn)):
+            raise _NotRational
+    return pn, qn
+
+
+def _content_out(p, q):
+    """p and q over their common content, taken with the sign of q's
+    leading coefficient."""
+    c = math.gcd(*p, *q)
+    if q[-1] < 0:
+        c = -c
+    return (p, q) if c == 1 else ([x // c for x in p], [x // c for x in q])
+
+
+def _sum(p1, q1, p2, q2):
+    """p1/q1 + p2/q2 over q1 q2 / gcd(q1, q2), with the content common to
+    numerator and denominator divided out; refused unless both are
+    ``small``."""
+    g = _gcd(q1, q2)
+    r1, r2 = (_exquo(q1, g), _exquo(q2, g)) if len(g) > 1 else (q1, q2)
+    p, q = _content_out(_add(mul(p1, r2), mul(p2, r1)), mul(q1, r2))
+    if not (small(p) and small(q)):
+        raise _NotRational
+    return p, q
+
+
 def _reduce(p, q):
-    if not (q and small(p) and small(q)):
+    """p/q in lowest terms, q's leading coefficient positive; refused
+    where q is zero, and unless p and q are ``small`` once their common
+    content is out.  The content stays 1 and the sign positive when
+    gcd(p, q), primitive with a positive leading coefficient, is divided
+    out (Gauss's lemma)."""
+    if not q:
+        raise _NotRational
+    p, q = _content_out(p, q)
+    if not (small(p) and small(q)):
         raise _NotRational
     if not p:
         return [], [1]
     g = _gcd(p, q)
-    if len(g) > 1:
-        p, q = _exquo(p, g), _exquo(q, g)
-    c = math.gcd(math.gcd(*p), math.gcd(*q))
-    if q[-1] < 0:
-        c = -c
-    if c != 1:
-        p, q = [x // c for x in p], [x // c for x in q]
-    return p, q
-
-
-def _exact(x):
-    x = float(x)
-    if not math.isfinite(x):
-        raise _NotRational
-    n, d = x.as_integer_ratio()
-    return ([n] if n else []), [d]
-
-
-def _free(a):
-    """True when the family polynomial a holds no parameter."""
-    return not any(map(any, a))
-
-
-def _fadd(a, b):
-    out = dict(a)
-    for key, p in b.items():
-        p = _add(out.get(key, []), p)
-        if p:
-            out[key] = p
-        else:
-            del out[key]
-    return out
-
-
-def _fneg(a):
-    return {key: _neg(p) for key, p in a.items()}
-
-
-def _fmul(a, b):
-    out = {}
-    for ka, pa in a.items():
-        for kb, pb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = _add(out.get(key, []), mul(pa, pb))
-    return {key: p for key, p in out.items() if p}
-
-
-def _fsmall(a):
-    return all(map(small, a.values()))
-
-
-def _substitute(forms, values):
-    """The integer polynomials of the family polynomials ``forms`` with
-    each parameter bound to its value (num, den), all times the one
-    positive factor den^t per parameter, t its highest exponent there."""
-    top = [max(column) for column in zip(*(key for form in forms for key in form))]
-    out = []
-    for form in forms:
-        acc = [0] * max(map(len, form.values()), default=0)
-        for key, p in form.items():
-            c = 1
-            for (n, d), e, t in zip(values, key, top):
-                c *= n**e * d ** (t - e)
-            for i, x in enumerate(p):
-                acc[i] += c * x
-        out.append(_trim(acc))
-    return out
-
-
-def _symbolic(expr):
-    """``(names, P, Q, divisors)`` of a tree without exp/log/sqrt, or None
-    when no binding of its parameters gives a form.
-
-    names are the tree's parameters, sorted.  P, Q and the divisors are
-    family polynomials in them, and f = P/Q at every binding where no
-    divisor vanishes: the divisors are the numerators of the right
-    operands of / and of the bases of negative powers that hold a
-    parameter.  An operation whose P and Q hold no parameter is reduced as
-    ``rational_form`` reduces its result, and refused where it divides by
-    zero; the others are not reduced, and sum over the lcm of their
-    denominators when neither holds a parameter, over their product
-    otherwise.  None also for a non-finite literal, and where a polynomial
-    built, at any operation and any step of a power, is not ``small``.
-    """
-    names = sorted(expr.parameters())
-    zero = (0,) * len(names)
-    one = {zero: [1]}
-    divisors = []
-
-    def const(p):
-        return {zero: p} if p else {}
-
-    def walk(e):
-        if isinstance(e, Num):
-            p, q = _exact(e.value)
-            return const(p), const(q)
-        if isinstance(e, Var):
-            return const([0, 1]), one
-        if isinstance(e, Param):
-            key = [0] * len(names)
-            key[names.index(e.name)] = 1
-            return {tuple(key): [1]}, one
-        if isinstance(e, Neg):
-            p, q = walk(e.arg)
-            return _fneg(p), q
-        if isinstance(e, Pow):
-            p, q = walk(e.base)
-            n = e.exponent
-            if n < 0:
-                p, q, n = q, p, -n
-                if not _free(q):
-                    divisors.append(q)
-            if not q:
-                raise _NotRational
-            pn, qn = one, one
-            for _ in range(n):
-                pn, qn = _fmul(pn, p), _fmul(qn, q)
-                if not (_fsmall(pn) and _fsmall(qn)):
-                    raise _NotRational
-            # powers of coprime polynomials and contents stay coprime
-            if _free(qn) and qn[zero][-1] < 0:
-                return _fneg(pn), _fneg(qn)
-            return pn, qn
-        if isinstance(e, (Add, Sub, Mul, Div)):
-            p1, q1 = walk(e.left)
-            p2, q2 = walk(e.right)
-            if isinstance(e, Mul):
-                p, q = _fmul(p1, p2), _fmul(q1, q2)
-            elif isinstance(e, Div):
-                if not _free(p2):
-                    divisors.append(p2)
-                p, q = _fmul(p1, q2), _fmul(q1, p2)
-            else:
-                if isinstance(e, Sub):
-                    p2 = _fneg(p2)
-                r1, r2 = q1, q2
-                if _free(q1) and _free(q2):
-                    # over the lcm of the denominators, so no degree is added in vain
-                    g = _gcd(q1[zero], q2[zero])
-                    r1, r2 = const(_exquo(q1[zero], g)), const(_exquo(q2[zero], g))
-                p, q = _fadd(_fmul(p1, r2), _fmul(p2, r1)), _fmul(q1, r2)
-            if _free(p) and _free(q):
-                p, q = _reduce(p.get(zero, []), q.get(zero, []))
-                return const(p), const(q)
-            if not (q and _fsmall(p) and _fsmall(q)):
-                raise _NotRational
-            return p, q
-        raise _NotRational  # exp, log or sqrt, which rational_form refuses first
-
-    try:
-        num, den = walk(expr)
-    except _NotRational:
-        return None
-    return names, num, den, divisors
+    return (_exquo(p, g), _exquo(q, g)) if len(g) > 1 else (p, q)

@@ -47,10 +47,10 @@ from functools import lru_cache, partial
 from typing import Sequence
 
 from . import algebra
-from .errors import DecayError, DomainError, QuadratureError
+from .errors import DecayError, DomainError
 from .expressions import _Overflow, _Unbounded
 from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
-from .quadrature import Tolerance, _integrate, _panel_kernel
+from .quadrature import Tolerance, _integrate, _NonFinite, _panel_kernel
 from .records import Record
 from .volume import renormalized_volume
 
@@ -188,12 +188,6 @@ _INTEGRANDS = {
 }
 
 
-class _NonFinite(QuadratureError):
-    """A kernel's refusal of a non-finite integrand value.  In a gap
-    integral it is an overflow: the roots and divisors are positive at
-    every node, and the values carry e^alpha or e^t."""
-
-
 @lru_cache(maxsize=None)
 def _kernel(integrand: str, substitution: str):
     """The panel kernel ``kernel(*args, a, b) -> (value, err)`` of
@@ -202,6 +196,7 @@ def _kernel(integrand: str, substitution: str):
     with ``width`` after ``args`` for "layer"."""
     args, v, body, value = _INTEGRANDS[integrand]
     args += ", width" if substitution == "layer" else ""
+    # the roots and divisors are positive, so a non-finite value is an overflow
     return _panel_kernel(args, substitution, body + ["w = " + value], v,
                          constants={"QuadratureError": _NonFinite})
 

@@ -20,7 +20,9 @@ The parser produces an immutable tree that supports
   s^2 terms cancel symbolically (``defect()``), the mass aspect ``s q``
   (``mass_aspect()``) and the decay rate of ``|q|/f`` at infinity, read
   from leading terms (``decay_rate()``): all three come from one normal
-  form of the defect, built once and cached on the node,
+  form of the tree, built once and cached on the node, and so does its
+  fourth reader, ``algebra.rational_form``, which binds the parameters
+  into it to give f = P/Q,
 * the value with its first two derivatives in ``s`` by forward-mode
   differentiation (``jet()``), and bounds on all three (``enclose_jet()``):
   no derivative tree is built, and a jet costs a fixed multiple of the
@@ -219,17 +221,19 @@ class Expression(Record):
         return {}
 
     @cached_property
+    def _normal_form(self):
+        """``(terms, atoms)``: the normal form of this tree (see ``_padd``)
+        and the atoms it names, built once; ``atoms.divisors`` holds the
+        normal forms of the right operands of / and of the bases of
+        negative powers met on the way (see ``_ppow``).  ``_defect_of``
+        and ``algebra.rational_form`` read it."""
+        atoms = _Atoms()
+        return self._normal(atoms), atoms
+
+    @cached_property
     def _defect_form(self):
         """The normal forms ``(f, q, atoms)`` of f and q (see ``_padd``)."""
         return _defect_of(self)
-
-    @cached_property
-    def _symbolic_form(self):
-        """f = P/Q with the parameters symbolic (``algebra._symbolic``),
-        built on the first ``algebra.rational_form`` of the tree."""
-        from . import algebra
-
-        return algebra._symbolic(self)
 
     @cached_property
     def _defect(self):
@@ -933,6 +937,14 @@ def _pmul(a, b):
     return out
 
 
+class _Atoms(dict):
+    """The atoms of one normalization by name (see ``_atom``), with the
+    list of the divisors it meets (see ``Expression._normal_form``)."""
+
+    def __init__(self):
+        self.divisors = []
+
+
 def _atom(expr, atoms, func=None, inner=None, exponent=1):
     """``expr^exponent`` as a term; ``atoms`` maps its name to ``(expr,
     func, inner)``: a call and its argument's normal form, a sum kept whole
@@ -943,7 +955,11 @@ def _atom(expr, atoms, func=None, inner=None, exponent=1):
 
 
 def _ppow(base, n, atoms):
-    """base^n: a single term raises its exponents, a sum is multiplied out."""
+    """base^n: a single term raises its exponents, a sum is multiplied out.
+    A base with n < 0 that some binding may make zero, one that is zero or
+    holds a parameter or an atom, is recorded in ``atoms.divisors``."""
+    if n < 0 and not (base and all(r == 1 for key in base for r, _, _ in key)):
+        atoms.divisors.append(base)
     if len(base) == 1:
         ((key, c),) = base.items()
         return {tuple((r, name, e * n) for r, name, e in key if e * n): c**n}
@@ -1002,8 +1018,7 @@ def _emit_normal(poly, atoms):
 
 
 def _defect_of(f):
-    atoms = {}
-    f_terms = f._normal(atoms)
+    f_terms, atoms = f._normal_form
     q = _padd({(): _ONE, ((1, "s", 2),): _ONE}, f_terms, -1)
     on_atom = [_holds_atom(key) for key in q]
     bare_s2 = any((1, "s", 2) in key and not atom for key, atom in zip(q, on_atom))

@@ -219,9 +219,9 @@ class RadialProfile(Record):
     @cached_property
     def rational(self) -> tuple[list[int], list[int]] | None:
         """f = P/Q as integer polynomials, or None for a tree with
-        exp/log/sqrt (see ``algebra.rational_form``).  The tree's symbolic
-        P/Q is built once and shared by every profile of the family; each
-        profile substitutes its parameters' values and reduces once."""
+        exp/log/sqrt (see ``algebra.rational_form``).  The tree's normal
+        form is built once and shared by every profile of the family; each
+        profile binds its parameters' values into it and reduces once."""
         return algebra.rational_form(self.f, self.params)
 
     @cached_property

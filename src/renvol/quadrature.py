@@ -131,6 +131,14 @@ _SUBSTITUTIONS = {
     "layer": ("width * _expm1(u)", "(width + {v}) * w"),
 }
 
+
+class _NonFinite(QuadratureError):
+    """A kernel's refusal of a non-finite value of an integrand whose
+    factors are positive, so an overflow: raised by a kernel built with it
+    as ``QuadratureError``, or by the integrand itself.  The caller names
+    the quantity that grew."""
+
+
 _KERNEL_GLOBALS = {
     "QuadratureError": QuadratureError,
     "_INF": math.inf,

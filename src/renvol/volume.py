@@ -38,7 +38,7 @@ from .metric import (
     ads_horizon_radius,
     ads_schwarzschild,
 )
-from .quadrature import Integral, Tolerance, _integrate, _panel_kernel, _sqrt_range
+from .quadrature import Integral, Tolerance, _integrate, _NonFinite, _panel_kernel, _sqrt_range
 from .records import Record
 
 __all__ = [
@@ -200,8 +200,12 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
             "    raise ArithmeticError('flow integrand cross-check failed at t=%r: %r vs %r'"
             " % (t, direct, collapsed))",
             "w = _exp(1.5 * t) * a32 / _sqrt(collapsed)",
+            # every factor is positive, so +inf is an overflow; a NaN f
+            # is left to the panel's QuadratureError
+            "if w == _INF:",
+            "    raise _NonFinite('non-finite integrand value at %r' % u)",
         ]
-    constants = dict(_GLOBALS, **code.constants, DecayError=DecayError)
+    constants = dict(_GLOBALS, **code.constants, DecayError=DecayError, _NonFinite=_NonFinite)
     return _panel_kernel("params, origin", substitution, code.lines, var, setup, constants)
 
 
@@ -340,18 +344,21 @@ def renormalized_volume(
 def _area_kernel():
     """The panel kernel ``kernel(area, a32, a, b)`` of the area bound's
     integrand e^t a32 / sqrt(model_bound_inner(area, t)) in u^2 = t,
-    compiled on first use; a32 = area^(3/2)."""
+    compiled on first use; a32 = area^(3/2).  Every factor is positive,
+    so a non-finite value is an overflow."""
     # model_bound_inner's operations at eps = alpha = 0, where t - alpha is t
     inner = "0.0 + area * -_expm1(-1.5 * t) + %r * _exp(-t) * -_expm1(-0.5 * t)" % _FOUR_PI
-    return _panel_kernel("area, a32", "sqrt", ["w = _exp(t) * a32 / _sqrt(%s)" % inner], "t")
+    return _panel_kernel("area, a32", "sqrt", ["w = _exp(t) * a32 / _sqrt(%s)" % inner], "t",
+                         constants={"QuadratureError": _NonFinite})
 
 
 def _up_to_tau(kernel, tau: float, tol: Tolerance) -> Integral:
     """The integral of a flow-bound kernel over [0, tau] in u^2 = t;
-    ValueError naming tau where an exponential of t overflows."""
+    ValueError naming tau where an exponential of t overflows, or the
+    integrand that carries it (the kernel's ``_NonFinite``)."""
     try:
         return _integrate(kernel, 0.0, _sqrt_range(0.0, tau), tol)
-    except OverflowError:
+    except (OverflowError, _NonFinite):
         raise ValueError("tau = %r is too large: the bound overflows with e^tau" % (tau,)) from None
 
 

@@ -282,15 +282,17 @@ def exact_walk(expr, s, params=None):
 def walk_rational_form(expr, params):
     """f = P/Q of a tree by a recursive walk per binding, or None.
 
-    The reference for ``algebra.rational_form``, which substitutes the
-    parameters into a form built once per tree: every node is built from
-    the exact rationals of the bound floats, and each sum, product and
-    quotient is reduced at once, over the lcm of the denominators for a
-    sum.  None where a literal or parameter is not finite, a divisor is
+    The reference for ``algebra.rational_form``, which binds the
+    parameters into the tree's normal form: here every node is built
+    from the exact rationals of the bound floats, and each sum, product
+    and quotient is reduced at once, over the lcm of the denominators for
+    a sum.  None where a literal or parameter is not finite, a divisor is
     the zero polynomial, or a product or power on the way is not
     ``algebra.small``.  The two apply that size cap to different
     polynomials, so close to the cap, as with parameters of magnitude
-    1e-80 or 1e80 in some trees, one may build a form the other refuses.
+    1e-80 or 1e80 in some trees, one may build a form the other refuses;
+    and a power the normal form keeps whole as an atom, whose terms
+    cancel, is never expanded there, as ``(1 + m/s)^400 - (1 + m/s)^400``.
     """
     from renvol import algebra
 

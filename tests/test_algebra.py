@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 import sympy
@@ -26,8 +27,8 @@ from helpers import (
 )
 from renvol import algebra
 from renvol.comparison import _check_curvature
-from renvol.expressions import parse
-from renvol.metric import RadialProfile, _scan_grid, custom_profile, rn_ads
+from renvol.expressions import Add, Expression, Mul, Num, parse
+from renvol.metric import RadialProfile, _scan_grid, ads_schwarzschild, custom_profile, rn_ads
 
 X = sympy.Symbol("x")
 
@@ -330,10 +331,18 @@ def test_rational_form_matches_fraction_arithmetic():
     params = {"m": 2.5, "c": -0.75, "k": 1.0 / 3.0}
     checked = 0
     above_cap = []
+    # the normal form cancels the two 400th powers of TestDefect as equal
+    # atoms; the walk expands them, above the cap
+    cancelled = "1.0 + s^2 - m/s + (1.0 + m/s)^400 - (1.0 + m/s)^400"
+    seen = []
     for tree in _rational_trees():
         form = algebra.rational_form(tree, params)
-        # bit for bit the form of the walk that reduced at every node
-        assert form == walk_rational_form(tree, params), str(tree)
+        if str(tree) == cancelled:
+            seen.append(form)
+            assert walk_rational_form(tree, params) is None
+        else:
+            # bit for bit the form of the walk that reduced at every node
+            assert form == walk_rational_form(tree, params), str(tree)
         if form is None:
             above_cap.append(str(tree))
             continue
@@ -350,8 +359,8 @@ def test_rational_form_matches_fraction_arithmetic():
             assert q_s != 0, (str(tree), s)
             assert Fraction(_at(num, s), q_s) == want, (str(tree), s)
             checked += 1
-    # the two 400th powers of TestDefect are not algebra.small
-    assert above_cap == ["1.0 + s^2 - m/s + (1.0 + m/s)^400 - (1.0 + m/s)^400"]
+    assert above_cap == []
+    assert seen == [([-5, 2, 0, 2], [0, 2])]
     assert checked > 800
 
 
@@ -406,6 +415,13 @@ def test_symbolic_form_cancels_shared_factors():
     assert algebra.rational_form(custom, {"m": 2.0, "c": 0.5, "k": 0.0}) == (
         [1, -4, 2, 0, 2], [0, 0, 2]
     )
+    # disguised models: equal divisors printed apart, and equal powers
+    # beyond _MAX_TERMS that the normal form cancels as one atom
+    for text in (
+        "1 + s^2 - m/s + 1/(s+1) - 1/(1+s)",
+        "1.0 + s^2 - m/s + (1.0 + m/s)^400 - (1.0 + m/s)^400",
+    ):
+        assert algebra.rational_form(parse(text), {"m": 2.5}) == ads_schwarzschild(2.5).rational
 
 
 def test_symbolic_form_meets_the_cap_where_the_walk_does():
@@ -424,20 +440,15 @@ def test_symbolic_form_meets_the_cap_where_the_walk_does():
     assert refused == {(1, False), (2, False), (3, False), (3, True)}
 
 
-def test_symbolic_sums_take_the_lcm_of_constant_denominators():
-    # s^2, not s * s^2, so no degree is added in vain
-    names, num, den, divisors = parse("1 + s^2 - m/s + c/s^2")._symbolic_form
-    assert names == ["c", "m"] and den == {(0, 0): [0, 0, 1]} and divisors == []
-    assert num == {(0, 0): [0, 0, 1, 0, 1], (0, 1): [0, -1], (1, 0): [1]}
-
-
 def test_symbolic_cap_holds_for_every_binding():
-    # the 400th powers are expanded with m symbolic, above the cap; the
-    # walk built them at m = 0, where the power is 1
+    # the normal form keeps the 400th powers as one atom, whose terms
+    # cancel, so no binding expands them; the walk built them at m = 0,
+    # where the power is 1, and refuses them at m = 2.5
     tree = parse("1.0 + s^2 - m/s + (1.0 + m/s)^400 - (1.0 + m/s)^400")
-    assert tree._symbolic_form is None
-    assert algebra.rational_form(tree, {"m": 0.0}) is None
+    assert algebra.rational_form(tree, {"m": 0.0}) == ([1, 0, 1], [1])
     assert walk_rational_form(tree, {"m": 0.0}) == ([1, 0, 1], [1])
+    assert algebra.rational_form(tree, {"m": 2.5}) == ([-5, 2, 0, 2], [0, 2])
+    assert walk_rational_form(tree, {"m": 2.5}) is None
 
 
 def test_rational_form_refuses_what_has_no_exact_form():
@@ -452,6 +463,10 @@ def test_rational_form_refuses_what_has_no_exact_form():
     assert algebra.rational_form(parse("((c*s)^-1)^0"), {"c": 2.0}) == ([1], [1])
     assert algebra.rational_form(parse("1 + m/s"), {"m": math.inf}) is None
     assert algebra.rational_form(parse("1 + 0*m/s"), {"m": math.inf}) is None
+    # the parser refuses inf; a non-finite literal refuses even where its
+    # term vanishes
+    zero_inf = Add(parse("1 + s^2 - m/s"), Mul(Num(0.0), Num(math.inf)))
+    assert algebra.rational_form(zero_inf, {"m": 2.0}) is None
     assert algebra.rational_form(parse("s^90 - s^90 + 1"), {}) == ([1], [1])
     # the defect's normal form refuses this tree with a DecayError
     assert algebra.rational_form(parse("2 + s + 2 + s/(2 + s)"), {}) == ([8, 7, 1], [2, 1])
@@ -459,28 +474,38 @@ def test_rational_form_refuses_what_has_no_exact_form():
     assert algebra.rational_form(parse("(s - 1.1)^60"), {}) is None
 
 
-def test_rational_form_refuses_a_call_before_building_anything(monkeypatch):
-    # the flag is cached on each node; no symbolic form is built or cached
+def _count_normalizations(monkeypatch):
+    """The trees whose normal form is built from now on, in order."""
     built = []
-    original = algebra._symbolic
-    monkeypatch.setattr(algebra, "_symbolic", lambda e: built.append(e) or original(e))
+    original = Expression._normal_form.func
+    counted = cached_property(lambda tree: built.append(tree) or original(tree))
+    counted.__set_name__(Expression, "_normal_form")
+    monkeypatch.setattr(Expression, "_normal_form", counted)
+    return built
+
+
+def test_rational_form_refuses_a_call_before_building_anything(monkeypatch):
+    # the flag is cached on each node; no normal form is built or cached
+    built = _count_normalizations(monkeypatch)
     for text in ("1 + s^2 - m*exp(-s)/s", "1 + s^2 - m/s^3*exp(-1/s)", "(s - 1)^9 + log(s)"):
         tree = parse(text)
         assert algebra.rational_form(tree, {"m": 2.0}) is None
-        assert "_symbolic_form" not in tree.__dict__
+        assert "_normal_form" not in tree.__dict__
     assert built == []
     tree = parse("1 + s^2 - m/s + 0*m/s^7")  # parsed by no other test
     assert algebra.rational_form(tree, {"m": 2.0}) == ([-2, 1, 0, 1], [0, 1])
     assert built == [tree]
+    assert str(tree.defect()) == "m/s"  # the defect reads the same form
+    assert built == [tree]
 
 
 def test_a_family_builds_one_symbolic_form(monkeypatch):
-    built = []
-    original = algebra._symbolic
-    monkeypatch.setattr(algebra, "_symbolic", lambda e: built.append(e) or original(e))
+    # one normalization per tree, shared by every profile and by defect()
+    built = _count_normalizations(monkeypatch)
     text = "1 + s^2 - m/s + c/s^2 + k/s^3 + 0*k/s^4"  # parsed by no other test
     profiles = [custom_profile(text, {"m": m, "c": 0.3, "k": 0.1}) for m in (4.0, 5.0, 6.0)]
     assert len({str(p.rational) for p in profiles}) == 3
+    assert len({str(p.q) for p in profiles}) == 1
     assert built == [profiles[0].f]
     rn_ads(4.0, 0.5).rational
     before = len(built)

@@ -219,11 +219,18 @@ class TestFlowBound:
             flow_volume_lower_bound(hyperbolic(), 1.0)
 
     def test_overflow_names_tau(self):
-        # e^(3t/2) overflows past t = 473; 470 is the last whole tau that runs
+        # e^(3t/2) A^(3/2) is an infinite integrand value from t = 471 on,
+        # and e^(3t/2) raises past t = 473; 470 is the last whole tau that runs
         assert flow_volume_lower_bound(ads_schwarzschild(2.0), 470.0).value == pytest.approx(
             8.252515769542305e204, rel=1e-12)
-        with pytest.raises(ValueError, match=r"^tau = 480.0 is too large: the bound overflows"):
-            flow_volume_lower_bound(ads_schwarzschild(2.0), 480.0)
+        for tau in (471.0, 475.0, 477.0, 480.0):
+            with pytest.raises(ValueError, match=r"^tau = %r is too large: the bound overflows"
+                               % tau):
+                flow_volume_lower_bound(ads_schwarzschild(2.0), tau)
+        # a NaN f is no overflow: 0*s^100 is 0*inf from s = 1.2e3 (t = 14.2) on
+        p = custom_profile("1 + s^2 - m/s + 0*s^100", {"m": 2.0})
+        with pytest.raises(QuadratureError, match="^non-finite integrand value at "):
+            flow_volume_lower_bound(p, 20.0)
 
 
 class TestAreaBound:
@@ -254,9 +261,12 @@ class TestAreaBound:
             area_lower_bound(FOUR_PI, -0.5)
 
     def test_overflow_names_tau(self):
-        # e^t overflows past t = 709.78
-        with pytest.raises(ValueError, match=r"^tau = 720.0 is too large: the bound overflows"):
-            area_lower_bound(1.0, 720.0)
+        # e^t A^(3/2) / sqrt(inner) is an infinite integrand value from
+        # t = 706 on, and e^t raises past t = 709.78
+        for tau in (706.0, 710.0, 715.0, 720.0):
+            with pytest.raises(ValueError, match=r"^tau = %r is too large: the bound overflows"
+                               % tau):
+                area_lower_bound(1.0, tau)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.floats(-6.0, 8.0).map(lambda x: 10.0**x), st.floats(1e-6, 750.0))
@@ -270,8 +280,9 @@ class TestAreaBound:
 
         want = _outcome(_integrate, partial(loop_panel, integrand), 0.0, math.sqrt(tau))
         got = _outcome(area_lower_bound, area, tau)
-        if got[0] is ValueError:  # the refusal of an OverflowError
-            assert want[0] is OverflowError and got[1].startswith("tau = %r" % tau)
+        if got[0] is ValueError:  # the refusal of an overflow: raised, or a non-finite value
+            assert want[0] in (OverflowError, QuadratureError)
+            assert got[1].startswith("tau = %r" % tau)
         else:
             assert got == want
 
