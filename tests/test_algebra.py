@@ -440,6 +440,16 @@ def test_symbolic_form_meets_the_cap_where_the_walk_does():
     assert refused == {(1, False), (2, False), (3, False), (3, True)}
 
 
+def test_symbolic_sums_take_the_lcm_of_constant_denominators():
+    # s^2, not s * s^2, so no degree is added in vain; the parameters'
+    # denominators 2 and 3 meet in their lcm 6, not in their product
+    terms, atoms = parse("1 + s^2 - m/s + c/s^2")._normal_form
+    assert atoms == {} and atoms.divisors == []
+    assert algebra._bind(terms, {"m": (1, 2), "c": (1, 3)}, atoms, {}) == (
+        [2, -3, 6, 0, 6], [0, 0, 6]
+    )
+
+
 def test_symbolic_cap_holds_for_every_binding():
     # the normal form keeps the 400th powers as one atom, whose terms
     # cancel, so no binding expands them; the walk built them at m = 0,
