@@ -222,11 +222,9 @@ class Expression(Record):
 
     @cached_property
     def _normal_form(self):
-        """``(terms, atoms)``: the normal form of this tree (see ``_padd``)
-        and the atoms it names, built once; ``atoms.divisors`` holds the
-        normal forms of the right operands of / and of the bases of
-        negative powers met on the way (see ``_ppow``).  ``_defect_of``
-        and ``algebra.rational_form`` read it."""
+        """``(terms, atoms)``: this tree's normal form (see ``_padd``) and
+        its atoms with their ``divisors`` (see ``_ppow``), built once for
+        ``_defect_of`` and ``algebra.rational_form``."""
         atoms = _Atoms()
         return self._normal(atoms), atoms
 
@@ -948,8 +946,11 @@ class _Atoms(dict):
 def _atom(expr, atoms, func=None, inner=None, exponent=1):
     """``expr^exponent`` as a term; ``atoms`` maps its name to ``(expr,
     func, inner)``: a call and its argument's normal form, a sum kept whole
-    (func None), or a non-finite literal (both None)."""
+    (func None), or a non-finite literal (both None).  The name is the
+    printed tree, primed while another ``(func, inner)`` prints alike."""
     name = str(expr)
+    while name in atoms and atoms[name][1:] != (func, inner):
+        name += "'"
     atoms[name] = expr, func, inner
     return {((2, name, exponent),): _ONE}
 

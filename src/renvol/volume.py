@@ -199,11 +199,12 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
             "if abs(direct - collapsed) > 1e-9 * max(1.0, grown):",
             "    raise ArithmeticError('flow integrand cross-check failed at t=%r: %r vs %r'"
             " % (t, direct, collapsed))",
-            "w = _exp(1.5 * t) * a32 / _sqrt(collapsed)",
-            # every factor is positive, so +inf is an overflow; a NaN f
-            # is left to the panel's QuadratureError
-            "if w == _INF:",
+            # e^(3t/2) A^(3/2) overflows only where tau is too large, whatever
+            # f is; any other non-finite w (a NaN f) is the panel's to refuse
+            "e32 = _exp(1.5 * t) * a32",
+            "if e32 == _INF:",
             "    raise _NonFinite('non-finite integrand value at %r' % u)",
+            "w = e32 / _sqrt(collapsed)",
         ]
     constants = dict(_GLOBALS, **code.constants, DecayError=DecayError, _NonFinite=_NonFinite)
     return _panel_kernel("params, origin", substitution, code.lines, var, setup, constants)

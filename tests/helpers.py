@@ -293,8 +293,24 @@ def walk_rational_form(expr, params):
     1e-80 or 1e80 in some trees, one may build a form the other refuses;
     and a power the normal form keeps whole as an atom, whose terms
     cancel, is never expanded there, as ``(1 + m/s)^400 - (1 + m/s)^400``.
+    Each reduction checks the size of p and q before it divides out
+    their gcd and content, in a copy of its own, so no change of
+    ``algebra._reduce`` moves this reference.
     """
     from renvol import algebra
+
+    def reduce(p, q):
+        if not (q and algebra.small(p) and algebra.small(q)):
+            raise algebra._NotRational
+        if not p:
+            return [], [1]
+        g = algebra._gcd(p, q)
+        if len(g) > 1:
+            p, q = algebra._exquo(p, g), algebra._exquo(q, g)
+        c = math.gcd(math.gcd(*p), math.gcd(*q))
+        if q[-1] < 0:
+            c = -c
+        return (p, q) if c == 1 else ([x // c for x in p], [x // c for x in q])
 
     def exact(x):
         x = float(x)
@@ -331,15 +347,15 @@ def walk_rational_form(expr, params):
         p1, q1 = walk(e.left)
         p2, q2 = walk(e.right)
         if isinstance(e, Mul):
-            return algebra._reduce(algebra.mul(p1, p2), algebra.mul(q1, q2))
+            return reduce(algebra.mul(p1, p2), algebra.mul(q1, q2))
         if isinstance(e, Div):
-            return algebra._reduce(algebra.mul(p1, q2), algebra.mul(q1, p2))
+            return reduce(algebra.mul(p1, q2), algebra.mul(q1, p2))
         if isinstance(e, Sub):
             p2 = algebra._neg(p2)
         g = algebra._gcd(q1, q2)
         r1, r2 = algebra._exquo(q1, g), algebra._exquo(q2, g)
         top = algebra._add(algebra.mul(p1, r2), algebra.mul(p2, r1))
-        return algebra._reduce(top, algebra.mul(q1, r2))
+        return reduce(top, algebra.mul(q1, r2))
 
     try:
         return walk(expr)

@@ -422,6 +422,12 @@ def test_symbolic_form_cancels_shared_factors():
         "1.0 + s^2 - m/s + (1.0 + m/s)^400 - (1.0 + m/s)^400",
     ):
         assert algebra.rational_form(parse(text), {"m": 2.5}) == ads_schwarzschild(2.5).rational
+    # unequal divisors that print alike, with constants 10808639105689191
+    # and ...193 over 2^55, one float apart, do not cancel
+    tree = parse("1 + s^2 - m/s + 1/(s + 0.1 + 0.2) - 1/(s + 0.1 + 0.2 + 5.551115123125783e-17)")
+    form = algebra.rational_form(tree, {"m": 2.5})
+    assert form is not None
+    assert form == walk_rational_form(tree, {"m": 2.5}) != ads_schwarzschild(2.5).rational
 
 
 def test_symbolic_form_meets_the_cap_where_the_walk_does():

@@ -333,6 +333,11 @@ class TestDefect:
             ("1 + s^2", "0.0"),
             # too long to expand: both powers stay whole and cancel
             ("1 + s^2 - m/s + (1 + m/s)^400 - (1 + m/s)^400", "m/s"),
+            # unequal divisors whose constants, one float apart, print
+            # alike stay apart
+            ("1 + s^2 - m/s + 1/(s + 0.1 + 0.2) - 1/(s + 0.1 + 0.2 + 5.551115123125783e-17)",
+             "m/s - 1.0/(s + 1.0808639105689192e+16/3.602879701896397e+16)"
+             " + 1.0/(s + 1.0808639105689192e+16/3.602879701896397e+16)"),
         ],
     )
     def test_normal_form(self, text, want):
