@@ -914,8 +914,8 @@ def _padd(a, b, sign):
     A normal form maps monomials to nonzero exact coefficients, in the
     order the terms first appear.  A monomial is a sorted tuple of
     ``(rank, name, exponent)`` with a nonzero integer exponent; rank 0 is
-    a parameter, 1 the radius ``s`` and 2 an atom, named by its printed
-    tree in the ``atoms`` dict of the normalization (see ``_atom``).
+    a parameter, 1 the radius ``s`` and 2 an atom, named by its number in
+    the ``atoms`` dict of the normalization (see ``_atom``).
     """
     out = dict(a)
     for key, c in b.items():
@@ -936,22 +936,22 @@ def _pmul(a, b):
 
 
 class _Atoms(dict):
-    """The atoms of one normalization by name (see ``_atom``), with the
-    list of the divisors it meets (see ``Expression._normal_form``)."""
+    """The atoms of one normalization by number, their ``numbers`` by exact
+    form (see ``_atom``) and its ``divisors`` (see ``_ppow``)."""
 
     def __init__(self):
-        self.divisors = []
+        self.divisors, self.numbers = [], {}
 
 
 def _atom(expr, atoms, func=None, inner=None, exponent=1):
-    """``expr^exponent`` as a term; ``atoms`` maps its name to ``(expr,
+    """``expr^exponent`` as a term; ``atoms`` maps its number to ``(expr,
     func, inner)``: a call and its argument's normal form, a sum kept whole
-    (func None), or a non-finite literal (both None).  The name is the
-    printed tree, primed while another ``(func, inner)`` prints alike."""
-    name = str(expr)
-    while name in atoms and atoms[name][1:] != (func, inner):
-        name += "'"
-    atoms[name] = expr, func, inner
+    (func None), or a non-finite literal (both None).  Equal exact forms,
+    in any order of terms, share the number of the first; ``expr`` only
+    prints it."""
+    form = expr if inner is None else (func, frozenset(inner.items()))
+    name = atoms.numbers.setdefault(form, len(atoms.numbers))
+    atoms.setdefault(name, (expr, func, inner))
     return {((2, name, exponent),): _ONE}
 
 

@@ -384,6 +384,8 @@ _SWEEP_VALUES = (0.0, -0.0, 1.0, -0.75, 2.5, 1.0 / 3.0, 2.0**-30, 1e-30, 1e30)
         "(m*s + c)^-2 - (c + m*s)^-2 + k*s",
         "(s^5 + s^3 - m*s^2)/(s^3 + 1)",
         "1 + s^2 - (m + c*s^3/(s^3 + a^3))/s",
+        # at c = 0 the divisor c binds to 0, so there is no form
+        "k/c",
     ],
 )
 def test_symbolic_form_matches_the_walk_over_sweeps(text):

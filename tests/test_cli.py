@@ -12,6 +12,8 @@ import pytest
 import renvol.cli
 from renvol.cli import run
 
+from test_comparison import patch_volumes
+
 FOUR_PI = 4.0 * math.pi
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -24,6 +26,25 @@ GOLDEN = sorted(
 # with COLUMNS=80 from the CLI that built every subcommand's parser on each run
 with open(os.path.join(GOLDEN_DIR, "cli_messages.json"), encoding="utf-8") as _fh:
     MESSAGES = json.load(_fh)
+
+# usage errors (exit 2) and the cause each names; DIR holds one.txt, a
+# one-profile file, and empty.txt, an empty one
+USAGE_ERRORS = [
+    (["sweep", "--grid", "1:x:3"], "bad grid component in '1:x:3'"),
+    (["sweep", "--grid", "1:2:0"], "grid count must be >= 1, got 0"),
+    (["volume", "--family", "custom", "--profile", "1 + s^2 - m/s", "--param", "m2"],
+     "parameter must be NAME=VALUE, got 'm2'"),
+    (["volume", "--family", "rn-ads", "--m", "2"], "--family rn-ads needs --m and --c"),
+    (["volume", "--family", "custom", "--profile", "1 + s^2 - 2/s",
+      "--profile-file", "DIR/one.txt"], "provide --profile or --profile-file, not both"),
+    (["volume", "--family", "custom", "--profile-file", "DIR/empty.txt"],
+     "empty.txt defines no profiles"),
+    (["volume", "--family", "custom", "--profile-file", "DIR/one.txt", "--name", "c"],
+     "no profile 'c' in"),
+    (["volume", "--family", "custom"],
+     "--family custom needs --profile EXPR or --profile-file PATH"),
+    (["ialpha", "--alpha", "1", "--grid", "0:1:3"], "provide --alpha or --grid, not both"),
+]
 
 
 def rows_of(output):
@@ -90,6 +111,16 @@ class TestVolume:
         assert run(["volume", "--family", "custom", "--profile-file", str(path)]) == 2
         assert "--name" in capsys.readouterr().err
 
+    def test_profile_file_with_one_profile_needs_no_name(self, tmp_path, capsys):
+        path = tmp_path / "profiles.txt"
+        path.write_text("bh = 1 + s^2 - m/s\n")
+        code = run(["volume", "--family", "custom", "--profile-file", str(path),
+                    "--param", "m=2"])
+        assert code == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        assert rows[0][0] == "bh"
+        assert float(rows[0][3]) == pytest.approx(10.579797094324156, rel=1e-9)
+
     def test_slow_decay_is_numerical_failure(self, capsys):
         assert run(["volume", "--family", "custom", "--profile", "1 + s^2 - s"]) == 3
         assert "decays like" in capsys.readouterr().err
@@ -134,6 +165,11 @@ class TestHawking:
         assert run(["hawking", "--m", "2", "--s", "1.5", "--s", "3"]) == 0
         _, rows = rows_of(capsys.readouterr().out)
         assert [float(r[1]) for r in rows] == [1.5, 3.0]
+
+    def test_one_point_grid(self, capsys):
+        assert run(["hawking", "--m", "2", "--grid", "1:2:1"]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        assert [float(r[1]) for r in rows] == [1.0]
 
     def test_requires_points(self, capsys):
         assert run(["hawking", "--m", "2"]) == 2
@@ -255,6 +291,12 @@ class TestCompare:
         assert code == 0
         assert "verdict: holds" in out
 
+    def test_smaller_volume_exits_one(self, capsys, monkeypatch):
+        patch_volumes(monkeypatch, 1.0, 2.0)
+        code = run(["compare", "--family", "ads", "--m", "2", "--model-m", "2"])
+        assert code == 1
+        assert "verdict: violated" in capsys.readouterr().out
+
     def test_csv_written_alongside_report(self, tmp_path, capsys):
         out_path = tmp_path / "cmp.csv"
         code = run(["compare", "--family", "ads", "--m", "2", "--model-m", "2",
@@ -276,6 +318,12 @@ class TestSweep:
         assert rows[0][2] == ""
         deltas = [float(r[2]) for r in rows[1:]]
         assert all(d > 0.0 for d in deltas)
+
+    def test_falling_volume_exits_one(self, capsys, monkeypatch):
+        patch_volumes(monkeypatch, 3.0, 2.0, 4.0)
+        assert run(["sweep", "--grid", "1:3:3"]) == 1
+        _, rows = rows_of(capsys.readouterr().out)
+        assert [r[2] for r in rows] == ["", "-1", "2"]
 
     def test_reversed_grid(self, capsys):
         assert run(["sweep", "--grid", "4:0.5:4"]) == 2
@@ -317,6 +365,12 @@ class TestOutputAndReplay:
         path.write_text("label,m\nx,1\n")
         assert run(["replay", "--from-csv", str(path)]) == 2
 
+    def test_replay_of_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "v.csv"
+        path.write_text("# argv: volume --m -1\nlabel\n")
+        assert run(["replay", "--from-csv", str(path)]) == 3
+        assert "replay run exited 2 without output" in capsys.readouterr().err
+
     def test_replay_missing_file(self, tmp_path, capsys):
         assert run(["replay", "--from-csv", str(tmp_path / "nope.csv")]) == 3
 
@@ -342,6 +396,15 @@ class TestUsage:
         code = run(case["argv"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("argv, cause", USAGE_ERRORS, ids=" ".join)
+    def test_usage_error_names_its_cause(self, argv, cause, tmp_path, capsys):
+        (tmp_path / "one.txt").write_text("bh = 1 + s^2 - m/s\n")
+        (tmp_path / "empty.txt").write_text("")
+        assert run([arg.replace("DIR", str(tmp_path)) for arg in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and cause in out.err
 
     def test_messages_cover_every_subcommand(self):
         argvs = [case["argv"] for case in MESSAGES]

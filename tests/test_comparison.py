@@ -7,6 +7,7 @@ import random
 import sys
 import time
 from functools import partial
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -93,6 +94,14 @@ SLOPE_4PI_EPS4 = {
     1.0: 0.6558832541101462870969896,
     2.0: 1.569520817608664864629053,
 }
+
+
+def patch_volumes(monkeypatch, *values):
+    """Make the comparison's ``renormalized_volume`` return ``values`` in
+    turn, for verdicts that no admitted input reaches."""
+    values = iter(values)
+    monkeypatch.setattr(renvol.comparison, "renormalized_volume",
+                        lambda p, tol=None: SimpleNamespace(value=next(values)))
 
 
 def substitution_margin(eps, mu, dps=30):
@@ -1124,6 +1133,44 @@ class TestPaperTheorem:
         model = custom_profile("1 + s^2 - m/s", {"m": 2.0})
         assert compare_volumes(model, 2.0).verdict == "equality"
 
+    @pytest.mark.parametrize(
+        "text, certificate",
+        [
+            ("1 + s^2 - m/s + 1/(s+1) - 1/(1+s)", "an exact Sturm count"),
+            ("1 + s^2 - m/s + exp(-s)/(s+1) - exp(-s)/(1+s)", "enclosures"),
+        ],
+    )
+    def test_disguised_model_is_equal(self, text, certificate):
+        # two atoms equal in exact form but written in another order cancel,
+        # so the defect is the model's m/s and R = -6 is certified
+        p = custom_profile(text, {"m": 2.0})
+        assert str(p.f._mass_aspect) == "m"
+        report = compare_volumes(p, 2.0)
+        assert report.verdict == "equality"
+        assert abs(report.margin) < 1e-12
+        assert report.hypotheses[0].passed
+        assert report.hypotheses[0].detail.endswith(
+            "certified by %s of (s q)'" % certificate)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="exp(-s)^2 and exp(-2*s) are two atoms until the normal form "
+        "rewrites exp(a)^k as exp(k a) (ROADMAP item 8), so R >= -6 is "
+        "undecided near s = 1.0166 and the verdict is hypothesis_failed",
+    )
+    def test_disguised_model_with_a_power_of_exp_is_equal(self):
+        p = custom_profile("1 + s^2 - m/s + exp(-s)^2 - exp(-2*s)", {"m": 2})
+        assert compare_volumes(p, 2).verdict == "equality"
+
+    def test_smaller_volume_is_violated(self, monkeypatch):
+        # the theorem rules this out on admitted inputs
+        patch_volumes(monkeypatch, 1.0, 2.0)
+        report = compare_volumes(ads_schwarzschild(2.0), 2.0)
+        assert report.hypotheses_ok
+        assert (report.volume, report.model_volume, report.margin) == (1.0, 2.0, -1.0)
+        assert report.verdict == "violated"
+
     def test_tiny_rising_term_is_decided(self):
         # c = 1e-300 has too many bits for algebra.small, so the enclosures
         # decide R >= -6; (s^3 + a^3)^2 overflows at s = 2.4e51, where
@@ -1146,6 +1193,13 @@ class TestMassVolumeSweep:
         )
         assert result.rows[0].delta_prev is None
         assert result.rows[1].delta_prev == pytest.approx(volumes[1] - volumes[0])
+
+    def test_falling_volume_is_not_monotone(self, monkeypatch):
+        # the model volume rises with the mass, so only a patch reaches this
+        patch_volumes(monkeypatch, 3.0, 2.0, 4.0)
+        result = mass_volume_sweep([1.0, 2.0, 3.0])
+        assert not result.monotone
+        assert [row.delta_prev for row in result.rows] == [None, -1.0, 2.0]
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):

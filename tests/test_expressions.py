@@ -333,6 +333,12 @@ class TestDefect:
             ("1 + s^2", "0.0"),
             # too long to expand: both powers stay whole and cancel
             ("1 + s^2 - m/s + (1 + m/s)^400 - (1 + m/s)^400", "m/s"),
+            # a sum to the power 0 is 1, and an empty base to a power is 0
+            ("1 + s^2 - m/s + (s + m)^0 - 1", "m/s"),
+            ("1 + s^2 - m/s + (s - s)^2", "m/s"),
+            # equal atoms whose terms are written in another order cancel
+            ("1 + s^2 - m/s + 1/(s+1) - 1/(1+s)", "m/s"),
+            ("1 + s^2 - m/s + exp(-s)/(s+1) - exp(-s)/(1+s)", "m/s"),
             # unequal divisors whose constants, one float apart, print
             # alike stay apart
             ("1 + s^2 - m/s + 1/(s + 0.1 + 0.2) - 1/(s + 0.1 + 0.2 + 5.551115123125783e-17)",

@@ -761,7 +761,7 @@ REFUSED_DECAY = [
     ("1 + s^2 - m/s - exp(s) - exp(2*s)", {"m": 2.0},
      "the terms 'exp(s)', 'exp(2.0*s)' lead together"),
     ("1 + s^2 - m/s + exp(s)*exp(-s^2)", {"m": 2.0},
-     "the term 'exp(-s^2)*exp(s)' has no leading term"),
+     "the term 'exp(s)*exp(-s^2)' has no leading term"),
     # both ties cancel exactly: q = -m/s^2, |q|/f ~ s^-4
     ("1 + s^2 - c*(log(s^2) - 2*log(s))/s - m/s^2", {"m": 2.0, "c": 0.5},
      "the terms 'c*log(s^2)/s', '-2.0*c*log(s)/s' lead together and may cancel"),
