@@ -33,9 +33,10 @@ about such polynomials exactly:
   number of distinct roots in (a, b] (Sturm's theorem in the form of
   Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, 2.50);
 * bisection of a bracket that holds one root by the sign of the
-  square-free ``seq[0]`` alone (``root_above``, ``narrow``): once counts
-  have bracketed one root, one polynomial is evaluated per step instead
-  of the whole chain.
+  square-free ``seq[0]`` alone (``narrow``): once counts have bracketed
+  one root, one polynomial is evaluated per step instead of the chain;
+* a bound of p' on an interval (``monotone``), which proves p to have at
+  most one root there without a chain.
 
 A polynomial is a list of ``int`` coefficients, constant term first,
 without trailing zeros; the zero polynomial is the empty list.  Only
@@ -57,9 +58,9 @@ __all__ = [
     "variations",
     "value",
     "isolate",
+    "monotone",
     "narrow",
     "sign",
-    "root_above",
     "root_bound",
     "midpoint",
     "small",
@@ -290,25 +291,35 @@ def sign(p, x):
     return (v > 0) - (v < 0)
 
 
-def root_above(at_x, at_b):
-    """Whether the one root r of a square-free p in (a, b] lies above x,
-    for a < x < b, from the signs of p at x and at b.  p has one sign on
-    (r, b] and the other on (a, r), so r > x exactly when p(x) is nonzero
-    and not the sign at b, which is 0 when r = b.  Once a bracket holds
-    one root, this one evaluation of p decides what a Sturm count of the
-    whole chain would."""
-    return at_x != 0 and at_x != at_b
+def monotone(p, a, b):
+    """Whether p' has one strict sign on [a, b], for floats 0 <= a <= b.
+    Split into its terms of either sign, p' = pos - neg with both parts
+    nondecreasing on [0, inf), so pos(a) - neg(b) <= p' <= pos(b) - neg(a)
+    on [a, b]; the four values are exact (see ``value``), in one pass."""
+    na, nb, d = _aligned(_point(a), _point(b))
+    step, shift = d.bit_length() - 1, 0
+    pos_a = pos_b = neg_a = neg_b = 0
+    for i in range(len(p) - 1, 0, -1):
+        c = i * p[i] << shift
+        shift += step
+        up, down = (c, 0) if c > 0 else (0, -c)
+        pos_a, pos_b = pos_a * na + up, pos_b * nb + up
+        neg_a, neg_b = neg_a * na + down, neg_b * nb + down
+    return pos_a > neg_b or neg_a > pos_b
 
 
 def narrow(p, a, b, done):
-    """Bisect the dyadic (a, b], which holds exactly one root of the
-    square-free p, at midpoints by the sign of p (``root_above``) until
-    ``done(a, b)``; the intervals are those Sturm counts give."""
+    """Bisect the dyadic (a, b], which holds exactly one root r of the
+    square-free p, at midpoints m until ``done(a, b)``; the intervals are
+    those Sturm counts give.  p has one sign on (r, b] and the other on
+    (a, r), so r > m exactly when p(m) is nonzero and not the sign at b,
+    which is 0 when r = b: one evaluation of p decides what a Sturm count
+    of the whole chain would."""
     at_b = sign(p, b)
     while not done(a, b):
         m = midpoint(a, b)
         at_m = sign(p, m)
-        if root_above(at_m, at_b):
+        if at_m != 0 and at_m != at_b:
             a = m
         else:
             b, at_b = m, at_m
@@ -405,8 +416,6 @@ def _bind(terms, values, atoms, bound):
                 num, den = num * n**e, den * d**e
             i += 1
         if num:
-            if not den:
-                raise _NotRational  # a parameter bound to 0 divides
             if den < 0:
                 num, den = -num, -den
             groups.setdefault(key[i:], []).append((k, num, den))

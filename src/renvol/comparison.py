@@ -50,7 +50,7 @@ from . import algebra
 from .errors import DecayError, DomainError
 from .expressions import _Overflow, _Unbounded
 from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
-from .quadrature import Tolerance, _integrate, _NonFinite, _panel_kernel
+from .quadrature import Tolerance, _integrate, _NonFinite, _panel_kernel, find_root_bracketed
 from .records import Record
 from .volume import renormalized_volume
 
@@ -355,14 +355,9 @@ def kernel_threshold(mu: float, tol: Tolerance | None = None) -> float:
     Starting from ratio 1, where the margin must be negative, it walks
     down one decade at a time to the first positive margin, so it finds
     the largest crossing.  It then refines that bracket on log10(eps/mu)
-    to width 1e-11 by the Illinois rule (Dowell and Jarratt, BIT 11,
-    1971) and returns the midpoint: regula falsi steps, where an end kept
-    for a second step in a row has its margin halved.  Near the crossing
-    the margin reaches its rounding floor, about 2e-15; there
-    ``find_root_bracketed``, whose secant and bisection steps the horizon
-    search is tuned to, keeps stepping from one side and spends about 16
-    margin calls, against 9.  Raises ValueError when the margin is not
-    negative at ratio 1 or stays nonpositive down to ratio 1e-12.
+    to width 1e-11 by ``find_root_bracketed`` and returns the midpoint.
+    Raises ValueError when the margin is not negative at ratio 1 or stays
+    nonpositive down to ratio 1e-12.
     """
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError("mu must be positive and finite, got %r" % (mu,))
@@ -379,40 +374,13 @@ def _threshold(tol: Tolerance) -> float:
     f_hi = margin(0.0)
     if not f_hi < 0.0:
         raise ValueError("kernel margin %.3e at ratio 1 is not negative" % (f_hi,))
-    hi = 0.0
-    while True:
+    for hi in range(0, -12, -1):
         f_lo = margin(hi - 1.0)
         if not f_lo <= 0.0:
-            break
-        hi -= 1.0
+            return 10.0 ** find_root_bracketed(margin, hi - 1.0, float(hi), 1e-11, f_lo, f_hi)
         f_hi = f_lo
-        if hi <= -12.0:
-            raise ValueError(
-                "kernel margin is nonpositive at every decade from ratio 1 "
-                "down to 1e-12; no crossing to bracket"
-            )
-    # the Illinois rule on [lo, hi], where f_lo > 0 > f_hi
-    lo = hi - 1.0
-    side = 0
-    while hi - lo > 1e-11:
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            # a rounded step onto an end; the width keeps the midpoint inside
-            x = 0.5 * (lo + hi)
-        fx = margin(x)
-        if fx == 0.0:
-            return 10.0**x
-        if fx > 0.0:
-            lo, f_lo = x, fx
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = x, fx
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-    return 10.0 ** (0.5 * (lo + hi))
+    raise ValueError("kernel margin is nonpositive at every decade from ratio 1 down to "
+                     "1e-12; no crossing to bracket")
 
 
 def _check_curvature(p: RadialProfile, s_lo: float) -> HypothesisCheck:

@@ -947,9 +947,10 @@ def _atom(expr, atoms, func=None, inner=None, exponent=1):
     """``expr^exponent`` as a term; ``atoms`` maps its number to ``(expr,
     func, inner)``: a call and its argument's normal form, a sum kept whole
     (func None), or a non-finite literal (both None).  Equal exact forms,
-    in any order of terms, share the number of the first; ``expr`` only
-    prints it."""
-    form = expr if inner is None else (func, frozenset(inner.items()))
+    in any order of terms, share the number of the first; a non-finite
+    literal has a number of its own, as inf - inf is NaN, not 0.  ``expr``
+    only prints it."""
+    form = object() if inner is None else (func, frozenset(inner.items()))
     name = atoms.numbers.setdefault(form, len(atoms.numbers))
     atoms.setdefault(name, (expr, func, inner))
     return {((2, name, exponent),): _ONE}

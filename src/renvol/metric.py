@@ -36,9 +36,9 @@ The horizon is the outermost root of f on a fixed geometric grid on
 outer edge (``RadialProfile.horizon``): a depth-first bisection that
 skips each range of the grid where ``Expression.enclose`` bounds f away
 from zero, and that for f = P/Q passes over the sign changes that exact
-signs of P and Q show to be poles or rounding noise.  Model profiles
-carry their closed-form horizon from ``ads_horizon_radius`` and search
-nothing.
+signs of P and Q show to be poles or rounding noise, and refines the
+root to adjacent floats (``_refine``).  Model profiles carry their
+closed-form horizon from ``ads_horizon_radius`` and search nothing.
 """
 
 from __future__ import annotations
@@ -115,9 +115,22 @@ def _is_root(form, grid: array, i: int, j: int) -> bool:
     return algebra.variations(seq, below) > algebra.variations(seq, None)
 
 
-def _refine(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> Horizon:
-    """The horizon in the sign-changing cell [lo, hi] of the search grid."""
-    root = find_root_bracketed(fn, lo, hi, tol=1e-14 * max(1.0, hi), fa=f_lo, fb=f_hi)
+def _refine(fn, lo: float, hi: float, f_lo: float, f_hi: float, form) -> Horizon:
+    """The horizon in the sign-changing cell [lo, hi] of the search grid,
+    refined to adjacent floats.  For f = P/Q (``form``, else None) the
+    bracket holds only P's outermost root in the cell: the cell, where P'
+    has one sign (``algebra.monotone``), or else each end of that root's
+    isolating interval (``algebra.isolate``) where f has that end's sign."""
+    if form is not None and not algebra.monotone(form[0], lo, hi):
+        seq = algebra.sturm(algebra.odd_part(form[0]))
+        for (na, da), (nb, db) in algebra.isolate(seq, lo, hi, 1):
+            a, b = na / da, nb / db
+            f_a, f_b = fn(a), fn(b)
+            if (f_a > 0.0) == (f_lo > 0.0):
+                lo, f_lo = a, f_a
+            if (f_b > 0.0) == (f_hi > 0.0):
+                hi, f_hi = b, f_b
+    root = find_root_bracketed(fn, lo, hi, fa=f_lo, fb=f_hi)
     return Horizon(root, _FOUR_PI * root * root)
 
 
@@ -231,8 +244,8 @@ class RadialProfile(Record):
         The grid is ``_scan_grid``, geometric on (1e-6, 1e3].  It is
         walked inward from its outer edge to the first root seen from there:
         a point where f is exactly zero, or a change between f > 0 and
-        f <= 0 from one point to the next, refined by safeguarded bracketed
-        root finding.  Points where f is undefined are skipped and break
+        f <= 0 from one point to the next, refined to adjacent floats
+        (``_refine``).  Points where f is undefined are skipped and break
         the adjacency of their neighbours; a point where f is NaN raises
         DomainError naming it.  A profile whose outermost defined value is
         negative cannot enclose a compact region and raises DecayError.
@@ -325,7 +338,8 @@ class RadialProfile(Record):
                     and (fs > 0.0) != (upper_f > 0.0)
                     and _is_root(self.rational, grid, i, i + 1)
                 ):
-                    return _refine(lambda x: f(x, params), s, upper_s, fs, upper_f)
+                    return _refine(lambda x: f(x, params), s, upper_s, fs, upper_f,
+                                   self.rational)
                 if fs == 0.0 and _is_root(self.rational, grid, i, i):
                     return Horizon(s, _FOUR_PI * s * s)
                 upper_s = s

@@ -336,23 +336,26 @@ def find_root_bracketed(
     fn: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float = 1e-14,
+    tol: float | None = None,
     fa: float | None = None,
     fb: float | None = None,
 ) -> float:
-    """Locate a root of ``fn`` inside the sign-changing bracket [lo, hi].
+    """Locate a root of ``fn`` inside the sign-changing bracket [lo, hi];
+    the root finder of the horizon walk and of the kernel threshold.
 
-    Alternates secant steps with bisection so the bracket width is
-    guaranteed to halve at least every other iteration; the returned
-    point lies in a bracket of width <= tol.  An endpoint where fn is
-    exactly zero is returned as-is.  Raises ValueError when fn has the
-    same strict sign at both endpoints.  ``fa`` and ``fb``, when given,
-    are fn(lo) and fn(hi) already known to the caller; fn is then not
-    called there again.
+    Runs the Illinois rule (Dowell and Jarratt, BIT 11, 1971): regula
+    falsi steps, where the value kept at an end for a second step in a row
+    is halved, and the float next to an end where a step rounds onto it.
+    It returns the midpoint of the bracket once that is at most ``tol``
+    wide, or with no ``tol`` two adjacent floats, between which fn changes
+    sign.  A point where fn is exactly zero is returned as-is.  Raises
+    ValueError when fn has the same strict sign at both endpoints.  ``fa``
+    and ``fb``, when given, are fn(lo) and fn(hi) already known to the
+    caller; fn is then not called there again.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("invalid bracket [%r, %r]" % (lo, hi))
-    if not (tol > 0.0):
+    if tol is not None and not (tol > 0.0):
         raise ValueError("tol must be positive, got %r" % (tol,))
     if fa is None:
         fa = fn(lo)
@@ -364,31 +367,36 @@ def find_root_bracketed(
         return lo
     if fb == 0.0:
         return hi
-    if (fa > 0.0) == (fb > 0.0):
+    rising = fb > 0.0
+    if (fa > 0.0) == rising:
         raise ValueError(
             "no sign change on [%r, %r]: f(lo)=%r, f(hi)=%r" % (lo, hi, fa, fb)
         )
-    a, b = lo, hi
-    iteration = 0
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            break
-        x = mid
-        if iteration % 2 == 0 and fb != fa:
-            secant = b - fb * (b - a) / (fb - fa)
-            if a < secant < b:
-                x = secant
+    a, b, side = lo, hi, 0
+    while tol is None or b - a > tol:
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            # a step that rounds onto an end, or past it, says the root
+            # lies within a rounding of that end: the float next to it
+            x = math.nextafter(b, a) if x >= b else math.nextafter(a, b)
+            if not a < x < b:
+                break
         fx = fn(x)
         if not math.isfinite(fx):
             raise QuadratureError("non-finite function value at %r" % (x,))
         if fx == 0.0:
             return x
-        if (fx > 0.0) == (fa > 0.0):
-            a, fa = x, fx
-        else:
+        # the sign of b is kept apart from fb, which halving may take to 0
+        if (fx > 0.0) == rising:
             b, fb = x, fx
-        iteration += 1
+            if side > 0:
+                fa *= 0.5
+            side = 1
+        else:
+            a, fa = x, fx
+            if side < 0:
+                fb *= 0.5
+            side = -1
     return 0.5 * (a + b)
 
 

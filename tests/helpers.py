@@ -18,8 +18,8 @@ from functools import lru_cache
 
 from renvol.errors import DecayError, DomainError, EvaluationError, QuadratureError
 from renvol.expressions import Add, Call, Div, Mul, Neg, Num, Param, Pow, Sub, Var
-from renvol.metric import _SCAN_HI, _SCAN_LO, _SCAN_POINTS, AsymptoticsReport, Horizon
-from renvol.quadrature import _WG, _WGK, _XGK, find_root_bracketed, geomspace
+from renvol.metric import _SCAN_HI, _SCAN_LO, _SCAN_POINTS, AsymptoticsReport, Horizon, _refine
+from renvol.quadrature import _WG, _WGK, _XGK, geomspace
 
 
 def bisect60(fn, lo, hi):
@@ -442,8 +442,7 @@ def counted_horizon(p):
             if f_hi == 0.0:
                 return Horizon(hi, 4.0 * math.pi * hi * hi)
             if (f_lo > 0.0) != (f_hi > 0.0) and not (math.isnan(f_lo) or math.isnan(f_hi)):
-                root = find_root_bracketed(fn, lo, hi, tol=1e-14 * max(1.0, hi), fa=f_lo, fb=f_hi)
-                return Horizon(root, 4.0 * math.pi * root * root)
+                return _refine(fn, lo, hi, f_lo, f_hi, form)
     return forward_scan_horizon(p)
 
 
@@ -498,15 +497,10 @@ def forward_scan_horizon(p):
             "profile %r: f is NaN at s=%r on the horizon search grid" % (p.label, nan_at)
         )
     if bracket is not None:
-        lo, hi, f_lo, f_hi = bracket
-        root = find_root_bracketed(
-            fn, lo, hi, tol=1e-14 * max(1.0, hi), fa=f_lo, fb=f_hi
-        )
-    elif exact_hit is not None:
-        root = exact_hit
-    else:
+        return _refine(fn, *bracket, p.rational)
+    if exact_hit is None:
         return None
-    return Horizon(root, 4.0 * math.pi * root * root)
+    return Horizon(exact_hit, 4.0 * math.pi * exact_hit * exact_hit)
 
 
 def loop_panel(fn, a, b):
@@ -976,7 +970,7 @@ def enclosing_walk(p, enclosures):
     did before it looked at f first.  Returns or raises what that walk
     did, and appends ``(lo, hi, passed)`` for each enclosure to
     ``enclosures``: the reference for which enclosures may be skipped."""
-    from renvol.metric import _MIN_BLOCK, _is_root, _refine, _scan_grid
+    from renvol.metric import _MIN_BLOCK, _is_root, _scan_grid
 
     fn, grid = p.value, _scan_grid()
     outermost = True
@@ -1025,7 +1019,7 @@ def enclosing_walk(p, enclosures):
                 and (fs > 0.0) != (upper_f > 0.0)
                 and _is_root(p.rational, grid, i, i + 1)
             ):
-                return _refine(fn, s, upper_s, fs, upper_f)
+                return _refine(fn, s, upper_s, fs, upper_f, p.rational)
             if fs == 0.0 and _is_root(p.rational, grid, i, i):
                 return Horizon(s, 4.0 * math.pi * s * s)
             upper_s = s

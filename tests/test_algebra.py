@@ -186,6 +186,26 @@ def test_shifts_match_the_divided_forms(p, a, b):
         assert algebra._isolated(a, b) == divided_isolated(a, b)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-(2**70), 2**70), max_size=9), st.floats(0.0, 1e3),
+       st.floats(0.0, 1e3))
+def test_monotone_is_the_sign_split_bound(p, a, b):
+    # p' = pos - neg bounded on [a, b] by its parts at the ends, in
+    # Fraction arithmetic; where the bound has one sign, p' has no root
+    p = algebra._trim(p)
+    a, b = sorted((a, b))
+    dp = algebra.derivative(p)
+
+    def part(sign, x):
+        return sum(abs(c) * Fraction(x) ** i for i, c in enumerate(dp) if c * sign > 0)
+
+    want = part(1, a) > part(-1, b) or part(-1, a) > part(1, b)
+    assert algebra.monotone(p, a, b) == want
+    if want:
+        ra, rb = (sympy.Rational(*x.as_integer_ratio()) for x in (a, b))
+        assert _sympy_poly(dp).count_roots(ra, rb) == 0
+
+
 def test_isolation_width_at_the_bound():
     # b - a = 2^-40 b is isolated and one unit more is not, at unlike dens
     b = (1 << 100, 1 << 60)
@@ -384,8 +404,11 @@ _SWEEP_VALUES = (0.0, -0.0, 1.0, -0.75, 2.5, 1.0 / 3.0, 2.0**-30, 1e-30, 1e30)
         "(m*s + c)^-2 - (c + m*s)^-2 + k*s",
         "(s^5 + s^3 - m*s^2)/(s^3 + 1)",
         "1 + s^2 - (m + c*s^3/(s^3 + a^3))/s",
-        # at c = 0 the divisor c binds to 0, so there is no form
+        # at c = 0 the divisor c binds to 0, so there is no form; each is
+        # refused at the divisor check, before a term is bound
         "k/c",
+        "1/(1/c)",
+        "k*c^-1",
     ],
 )
 def test_symbolic_form_matches_the_walk_over_sweeps(text):

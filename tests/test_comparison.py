@@ -710,7 +710,7 @@ class TestCompareVolumes:
         check = {h.name: h for h in report.hypotheses}["scalar_curvature"]
         assert not check.passed
         assert check.detail == (
-            "R >= -6 is undecided on [1.000405752741089, 1.0004163336788685] after "
+            "R >= -6 is undecided on [1.0004057527410921, 1.0004163336788716] after "
             "4001 enclosures of (s q)' (no certificate)"
         )
         assert report.verdict == "hypothesis_failed"

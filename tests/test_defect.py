@@ -169,16 +169,10 @@ class TestTightTolerance:
         assert _rel(v.value, _oracle(q, p)) <= 1e-13
 
     # at rel 1e-10 each is within 1e-12 of the oracle, in 270 to 300
-    # evaluations; at rel 1e-12 they take 104,220 to 861,810 evaluations
-    # and come out 1.2e-8 to 2.4e-8 off
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the refined horizon lies up to 1e-14 max(1, s_h) off the root, "
-        "and tight tolerances resolve the kink this offset puts in the "
-        "sqrt-endpoint integrand, so V moves like its square root "
-        "(ROADMAP item 2)",
-    )
+    # evaluations.  At rel 1e-12 they took 104,220 to 861,810 evaluations
+    # and came out 1.2e-8 to 2.4e-8 off while the horizon was refined to a
+    # bracket of 1e-14 max(1, s_h): the offset put a kink in the
+    # sqrt-endpoint integrand, and V moves like its square root
     @pytest.mark.parametrize(
         "m,a,c",
         [

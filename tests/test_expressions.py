@@ -363,6 +363,17 @@ class TestDefect:
         # slow decay, which the decay check reports
         assert str(parse("2 + 2*s^2 - m/s").defect()) == "-1.0 - s^2 + m/s"
 
+    def test_non_finite_literals_never_cancel(self):
+        # inf - inf is NaN at every s, so the two literals are two atoms:
+        # the defect keeps both, and the rate is refused naming one
+        inf = Num(math.inf)
+        for nan in (Sub(Num(math.inf), Num(math.inf)), Sub(inf, inf)):
+            f = Add(parse("1 + s^2 - m/s"), nan)
+            assert math.isnan(f.evaluate(2.0, {"m": 1.0}))
+            assert str(f.defect()) == "m/s - inf + inf"
+            with pytest.raises(DecayError, match="the atom 'inf' has no leading term"):
+                f.decay_rate({"m": 1.0})
+
     def test_cached_and_shared_by_the_family(self, monkeypatch):
         f = parse("1 + s^2 - m/s + c/s^2")
         assert f.defect() is f.defect()

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from bisect import bisect_left
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renvol.errors import QuadratureError
+from renvol.metric import _scan_grid, custom_profile
 from renvol.quadrature import (
     _XGK,
     Integral,
@@ -272,6 +274,42 @@ class TestFindRoot:
             got = find_root_bracketed(fn, 0.0, 10.0)
             want = bisect60(fn, 0.0, 10.0)
             assert got == pytest.approx(want, rel=1e-13)
+
+    def test_no_tolerance_ends_on_adjacent_floats(self):
+        # the result is one of two adjacent floats between which fn
+        # changes sign, or a float where fn is exactly zero
+        cases = [(lambda x, m=m: x**3 + x - m, 0.0, 10.0) for m in (0.3, 1.0, 17.5, 800.0)]
+        cases += [(lambda x: math.cos(x) - x, 0.0, 1.0),
+                  (lambda x: math.tanh(50.0 * (x - 0.7)), 0.0, 1.0),
+                  (lambda x: math.exp(x) - 1e-300, -800.0, 1.0)]
+        for fn, lo, hi in cases:
+            root = find_root_bracketed(fn, lo, hi)
+            up = fn(root) > 0.0
+            assert fn(root) == 0.0 or any(
+                (fn(math.nextafter(root, end)) > 0.0) != up for end in (lo, hi)
+            ), root
+
+    def test_calls_on_a_cubic(self):
+        # the Illinois rule, run to adjacent floats, takes 15 to 19 values
+        # of x^3 + x - m from [0, 10], the two ends included; secant steps
+        # alternated with bisection took 19 to 58 to a width of 1e-14
+        for m in (0.3, 1.0, 2.0, 17.5, 800.0):
+            calls = []
+            find_root_bracketed(lambda x: calls.append(x) or x**3 + x - m, 0.0, 10.0)
+            assert len(calls) <= 19, m
+
+    def test_noisy_sign_ends_within_a_fixed_number_of_calls(self):
+        # the expanded triple root a of (s - a)^3 (s - b): its float values
+        # are rounding noise near a, of either sign.  On the grid cell of
+        # the horizon walk that holds its sign change, 12 calls end it
+        a = 0.0016342605912526183
+        fn = custom_profile("(s^3 - 3*a*s^2 + 3*a^2*s - a^3)*(s - b)", {"a": a, "b": a / 3}).value
+        grid = _scan_grid()
+        k = bisect_left(grid, a)
+        lo, hi = grid[k], grid[k + 1]
+        calls = []
+        root = find_root_bracketed(lambda x: calls.append(x) or fn(x), lo, hi, fa=fn(lo), fb=fn(hi))
+        assert len(calls) <= 12 and root == pytest.approx(a, rel=1e-6)
 
     def test_no_sign_change(self):
         with pytest.raises(ValueError, match="no sign change"):
