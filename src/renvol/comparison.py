@@ -49,7 +49,7 @@ from typing import Sequence
 from . import algebra
 from .errors import DecayError, DomainError
 from .expressions import _Overflow, _Unbounded
-from .metric import RadialProfile, ads_horizon_radius, ads_schwarzschild
+from .metric import RadialProfile, ads_schwarzschild
 from .quadrature import Tolerance, _integrate, _NonFinite, _panel_kernel, find_root_bracketed
 from .records import Record
 from .volume import renormalized_volume
@@ -579,7 +579,8 @@ def compare_volumes(
     if not (model_mass > 0.0 and math.isfinite(model_mass)):
         raise ValueError("model mass must be positive and finite, got %r" % (model_mass,))
     tol = tol or Tolerance()
-    model_s0 = ads_horizon_radius(model_mass)
+    model = ads_schwarzschild(model_mass, p.delta)
+    model_s0 = model.horizon.radius
     model_area = _FOUR_PI * model_s0 * model_s0
 
     horizon = None
@@ -644,7 +645,6 @@ def compare_volumes(
             None, None, None, "hypothesis_failed",
         )
 
-    model = ads_schwarzschild(model_mass, p.delta)
     v_g = renormalized_volume(p, tol).value
     v_model = renormalized_volume(model, tol).value
     margin = v_g - v_model

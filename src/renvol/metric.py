@@ -407,11 +407,13 @@ def ads_schwarzschild(m: float, delta: float = DEFAULT_DELTA) -> RadialProfile:
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError("mass must be positive and finite, got %r" % (m,))
     p = RadialProfile(_ADS, {"m": m}, delta, "ads m=%g" % m)
-    # the cached horizon and P/Q in closed form: f = (d s^3 + d s - n)/(d s) for m = n/d
+    # the cached horizon, P/Q and decay report in closed form: f = (d s^3 + d s - n)/(d s)
+    # for m = n/d, so N = n, |q|/f ~ s^-3, and f > 0 and finite on the asymptotics grid
     radius = ads_horizon_radius(m)
     n, d = float(m).as_integer_ratio()
     p.__dict__.update(horizon=Horizon(radius, _FOUR_PI * radius * radius),
-                      rational=([-n, d, 0, d], [0, d]))
+                      rational=([-n, d, 0, d], [0, d]),
+                      asymptotics=AsymptoticsReport(True, -3.0, -(2.0 + 4.0 * delta)))
     return p
 
 

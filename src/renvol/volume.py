@@ -7,14 +7,15 @@ the difference integrand
 
     d(s) = 4*pi*s^2 * (f(s)^-1/2 - (1+s^2)^-1/2)
 
-in stabilized form: from the horizon in u = sqrt(s - s_h), which removes
-the endpoint singularity, or, without a horizon, in t = log(1 + s), in
-which the integrand is nearly flat at large s.  It subtracts the
-reference ball inside the horizon in closed form and adds the remainder
-integral over (r, infinity) via the substitution s = 1/u, which turns it
-into a proper integral with a bounded integrand.  No asymptotic model of
-the remainder is assumed; profiles whose defect decays at any admissible
-rate are handled alike.
+in stabilized form: from the horizon in u^2 = L log(1 + (s - s_h)/L),
+L = max(1, 2 s_h), which is sqrt(s - s_h) near the horizon, where it
+removes the endpoint singularity, and log-like where d decays like 1/s^2;
+or, without a horizon, in t = log(1 + s), in which d is nearly flat at
+large s.  It subtracts the reference ball inside the horizon in closed
+form and adds the remainder integral over (r, infinity) via the
+substitution s = 1/u, which turns it into a proper integral with a
+bounded integrand.  No asymptotic model of the remainder is assumed;
+profiles whose defect decays at any admissible rate are handled alike.
 
 The flow bounds reparametrize coordinate spheres by the parameter t of
 inverse mean curvature flow (area grows exactly as e^t, so the sphere
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 
-from .errors import DecayError
+from .errors import DecayError, QuadratureError
 from .expressions import _GLOBALS, Expression, _Code
 from .metric import (
     Horizon,
@@ -146,11 +147,13 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
     if integrand == "flow":
         # u^2 = t, the flow parameter, and s the flow sphere's radius there
         var = "t"
-        code.lines.append("s = radius * _exp(0.5 * t)")
-    elif substitution == "sqrt":
-        # u^2 = s - origin, from the horizon
+        code.lines += ["half = _exp(0.5 * t)", "s = radius * half"]
+    elif substitution in ("sqrt", "sqrt-log"):
+        # u^2 = s - origin, or the core's sqrt-log variable, from the horizon
         var = "v"
         code.lines.append("s = origin + v")
+        if substitution == "sqrt-log":
+            setup += ["width = _core_width(origin)", "scale = 1.0 / width"]
     elif substitution == "layer":
         # u = log(1 + s): the horizon-free core and the shell [r, 10r]
         setup.append("width = 1.0")
@@ -185,36 +188,44 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
             "a32 = area * sqrt_area",
         ]
         code.lines += [
-            # f = 0 only at the horizon itself, t = 0
-            "if %s < 0.0 or %s == 0.0 and t > 0.0:" % (fs, fs),
+            # f = 0 only at the horizon itself, t = 0; a NaN f is refused too
+            "if not (%s > 0.0 or %s == 0.0 and t == 0.0):" % (fs, fs),
             "    raise DomainError('flow is not mean-convex: profile nonpositive at s=%r, t=%r'"
             " % (s, t))",
-            "grown = 4.0 * _exp(t) * area",
+            # e^t A overflows only where tau is too large, whatever f is
+            "grown = 4.0 * half * half * area",
+            "if grown == _INF:",
+            "    raise _NonFinite('4 e^t A overflows at t=%r' % t)",
         ]
         qs = _defect_operand(code, f)
         code.lines += [
             "mass = %r * s * %s" % (32.0 * math.pi ** 1.5, qs),
-            "direct = grown + %r - _exp(-0.5 * t) / sqrt_area * mass" % (16.0 * math.pi),
+            "direct = grown + %r - mass / half / sqrt_area" % (16.0 * math.pi),
             "collapsed = %r * %s" % (16.0 * math.pi, fs),
-            "if abs(direct - collapsed) > 1e-9 * max(1.0, grown):",
+            "if not abs(direct - collapsed) <= 1e-9 * max(1.0, grown):",
             "    raise ArithmeticError('flow integrand cross-check failed at t=%r: %r vs %r'"
             " % (t, direct, collapsed))",
-            # e^(3t/2) A^(3/2) overflows only where tau is too large, whatever
-            # f is; any other non-finite w (a NaN f) is the panel's to refuse
-            "e32 = _exp(1.5 * t) * a32",
-            "if e32 == _INF:",
-            "    raise _NonFinite('non-finite integrand value at %r' % u)",
-            "w = e32 / _sqrt(collapsed)",
+            # e^(3t/2) A^(3/2) / sqrt(collapsed), divided first: with f > 0 and
+            # grown finite, a non-finite value, here or weighted, is an overflow
+            "w = a32 / _sqrt(collapsed) * half * half * half",
         ]
-    constants = dict(_GLOBALS, **code.constants, DecayError=DecayError, _NonFinite=_NonFinite)
+    constants = dict(_GLOBALS, **code.constants, DecayError=DecayError, _NonFinite=_NonFinite,
+                     _core_width=_core_width,
+                     QuadratureError=_NonFinite if integrand == "flow" else QuadratureError)
     return _panel_kernel("params, origin", substitution, code.lines, var, setup, constants)
+
+
+def _core_width(s_h: float) -> float:
+    """L of the core's u^2 = L log(1 + (s - s_h)/L), sqrt-like to about L."""
+    return max(1.0, 2.0 * s_h)
 
 
 def _kernel(f: Expression, integrand: str, substitution: str):
     """The panel kernel ``kernel(params, origin, a, b) -> (value, err)`` of
     ``integrand`` ("difference", "shell" or "flow") of the profile tree f
     under ``substitution`` (see ``quadrature._SUBSTITUTIONS``; the layer
-    at width 1); ``origin`` is the sqrt endpoint, or the flow's Horizon.
+    at width 1, the sqrt-log at ``_core_width(origin)``); ``origin`` is the
+    sqrt or sqrt-log endpoint, or the flow's Horizon.
     Compiled on first use and cached on f, like f's own compiled function."""
     kernels = f._kernels
     kernel = kernels.get((integrand, substitution))
@@ -291,14 +302,15 @@ def renormalized_volume(
         integral_{s_h}^{r} d(s) ds  -  integral_0^{s_h} 4 pi s^2 (1+s^2)^-1/2 ds
                                     +  integral_r^{infinity} d(s) ds
 
-    with the first integral in sqrt(s - s_h), or in log(1 + s) when there
-    is no horizon, the reference ball in closed form, and the remainder
-    evaluated exactly (substitution s = 1/u) rather than modeled.  The
-    truncation radius r defaults to max(DEFAULT_TRUNCATION_RADIUS, 10*s_h),
-    so it stays outside a large horizon.  Requires the decay validation to
-    pass; raises DecayError otherwise, and also when the reported stability
-    |V(r) - V(10r)| exceeds ten times the quadrature tolerance; the shell
-    [r, 10r] of V(10r) runs in log(1 + s).
+    with the first integral in u^2 = L log(1 + (s - s_h)/L), L = max(1, 2 s_h),
+    or in log(1 + s) when there is no horizon, the reference ball in closed
+    form, and the remainder evaluated exactly (substitution s = 1/u) rather
+    than modeled.  The truncation radius r defaults to
+    max(DEFAULT_TRUNCATION_RADIUS, 10*s_h), so it stays outside a large
+    horizon.  Requires the decay validation to pass; raises DecayError
+    otherwise, and also when the reported stability |V(r) - V(10r)|
+    exceeds ten times the quadrature tolerance; the shell [r, 10r] of
+    V(10r) runs in log(1 + s).
     """
     tol = tol or Tolerance()
     report = p.asymptotics
@@ -316,7 +328,9 @@ def renormalized_volume(
         raise ValueError("truncation radius %r must be finite and exceed the horizon" % (r,))
 
     if hz is not None:
-        core = _profile_integral(p, "difference", "sqrt", s_h, 0.0, _sqrt_range(s_h, r), tol)
+        width = _core_width(s_h)
+        core = _profile_integral(p, "difference", "sqrt-log", s_h, 0.0,
+                                 math.sqrt(width * math.log1p((r - s_h) / width)), tol)
     else:
         core = _profile_integral(p, "difference", "layer", None, 0.0, math.log1p(r), tol)
     tail = _profile_integral(p, "difference", "inverse", None, 0.0, 1.0 / r, tol)
@@ -355,12 +369,15 @@ def _area_kernel():
 
 def _up_to_tau(kernel, tau: float, tol: Tolerance) -> Integral:
     """The integral of a flow-bound kernel over [0, tau] in u^2 = t;
-    ValueError naming tau where an exponential of t overflows, or the
-    integrand that carries it (the kernel's ``_NonFinite``)."""
+    ValueError naming tau where an exponential of t overflows, the
+    integrand that carries it (the kernel's ``_NonFinite``), or the sum."""
     try:
-        return _integrate(kernel, 0.0, _sqrt_range(0.0, tau), tol)
+        result = _integrate(kernel, 0.0, _sqrt_range(0.0, tau), tol)
+        if math.isfinite(result.value):
+            return result
     except (OverflowError, _NonFinite):
-        raise ValueError("tau = %r is too large: the bound overflows with e^tau" % (tau,)) from None
+        pass
+    raise ValueError("tau = %r is too large: the bound overflows with e^tau" % (tau,))
 
 
 def flow_volume_lower_bound(

@@ -19,7 +19,7 @@ from functools import lru_cache
 from renvol.errors import DecayError, DomainError, EvaluationError, QuadratureError
 from renvol.expressions import Add, Call, Div, Mul, Neg, Num, Param, Pow, Sub, Var
 from renvol.metric import _SCAN_HI, _SCAN_LO, _SCAN_POINTS, AsymptoticsReport, Horizon, _refine
-from renvol.quadrature import _WG, _WGK, _XGK, geomspace
+from renvol.quadrature import _WG, _WGK, _XGK, _NonFinite, geomspace
 
 
 def bisect60(fn, lo, hi):
@@ -503,9 +503,10 @@ def forward_scan_horizon(p):
     return Horizon(exact_hit, 4.0 * math.pi * exact_hit * exact_hit)
 
 
-def loop_panel(fn, a, b):
+def loop_panel(fn, a, b, error=QuadratureError):
     """The Kronrod/Gauss pair on [a, b] as a loop over the abscissa table:
-    the reference for the compiled panel kernels."""
+    the reference for the compiled panel kernels, which raise ``error`` at
+    a non-finite value."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     sum_k = 0.0
@@ -515,7 +516,7 @@ def loop_panel(fn, a, b):
         if x == 0.0:
             fv = fn(center)
             if not math.isfinite(fv):
-                raise QuadratureError("non-finite integrand value at %r" % center)
+                raise error("non-finite integrand value at %r" % center)
             sum_k += _WGK[i] * fv
             sum_g += _WG[3] * fv
             continue
@@ -525,7 +526,7 @@ def loop_panel(fn, a, b):
         fhi = fn(hi)
         if not (math.isfinite(flo) and math.isfinite(fhi)):
             bad = lo if not math.isfinite(flo) else hi
-            raise QuadratureError("non-finite integrand value at %r" % bad)
+            raise error("non-finite integrand value at %r" % bad)
         pair = flo + fhi
         sum_k += _WGK[i] * pair
         if i % 2 == 1:
@@ -577,20 +578,23 @@ def chain_flow_integrand(p, hz):
     a32 = area * sqrt_area
 
     def integrand(t):
-        s = hz.radius * math.exp(0.5 * t)
+        half = math.exp(0.5 * t)
+        s = hz.radius * half
         fs = p.value(s)
-        if fs < 0.0 or fs == 0.0 and t > 0.0:
+        if not (fs > 0.0 or fs == 0.0 and t == 0.0):
             raise DomainError(
                 "flow is not mean-convex: profile nonpositive at s=%r, t=%r" % (s, t)
             )
-        grown = 4.0 * math.exp(t) * area
-        direct = grown + 16.0 * math.pi - math.exp(-0.5 * t) / sqrt_area * p.hawking_mass(s)
+        grown = 4.0 * half * half * area
+        if grown == math.inf:
+            raise _NonFinite("4 e^t A overflows at t=%r" % t)
+        direct = grown + 16.0 * math.pi - p.hawking_mass(s) / half / sqrt_area
         collapsed = 16.0 * math.pi * fs
-        if abs(direct - collapsed) > 1e-9 * max(1.0, grown):
+        if not abs(direct - collapsed) <= 1e-9 * max(1.0, grown):
             raise ArithmeticError(
                 "flow integrand cross-check failed at t=%r: %r vs %r" % (t, direct, collapsed)
             )
-        return math.exp(1.5 * t) * a32 / math.sqrt(collapsed)
+        return a32 / math.sqrt(collapsed) * half * half * half
 
     return integrand
 

@@ -195,8 +195,8 @@ class TestBounds:
         assert "no horizon" in capsys.readouterr().err
 
     def test_overflowing_tau_is_usage_error(self, capsys):
-        # at 475 an integrand value is infinite; at 800 e^(3t/2) raises
-        for tau in ("475", "800"):
+        # at 710 a weighted integrand value is infinite; at 800 so is 4 e^t A
+        for tau in ("710", "800"):
             assert run(["bounds", "--family", "ads", "--m", "2", "--tau", tau]) == 2
             assert capsys.readouterr().err == (
                 "error: tau = %r is too large: the bound overflows with e^tau\n" % float(tau))

@@ -892,8 +892,8 @@ class TestCompareVolumes:
         monkeypatch.setattr(renvol.metric, "validate_asymptotics", counted)
         p = rn_ads(4.0, 1.0)
         assert compare_volumes(p, 2.0).verdict == "holds"
-        # the profile and the model, each checked once
-        assert fitted == ["rn-ads m=4 c=1", "ads m=2"]
+        # the profile checked once; the model carries its report
+        assert fitted == ["rn-ads m=4 c=1"]
         compare_volumes(p, 2.0)
         assert fitted.count("rn-ads m=4 c=1") == 1
 

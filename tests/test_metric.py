@@ -202,6 +202,21 @@ class TestHorizon:
                 renvol.metric._ADS, {"m": m}
             ), m
 
+    @pytest.mark.parametrize("delta", [0.01, 0.2, 0.249])
+    def test_model_asymptotics_is_closed_form(self, delta):
+        # the model stores the report that validate_asymptotics gives a
+        # profile of the same f with nothing cached but the horizon, which
+        # the scan does not reach beyond m ~ 1e9: rate -3, for log-uniform
+        # masses and the extremes
+        rng = random.Random(13)
+        masses = [1e-300, 1e300] + [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(40)]
+        for m in masses:
+            model = ads_schwarzschild(m, delta)
+            fresh = RadialProfile(renvol.metric._ADS, {"m": m}, delta)
+            fresh.__dict__["horizon"] = model.horizon
+            assert model.asymptotics == validate_asymptotics(fresh), (m, delta)
+            assert model.asymptotics.measured_rate == -3.0
+
     def test_model_horizon_runs_no_scan(self, monkeypatch):
         calls = _record_values(monkeypatch)
         assert ads_schwarzschild(3.0).horizon.radius == ads_horizon_radius(3.0)

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from bisect import bisect_left
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from renvol.errors import QuadratureError
 from renvol.metric import _scan_grid, custom_profile
 from renvol.quadrature import (
+    _KERNEL_GLOBALS,
+    _SUBSTITUTIONS,
     _XGK,
     Integral,
     _integrate,
@@ -224,6 +227,45 @@ class TestPanel:
         kernel = _panel_kernel("fn", "plain", ["x = bad = values = -1.0", "w = fn(v)"])
         for fn in (lambda u: math.nan, lambda u: math.inf if u > 0.5 else 1.0, math.exp):
             assert _panel_outcome(kernel, fn, 0.0, 1.0) == _panel_outcome(loop_panel, fn, 0.0, 1.0)
+
+
+# each substitution's map u -> v in mpmath, for a width L
+_MP_MAPS = {
+    "plain": lambda u, L: u,
+    "sqrt": lambda u, L: u * u,
+    "inverse": lambda u, L: 1 / u,
+    "layer": lambda u, L: L * mpmath.expm1(u),
+    "sqrt-log": lambda u, L: L * mpmath.expm1(u * u / L),
+}
+
+
+class TestSubstitutions:
+    """Each entry of the table against its map at 30 digits: v(u), and the
+    weight |dv/du| by ``mpmath.diff`` (the inverse map runs backwards)."""
+
+    def test_every_entry_has_a_map(self):
+        assert set(_MP_MAPS) == set(_SUBSTITUTIONS)
+
+    @pytest.mark.parametrize("name", sorted(_SUBSTITUTIONS))
+    def test_map_and_weight_against_the_derivative(self, name):
+        mapped, weighted = _SUBSTITUTIONS[name]
+        for width in (1.0, 2.5, 2e3):
+            # the names a kernel's setup binds for the entries that use them
+            env = dict(_KERNEL_GLOBALS, width=width, scale=1.0 / width)
+            v_of = eval("lambda u: " + mapped, env)
+            weight_of = eval("lambda u, v, w: " + weighted.format(v="v"), env)
+            for u in (1e-6, 0.01, 0.3, 1.0, 2.5, 3.0):
+                with mpmath.workdps(30):
+                    exact = partial(_MP_MAPS[name], L=width)
+                    want_v = exact(mpmath.mpf(u))
+                    want_w = abs(mpmath.diff(exact, mpmath.mpf(u)))
+                    # the map's condition number: a rounding of the
+                    # argument of expm1 moves v by about that many
+                    kappa = float(abs(u * want_w / want_v))
+                v = v_of(u)
+                bound = 4.0 * (1.0 + kappa) * 2.0 ** -53
+                assert abs(v - want_v) <= bound * abs(want_v), (name, width, u)
+                assert abs(weight_of(u, v, 1.0) - want_w) <= bound * want_w, (name, width, u)
 
 
 class TestSqrtEndpoint:
