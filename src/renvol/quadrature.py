@@ -130,8 +130,8 @@ _SUBSTITUTIONS = {
     # u = log(1 + v/width), for a peak in a layer of that width at v = 0
     "layer": ("width * _expm1(u)", "(width + {v}) * w"),
     # u^2 = width*log(1 + v/width): an inverse-sqrt endpoint at v = 0, and
-    # log-like beyond the width; scale = 1/width
-    "sqrt-log": ("width * _expm1(u * u * scale)", "2.0 * u * (1.0 + {v} * scale) * w"),
+    # log-like beyond the width
+    "sqrt-log": ("width * _expm1(u * u / width)", "2.0 * u * (1.0 + {v} / width) * w"),
 }
 
 

@@ -153,7 +153,7 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
         var = "v"
         code.lines.append("s = origin + v")
         if substitution == "sqrt-log":
-            setup += ["width = _core_width(origin)", "scale = 1.0 / width"]
+            setup.append("width = _core_width(origin)")
     elif substitution == "layer":
         # u = log(1 + s): the horizon-free core and the shell [r, 10r]
         setup.append("width = 1.0")

@@ -251,7 +251,7 @@ class TestSubstitutions:
         mapped, weighted = _SUBSTITUTIONS[name]
         for width in (1.0, 2.5, 2e3):
             # the names a kernel's setup binds for the entries that use them
-            env = dict(_KERNEL_GLOBALS, width=width, scale=1.0 / width)
+            env = dict(_KERNEL_GLOBALS, width=width)
             v_of = eval("lambda u: " + mapped, env)
             weight_of = eval("lambda u, v, w: " + weighted.format(v="v"), env)
             for u in (1e-6, 0.01, 0.3, 1.0, 2.5, 3.0):
