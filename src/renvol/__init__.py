@@ -16,7 +16,6 @@ from .comparison import (
     SlopeBound,
     SweepResult,
     SweepRow,
-    area_log_ratio,
     compare_volumes,
     kernel_margin,
     kernel_threshold,
@@ -55,15 +54,11 @@ from .quadrature import (
     integrate_sqrt_endpoint,
 )
 from .volume import (
-    FlowTime,
     IsoIdentity,
     RenormalizedVolume,
     area_lower_bound,
-    barrier_clearance,
-    flow_time,
     flow_volume_lower_bound,
     isoperimetric_identity,
-    model_bound_inner,
     renormalized_volume,
     volume_between,
 )
@@ -78,7 +73,6 @@ __all__ = [
     "EvaluationError",
     "Expression",
     "ExpressionError",
-    "FlowTime",
     "GapSpec",
     "Horizon",
     "HypothesisCheck",
@@ -95,13 +89,10 @@ __all__ = [
     "Tolerance",
     "ads_horizon_radius",
     "ads_schwarzschild",
-    "area_log_ratio",
     "area_lower_bound",
-    "barrier_clearance",
     "compare_volumes",
     "custom_profile",
     "find_root_bracketed",
-    "flow_time",
     "flow_volume_lower_bound",
     "hyperbolic",
     "integrate",
@@ -112,7 +103,6 @@ __all__ = [
     "kernel_threshold",
     "load_profile_file",
     "mass_volume_sweep",
-    "model_bound_inner",
     "parse",
     "parse_profile_text",
     "renormalized_volume",

@@ -61,7 +61,6 @@ __all__ = [
     "ComparisonReport",
     "SweepRow",
     "SweepResult",
-    "area_log_ratio",
     "volume_gap",
     "volume_gap_regularized",
     "volume_gap_slope",
@@ -151,18 +150,6 @@ class SweepRow(Record):
 class SweepResult(Record):
     rows: tuple[SweepRow, ...]
     monotone: bool
-
-
-def area_log_ratio(area: float, model_area: float) -> float:
-    """alpha = log(area / model_area); requires area >= model_area > 0."""
-    if not (model_area > 0.0):
-        raise ValueError("model area must be positive, got %r" % (model_area,))
-    if area < model_area:
-        raise ValueError(
-            "area %r is below the model area %r; the comparison hypothesis "
-            "requires at least the model area" % (area, model_area)
-        )
-    return math.log(area / model_area)
 
 
 # The gap, slope and margin integrands, each run as a compiled panel kernel

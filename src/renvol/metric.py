@@ -37,8 +37,9 @@ outer edge (``RadialProfile.horizon``): a depth-first bisection that
 skips each range of the grid where ``Expression.enclose`` bounds f away
 from zero, and that for f = P/Q passes over the sign changes that exact
 signs of P and Q show to be poles or rounding noise, and refines the
-root to adjacent floats (``_refine``).  Model profiles carry their
-closed-form horizon from ``ads_horizon_radius`` and search nothing.
+root to adjacent floats (``_refine``).  Model profiles carry the
+horizon of ``ads_horizon_radius``, the bracketed Illinois root of
+s^3 + s - m within 1.2 ulps, and search nothing.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ class RadialProfile(Record):
         rounding noise (``_is_root``).  A tree with exp/log/sqrt, or a form
         above the size cap, has its poles refined like roots.
         ``ads_schwarzschild`` profiles search nothing: they come with the
-        closed-form root of ``ads_horizon_radius``.
+        bracketed Illinois root of ``ads_horizon_radius``, within 1.2 ulps.
         """
         f, params = self.f._compiled, self.params
         grid = _scan_grid()
@@ -407,8 +408,9 @@ def ads_schwarzschild(m: float, delta: float = DEFAULT_DELTA) -> RadialProfile:
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError("mass must be positive and finite, got %r" % (m,))
     p = RadialProfile(_ADS, {"m": m}, delta, "ads m=%g" % m)
-    # the cached horizon, P/Q and decay report in closed form: f = (d s^3 + d s - n)/(d s)
-    # for m = n/d, so N = n, |q|/f ~ s^-3, and f > 0 and finite on the asymptotics grid
+    # the cached horizon, and P/Q and decay report in closed form:
+    # f = (d s^3 + d s - n)/(d s) for m = n/d, so N = n, |q|/f ~ s^-3, and
+    # f > 0 and finite on the asymptotics grid
     radius = ads_horizon_radius(m)
     n, d = float(m).as_integer_ratio()
     p.__dict__.update(horizon=Horizon(radius, _FOUR_PI * radius * radius),
@@ -444,30 +446,18 @@ def custom_profile(
 def ads_horizon_radius(m: float) -> float:
     """Positive root of s^3 + s - m = 0 (horizon radius of the m-model).
 
-    Safeguarded Newton iteration on the bracket [0, max(1, m^(1/3)) + 1];
-    the cubic is strictly increasing so the root is unique and simple.
+    The Illinois root of ``find_root_bracketed``, within 1.2 ulps, on a
+    bracket within a factor 2 of the root: s^3 + s - m on [m/2, m] for
+    m <= 2, else s^2 + 1 - m/s on [c/2, 2c] with c = m^(1/3), which does
+    not overflow where s^3 does.  The function is increasing in s, so the
+    root is unique and simple.
     """
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError("mass must be positive and finite, got %r" % (m,))
-    lo = 0.0
-    hi = max(1.0, m ** (1.0 / 3.0)) + 1.0
-    x = min(hi - 1.0, max(0.5 * hi, 1e-3))
-    for _ in range(200):
-        g = x * x * x + x - m
-        if g == 0.0:
-            return x
-        if g < 0.0:
-            lo = x
-        else:
-            hi = x
-        step = g / (3.0 * x * x + 1.0)
-        nxt = x - step
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 1e-16 * max(1.0, abs(x)):
-            return nxt
-        x = nxt
-    return x
+    if m <= 2.0:
+        return find_root_bracketed(lambda s: s * s * s + s - m, 0.5 * m, m)
+    c = m ** (1.0 / 3.0)
+    return find_root_bracketed(lambda s: s * s + 1.0 - m / s, 0.5 * c, 2.0 * c)
 
 
 @lru_cache(maxsize=64)

@@ -344,7 +344,8 @@ def find_root_bracketed(
     fb: float | None = None,
 ) -> float:
     """Locate a root of ``fn`` inside the sign-changing bracket [lo, hi];
-    the root finder of the horizon walk and of the kernel threshold.
+    the root finder of the horizon walk, the model horizon and the
+    kernel threshold.
 
     Runs the Illinois rule (Dowell and Jarratt, BIT 11, 1971): regula
     falsi steps, where the value kept at an end for a second step in a row

@@ -33,50 +33,23 @@ from functools import lru_cache, partial
 
 from .errors import DecayError, QuadratureError
 from .expressions import _GLOBALS, Expression, _Code
-from .metric import (
-    Horizon,
-    RadialProfile,
-    ads_horizon_radius,
-    ads_schwarzschild,
-)
+from .metric import RadialProfile, ads_schwarzschild
 from .quadrature import Integral, Tolerance, _integrate, _NonFinite, _panel_kernel, _sqrt_range
 from .records import Record
 
 __all__ = [
-    "FlowTime",
     "RenormalizedVolume",
     "IsoIdentity",
-    "flow_time",
-    "model_bound_inner",
     "volume_between",
     "renormalized_volume",
     "flow_volume_lower_bound",
     "area_lower_bound",
     "isoperimetric_identity",
-    "barrier_clearance",
 ]
 
 DEFAULT_TRUNCATION_RADIUS = 1e3
 
 _FOUR_PI = 4.0 * math.pi
-
-
-class FlowTime(Record):
-    """A point on the flow clock: parameter t and the sphere radius there."""
-
-    t: float
-    radius: float
-
-    @property
-    def area(self) -> float:
-        return _FOUR_PI * self.radius * self.radius
-
-
-def flow_time(horizon: Horizon, t: float) -> FlowTime:
-    """Sphere reached at flow parameter t starting from the horizon."""
-    if t < 0.0:
-        raise ValueError("flow parameter must be nonnegative, got %r" % (t,))
-    return FlowTime(t, horizon.radius * math.exp(0.5 * t))
 
 
 class RenormalizedVolume(Record):
@@ -99,21 +72,6 @@ class IsoIdentity(Record):
     rhs: float
     rel_err: float
     evaluations: int
-
-
-def model_bound_inner(area: float, t: float, alpha: float = 0.0, eps: float = 0.0) -> float:
-    """Shared inner expression of the model volume bounds.
-
-        eps + area*(1 - e^(-3(t-alpha)/2)) + 4*pi*e^(-t)*(1 - e^(-(t-alpha)/2))
-
-    written with expm1 so it stays accurate near t = alpha.
-    """
-    dt = t - alpha
-    return (
-        eps
-        + area * (-math.expm1(-1.5 * dt))
-        + _FOUR_PI * math.exp(-t) * (-math.expm1(-0.5 * dt))
-    )
 
 
 # The profile integrals run as compiled panel kernels: one function per
@@ -358,11 +316,11 @@ def renormalized_volume(
 @lru_cache(maxsize=None)
 def _area_kernel():
     """The panel kernel ``kernel(area, a32, a, b)`` of the area bound's
-    integrand e^t a32 / sqrt(model_bound_inner(area, t)) in u^2 = t,
-    compiled on first use; a32 = area^(3/2).  Every factor is positive,
-    so a non-finite value is an overflow."""
-    # model_bound_inner's operations at eps = alpha = 0, where t - alpha is t
-    inner = "0.0 + area * -_expm1(-1.5 * t) + %r * _exp(-t) * -_expm1(-0.5 * t)" % _FOUR_PI
+    integrand e^t a32 / sqrt(area (1 - e^(-3t/2)) + 4 pi e^(-t) (1 - e^(-t/2)))
+    in u^2 = t, compiled on first use; a32 = area^(3/2).  Every factor is
+    positive, so a non-finite value is an overflow."""
+    # the inner sum written with expm1, so it stays accurate near t = 0
+    inner = "area * -_expm1(-1.5 * t) + %r * _exp(-t) * -_expm1(-0.5 * t)" % _FOUR_PI
     return _panel_kernel("area, a32", "sqrt", ["w = _exp(t) * a32 / _sqrt(%s)" % inner], "t",
                          constants={"QuadratureError": _NonFinite})
 
@@ -442,29 +400,15 @@ def isoperimetric_identity(
     quadrature paths agree.
     """
     tol = tol or Tolerance()
-    s0 = ads_horizon_radius(m)
+    profile = ads_schwarzschild(m)
+    horizon = profile.horizon
+    s0 = horizon.radius
     if s_top < s0:
         raise ValueError("s_top=%r lies inside the model horizon %r" % (s_top, s0))
-    profile = ads_schwarzschild(m)
     shell = volume_between(profile, s0, s_top, tol)
     lhs = 2.0 * shell.value
     tau = 2.0 * math.log(s_top / s0) if s_top > s0 else 0.0
-    bound = area_lower_bound(_FOUR_PI * s0 * s0, tau, tol)
+    bound = area_lower_bound(horizon.area, tau, tol)
     rhs = bound.value
     rel_err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return IsoIdentity(lhs, rhs, rel_err, shell.evaluations + bound.evaluations)
-
-
-def barrier_clearance(p: RadialProfile, t: float, delta: float | None = None) -> float:
-    """Factor by which the flow sphere at parameter t clears the barrier
-    radius e^((1-delta)t/2); equals s_h * e^(delta*t/2) in closed form."""
-    if delta is None:
-        delta = p.delta
-    if not (0.0 < delta < 0.25):
-        raise ValueError("delta must lie in (0, 1/4), got %r" % (delta,))
-    if t < 0.0:
-        raise ValueError("flow parameter must be nonnegative, got %r" % (t,))
-    hz = p.horizon
-    if hz is None:
-        raise ValueError("profile %r has no horizon" % (p.label,))
-    return hz.radius * math.exp(0.5 * delta * t)

@@ -6,10 +6,10 @@ expression walks in float, interval and Fraction arithmetic, a forward
 horizon scan and the counted horizon search it backs, the horizon walk
 that encloses every range, the integer routines of ``algebra`` in their
 multiply-and-divide forms, the Kronrod panel as a loop over its table,
-the volume integrands as chains of the profile's public methods, the gap
-and kernel integrands as closures, and sympy limits for decay rates.
-The point is that none of it shares code (or failure modes) with the
-library's adaptive machinery.
+the volume integrands as chains of the profile's public methods, the
+model bounds' inner expression, the gap and kernel integrands as
+closures, and sympy limits for decay rates.  The point is that none of
+it shares code (or failure modes) with the library's adaptive machinery.
 """
 
 import math
@@ -597,6 +597,21 @@ def chain_flow_integrand(p, hz):
         return a32 / math.sqrt(collapsed) * half * half * half
 
     return integrand
+
+
+def model_bound_inner(area, t, alpha=0.0, eps=0.0):
+    """Shared inner expression of the model volume bounds,
+
+        eps + area*(1 - e^(-3(t-alpha)/2)) + 4*pi*e^(-t)*(1 - e^(-(t-alpha)/2)),
+
+    written with expm1 so it stays accurate near t = alpha: the reference
+    for the area bound's compiled kernel."""
+    dt = t - alpha
+    return (
+        eps
+        + area * (-math.expm1(-1.5 * dt))
+        + 4.0 * math.pi * math.exp(-t) * (-math.expm1(-0.5 * dt))
+    )
 
 
 def gap_kernel(y, eps, a, c):

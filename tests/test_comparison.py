@@ -21,7 +21,6 @@ import renvol.metric
 from renvol.comparison import (
     GapSpec,
     _check_curvature,
-    area_log_ratio,
     compare_volumes,
     kernel_margin,
     kernel_threshold,
@@ -121,22 +120,6 @@ def substitution_margin(eps, mu, dps=30):
             lambda u: (eps + mu * (1 - u**3)) ** mpmath.mpf("-1.5"), points
         )
         return lhs, lhs - 4 / mpmath.sqrt(eps) - 1 / mpmath.sqrt(mu)
-
-
-class TestAreaLogRatio:
-    def test_equal_areas(self):
-        assert area_log_ratio(FOUR_PI, FOUR_PI) == 0.0
-
-    def test_e_fold(self):
-        assert area_log_ratio(FOUR_PI * math.e, FOUR_PI) == pytest.approx(1.0, rel=1e-15)
-
-    def test_smaller_area_rejected(self):
-        with pytest.raises(ValueError):
-            area_log_ratio(FOUR_PI * 0.99, FOUR_PI)
-
-    def test_bad_model_area(self):
-        with pytest.raises(ValueError):
-            area_log_ratio(1.0, 0.0)
 
 
 class TestGapSpec:

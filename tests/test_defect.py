@@ -145,14 +145,15 @@ class TestModelSelfComparison:
 
 
 class TestTightTolerance:
-    # Tolerance admits rel >= 1e-14, and rel = 1e-13 converges in 615 and
-    # 675 evaluations to within 1e-13 of the oracle
+    # Tolerance admits rel >= 1e-14, and rel = 1e-13 converges in 240 and
+    # 210 evaluations to within 1e-13 of the oracle
     @pytest.mark.xfail(
         strict=True,
         raises=DomainError,
-        reason="below rel = 1e-13 the sqrt-endpoint panels sample the horizon "
-        "itself: DomainError 'profile nonpositive at s=<horizon> inside a "
-        "volume integral'",
+        reason="below rel = 1e-13 the core's sqrt-log node s_h + L expm1(u^2/L) "
+        "rounds onto the horizon, where float f is 0 or negative: DomainError "
+        "'profile nonpositive at s=<horizon> inside a volume integral' "
+        "(ROADMAP item 12)",
     )
     @pytest.mark.parametrize("rel", [1e-14, 3e-14])
     @pytest.mark.parametrize(

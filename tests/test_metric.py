@@ -632,10 +632,61 @@ class TestHorizonWalk:
             p.horizon
 
 
+def _cardano_root(m, dps=50):
+    """The real root of s^3 + s - m at ``dps`` digits, by Cardano's
+    formula in its hyperbolic form, which cancels no digits at tiny m:
+    s = 2/sqrt(3) sinh(asinh(3 sqrt(3) m / 2) / 3)."""
+    with mp.workdps(dps):
+        m = mp.mpf(m)
+        return 2 / mp.sqrt(3) * mp.sinh(mp.asinh(3 * mp.sqrt(3) * m / 2) / 3)
+
+
+def _admitted_masses():
+    """Log-uniform over the positive floats, plus edge values: below about
+    1e-108 the root is m itself, and above about 2.2e307 the cubic overflows
+    at twice the root."""
+    rng = random.Random(36)
+    masses = [2.0 ** rng.uniform(-1074.0, 1023.99) for _ in range(2000)]
+    return masses + [5e-324, 1e-300, 1e-40, 1e40, 1.7976931348623157e308]
+
+
 class TestAdsHorizonRadius:
     def test_pinned_values(self):
-        assert abs(ads_horizon_radius(2.0) - 1.0) < 1e-15
-        assert abs(ads_horizon_radius(30.0) - 3.0) < 1e-13
+        assert ads_horizon_radius(2.0) == 1.0
+        assert ads_horizon_radius(30.0) == 3.0
+
+    def test_within_ulps_of_cardano_on_every_positive_float(self):
+        for m in _admitted_masses():
+            want = _cardano_root(m)
+            got = ads_horizon_radius(m)
+            assert abs(mp.mpf(got) - want) <= 1.2 * math.ulp(float(want)), (m, got)
+
+    def test_few_values_per_root(self, monkeypatch):
+        # the bracket lies within a factor 2 of the root, so the Illinois
+        # steps reach adjacent floats in a few values; on [0, 2] the root
+        # of m = 1e-300 took more than 200,000
+        original = renvol.metric.find_root_bracketed
+        calls = []
+
+        def counted(fn, lo, hi, *args, **kwargs):
+            calls.append(0)
+
+            def value(s):
+                calls[-1] += 1
+                return fn(s)
+
+            return original(value, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(renvol.metric, "find_root_bracketed", counted)
+        for m in _admitted_masses():
+            ads_horizon_radius(m)
+        assert max(calls) <= 20
+        assert sum(calls) <= 8 * len(calls)
+
+    def test_tiny_model_admits_a_radius_outside_its_horizon(self):
+        # the horizon of m = 1e-40 is m itself, well inside s = 1e-30
+        assert ads_schwarzschild(1e-40).horizon.radius == 1e-40
+        assert math.isfinite(ads_schwarzschild(1e-40).hawking_mass(1e-30))
 
     @pytest.mark.parametrize("m", [1e-3, 0.3, 1.0, 17.5, 640.0, 1e3])
     def test_against_bisection(self, m):

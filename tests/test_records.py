@@ -43,7 +43,6 @@ RECORDS = [
     (metric.RadialProfile, ("f", "params", "delta", "label"), (_ADS, {"m": 2.0}, 0.2, "ads")),
     (quadrature.Tolerance, ("rel", "abs"), (1e-8, 1e-12)),
     (quadrature.Integral, ("value", "err_estimate", "evaluations"), (1.25, 1e-12, 15)),
-    (volume.FlowTime, ("t", "radius"), (0.5, 1.25)),
     (
         volume.RenormalizedVolume,
         ("value", "truncation_radius", "tail_correction", "stability", "evaluations"),

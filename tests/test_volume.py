@@ -28,11 +28,8 @@ from renvol.volume import (
     _kernel,
     _reference_ball,
     area_lower_bound,
-    barrier_clearance,
-    flow_time,
     flow_volume_lower_bound,
     isoperimetric_identity,
-    model_bound_inner,
     renormalized_volume,
     volume_between,
 )
@@ -45,6 +42,7 @@ from helpers import (
     exact_validate_asymptotics,
     hyperbolic_ball_volume,
     loop_panel,
+    model_bound_inner,
     random_tree,
 )
 
@@ -369,51 +367,6 @@ class TestIsoIdentity:
     def test_top_below_horizon(self):
         with pytest.raises(ValueError):
             isoperimetric_identity(2.0, 0.5)
-
-
-class TestFlowTime:
-    def test_radius_growth(self):
-        horizon = ads_schwarzschild(2.0).horizon
-        ft = flow_time(horizon, 2.0 * math.log(3.0))
-        assert ft.radius == pytest.approx(3.0, rel=1e-15)
-        assert ft.area == pytest.approx(horizon.area * 9.0, rel=1e-14)
-
-    def test_zero_time_is_the_horizon(self):
-        horizon = rn_ads(4.0, 1.0).horizon
-        ft = flow_time(horizon, 0.0)
-        assert ft.radius == horizon.radius
-
-    def test_negative_time(self):
-        with pytest.raises(ValueError):
-            flow_time(ads_schwarzschild(2.0).horizon, -0.1)
-
-
-class TestBarrierClearance:
-    def test_closed_form(self):
-        p = ads_schwarzschild(2.0, delta=0.2)
-        for t in (0.0, 1.0, 4.0):
-            assert barrier_clearance(p, t) == pytest.approx(
-                math.exp(0.1 * t), rel=1e-15
-            )
-
-    def test_delta_override(self):
-        p = ads_schwarzschild(2.0)
-        assert barrier_clearance(p, 2.0, delta=0.1) == pytest.approx(
-            math.exp(0.1), rel=1e-15
-        )
-
-    def test_clearance_grows_with_time(self):
-        p = rn_ads(4.0, 1.0)
-        values = [barrier_clearance(p, t) for t in (0.0, 1.0, 2.0, 3.0)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_requires_horizon(self):
-        with pytest.raises(ValueError):
-            barrier_clearance(hyperbolic(), 1.0)
-
-    def test_bad_delta(self):
-        with pytest.raises(ValueError):
-            barrier_clearance(ads_schwarzschild(2.0), 1.0, delta=0.3)
 
 
 def test_tight_tolerance_changes_little():
