@@ -649,6 +649,15 @@ class TestCompareVolumes:
         assert floor == pytest.approx(7.2547, rel=1e-3)
         assert 2.0 * report.margin >= floor
 
+    @pytest.mark.parametrize("model_mass", [1.0, 2.0, 3.0])
+    def test_alpha_is_the_log_of_the_area_ratio(self, model_mass):
+        p = rn_ads(4.0, 1.0)
+        report = compare_volumes(p, model_mass)
+        s0 = ads_horizon_radius(model_mass)
+        assert report.area == p.horizon.area
+        assert report.model_area == 4.0 * math.pi * s0 * s0
+        assert report.alpha == math.log(report.area / report.model_area)
+
     def test_negative_charge_fails_curvature_hypothesis(self):
         report = compare_volumes(rn_ads(4.0, -1.0), 4.0)
         assert report.verdict == "hypothesis_failed"

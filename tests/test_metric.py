@@ -683,6 +683,24 @@ class TestAdsHorizonRadius:
         assert max(calls) <= 20
         assert sum(calls) <= 8 * len(calls)
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 7, 10, 100, 1000, 100000])
+    def test_integer_roots_are_exact(self, s):
+        # m = s^3 + s is a float for these s, so the nearest root is s itself
+        assert ads_horizon_radius(float(s**3 + s)) == float(s)
+
+    @pytest.mark.parametrize("m", [5e-324, 1e-300, 1e-40, 1e-10])
+    def test_tiny_mass_is_its_own_root(self, m):
+        # the root m - m^3 + ... rounds to m once m^2 is below half an ulp
+        assert ads_horizon_radius(m) == m
+
+    @pytest.mark.parametrize("m", [1e-300, 1e-40, 1e-6, 2.0, 30.0, 1e6, 1e40])
+    def test_model_hawking_mass_is_constant_from_the_horizon(self, m):
+        p = ads_schwarzschild(m)
+        for k in (1.0, 2.0, 10.0):
+            assert p.hawking_mass(k * p.horizon.radius) == pytest.approx(
+                32.0 * math.pi**1.5 * m, rel=1e-15
+            )
+
     def test_tiny_model_admits_a_radius_outside_its_horizon(self):
         # the horizon of m = 1e-40 is m itself, well inside s = 1e-30
         assert ads_schwarzschild(1e-40).horizon.radius == 1e-40
