@@ -474,8 +474,10 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     decades, from s_0 = max(1e2, 10*s_h) to 1e4*s_0, where s_h is the
     horizon radius, so a large horizon does not reach into it; a profile
     without a horizon, or whose horizon search raises DecayError, uses
-    [1e2, 1e6].  Raises DomainError naming the first grid point where f is
-    not, so an f that overflows there fails here, before any quadrature.
+    [1e2, 1e6].  An ``Expression.enclose`` of f over [s_0, 1e4*s_0] above
+    0 passes every grid point at once.  Raises DomainError naming the
+    first grid point where f is not, so an f that overflows there fails
+    here, before any quadrature.
 
     The rate is exact; q is not evaluated.  For a rational profile,
     f = P/Q (``RadialProfile.rational``), q = N/Q with N = Q (1 + s^2) - P,
@@ -496,7 +498,8 @@ def validate_asymptotics(p: RadialProfile) -> AsymptoticsReport:
     if horizon is not None:
         s_lo = max(s_lo, 10.0 * horizon.radius)
     f, params = p.f._compiled, p.params
-    for s in _asymptotics_grid(s_lo):
+    window = p.f.enclose(s_lo, 1e4 * s_lo, params)  # bounds f at every grid point
+    for s in () if window and window[0] > 0.0 else _asymptotics_grid(s_lo):
         fs = f(s, params)
         if not (0.0 < fs < math.inf):
             raise DomainError(

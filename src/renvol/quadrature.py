@@ -129,9 +129,10 @@ _SUBSTITUTIONS = {
     "inverse": ("1.0 / u", "w / (u * u)"),
     # u = log(1 + v/width), for a peak in a layer of that width at v = 0
     "layer": ("width * _expm1(u)", "(width + {v}) * w"),
-    # u^2 = width*log(1 + v/width): an inverse-sqrt endpoint at v = 0, and
-    # log-like beyond the width
-    "sqrt-log": ("width * _expm1(u * u / width)", "2.0 * u * (1.0 + {v} / width) * w"),
+    # v = width*u^2/(1 - u^2) over u in [0, 1): an inverse-sqrt endpoint at
+    # v = 0, and v ~ 1/(1 - u) beyond the width, where w decays like 1/v^2
+    "compact": ("width * u * u / ((1.0 - u) * (1.0 + u))",
+                "2.0 * width * u / ((1.0 - u) * (1.0 + u)) ** 2 * w"),
 }
 
 
@@ -349,8 +350,9 @@ def find_root_bracketed(
 
     Runs the Illinois rule (Dowell and Jarratt, BIT 11, 1971): regula
     falsi steps, where the value kept at an end for a second step in a row
-    is halved, and the float next to an end where a step rounds onto it.
-    It returns the midpoint of the bracket once that is at most ``tol``
+    is halved, and the float next to an end where a step rounds onto it,
+    or the midpoint where that float would gain an ulp a step.  It
+    returns the midpoint of the bracket once that is at most ``tol``
     wide, or with no ``tol`` two adjacent floats, between which fn changes
     sign.  A point where fn is exactly zero is returned as-is.  Raises
     ValueError when fn has the same strict sign at both endpoints.  ``fa``
@@ -381,8 +383,14 @@ def find_root_bracketed(
         x = b - fb * (b - a) / (fb - fa)
         if not a < x < b:
             # a step that rounds onto an end, or past it, says the root
-            # lies within a rounding of that end: the float next to it
-            x = math.nextafter(b, a) if x >= b else math.nextafter(a, b)
+            # lies within a rounding of that end: the float next to it;
+            # not where fb (b - a) underflowed or the end lies below the
+            # other end's ulp, where each step would gain an ulp
+            end, other = (b, a) if x >= b else (a, b)
+            if fb * (b - a) == 0.0 or abs(end) < math.ulp(other):
+                x = 0.5 * (a + b)
+            else:
+                x = math.nextafter(end, other)
             if not a < x < b:
                 break
         fx = fn(x)

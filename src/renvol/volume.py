@@ -7,14 +7,14 @@ the difference integrand
 
     d(s) = 4*pi*s^2 * (f(s)^-1/2 - (1+s^2)^-1/2)
 
-in stabilized form: from the horizon in u^2 = L log(1 + (s - s_h)/L),
-L = max(1, 2 s_h), which is sqrt(s - s_h) near the horizon, where it
-removes the endpoint singularity, and log-like where d decays like 1/s^2;
-or, without a horizon, in t = log(1 + s), in which d is nearly flat at
-large s.  It subtracts the reference ball inside the horizon in closed
-form and adds the remainder integral over (r, infinity) via the
-substitution s = 1/u, which turns it into a proper integral with a
-bounded integrand.  No asymptotic model of the remainder is assumed;
+in stabilized form: from the horizon in u in [0, 1), s = s_h + W u^2/(1 - u^2),
+W = 2 max(1, 2 s_h), which is sqrt((s - s_h)/W) near the horizon, where it
+removes the endpoint singularity, and 1 - W/(2 s) far out, where d ds is
+nearly constant in u as d decays like 1/s^2; or, without a horizon, in
+t = log(1 + s), in which d is nearly flat at large s.  It subtracts the
+reference ball inside the horizon in closed form and adds the remainder
+integral over (r, infinity) via the substitution s = 1/u, which turns it
+into a proper integral with a bounded integrand.  No asymptotic model of the remainder is assumed;
 profiles whose defect decays at any admissible rate are handled alike.
 
 The flow bounds reparametrize coordinate spheres by the parameter t of
@@ -106,11 +106,11 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
         # u^2 = t, the flow parameter, and s the flow sphere's radius there
         var = "t"
         code.lines += ["half = _exp(0.5 * t)", "s = radius * half"]
-    elif substitution in ("sqrt", "sqrt-log"):
-        # u^2 = s - origin, or the core's sqrt-log variable, from the horizon
+    elif substitution in ("sqrt", "compact"):
+        # u^2 = s - origin, or the core's compact variable, from the horizon
         var = "v"
         code.lines.append("s = origin + v")
-        if substitution == "sqrt-log":
+        if substitution == "compact":
             setup.append("width = _core_width(origin)")
     elif substitution == "layer":
         # u = log(1 + s): the horizon-free core and the shell [r, 10r]
@@ -174,16 +174,17 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
 
 
 def _core_width(s_h: float) -> float:
-    """L of the core's u^2 = L log(1 + (s - s_h)/L), sqrt-like to about L."""
-    return max(1.0, 2.0 * s_h)
+    """W = 2 max(1, 2 s_h) of the core's s = s_h + W u^2/(1 - u^2): u is
+    sqrt-like in s - s_h below about W, and runs out to 1 beyond it."""
+    return max(2.0, 4.0 * s_h)
 
 
 def _kernel(f: Expression, integrand: str, substitution: str):
     """The panel kernel ``kernel(params, origin, a, b) -> (value, err)`` of
     ``integrand`` ("difference", "shell" or "flow") of the profile tree f
     under ``substitution`` (see ``quadrature._SUBSTITUTIONS``; the layer
-    at width 1, the sqrt-log at ``_core_width(origin)``); ``origin`` is the
-    sqrt or sqrt-log endpoint, or the flow's Horizon.
+    at width 1, the compact map at ``_core_width(origin)``); ``origin`` is
+    the sqrt or compact endpoint, or the flow's Horizon.
     Compiled on first use and cached on f, like f's own compiled function."""
     kernels = f._kernels
     kernel = kernels.get((integrand, substitution))
@@ -260,7 +261,8 @@ def renormalized_volume(
         integral_{s_h}^{r} d(s) ds  -  integral_0^{s_h} 4 pi s^2 (1+s^2)^-1/2 ds
                                     +  integral_r^{infinity} d(s) ds
 
-    with the first integral in u^2 = L log(1 + (s - s_h)/L), L = max(1, 2 s_h),
+    with the first integral in u over [0, sqrt((r - s_h)/(r - s_h + W))],
+    s = s_h + W u^2/(1 - u^2) with W = 2 max(1, 2 s_h) (``_core_width``),
     or in log(1 + s) when there is no horizon, the reference ball in closed
     form, and the remainder evaluated exactly (substitution s = 1/u) rather
     than modeled.  The truncation radius r defaults to
@@ -286,9 +288,9 @@ def renormalized_volume(
         raise ValueError("truncation radius %r must be finite and exceed the horizon" % (r,))
 
     if hz is not None:
-        width = _core_width(s_h)
-        core = _profile_integral(p, "difference", "sqrt-log", s_h, 0.0,
-                                 math.sqrt(width * math.log1p((r - s_h) / width)), tol)
+        v = r - s_h
+        core = _profile_integral(p, "difference", "compact", s_h, 0.0,
+                                 math.sqrt(v / (v + _core_width(s_h))), tol)
     else:
         core = _profile_integral(p, "difference", "layer", None, 0.0, math.log1p(r), tol)
     tail = _profile_integral(p, "difference", "inverse", None, 0.0, 1.0 / r, tol)

@@ -135,12 +135,6 @@ class TestVolume:
     def test_missing_mass(self, capsys):
         assert run(["volume"]) == 2
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="exits 3 with 'profile nonpositive at s=1.0 inside a volume "
-        "integral': below rel = 1e-13 the core's sqrt-log node "
-        "s_h + L expm1(u^2/L) rounds onto the horizon (ROADMAP item 12)",
-    )
     def test_tightest_admitted_tolerance(self, capsys):
         assert run(["volume", "--family", "ads", "--m", "2", "--rel-tol", "1e-14"]) == 0
         _, rows = rows_of(capsys.readouterr().out)

@@ -58,7 +58,7 @@ class TestVolumeAgainstOracle:
         p = custom_profile("1 + s^2 - m/s + 0*exp(s-s)", {"m": 2.0})
         model = renormalized_volume(ads_schwarzschild(2.0))
         assert renormalized_volume(p) == model
-        assert model.value == 10.579797094324764 and model.evaluations == 120
+        assert model.value == 10.579797094324125 and model.evaluations == 120
 
     @pytest.mark.parametrize("m", [2.0, 8.0])
     def test_fast_decaying_tail_is_kept(self, m):
@@ -145,24 +145,27 @@ class TestModelSelfComparison:
 
 
 class TestTightTolerance:
-    # Tolerance admits rel >= 1e-14, and rel = 1e-13 converges in 240 and
-    # 210 evaluations to within 1e-13 of the oracle
-    @pytest.mark.xfail(
-        strict=True,
-        raises=DomainError,
-        reason="below rel = 1e-13 the core's sqrt-log node s_h + L expm1(u^2/L) "
-        "rounds onto the horizon, where float f is 0 or negative: DomainError "
-        "'profile nonpositive at s=<horizon> inside a volume integral' "
-        "(ROADMAP item 12)",
-    )
+    # Tolerance admits rel >= 1e-14, and rel = 1e-13 converges in 150
+    # evaluations for each to within 1e-13 of the oracle; ads-2 takes 150
+    # at 1e-14 too, and lands 3.0e-15 from it
     @pytest.mark.parametrize("rel", [1e-14, 3e-14])
     @pytest.mark.parametrize(
         "make,q",
         [
-            (lambda: ads_schwarzschild(2.0), lambda s: 2 / s),
-            (lambda: rn_ads(4.0, 0.5), lambda s: 4 / s - mp.mpf(0.5) / s**2),
+            pytest.param(lambda: ads_schwarzschild(2.0), lambda s: 2 / s, id="ads-2"),
+            pytest.param(
+                lambda: rn_ads(4.0, 0.5), lambda s: 4 / s - mp.mpf(0.5) / s**2,
+                id="rn-ads-4-0.5",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=DomainError,
+                    reason="below rel = 1e-13 the core's compact node s_h + W u^2/(1 - u^2) "
+                    "rounds onto the horizon, where float f is 0 or negative: DomainError "
+                    "'profile nonpositive at s=<horizon> inside a volume integral' "
+                    "(ROADMAP item 12)",
+                ),
+            ),
         ],
-        ids=["ads-2", "rn-ads-4-0.5"],
     )
     def test_model_volume_matches_oracle(self, make, q, rel):
         p = make()

@@ -1079,21 +1079,38 @@ class TestAsymptotics:
 
     @pytest.mark.parametrize("m, moved", [(4.0, False), (1e7, True)])
     def test_fit_grid_spans_four_decades_outside_the_horizon(self, m, moved, monkeypatch):
-        p = rn_ads(m, 1.0)
-        s_lo = max(1e2, 10.0 * p.horizon.radius)
-        assert (s_lo > 1e2) == moved
-        # the grid calls the compiled f, not RadialProfile.value
-        seen = []
-        compiled = p.f._compiled
-        monkeypatch.setitem(
-            p.f.__dict__, "_compiled", lambda s, params: seen.append(s) or compiled(s, params)
-        )
-        validate_asymptotics(p)
-        assert len(seen) == 41
-        assert seen[0] == s_lo and seen[-1] == 1e4 * s_lo
-        # a second check reads the remembered grid: the same floats
-        validate_asymptotics(p)
-        assert seen == 2 * geomspace(s_lo, 1e4 * s_lo, 41)
+        # one enclosure of f over the window certifies rn-ads, so no grid
+        # point runs; the sqrt family's enclosure reaches below 0 (the
+        # cancellation in sqrt(s^2 + a) - s), so its 41 points run, before
+        # the decay reader refuses its leading terms
+        certified = rn_ads(m, 1.0)
+        gridded = custom_profile("1 + s^2 - m/s - c*(sqrt(s^2 + a) - s)",
+                                 {"m": m, "c": 0.5, "a": 1.0})
+
+        def check(p):
+            try:
+                validate_asymptotics(p)
+            except DecayError:
+                assert p is gridded
+        for p, points in ((certified, 0), (gridded, 41)):
+            s_lo = max(1e2, 10.0 * p.horizon.radius)
+            assert (s_lo > 1e2) == moved
+            # the grid calls the compiled f, not RadialProfile.value
+            windows, seen = [], []
+            compiled, enclose = p.f._compiled, p.f.enclose
+            monkeypatch.setitem(
+                p.f.__dict__, "enclose",
+                lambda lo, hi, params: windows.append((lo, hi)) or enclose(lo, hi, params),
+            )
+            monkeypatch.setitem(
+                p.f.__dict__, "_compiled", lambda s, params: seen.append(s) or compiled(s, params)
+            )
+            check(p)
+            assert windows == [(s_lo, 1e4 * s_lo)]
+            assert len(seen) == points
+            # a second check reads the remembered grid: the same floats
+            check(p)
+            assert seen == 2 * geomspace(s_lo, 1e4 * s_lo, 41)[:points]
 
     def test_negative_profile_on_grid(self):
         with pytest.raises(DomainError):

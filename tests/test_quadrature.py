@@ -235,8 +235,11 @@ _MP_MAPS = {
     "sqrt": lambda u, L: u * u,
     "inverse": lambda u, L: 1 / u,
     "layer": lambda u, L: L * mpmath.expm1(u),
-    "sqrt-log": lambda u, L: L * mpmath.expm1(u * u / L),
+    "compact": lambda u, L: L * u * u / (1 - u * u),
 }
+
+# the u of each check: the compact map's u lies in [0, 1)
+_MP_NODES = {"compact": (1e-6, 0.01, 0.3, 0.9, 0.99, 0.999999)}
 
 
 class TestSubstitutions:
@@ -254,13 +257,14 @@ class TestSubstitutions:
             env = dict(_KERNEL_GLOBALS, width=width)
             v_of = eval("lambda u: " + mapped, env)
             weight_of = eval("lambda u, v, w: " + weighted.format(v="v"), env)
-            for u in (1e-6, 0.01, 0.3, 1.0, 2.5, 3.0):
+            for u in _MP_NODES.get(name, (1e-6, 0.01, 0.3, 1.0, 2.5, 3.0)):
                 with mpmath.workdps(30):
                     exact = partial(_MP_MAPS[name], L=width)
                     want_v = exact(mpmath.mpf(u))
                     want_w = abs(mpmath.diff(exact, mpmath.mpf(u)))
                     # the map's condition number: a rounding of the
-                    # argument of expm1 moves v by about that many
+                    # argument of expm1, or of 1 - u^2, moves v by about
+                    # that many
                     kappa = float(abs(u * want_w / want_v))
                 v = v_of(u)
                 bound = 4.0 * (1.0 + kappa) * 2.0 ** -53
@@ -339,6 +343,20 @@ class TestFindRoot:
             calls = []
             find_root_bracketed(lambda x: calls.append(x) or x**3 + x - m, 0.0, 10.0)
             assert len(calls) <= 19, m
+
+    def test_root_far_below_the_bracket_ends(self):
+        # from [0, 2] the rule steps onto 0, far below 2's ulp, and later
+        # f(b) (b - a) underflows: a step of one ulp each, where bisection
+        # reaches the root in about 1,050 values
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            assert len(calls) <= 2000
+            return x**3 + x - 1e-300
+
+        root = find_root_bracketed(fn, 0.0, 2.0)
+        assert abs(root - 1e-300) <= 1.2 * math.ulp(1e-300)
 
     def test_noisy_sign_ends_within_a_fixed_number_of_calls(self):
         # the expanded triple root a of (s - a)^3 (s - b): its float values
