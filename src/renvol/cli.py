@@ -45,7 +45,6 @@ from .metric import (
 )
 from .quadrature import Tolerance, geomspace, linspace
 from .volume import (
-    DEFAULT_TRUNCATION_RADIUS,
     area_lower_bound,
     flow_volume_lower_bound,
     isoperimetric_identity,
@@ -71,6 +70,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError("bad grid component in %r" % (text,)) from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("grid start and stop must be finite, got %r" % (text,))
     if count < 1:
         raise ValueError("grid count must be >= 1, got %d" % count)
     if count == 1:
@@ -179,7 +180,7 @@ def _write_rows(args: argparse.Namespace, argv: list[str], header: str, rows) ->
 
 def _cmd_volume(args: argparse.Namespace, argv: list[str]) -> int:
     p = _build_profile(args)
-    rv = renormalized_volume(p, _tolerance(args), truncation_radius=args.r_max)
+    rv = renormalized_volume(p, _tolerance(args))
     rows = [
         (p.label, _profile_mass(args), None,
          rv.value, rv.tail_correction, rv.stability, rv.evaluations),
@@ -407,10 +408,7 @@ _PROFILE_OUTPUT_FLAGS = _PROFILE_FLAGS + _OUTPUT_FLAGS
 
 # name -> (help, arguments in help order, handler); the order is the listing's
 _SUBCOMMANDS = {
-    "volume": ("renormalized volume of a profile", _PROFILE_OUTPUT_FLAGS + (
-        _arg("--r-max", type=float, default=None,
-             help="truncation radius (default max(%g, 10 s_h))" % DEFAULT_TRUNCATION_RADIUS),
-    ), _cmd_volume),
+    "volume": ("renormalized volume of a profile", _PROFILE_OUTPUT_FLAGS, _cmd_volume),
     "hawking": ("pointwise geometry: f, H, R, quasi-local mass", _PROFILE_OUTPUT_FLAGS + (
         _arg("--s", type=float, action="append", default=[], help="sample radius (repeatable)"),
         _arg("--grid", default=None, metavar="SPEC",

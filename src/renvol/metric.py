@@ -359,8 +359,7 @@ class RadialProfile(Record):
 
     def mean_curvature(self, s: float) -> float:
         """H(s) = 2*sqrt(f(s))/s for the coordinate sphere of radius s."""
-        if not s > 0.0:
-            raise ValueError("radius must be positive, got %r" % (s,))
+        _check_radius(s)
         fs = self.value(s)
         if fs < 0.0:
             raise DomainError("profile negative at s=%r; sphere is not spacelike-mean-convex" % (s,))
@@ -372,8 +371,7 @@ class RadialProfile(Record):
         constant, which 2*(1 - f - s*f')/s^2 missed near a tiny horizon.
         Raises DecayError where the defect tree is refused, as
         ``hawking_mass`` does."""
-        if not s > 0.0:
-            raise ValueError("radius must be positive, got %r" % (s,))
+        _check_radius(s)
         return -6.0 + 2.0 * self.mass_aspect.jet(s, self.params)[1] / (s * s)
 
     def hawking_mass(self, s: float) -> float:
@@ -383,14 +381,18 @@ class RadialProfile(Record):
         which collapses to 32*pi^(3/2)*s*q(s) in this symmetric class.
         Requires s at or outside the horizon when one exists.
         """
-        if not s > 0.0:
-            raise ValueError("radius must be positive, got %r" % (s,))
+        _check_radius(s)
         hz = self.horizon
         if hz is not None and s < hz.radius * (1.0 - 1e-12):
             raise ValueError(
                 "radius %r lies inside the horizon at %r" % (s, hz.radius)
             )
         return 32.0 * math.pi ** 1.5 * s * self.defect(s)
+
+
+def _check_radius(s: float) -> None:
+    if not 0.0 < s < math.inf:
+        raise ValueError("radius must be positive and finite, got %r" % (s,))
 
 
 _HYPERBOLIC = parse("1 + s^2")

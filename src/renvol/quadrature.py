@@ -125,8 +125,6 @@ _SUBSTITUTIONS = {
     "plain": ("u", "w"),
     # an inverse-sqrt endpoint at v = 0
     "sqrt": ("u * u", "2.0 * u * w"),
-    # a remainder integral over (r, infinity)
-    "inverse": ("1.0 / u", "w / (u * u)"),
     # u = log(1 + v/width), for a peak in a layer of that width at v = 0
     "layer": ("width * _expm1(u)", "(width + {v}) * w"),
     # v = width*u^2/(1 - u^2) over u in [0, 1): an inverse-sqrt endpoint at

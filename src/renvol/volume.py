@@ -7,15 +7,16 @@ the difference integrand
 
     d(s) = 4*pi*s^2 * (f(s)^-1/2 - (1+s^2)^-1/2)
 
-in stabilized form: from the horizon in u in [0, 1), s = s_h + W u^2/(1 - u^2),
-W = 2 max(1, 2 s_h), which is sqrt((s - s_h)/W) near the horizon, where it
-removes the endpoint singularity, and 1 - W/(2 s) far out, where d ds is
-nearly constant in u as d decays like 1/s^2; or, without a horizon, in
-t = log(1 + s), in which d is nearly flat at large s.  It subtracts the
-reference ball inside the horizon in closed form and adds the remainder
-integral over (r, infinity) via the substitution s = 1/u, which turns it
-into a proper integral with a bounded integrand.  No asymptotic model of the remainder is assumed;
-profiles whose defect decays at any admissible rate are handled alike.
+in stabilized form: from the horizon out to infinity in u in [0, 1),
+s = s_h + W u^2/(1 - u^2), W = 2 max(1, 2 s_h), which is sqrt((s - s_h)/W)
+near the horizon, where it removes the endpoint singularity, and
+1 - W/(2 s) far out, where d ds is nearly constant in u as d decays like
+1/s^2, so the remainder beyond the truncation radius is a proper integral
+with a bounded integrand.  Without a horizon the core up to the truncation
+radius runs in t = log(1 + s), in which d is nearly flat at large s.  The
+reference ball inside the horizon is subtracted in closed form.  No
+asymptotic model of the remainder is assumed; profiles whose defect decays
+at any admissible rate are handled alike.
 
 The flow bounds reparametrize coordinate spheres by the parameter t of
 inverse mean curvature flow (area grows exactly as e^t, so the sphere
@@ -46,8 +47,6 @@ __all__ = [
     "area_lower_bound",
     "isoperimetric_identity",
 ]
-
-DEFAULT_TRUNCATION_RADIUS = 1e3
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -113,7 +112,7 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
         if substitution == "compact":
             setup.append("width = _core_width(origin)")
     elif substitution == "layer":
-        # u = log(1 + s): the horizon-free core and the shell [r, 10r]
+        # u = log(1 + s): the horizon-free core
         setup.append("width = 1.0")
     fs = f._emit(code)
     if integrand in ("shell", "difference"):
@@ -174,7 +173,7 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
 
 
 def _core_width(s_h: float) -> float:
-    """W = 2 max(1, 2 s_h) of the core's s = s_h + W u^2/(1 - u^2): u is
+    """W = 2 max(1, 2 s_h) of the volume's s = s_h + W u^2/(1 - u^2): u is
     sqrt-like in s - s_h below about W, and runs out to 1 beyond it."""
     return max(2.0, 4.0 * s_h)
 
@@ -249,11 +248,7 @@ def _reference_ball(s: float) -> float:
     return _FOUR_PI * s * x * total
 
 
-def renormalized_volume(
-    p: RadialProfile,
-    tol: Tolerance | None = None,
-    truncation_radius: float | None = None,
-) -> RenormalizedVolume:
+def renormalized_volume(p: RadialProfile, tol: Tolerance | None = None) -> RenormalizedVolume:
     """Renormalized volume of the profile relative to the reference space.
 
     Computed as
@@ -261,16 +256,22 @@ def renormalized_volume(
         integral_{s_h}^{r} d(s) ds  -  integral_0^{s_h} 4 pi s^2 (1+s^2)^-1/2 ds
                                     +  integral_r^{infinity} d(s) ds
 
-    with the first integral in u over [0, sqrt((r - s_h)/(r - s_h + W))],
-    s = s_h + W u^2/(1 - u^2) with W = 2 max(1, 2 s_h) (``_core_width``),
-    or in log(1 + s) when there is no horizon, the reference ball in closed
-    form, and the remainder evaluated exactly (substitution s = 1/u) rather
-    than modeled.  The truncation radius r defaults to
-    max(DEFAULT_TRUNCATION_RADIUS, 10*s_h), so it stays outside a large
-    horizon.  Requires the decay validation to pass; raises DecayError
-    otherwise, and also when the reported stability |V(r) - V(10r)|
-    exceeds ten times the quadrature tolerance; the shell [r, 10r] of
-    V(10r) runs in log(1 + s).
+    at the truncation radius r = max(1e3, 10 s_h), outside a large horizon.
+    Everything beyond the horizon runs in the compact variable u of
+    s = s_h + W u^2/(1 - u^2), W = 2 max(1, 2 s_h) (``_core_width``), which
+    reaches s = infinity at u = 1: the first integral over [0, u_r), the
+    remainder, evaluated rather than modeled, over [u_r, 1), with
+    u_R = sqrt((R - s_h)/(R - s_h + W)).  Without a horizon the first
+    integral runs in log(1 + s) instead, and the remainder in u from s = 0.
+    The reference ball is subtracted in closed form.
+
+    The tolerance bounds each integral, not V: V's error is about
+    rel*(|core| + |remainder|), which exceeds rel*|V| where the two cancel.
+
+    Requires the decay validation to pass; raises DecayError otherwise,
+    and also when the reported stability |V(r) - V(10r)| exceeds ten times
+    the quadrature tolerance, where V(10r) splits the remainder at u_10r
+    into [u_r, u_10r) and [u_10r, 1).
     """
     tol = tol or Tolerance()
     report = p.asymptotics
@@ -281,29 +282,24 @@ def renormalized_volume(
         )
     hz = p.horizon
     s_h = hz.radius if hz is not None else 0.0
-    r = truncation_radius
-    if r is None:
-        r = max(DEFAULT_TRUNCATION_RADIUS, 10.0 * s_h)
-    if not (r > max(s_h, 0.0) and math.isfinite(r)):
-        raise ValueError("truncation radius %r must be finite and exceed the horizon" % (r,))
+    r = max(1e3, 10.0 * s_h)
+    width = _core_width(s_h)
+    u_r, u_10r = (math.sqrt(v / (v + width)) for v in (r - s_h, 10.0 * r - s_h))
+
+    def piece(a, b):
+        return _profile_integral(p, "difference", "compact", s_h, a, b, tol)
 
     if hz is not None:
-        v = r - s_h
-        core = _profile_integral(p, "difference", "compact", s_h, 0.0,
-                                 math.sqrt(v / (v + _core_width(s_h))), tol)
+        core = piece(0.0, u_r)
     else:
         core = _profile_integral(p, "difference", "layer", None, 0.0, math.log1p(r), tol)
-    tail = _profile_integral(p, "difference", "inverse", None, 0.0, 1.0 / r, tol)
-    evals = core.evaluations + tail.evaluations
-    value = core.value - _reference_ball(s_h) + tail.value
-
-    # recompute the split at 10r: the shell piece runs in log(1 + s), the
-    # remainder in 1/s, so agreement cross-validates the substitutions
-    shell = _profile_integral(p, "difference", "layer", None,
-                              math.log1p(r), math.log1p(10.0 * r), tol)
-    tail10 = _profile_integral(p, "difference", "inverse", None, 0.0, 1.0 / (10.0 * r), tol)
-    evals += shell.evaluations + tail10.evaluations
-    value10 = value - tail.value + shell.value + tail10.value
+    ball = _reference_ball(s_h)
+    tail = piece(u_r, 1.0)
+    value = core.value - ball + tail.value
+    shell = piece(u_r, u_10r)
+    tail10 = piece(u_10r, 1.0)
+    value10 = core.value - ball + shell.value + tail10.value
+    evals = core.evaluations + tail.evaluations + shell.evaluations + tail10.evaluations
 
     stability = abs(value10 - value)
     threshold = 10.0 * max(tol.abs, tol.rel * max(1.0, abs(value)))
@@ -325,6 +321,11 @@ def _area_kernel():
     inner = "area * -_expm1(-1.5 * t) + %r * _exp(-t) * -_expm1(-0.5 * t)" % _FOUR_PI
     return _panel_kernel("area, a32", "sqrt", ["w = _exp(t) * a32 / _sqrt(%s)" % inner], "t",
                          constants={"QuadratureError": _NonFinite})
+
+
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be nonnegative and finite, got %r" % (tau,))
 
 
 def _up_to_tau(kernel, tau: float, tol: Tolerance) -> Integral:
@@ -359,8 +360,7 @@ def flow_volume_lower_bound(
     ``volume_between`` at full quadrature accuracy.
     """
     tol = tol or Tolerance()
-    if tau < 0.0:
-        raise ValueError("flow parameter must be nonnegative, got %r" % (tau,))
+    _check_tau(tau)
     hz = p.horizon
     if hz is None:
         raise ValueError("profile %r has no horizon to start the flow from" % (p.label,))
@@ -384,8 +384,7 @@ def area_lower_bound(area: float, tau: float, tol: Tolerance | None = None) -> I
     tol = tol or Tolerance()
     if not (area > 0.0 and math.isfinite(area)):
         raise ValueError("area must be positive and finite, got %r" % (area,))
-    if tau < 0.0:
-        raise ValueError("flow parameter must be nonnegative, got %r" % (tau,))
+    _check_tau(tau)
     if tau == 0.0:
         return Integral(0.0, 0.0, 0)
     return _up_to_tau(partial(_area_kernel(), area, area * math.sqrt(area)), tau, tol)

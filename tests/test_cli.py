@@ -32,6 +32,12 @@ with open(os.path.join(GOLDEN_DIR, "cli_messages.json"), encoding="utf-8") as _f
 USAGE_ERRORS = [
     (["sweep", "--grid", "1:x:3"], "bad grid component in '1:x:3'"),
     (["sweep", "--grid", "1:2:0"], "grid count must be >= 1, got 0"),
+    (["hawking", "--m", "2", "--grid", "1:inf:3"],
+     "grid start and stop must be finite, got '1:inf:3'"),
+    (["sweep", "--grid", "log:nan:2:3"], "grid start and stop must be finite, got 'log:nan:2:3'"),
+    (["hawking", "--m", "2", "--s", "inf"], "radius must be positive and finite, got inf"),
+    (["bounds", "--m", "2", "--tau", "inf"], "tau must be nonnegative and finite, got inf"),
+    (["bounds", "--m", "2", "--tau", "nan"], "tau must be nonnegative and finite, got nan"),
     (["volume", "--family", "custom", "--profile", "1 + s^2 - m/s", "--param", "m2"],
      "parameter must be NAME=VALUE, got 'm2'"),
     (["volume", "--family", "rn-ads", "--m", "2"], "--family rn-ads needs --m and --c"),

@@ -13,7 +13,7 @@ import renvol.metric
 import renvol.volume
 from renvol import acceptance
 from renvol.comparison import compare_volumes
-from renvol.errors import DecayError, DomainError
+from renvol.errors import DecayError, DomainError, QuadratureError
 from renvol.expressions import Expression
 from renvol.metric import ads_schwarzschild, custom_profile, rn_ads
 from renvol.quadrature import Tolerance
@@ -144,6 +144,21 @@ class TestModelSelfComparison:
         assert compare_volumes(p, m).verdict == "equality"
 
 
+_STALLS = pytest.mark.xfail(
+    strict=True,
+    raises=QuadratureError,
+    reason="the core's error estimate stalls at 2e-11 to 1e-10, above its target, until it "
+    "has burned the 999,975-evaluation budget: QuadratureError (ROADMAP item 12)",
+)
+_ON_THE_HORIZON = pytest.mark.xfail(
+    strict=True,
+    raises=DomainError,
+    reason="the core's compact node s_h + W u^2/(1 - u^2) rounds onto the horizon, where float "
+    "f is 0 or negative: DomainError 'profile nonpositive at s=<horizon> inside a volume "
+    "integral' (ROADMAP item 12)",
+)
+
+
 class TestTightTolerance:
     # Tolerance admits rel >= 1e-14, and rel = 1e-13 converges in 150
     # evaluations for each to within 1e-13 of the oracle; ads-2 takes 150
@@ -155,15 +170,7 @@ class TestTightTolerance:
             pytest.param(lambda: ads_schwarzschild(2.0), lambda s: 2 / s, id="ads-2"),
             pytest.param(
                 lambda: rn_ads(4.0, 0.5), lambda s: 4 / s - mp.mpf(0.5) / s**2,
-                id="rn-ads-4-0.5",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    raises=DomainError,
-                    reason="below rel = 1e-13 the core's compact node s_h + W u^2/(1 - u^2) "
-                    "rounds onto the horizon, where float f is 0 or negative: DomainError "
-                    "'profile nonpositive at s=<horizon> inside a volume integral' "
-                    "(ROADMAP item 12)",
-                ),
+                id="rn-ads-4-0.5", marks=_ON_THE_HORIZON,
             ),
         ],
     )
@@ -171,6 +178,47 @@ class TestTightTolerance:
         p = make()
         v = renormalized_volume(p, Tolerance(rel=rel))
         assert _rel(v.value, _oracle(q, p)) <= 1e-13
+
+    # the core's failures below rel = 1e-13, each in its first integral,
+    # the core over [0, u_r): four burn the 999,975-evaluation budget, in
+    # about a second each, and two round a node onto the horizon at once
+    @pytest.mark.parametrize(
+        "make,q,rel",
+        [
+            pytest.param(
+                lambda: ads_schwarzschild(3.0), lambda s: 3 / s, 3e-14, id="ads-3",
+                marks=_STALLS,
+            ),
+            pytest.param(
+                lambda: custom_profile("1 + s^2 - m*exp(-s)/s", {"m": 4.0}),
+                lambda s: 4 * mp.exp(-s) / s, 3e-14, id="exp-s-4", marks=_STALLS,
+            ),
+            pytest.param(
+                lambda: custom_profile("1 + s^2 - m*exp(-s^2)/s", {"m": 8.0}),
+                lambda s: 8 * mp.exp(-s * s) / s, 1e-13, id="exp-s2-8", marks=_STALLS,
+            ),
+            pytest.param(
+                lambda: custom_profile(
+                    "1 + s^2 - m/s + c/s^2 + k/s^3", {"m": 5.0, "c": 0.3, "k": 0.1}
+                ),
+                lambda s: 5 / s - mp.mpf(0.3) / s**2 - mp.mpf(0.1) / s**3, 3e-14,
+                id="laurent-5-0.3-0.1", marks=_STALLS,
+            ),
+            pytest.param(
+                lambda: ads_schwarzschild(40.0), lambda s: 40 / s, 1e-14, id="ads-40",
+                marks=_ON_THE_HORIZON,
+            ),
+            pytest.param(
+                lambda: custom_profile("1 + s^2 - m/s^3*exp(-1/s)", {"m": 3.0}),
+                lambda s: 3 / s**3 * mp.exp(-1 / s), 1e-14, id="exp-1/s-3",
+                marks=_ON_THE_HORIZON,
+            ),
+        ],
+    )
+    def test_core_below_rel_1e_13(self, make, q, rel):
+        p = make()
+        v = renormalized_volume(p, Tolerance(rel=rel))
+        assert _rel(v.value, _oracle(q, p)) <= 10.0 * rel
 
     # at rel 1e-10 each is within 1e-12 of the oracle, in 270 to 300
     # evaluations.  At rel 1e-12 they took 104,220 to 861,810 evaluations

@@ -791,6 +791,14 @@ class TestMeanCurvature:
         with pytest.raises(ValueError):
             hyperbolic().mean_curvature(0.0)
 
+    @pytest.mark.parametrize("method", ["mean_curvature", "scalar_curvature", "hawking_mass"])
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, method, s):
+        # an infinite radius passed a guard of s > 0: H, R and m_H came out
+        # nan, -6 and nan
+        with pytest.raises(ValueError, match=r"^radius must be positive and finite, got %r$" % s):
+            getattr(ads_schwarzschild(2.0), method)(s)
+
 
 class TestHawkingMass:
     def test_constant_on_model_family(self):

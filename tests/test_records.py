@@ -283,8 +283,11 @@ for name, args in (("evaluate", (1.0,)), ("enclose", (1.0, 2.0)), ("evaluate_exa
         getattr(tree, name)(*args)
         print(" ".join(generated))
 p = renvol.custom_profile("1 + s^2 - m*exp(-s)/s", {"m": 2.0})
-p.horizon, p.asymptotics
-for call in (renvol.renormalized_volume, lambda p: renvol.flow_volume_lower_bound(p, 1.0)):
+free = renvol.custom_profile("1 + s^2 + c*exp(-s)", {"c": 1.0})
+for q in (p, free):
+    q.horizon, q.asymptotics
+for call in (renvol.renormalized_volume, lambda p: renvol.flow_volume_lower_bound(p, 1.0),
+             lambda p: renvol.renormalized_volume(free)):
     for _ in range(2):
         del generated[:]
         call(p)
@@ -308,18 +311,18 @@ for call in (
     assert proc.returncode == 0, proc.stderr
     # nothing at import; the first evaluate, enclose and evaluate_exact
     # each compile and run one <expression>, and a second call neither.
-    # The first renormalized_volume compiles and runs its three panel
-    # kernels (core, remainder, shell) under their own name, and no
-    # <expression>; the flow bound one more; a second call none.  The
+    # The first renormalized_volume compiles and runs one panel kernel,
+    # the compact map's, under its own name, and no <expression>; the flow
+    # bound one more; a second call none.  Without a horizon the volume
+    # compiles two, its core's in log(1 + s) and the compact map's.  The
     # first kernel_margin compiles and runs its kernel, the first
     # volume_gap and volume_gap_regularized their two each (the sqrt and
     # the layer substitutions; at alpha = 1 the second gap integral has no
     # tail in plain t); the slope and the threshold reuse the margin's,
     # and no second call compiles
     once = "<expression> <expression>"
-    volume = " ".join(["<panel>"] * 6)
     one, two = "<panel> <panel>", " ".join(["<panel>"] * 4)
     assert proc.stdout.split("\n") == [
-        "", once, "", once, "", once, "", volume, "", one, "",
+        "", once, "", once, "", once, "", one, "", one, "", two, "",
         one, "", two, "", two, "", "", "", "", "", "",
     ]

@@ -1,6 +1,5 @@
 """Shell volumes, renormalized volume, and the flow/area lower bounds."""
 
-import copy
 import math
 import random
 from functools import lru_cache, partial
@@ -101,35 +100,46 @@ class TestRenormalizedVolume:
         # compiling the profile must not change the quadrature's path
         assert res.evaluations == 120
 
-    def test_core_upper_end_maps_to_the_truncation_radius(self, monkeypatch):
-        # the core runs in s = s_h + W x^2/(1 - x^2); its upper end x_r, put
-        # through the kernel's map, lands on r within the rounding that the
-        # map's condition number 1/(1 - x_r^2) in x_r^2 allows: x_r^2 from
-        # a float x_r is about an ulp off at best, and 1 - x_r^2 carries that
-        # ulp relative to itself, 1/(1 - x_r^2) times larger (x_r ~ 0.999 at
-        # s_h < 1, r = 1e3: up to 537 ulps, 1.07 times 1 + kappa)
-        ends = []
+    def test_split_points_map_to_the_truncation_radii(self, monkeypatch):
+        # everything beyond the horizon runs in s = s_h + W x^2/(1 - x^2):
+        # the core over [0, x_r), the remainder over [x_r, 1), and, for
+        # V(10r), [x_r, x_10r) and [x_10r, 1).  x_r and x_10r, put through
+        # the kernel's map, land on r = max(1e3, 10 s_h) and 10r within the
+        # rounding that the map's condition number 1/(1 - x^2) in x^2
+        # allows: x^2 from a float x is about an ulp off at best, and
+        # 1 - x^2 carries that ulp relative to itself, 1/(1 - x^2) times
+        # larger (x_r ~ 0.999 at s_h < 1, r = 1e3: up to 537 ulps, 1.07
+        # times 1 + kappa).  Without a horizon the core runs in log(1 + s)
+        # and the rest from s = 0.
+        pieces = []
         original = renvol.volume._profile_integral
 
         def recorded(p, integrand, substitution, origin, a, b, tol):
             if substitution == "compact":
-                ends.append((origin, b))
+                pieces.append((origin, a, b))
             return original(p, integrand, substitution, origin, a, b, tol)
 
         monkeypatch.setattr(renvol.volume, "_profile_integral", recorded)
         mapped = renvol.quadrature._SUBSTITUTIONS["compact"][0]
-        for k in range(-18, 7):
-            s_h = 10.0 ** (0.5 * k)
-            p = ads_schwarzschild(s_h * s_h * s_h + s_h)
-            for r in (None, 2.0 * p.horizon.radius + 1.0):
-                ends.clear()
-                r = renormalized_volume(p, truncation_radius=r).truncation_radius
-                ((origin, u),) = ends
-                width = renvol.volume._core_width(origin)
-                env = dict(renvol.quadrature._KERNEL_GLOBALS, width=width)
-                kappa = (r - origin + width) / width  # 1/(1 - x_r^2) at the exact x_r
-                got = origin + eval(mapped, env, {"u": u})
-                assert abs(got - r) <= 4.0 * (1.0 + kappa) * math.ulp(r), (s_h, r, got)
+        radii = [10.0 ** (0.5 * k) for k in range(-18, 7)]
+        profiles = [ads_schwarzschild(s_h * s_h * s_h + s_h) for s_h in radii]
+        profiles.append(custom_profile("1 + s^2 + c*exp(-s)", {"c": 1.0}))
+        for p in profiles:
+            pieces.clear()
+            r = renormalized_volume(p).truncation_radius
+            s_h = p.horizon.radius if p.horizon is not None else 0.0
+            assert r == max(1e3, 10.0 * s_h)
+            x_r, x_10r = pieces[-2][1], pieces[-1][1]
+            core = [(0.0, x_r)] if p.horizon is not None else []
+            want = core + [(x_r, 1.0), (x_r, x_10r), (x_10r, 1.0)]
+            assert [piece[1:] for piece in pieces] == want
+            assert {piece[0] for piece in pieces} == {s_h}
+            width = renvol.volume._core_width(s_h)
+            env = dict(renvol.quadrature._KERNEL_GLOBALS, width=width)
+            for x, radius in ((x_r, r), (x_10r, 10.0 * r)):
+                kappa = (radius - s_h + width) / width  # 1/(1 - x^2) at the exact x
+                got = s_h + eval(mapped, env, {"u": x})
+                assert abs(got - radius) <= 4.0 * (1.0 + kappa) * math.ulp(radius), (s_h, got)
 
     def test_transcendental_evaluations_are_pinned(self):
         # the compiled panel kernels must take the quadrature along the same
@@ -159,16 +169,23 @@ class TestRenormalizedVolume:
             )
             assert got == counts, (p.f, p.params)
 
-    def test_stability_check_cross_validates_the_tail(self, monkeypatch):
-        # a tail weight of 1/u for 1/u^2 is off by about 2 pi m/r at each
-        # truncation radius, which the shell in log(1 + s) does not share;
-        # the copied tree has no cached kernel
-        monkeypatch.setitem(renvol.quadrature._SUBSTITUTIONS, "inverse", ("1.0 / u", "w / u"))
-        model = ads_schwarzschild(2.0)
-        p = RadialProfile(copy.deepcopy(model.f), model.params, model.delta, model.label)
-        assert not p.f.__dict__.get("_kernels")
+    def test_stability_check_catches_a_biased_remainder(self, monkeypatch):
+        # V(10r) splits the remainder [u_r, 1) of V(r) in two; a remainder
+        # 1e-6 high, which its halves do not share, moves V(r) alone
+        original = renvol.volume._profile_integral
+        ends = []
+
+        def biased(p, integrand, substitution, origin, a, b, tol):
+            got = original(p, integrand, substitution, origin, a, b, tol)
+            ends.append((a, b))
+            if b == 1.0 and a == ends[0][1]:
+                return Integral(got.value + 1e-6, got.err_estimate, got.evaluations)
+            return got
+
+        monkeypatch.setattr(renvol.volume, "_profile_integral", biased)
         with pytest.raises(DecayError, match="depends on the truncation radius"):
-            renormalized_volume(p)
+            renormalized_volume(ads_schwarzschild(2.0))
+        assert len(ends) == 4
 
     def test_divergent_tail_is_refused(self):
         # |q|/f ~ s^-1, so the volume diverges; a 41-point fit passed this
@@ -182,13 +199,6 @@ class TestRenormalizedVolume:
         res = renormalized_volume(ads_schwarzschild(2.0))
         assert res.tail_correction == pytest.approx(FOUR_PI / 2.0 * 2.0 / 1e3, rel=1e-5)
 
-    def test_truncation_independence(self):
-        near = renormalized_volume(ads_schwarzschild(2.0), truncation_radius=1e3)
-        far = renormalized_volume(ads_schwarzschild(2.0), truncation_radius=1e4)
-        assert near.value == pytest.approx(far.value, abs=1e-9)
-        assert near.stability < 1e-9
-        assert far.stability < 1e-9
-
     def test_charged_profile(self):
         res = renormalized_volume(rn_ads(4.0, 1.0))
         assert res.stability < 1e-9
@@ -198,12 +208,6 @@ class TestRenormalizedVolume:
     def test_slow_decay_is_rejected(self):
         with pytest.raises(DecayError, match="decays like"):
             renormalized_volume(custom_profile("1 + s^2 - s"))
-
-    def test_truncation_inside_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            renormalized_volume(ads_schwarzschild(2.0), truncation_radius=0.5)
-        with pytest.raises(ValueError):
-            renormalized_volume(hyperbolic(), truncation_radius=math.inf)
 
 
 class TestReferenceBall:
@@ -241,6 +245,14 @@ class TestFlowBound:
     def test_negative_duration(self):
         with pytest.raises(ValueError):
             flow_volume_lower_bound(ads_schwarzschild(2.0), -1.0)
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_duration_must_be_finite(self, tau):
+        for bound in (partial(flow_volume_lower_bound, ads_schwarzschild(2.0)),
+                      partial(area_lower_bound, FOUR_PI)):
+            with pytest.raises(ValueError, match=r"^tau must be nonnegative and finite, got %r$"
+                               % tau):
+                bound(tau)
 
     def test_requires_a_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -466,23 +478,23 @@ def _kernel_checks(p):
     points += [1e100, 1e300]  # far points where f overflows
     spans = [(1e-6, 1e-3), (0.01, 0.5), (0.5, 2.0), (2.0, 1e3), (1e3, 1e4), (1e100, 1e300)]
     in_s = [(s, s) for s in points] + spans
-    # the remainder integral's s = 1/u: the u of each point, the tail's
-    # nodes, 1/u overflowing to inf, and u = 0 itself (center 0.5*5e-324)
-    tail = [1.0 / s for s in points] + _kronrod_nodes(0.0, 1e-3) + [1e-310]
-    in_inverse = [(u, u) for u in tail] + [(1.0 / b, 1.0 / a) for a, b in spans]
-    in_inverse += [(0.0, 1e-3), (0.0, 1e-310), (0.0, 5e-324)]
     try:
         hz = p.horizon
     except Exception:
         hz = None
-    origin = hz.radius if hz is not None else 0.5
-    # s = origin + u^2, or the core's compact variable, next to the horizon
+    # the volume's compact variable runs from the horizon, or from s = 0
+    origin = hz.radius if hz is not None else 0.0
+    # s = origin + u^2, or the compact variable, next to the origin
     in_sqrt = [(u, u) for u in _kronrod_nodes(0.0, 1.0)]
     in_sqrt += [(0.0, 1.0), (0.0, 1e-3), (0.0, 5e-324)]
-    # the compact variable runs below 1: a node next to 1 lies far out
-    in_compact = in_sqrt + [(0.99, 1.0), (1.0 - 2.0 ** -40, 1.0)]
+    # the compact variable runs below 1: a node next to 1 lies far out, the
+    # u of each point past the origin, and u = 1 itself, s = infinity
+    width = max(2.0, 4.0 * origin)
+    far = [math.sqrt((s - origin) / (s - origin + width)) for s in points if s > origin]
+    in_compact = in_sqrt + [(u, u) for u in far]
+    in_compact += [(0.99, 1.0), (1.0 - 2.0 ** -40, 1.0), (1.0, 1.0)]
     in_sqrt += [(1.0, 40.0)]
-    # the horizon-free core and the shell [r, 10r] in u = log(1 + s)
+    # the horizon-free core in u = log(1 + s)
     in_log1p = [(math.log1p(s), math.log1p(s)) for s in points]
     in_log1p += [(0.0, math.log1p(1e3)), (math.log1p(1e3), math.log1p(1e4))]
     d = lru_cache(maxsize=None)(chain_difference_integrand(p))
@@ -490,7 +502,6 @@ def _kernel_checks(p):
     checks = [
         (_kernel(p.f, "difference", "plain"), None, d, in_s),
         (_kernel(p.f, "shell", "plain"), None, shell, in_s),
-        (_kernel(p.f, "difference", "inverse"), None, lambda u: d(1.0 / u) / (u * u), in_inverse),
         (_kernel(p.f, "difference", "compact"), origin, _compact_sub(d, origin), in_compact),
         (_kernel(p.f, "shell", "sqrt"), origin, _sqrt_sub(shell, origin), in_sqrt),
         (_kernel(p.f, "difference", "layer"), None, _log1p_sub(d), in_log1p),
