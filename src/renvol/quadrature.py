@@ -131,6 +131,11 @@ _SUBSTITUTIONS = {
     # v = 0, and v ~ 1/(1 - u) beyond the width, where w decays like 1/v^2
     "compact": ("width * u * u / ((1.0 - u) * (1.0 + u))",
                 "2.0 * width * u / ((1.0 - u) * (1.0 + u)) ** 2 * w"),
+    # the compact map in t = 1 - u, run backwards over t in (0, 1]: v = inf
+    # at t = 0, where floats are dense enough to resolve an integrable t^-a;
+    # the weight 2 W (1 - t)/(t (2 - t))^2 reuses v and the map's factors
+    "far": ("width * (_c := 1.0 - u) * _c / (_g := u * (2.0 - u))",
+            "2.0 * {v} / (_c * _g) * w"),
 }
 
 

@@ -7,16 +7,14 @@ the difference integrand
 
     d(s) = 4*pi*s^2 * (f(s)^-1/2 - (1+s^2)^-1/2)
 
-in stabilized form: from the horizon out to infinity in u in [0, 1),
-s = s_h + W u^2/(1 - u^2), W = 2 max(1, 2 s_h), which is sqrt((s - s_h)/W)
-near the horizon, where it removes the endpoint singularity, and
-1 - W/(2 s) far out, where d ds is nearly constant in u as d decays like
-1/s^2, so the remainder beyond the truncation radius is a proper integral
-with a bounded integrand.  Without a horizon the core up to the truncation
-radius runs in t = log(1 + s), in which d is nearly flat at large s.  The
-reference ball inside the horizon is subtracted in closed form.  No
-asymptotic model of the remainder is assumed; profiles whose defect decays
-at any admissible rate are handled alike.
+in stabilized form in one compact map, s = s_h + W u^2/(1 - u^2),
+W = 2 max(1, 2 s_h): u is sqrt((s - s_h)/W) near the horizon, where it
+removes the endpoint singularity, and s = infinity at u = 1.  Beyond the
+truncation radius the map runs in 1 - u, about W/(2 s), where floats are
+dense: a defect decaying at any admissible rate makes d ds an integrable
+power of 1 - u there.  Without a horizon the core up to the truncation
+radius runs in log(1 + s).  The reference ball inside the horizon is
+subtracted in closed form; no model of the remainder is assumed.
 
 The flow bounds reparametrize coordinate spheres by the parameter t of
 inverse mean curvature flow (area grows exactly as e^t, so the sphere
@@ -105,11 +103,11 @@ def _build_kernel(f: Expression, integrand: str, substitution: str):
         # u^2 = t, the flow parameter, and s the flow sphere's radius there
         var = "t"
         code.lines += ["half = _exp(0.5 * t)", "s = radius * half"]
-    elif substitution in ("sqrt", "compact"):
-        # u^2 = s - origin, or the core's compact variable, from the horizon
+    elif substitution in ("sqrt", "compact", "far"):
+        # u^2 = s - origin, or the compact map in u or 1 - u, from the horizon
         var = "v"
         code.lines.append("s = origin + v")
-        if substitution == "compact":
+        if substitution != "sqrt":
             setup.append("width = _core_width(origin)")
     elif substitution == "layer":
         # u = log(1 + s): the horizon-free core
@@ -182,7 +180,7 @@ def _kernel(f: Expression, integrand: str, substitution: str):
     """The panel kernel ``kernel(params, origin, a, b) -> (value, err)`` of
     ``integrand`` ("difference", "shell" or "flow") of the profile tree f
     under ``substitution`` (see ``quadrature._SUBSTITUTIONS``; the layer
-    at width 1, the compact map at ``_core_width(origin)``); ``origin`` is
+    at width 1, the compact maps at ``_core_width(origin)``); ``origin`` is
     the sqrt or compact endpoint, or the flow's Horizon.
     Compiled on first use and cached on f, like f's own compiled function."""
     kernels = f._kernels
@@ -256,22 +254,20 @@ def renormalized_volume(p: RadialProfile, tol: Tolerance | None = None) -> Renor
         integral_{s_h}^{r} d(s) ds  -  integral_0^{s_h} 4 pi s^2 (1+s^2)^-1/2 ds
                                     +  integral_r^{infinity} d(s) ds
 
-    at the truncation radius r = max(1e3, 10 s_h), outside a large horizon.
-    Everything beyond the horizon runs in the compact variable u of
-    s = s_h + W u^2/(1 - u^2), W = 2 max(1, 2 s_h) (``_core_width``), which
-    reaches s = infinity at u = 1: the first integral over [0, u_r), the
-    remainder, evaluated rather than modeled, over [u_r, 1), with
-    u_R = sqrt((R - s_h)/(R - s_h + W)).  Without a horizon the first
-    integral runs in log(1 + s) instead, and the remainder in u from s = 0.
-    The reference ball is subtracted in closed form.
+    at the truncation radius r = max(1e3, 10 s_h), outside a large horizon,
+    in the compact map s = s_h + W u^2/(1 - u^2), W = 2 max(1, 2 s_h)
+    (``_core_width``): the first integral over [0, u_r), with
+    u_R = sqrt((R - s_h)/(R - s_h + W)), and the remainder, evaluated
+    rather than modeled, over t = 1 - u in (0, 1 - u_r].  Without a horizon
+    the first integral runs in log(1 + s), and the remainder from s = 0.
 
     The tolerance bounds each integral, not V: V's error is about
     rel*(|core| + |remainder|), which exceeds rel*|V| where the two cancel.
 
     Requires the decay validation to pass; raises DecayError otherwise,
     and also when the reported stability |V(r) - V(10r)| exceeds ten times
-    the quadrature tolerance, where V(10r) splits the remainder at u_10r
-    into [u_r, u_10r) and [u_10r, 1).
+    the quadrature tolerance, where V(10r) splits the remainder at
+    t = 1 - u_10r.
     """
     tol = tol or Tolerance()
     report = p.asymptotics
@@ -284,20 +280,21 @@ def renormalized_volume(p: RadialProfile, tol: Tolerance | None = None) -> Renor
     s_h = hz.radius if hz is not None else 0.0
     r = max(1e3, 10.0 * s_h)
     width = _core_width(s_h)
+    # both u lie above 1/2, so 1 - u is exact and the pieces meet
     u_r, u_10r = (math.sqrt(v / (v + width)) for v in (r - s_h, 10.0 * r - s_h))
 
-    def piece(a, b):
-        return _profile_integral(p, "difference", "compact", s_h, a, b, tol)
+    def far(a, b):
+        return _profile_integral(p, "difference", "far", s_h, a, b, tol)
 
     if hz is not None:
-        core = piece(0.0, u_r)
+        core = _profile_integral(p, "difference", "compact", s_h, 0.0, u_r, tol)
     else:
         core = _profile_integral(p, "difference", "layer", None, 0.0, math.log1p(r), tol)
     ball = _reference_ball(s_h)
-    tail = piece(u_r, 1.0)
+    tail = far(0.0, 1.0 - u_r)
     value = core.value - ball + tail.value
-    shell = piece(u_r, u_10r)
-    tail10 = piece(u_10r, 1.0)
+    shell = far(1.0 - u_10r, 1.0 - u_r)
+    tail10 = far(0.0, 1.0 - u_10r)
     value10 = core.value - ball + shell.value + tail10.value
     evals = core.evaluations + tail.evaluations + shell.evaluations + tail10.evaluations
 

@@ -235,15 +235,17 @@ _MP_MAPS = {
     "sqrt": lambda u, L: u * u,
     "layer": lambda u, L: L * mpmath.expm1(u),
     "compact": lambda u, L: L * u * u / (1 - u * u),
+    "far": lambda u, L: L * (1 - u) ** 2 / (u * (2 - u)),
 }
 
-# the u of each check: the compact map's u lies in [0, 1)
-_MP_NODES = {"compact": (1e-6, 0.01, 0.3, 0.9, 0.99, 0.999999)}
+# the u of each check: the compact maps' u lies in [0, 1) or (0, 1]
+_MP_NODES = {"compact": (1e-6, 0.01, 0.3, 0.9, 0.99, 0.999999),
+             "far": (1e-12, 1e-6, 0.01, 0.3, 0.9, 0.99)}
 
 
 class TestSubstitutions:
     """Each entry of the table against its map at 30 digits: v(u), and the
-    weight dv/du by ``mpmath.diff``."""
+    weight |dv/du| by ``mpmath.diff`` (the far map runs backwards)."""
 
     def test_every_entry_has_a_map(self):
         assert set(_MP_MAPS) == set(_SUBSTITUTIONS)
@@ -254,21 +256,22 @@ class TestSubstitutions:
         for width in (1.0, 2.5, 2e3):
             # the names a kernel's setup binds for the entries that use them
             env = dict(_KERNEL_GLOBALS, width=width)
-            v_of = eval("lambda u: " + mapped, env)
-            weight_of = eval("lambda u, v, w: " + weighted.format(v="v"), env)
+            # one expression, as in a kernel: a weight may reuse v and
+            # the names its map binds
+            both = eval("lambda u, w: ((v := %s), %s)" % (mapped, weighted.format(v="v")), env)
             for u in _MP_NODES.get(name, (1e-6, 0.01, 0.3, 1.0, 2.5, 3.0)):
                 with mpmath.workdps(30):
                     exact = partial(_MP_MAPS[name], L=width)
                     want_v = exact(mpmath.mpf(u))
-                    want_w = mpmath.diff(exact, mpmath.mpf(u))
+                    want_w = abs(mpmath.diff(exact, mpmath.mpf(u)))
                     # the map's condition number: a rounding of the
-                    # argument of expm1, or of 1 - u^2, moves v by about
-                    # that many
+                    # argument of expm1, or of 1 - u^2 or u (2 - u), moves
+                    # v by about that many
                     kappa = float(abs(u * want_w / want_v))
-                v = v_of(u)
+                v, weight = both(u, 1.0)
                 bound = 4.0 * (1.0 + kappa) * 2.0 ** -53
                 assert abs(v - want_v) <= bound * abs(want_v), (name, width, u)
-                assert abs(weight_of(u, v, 1.0) - want_w) <= bound * want_w, (name, width, u)
+                assert abs(weight - want_w) <= bound * want_w, (name, width, u)
 
 
 class TestSqrtEndpoint:

@@ -311,10 +311,11 @@ for call in (
     assert proc.returncode == 0, proc.stderr
     # nothing at import; the first evaluate, enclose and evaluate_exact
     # each compile and run one <expression>, and a second call neither.
-    # The first renormalized_volume compiles and runs one panel kernel,
-    # the compact map's, under its own name, and no <expression>; the flow
-    # bound one more; a second call none.  Without a horizon the volume
-    # compiles two, its core's in log(1 + s) and the compact map's.  The
+    # The first renormalized_volume compiles and runs two panel kernels,
+    # the core's in the compact map and the far pieces' in 1 - u, under
+    # their own name, and no <expression>; the flow bound one more; a
+    # second call none.  Without a horizon the volume compiles two, its
+    # core's in log(1 + s) and the far pieces'.  The
     # first kernel_margin compiles and runs its kernel, the first
     # volume_gap and volume_gap_regularized their two each (the sqrt and
     # the layer substitutions; at alpha = 1 the second gap integral has no
@@ -323,6 +324,6 @@ for call in (
     once = "<expression> <expression>"
     one, two = "<panel> <panel>", " ".join(["<panel>"] * 4)
     assert proc.stdout.split("\n") == [
-        "", once, "", once, "", once, "", one, "", one, "", two, "",
+        "", once, "", once, "", once, "", two, "", one, "", two, "",
         one, "", two, "", two, "", "", "", "", "", "",
     ]

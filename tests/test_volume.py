@@ -102,21 +102,22 @@ class TestRenormalizedVolume:
 
     def test_split_points_map_to_the_truncation_radii(self, monkeypatch):
         # everything beyond the horizon runs in s = s_h + W x^2/(1 - x^2):
-        # the core over [0, x_r), the remainder over [x_r, 1), and, for
-        # V(10r), [x_r, x_10r) and [x_10r, 1).  x_r and x_10r, put through
-        # the kernel's map, land on r = max(1e3, 10 s_h) and 10r within the
-        # rounding that the map's condition number 1/(1 - x^2) in x^2
-        # allows: x^2 from a float x is about an ulp off at best, and
-        # 1 - x^2 carries that ulp relative to itself, 1/(1 - x^2) times
-        # larger (x_r ~ 0.999 at s_h < 1, r = 1e3: up to 537 ulps, 1.07
-        # times 1 + kappa).  Without a horizon the core runs in log(1 + s)
-        # and the rest from s = 0.
+        # the core over x in [0, x_r), and the rest in t = 1 - x, the
+        # remainder over (0, t_r] and, for V(10r), [t_10r, t_r] and
+        # (0, t_10r].  The pieces meet: t_r is 1 - x_r exactly.  x_r and
+        # x_10r, put through the core's map, land on r = max(1e3, 10 s_h)
+        # and 10r within the rounding that the map's condition number
+        # 1/(1 - x^2) in x^2 allows: x^2 from a float x is about an ulp off
+        # at best, and 1 - x^2 carries that ulp relative to itself,
+        # 1/(1 - x^2) times larger (x_r ~ 0.999 at s_h < 1, r = 1e3: up to
+        # 537 ulps, 1.07 times 1 + kappa).  Without a horizon the core runs
+        # in log(1 + s) and the rest from s = 0.
         pieces = []
         original = renvol.volume._profile_integral
 
         def recorded(p, integrand, substitution, origin, a, b, tol):
-            if substitution == "compact":
-                pieces.append((origin, a, b))
+            if substitution in ("compact", "far"):
+                pieces.append((substitution, origin, a, b))
             return original(p, integrand, substitution, origin, a, b, tol)
 
         monkeypatch.setattr(renvol.volume, "_profile_integral", recorded)
@@ -129,11 +130,13 @@ class TestRenormalizedVolume:
             r = renormalized_volume(p).truncation_radius
             s_h = p.horizon.radius if p.horizon is not None else 0.0
             assert r == max(1e3, 10.0 * s_h)
-            x_r, x_10r = pieces[-2][1], pieces[-1][1]
-            core = [(0.0, x_r)] if p.horizon is not None else []
-            want = core + [(x_r, 1.0), (x_r, x_10r), (x_10r, 1.0)]
-            assert [piece[1:] for piece in pieces] == want
-            assert {piece[0] for piece in pieces} == {s_h}
+            t_r, t_10r = pieces[-2][3], pieces[-1][3]
+            x_r, x_10r = 1.0 - t_r, 1.0 - t_10r
+            assert 1.0 - x_r == t_r and 1.0 - x_10r == t_10r
+            core = [("compact", 0.0, x_r)] if p.horizon is not None else []
+            far = [("far", 0.0, t_r), ("far", t_10r, t_r), ("far", 0.0, t_10r)]
+            assert [(piece[0],) + piece[2:] for piece in pieces] == core + far
+            assert {piece[1] for piece in pieces} == {s_h}
             width = renvol.volume._core_width(s_h)
             env = dict(renvol.quadrature._KERNEL_GLOBALS, width=width)
             for x, radius in ((x_r, r), (x_10r, 10.0 * r)):
@@ -170,7 +173,7 @@ class TestRenormalizedVolume:
             assert got == counts, (p.f, p.params)
 
     def test_stability_check_catches_a_biased_remainder(self, monkeypatch):
-        # V(10r) splits the remainder [u_r, 1) of V(r) in two; a remainder
+        # V(10r) splits the remainder (0, t_r] of V(r) in two; a remainder
         # 1e-6 high, which its halves do not share, moves V(r) alone
         original = renvol.volume._profile_integral
         ends = []
@@ -178,7 +181,7 @@ class TestRenormalizedVolume:
         def biased(p, integrand, substitution, origin, a, b, tol):
             got = original(p, integrand, substitution, origin, a, b, tol)
             ends.append((a, b))
-            if b == 1.0 and a == ends[0][1]:
+            if a == 0.0 and b == 1.0 - ends[0][1]:
                 return Integral(got.value + 1e-6, got.err_estimate, got.evaluations)
             return got
 
@@ -458,6 +461,19 @@ def _compact_sub(fn, origin):
     return weighted
 
 
+def _far_sub(fn, origin):
+    # the far pieces' s = origin + W (1 - t)^2/(t (2 - t)), t = 1 - u
+    width = max(2.0, 4.0 * origin)
+
+    def weighted(t):
+        c = 1.0 - t
+        g = t * (2.0 - t)
+        v = width * c * c / g
+        w = fn(origin + v)
+        return 2.0 * v / (c * g) * w
+    return weighted
+
+
 def _log1p_sub(fn):
     # u = log(1 + s), ds = (1 + s) du
     def weighted(u):
@@ -493,6 +509,11 @@ def _kernel_checks(p):
     far = [math.sqrt((s - origin) / (s - origin + width)) for s in points if s > origin]
     in_compact = in_sqrt + [(u, u) for u in far]
     in_compact += [(0.99, 1.0), (1.0 - 2.0 ** -40, 1.0), (1.0, 1.0)]
+    # the far pieces in t = 1 - u: the t of each point past the origin,
+    # panels at t = 0, s = infinity, and t = 1, the origin
+    in_far = [(t, t) for t in _kronrod_nodes(0.0, 1.0)]
+    in_far += [(1.0 - u, 1.0 - u) for u in far] + [(0.0, 1e-3), (0.0, 1e-200), (0.0, 0.0)]
+    in_far += [(0.99, 1.0), (1.0, 1.0)]
     in_sqrt += [(1.0, 40.0)]
     # the horizon-free core in u = log(1 + s)
     in_log1p = [(math.log1p(s), math.log1p(s)) for s in points]
@@ -503,6 +524,7 @@ def _kernel_checks(p):
         (_kernel(p.f, "difference", "plain"), None, d, in_s),
         (_kernel(p.f, "shell", "plain"), None, shell, in_s),
         (_kernel(p.f, "difference", "compact"), origin, _compact_sub(d, origin), in_compact),
+        (_kernel(p.f, "difference", "far"), origin, _far_sub(d, origin), in_far),
         (_kernel(p.f, "shell", "sqrt"), origin, _sqrt_sub(shell, origin), in_sqrt),
         (_kernel(p.f, "difference", "layer"), None, _log1p_sub(d), in_log1p),
     ]
